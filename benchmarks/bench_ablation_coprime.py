@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from conftest import attach
 
-from repro.mergesort.fast import serial_merge_profile
+from repro.engine.lane import profile_serial_merges
 from repro.worstcase import worstcase_merge_inputs
 
 W, U = 32, 64
@@ -58,9 +58,9 @@ def test_ablation_heuristic_fails_on_adversary(benchmark):
         out = {}
         for E in (15, 17):
             ra, rb = _random_pair(E, seed=1)
-            rand = serial_merge_profile(ra, rb, E, W)
+            rand = profile_serial_merges([(ra, rb)], E, W)[0]
             wa, wb = worstcase_merge_inputs(W, E, u=U)
-            worst = serial_merge_profile(wa, wb, E, W)
+            worst = profile_serial_merges([(wa, wb)], E, W)[0]
             out[E] = (
                 rand.shared_replays / rand.shared_read_rounds,
                 worst.shared_replays / worst.shared_read_rounds,

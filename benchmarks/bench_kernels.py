@@ -1,7 +1,7 @@
 """Micro-benchmarks of the simulator and engine primitives.
 
 Not a paper artifact — these track the reproduction's own performance:
-the lockstep executor, the fast (vectorized) engine, the full simulated
+the lockstep executor, the batched (vectorized) engine lane, the full simulated
 sort, and the cost-model conversion.
 """
 
@@ -11,8 +11,8 @@ import numpy as np
 from conftest import attach
 
 from repro.config import RTX_2080_TI
+from repro.engine.lane import profile_serial_merges
 from repro.mergesort import gpu_mergesort, serial_merge_block
-from repro.mergesort.fast import serial_merge_profile
 from repro.perf import CostModel
 from repro.sim import BankModel, Counters, SharedMemory
 
@@ -32,17 +32,17 @@ def test_shared_memory_round(benchmark):
     benchmark(shm.warp_read, accesses)
 
 
-def test_lockstep_vs_fast_engine(benchmark):
-    """The fast engine's speed advantage over the generator simulator."""
+def test_lockstep_vs_engine_lane(benchmark):
+    """The batched lane's speed advantage over the generator simulator."""
     rng = np.random.default_rng(0)
     E, u, w = 15, 64, 32
     vals = np.arange(u * E, dtype=np.int64)
     mask = rng.random(u * E) < 0.5
     a, b = vals[mask], vals[~mask]
 
-    fast = benchmark(serial_merge_profile, a, b, E, w)
+    (lane,) = benchmark(profile_serial_merges, [(a, b)], E, w)
     _, sim = serial_merge_block(a, b, E, w, simulate_search=False)
-    assert fast.shared_replays == sim.merge.shared_replays  # identical counts
+    assert lane.shared_replays == sim.merge.shared_replays  # identical counts
 
 
 def test_full_simulated_sort(benchmark):

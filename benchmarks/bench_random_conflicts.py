@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import attach
 
-from repro.mergesort.fast import serial_merge_profile
+from repro.engine.lane import profile_serial_merges
 
 
 @pytest.mark.parametrize("E", [15, 17])
@@ -26,10 +26,10 @@ def test_karsin_random_conflicts(benchmark, E):
         pairs.append((vals[mask], vals[~mask]))
 
     def measure():
-        per_step = []
-        for a, b in pairs:
-            prof = serial_merge_profile(a, b, E, w)
-            per_step.append(prof.shared_replays / prof.shared_read_rounds)
+        per_step = [
+            prof.shared_replays / prof.shared_read_rounds
+            for prof in profile_serial_merges(pairs, E, w)
+        ]
         return float(np.mean(per_step))
 
     mean_replays = benchmark(measure)

@@ -13,7 +13,7 @@ import numpy as np
 from repro import BankModel, gpu_mergesort, theorem8_combined
 from repro.core import WarpSplit, gather_warp, warp_gather_schedule
 from repro.core.verify import rounds_are_complete_residue_systems
-from repro.mergesort.fast import serial_merge_profile
+from repro.engine.lane import profile_serial_merges
 from repro.numtheory import coprime
 from repro.worstcase import worstcase_full_input, worstcase_merge_inputs
 
@@ -37,12 +37,12 @@ def main() -> None:
     rng = np.random.default_rng(0)
     vals = np.arange(32 * 15)
     mask = rng.random(len(vals)) < 0.5
-    prof = serial_merge_profile(vals[mask], vals[~mask], 15, 32)
+    prof = profile_serial_merges([(vals[mask], vals[~mask])], 15, 32)[0]
     print(f"  measured: {prof.shared_replays / prof.shared_read_rounds:.2f} replays/step")
 
     step(3, "adversarial merges conflict a lot (Section 4)")
     a, b = worstcase_merge_inputs(32, 15)
-    prof = serial_merge_profile(a, b, 15, 32)
+    prof = profile_serial_merges([(a, b)], 15, 32)[0]
     print(f"  measured: {prof.shared_replays / prof.shared_read_rounds:.2f} replays/step"
           f"  (Theorem 8 aligned count: {theorem8_combined(32, 15)})")
 

@@ -13,7 +13,7 @@ Run:  python examples/worst_case_attack.py
 import numpy as np
 
 from repro import gpu_mergesort, theorem8_combined, worstcase_full_input
-from repro.mergesort.fast import serial_merge_profile
+from repro.engine.lane import profile_serial_merges
 from repro.workloads import uniform_random
 from repro.worstcase import worstcase_merge_inputs
 
@@ -32,7 +32,7 @@ def main() -> None:
 
     # --- single-merge anatomy: one warp's worst-case merge ---------------
     a, b = worstcase_merge_inputs(w, E)
-    profile = serial_merge_profile(a, b, E, w)
+    profile = profile_serial_merges([(a, b)], E, w)[0]
     print("one warp's worst-case merge (Thrust's serial merge):")
     print(f"  Theorem 8 aligned conflicts : {theorem8_combined(w, E)}")
     print(f"  measured excess accesses    : {profile.shared_excess}")

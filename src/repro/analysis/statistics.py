@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.lane import profile_serial_merges
 from repro.errors import ParameterError
-from repro.mergesort.fast import serial_merge_profile
 
 __all__ = [
     "max_load_samples",
@@ -58,7 +58,7 @@ def measured_replay_depths(
     """Per-round serialization depths of random-input serial merges.
 
     Returns the mean depth per round per sample (one value per simulated
-    block merge), derived from the fast engine's aggregate counters.
+    block merge), derived from the batched lane's aggregate counters.
     """
     rng = np.random.default_rng(seed)
     total = u * E
@@ -67,7 +67,7 @@ def measured_replay_depths(
         vals = np.arange(total, dtype=np.int64)
         mask = rng.random(total) < 0.5
         a, b = vals[mask], vals[~mask]
-        prof = serial_merge_profile(a, b, E, w)
+        prof = profile_serial_merges([(a, b)], E, w)[0]
         depths.append(prof.shared_cycles / prof.shared_read_rounds)
     return np.array(depths)
 

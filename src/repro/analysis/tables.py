@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import RTX_2080_TI, DeviceSpec, SortParams
-from repro.mergesort.fast import serial_merge_profile
+from repro.engine.lane import profile_serial_merges
 from repro.perf.occupancy import occupancy
 from repro.perf.throughput import ThroughputPoint
 
@@ -106,7 +106,7 @@ def karsin_table(
             vals = np.arange(total, dtype=np.int64)
             mask = rng.random(total) < 0.5
             a, b = vals[mask], vals[~mask]
-            prof = serial_merge_profile(a, b, E, w)
+            prof = profile_serial_merges([(a, b)], E, w)[0]
             per_step.append(prof.shared_replays / prof.shared_read_rounds)
         lines.append(
             f"{E:>4} {u:>5} {np.mean(per_step):>13.2f} "

@@ -1,10 +1,10 @@
 """The ``cf-cluster`` service backend: the batched engine lane, sharded.
 
 Byte-identical to :func:`repro.engine.backend.cf_batched_backend` by
-construction — same validation, same first-fit
-:func:`~repro.engine.backend.pack_tiles` packing, same per-tile profile
-and unpack — but the two heavy phases execute as pool tasks instead of
-driver loops:
+construction — the same :func:`~repro.engine.backend.validate_batch`,
+first-fit :func:`~repro.engine.backend.pack_tiles` packing, per-tile
+profile and :func:`~repro.mergesort.segmented.unpack_segments` — but the
+two heavy phases execute as pool tasks instead of driver loops:
 
 * each **long segment** (> one tile) becomes a ``pipeline_segment`` task
   (the simulated ``gpu_mergesort`` fallback, exactly the single-process
@@ -29,9 +29,8 @@ import numpy.typing as npt
 from repro.cluster.pool import ClusterPool, TaskDict, get_default_pool
 from repro.cluster.shm import SharedInt64
 from repro.config import SortParams
-from repro.engine.backend import KEY_BITS, KEY_LIMIT, pack_tiles
-from repro.errors import ParameterError
-from repro.numtheory import coprime
+from repro.engine.backend import pack_tiles, validate_batch
+from repro.mergesort.segmented import unpack_segments
 from repro.sim.counters import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> cluster)
@@ -57,24 +56,7 @@ def cf_cluster_backend(
 
     E, u = params.E, params.u
     tile = u * E
-    if not coprime(w, E):
-        raise ParameterError("cf-cluster requires coprime w, E")
-    if u % w or u & (u - 1):
-        raise ParameterError(f"cf-cluster requires u={u} a power-of-two multiple of w={w}")
-
-    data = np.asarray(data, dtype=np.int64)
-    if data.ndim != 1:
-        raise ParameterError("data must be one-dimensional")
-    bounds = list(offsets) + [len(data)]
-    if offsets and bounds[0] != 0:
-        raise ParameterError("the first segment offset must be 0")
-    for prev, nxt in zip(bounds, bounds[1:]):
-        if nxt < prev:
-            raise ParameterError("segment offsets must be non-decreasing")
-    if bounds[:-1] and bounds[-2] > len(data):
-        raise ParameterError("segment offsets exceed the data length")
-    if len(data) and (data.min() <= -KEY_LIMIT or data.max() >= KEY_LIMIT):
-        raise ParameterError(f"keys must fit in +-2^{KEY_BITS - 1}")
+    data, bounds = validate_batch("cf-cluster", data, offsets, params, w)
 
     out = data.copy()
     total = Counters()
@@ -155,11 +137,5 @@ def cf_cluster_backend(
             sorted_tiles = shm_packed.array.reshape(n_rows, tile).copy()
 
     if n_rows:
-        mask = np.int64((1 << KEY_BITS) - 1)
-        for row, members in zip(sorted_tiles, tiles):
-            keys = (row & mask) - KEY_LIMIT
-            pos = 0
-            for lo, hi in members:
-                out[lo:hi] = keys[pos : pos + (hi - lo)]
-                pos += hi - lo
+        unpack_segments(out, sorted_tiles, tiles)
     return BatchOutcome(data=out, counters=total, launches=launches)

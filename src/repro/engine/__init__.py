@@ -9,8 +9,10 @@ Two ideas, composed:
   to Prometheus).
 * **Batched lane** (:mod:`repro.engine.batch`, :mod:`repro.engine.lane`):
   stack same-shape tiles into ``(tiles, lane)`` matrices and run every
-  warp-synchronous round as one vectorized pass, with per-tile counters
-  bit-identical to the per-tile :mod:`repro.mergesort.fast` profiles.
+  warp-synchronous round as one vectorized pass, with per-tile
+  shared-memory counters bit-identical to the lockstep simulator.  It is
+  the repo's only vectorized counting engine: single-tile callers pass
+  one-element lists.
 
 The ``cf-batched`` service backend (:mod:`repro.engine.backend`) and the
 default ``perf.throughput`` sampling executor are built on both.

@@ -10,16 +10,16 @@ vectorized pass through :mod:`repro.engine.batch`:
 * output contract — identical to every other backend: the segment-wise
   sorted concatenation (each tile is one ``np.sort`` over packed
   ``(rank, key)`` words, so segments come out sorted and in place);
-* counter contract — per tile, bit-identical to
-  :func:`repro.mergesort.fast.blocksort_profile` (variant ``"cf"``) on
-  the same packed tile, summed over tiles (cross-validated in
-  ``tests/test_engine_backend.py``);
+* counter contract — per tile, bit-identical to the lockstep
+  simulator's :func:`repro.mergesort.blocksort.blocksort_tile` (variant
+  ``"cf"``) shared-memory counters on the same packed tile, summed over
+  tiles (cross-validated in ``tests/test_engine_backend.py``);
 * padding rule — tile tails are padded with a sentinel that sorts after
   every packed value; padding is per tile, never per segment.
 
 Segments longer than one tile fall back to the simulated pipeline, like
-:func:`repro.mergesort.segmented.segmented_sort`'s long path.  The CF
-fast profile requires coprime ``(w, E)`` and a power-of-two ``u`` —
+:func:`repro.mergesort.segmented.segmented_sort`'s long path.  The lane's
+CF profile requires coprime ``(w, E)`` and a power-of-two ``u`` —
 geometry violations raise, they are never silently approximated.
 """
 
@@ -33,17 +33,44 @@ import numpy.typing as npt
 from repro.config import SortParams
 from repro.engine.batch import batched_blocksort_profile, pad_and_stack
 from repro.errors import ParameterError
+from repro.mergesort.segmented import (
+    KEY_BITS,
+    KEY_LIMIT,
+    segment_bounds,
+    unpack_segments,
+)
 from repro.numtheory import coprime
 from repro.sim.counters import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> engine)
     from repro.service.backends import BatchOutcome
 
-__all__ = ["cf_batched_backend", "pack_tiles"]
+__all__ = ["cf_batched_backend", "pack_tiles", "validate_batch"]
 
-#: Packed-word geometry — must match :mod:`repro.mergesort.segmented`.
-KEY_BITS = 40
-KEY_LIMIT = 1 << (KEY_BITS - 1)
+
+def validate_batch(
+    backend: str,
+    data: npt.ArrayLike,
+    offsets: Sequence[int],
+    params: SortParams,
+    w: int,
+) -> tuple[npt.NDArray[np.int64], list[int]]:
+    """Check a batched-lane micro-batch; return ``(data, segment bounds)``.
+
+    The geometry must suit the lane's CF profile (coprime ``w, E``, ``u``
+    a power-of-two multiple of ``w``), and the segments must pass
+    :func:`~repro.mergesort.segmented.segment_bounds`.  ``backend``
+    names the caller in error messages.
+    """
+    E, u = params.E, params.u
+    if not coprime(w, E):
+        raise ParameterError(f"{backend} requires coprime w, E")
+    if u % w or u & (u - 1):
+        raise ParameterError(
+            f"{backend} requires u={u} a power-of-two multiple of w={w}"
+        )
+    arr = np.asarray(data, dtype=np.int64)
+    return arr, segment_bounds(arr, offsets)
 
 
 def pack_tiles(
@@ -95,24 +122,7 @@ def cf_batched_backend(
 
     E, u = params.E, params.u
     tile = u * E
-    if not coprime(w, E):
-        raise ParameterError("cf-batched requires coprime w, E")
-    if u % w or u & (u - 1):
-        raise ParameterError(f"cf-batched requires u={u} a power-of-two multiple of w={w}")
-
-    data = np.asarray(data, dtype=np.int64)
-    if data.ndim != 1:
-        raise ParameterError("data must be one-dimensional")
-    bounds = list(offsets) + [len(data)]
-    if offsets and bounds[0] != 0:
-        raise ParameterError("the first segment offset must be 0")
-    for prev, nxt in zip(bounds, bounds[1:]):
-        if nxt < prev:
-            raise ParameterError("segment offsets must be non-decreasing")
-    if bounds[:-1] and bounds[-2] > len(data):
-        raise ParameterError("segment offsets exceed the data length")
-    if len(data) and (data.min() <= -KEY_LIMIT or data.max() >= KEY_LIMIT):
-        raise ParameterError(f"keys must fit in +-2^{KEY_BITS - 1}")
+    data, bounds = validate_batch("cf-batched", data, offsets, params, w)
 
     out = data.copy()
     total = Counters()
@@ -140,12 +150,5 @@ def cf_batched_backend(
         for c in per_tile:
             total.merge(c)
         launches += len(tiles)
-        sorted_tiles = np.sort(packed, axis=1)
-        mask = np.int64((1 << KEY_BITS) - 1)
-        for row, members in zip(sorted_tiles, tiles):
-            keys = (row & mask) - KEY_LIMIT
-            pos = 0
-            for lo, hi in members:
-                out[lo:hi] = keys[pos : pos + (hi - lo)]
-                pos += hi - lo
+        unpack_segments(out, np.sort(packed, axis=1), tiles)
     return BatchOutcome(data=out, counters=total, launches=launches)

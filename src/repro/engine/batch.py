@@ -1,21 +1,27 @@
 """Cross-tile vectorized conflict profiling (the batched engine core).
 
-:mod:`repro.mergesort.fast` profiles one tile per call; every round is
-one NumPy pass over ``u`` threads, but a sweep over hundreds of tiles
-still pays a Python loop per tile.  This module stacks same-shape tiles
-into 2D ``(tiles, lane)`` arrays and runs each warp-synchronous round as
-**one** vectorized pass over every tile at once, accumulating per-tile
+The lockstep simulator in :mod:`repro.sim` is exact but advances one
+generator per thread per round — too slow to profile thousands of
+tiles.  This module recomputes the *same* shared-memory round counts
+with NumPy: it stacks same-shape tiles into 2D ``(tiles, lane)`` arrays
+and runs each warp-synchronous round as **one** vectorized pass over
+every tile at once, accumulating per-tile
 :class:`~repro.sim.counters.Counters` in a struct-of-arrays
-(:class:`BatchCounters`).
+(:class:`BatchCounters`).  Only the shared read/write rounds are modeled
+(they are what differs per input); compute costs are analytic in
+:mod:`repro.perf.cost_model`.  A single tile is simply a batch of one.
 
-Bit-identity contract: every function here returns, per tile, exactly
-the counters the corresponding :mod:`repro.mergesort.fast` profile
-returns for that tile alone (cross-validated in
-``tests/test_engine_batch.py``).  The accumulator makes warps globally
-distinct across tiles (warp slot = ``tile * ceil(u/w) + tid // w``), so
-dedup/bincount statistics never mix tiles; data-dependent loops run
-while *any* tile is live — extra iterations contribute nothing to tiles
-that already converged, because every count is masked per lane.
+Bit-identity contract: every profile here returns, per tile, exactly the
+shared-memory counters the lockstep simulator reports for that tile
+(:func:`~repro.mergesort.serial_merge.serial_merge_block`,
+:func:`~repro.mergesort.cf.cf_merge_block`,
+:func:`~repro.mergesort.blocksort.blocksort_tile`; cross-validated in
+the test-suite, e.g. ``tests/test_engine_batch.py``).
+The accumulator makes warps globally distinct across tiles (warp slot =
+``tile * ceil(u/w) + tid // w``), so dedup/bincount statistics never mix
+tiles; data-dependent loops run while *any* tile is live — extra
+iterations contribute nothing to tiles that already converged, because
+every count is masked per lane.
 """
 
 from __future__ import annotations
@@ -146,10 +152,11 @@ def reset_fusion_stats() -> None:
 class BatchCounters:
     """Per-tile shared-memory counters, accumulated as arrays of length T.
 
-    One instance accounts every round of a batched profile;
-    :meth:`round` is the vectorized analogue of
-    :func:`repro.mergesort.fast.count_round` (same dedup, bank and cycle
-    math, applied per tile)."""
+    One instance accounts every round of a batched profile; each
+    :meth:`round` charges every active warp what
+    :meth:`repro.sim.banks.BankModel.round_cost` charges it (duplicate
+    addresses broadcast, a round costs its largest bank multiplicity),
+    applied per tile."""
 
     def __init__(self, tiles: int, u: int, w: int) -> None:
         if tiles < 1:
@@ -181,12 +188,12 @@ class BatchCounters:
         """Account one warp-synchronous round across every tile at once.
 
         ``addresses`` is ``(tiles, u)`` (broadcastable); ``active`` masks
-        lanes that access memory this round.  Per-tile statistics equal
-        running :func:`~repro.mergesort.fast.count_round` on each tile's
-        row alone: duplicates can only occur *within* a warp (the warp
-        slot is part of the dedup key), and every warp is one fixed
-        ``w``-wide row — so the dedup is a per-row sort plus neighbor
-        diff, never a batch-wide hash.
+        lanes that access memory this round; warps with no active lane
+        are free.  Per-tile statistics equal accounting each tile's row
+        alone: duplicates can only occur *within* a warp (the warp slot
+        is part of the dedup key), and every warp is one fixed ``w``-wide
+        row — so the dedup is a per-row sort plus neighbor diff, never a
+        batch-wide hash.
         """
         _FUSION.note_round()
         shape = (self.tiles, self.u)
@@ -566,12 +573,15 @@ def batched_pointer_merge_profile(
     read_policy: str = "bounded",
     acc: BatchCounters | None = None,
 ) -> BatchCounters:
-    """Batched form of :func:`repro.mergesort.fast.pointer_merge_profile`.
+    """Serial-merge rounds for explicit per-thread pointer ranges.
 
+    Each thread merges ``backing[a_ptr:a_end]`` with
+    ``backing[b_ptr:b_end]`` (both sorted), reading from ``backing``'s
+    address space: two head-load rounds, then ``E`` advance rounds, as
+    :func:`repro.mergesort.serial_merge.serial_merge_block` issues them.
     Every argument is ``(tiles, u)`` over a shared ``(tiles, L)``
-    ``backing``; each tile's counters equal the scalar profile on its
-    row.  Passing ``acc`` folds the rounds into an existing accumulator
-    (blocksort levels do this)."""
+    ``backing``.  Passing ``acc`` folds the rounds into an existing
+    accumulator."""
     if read_policy not in ("bounded", "always"):
         raise ParameterError(f"unknown read_policy {read_policy!r}")
     T, u = a_ptr.shape
@@ -810,16 +820,18 @@ def batched_serial_merge_profile(
     *,
     read_policy: str = "bounded",
 ) -> list[Counters]:
-    """Batched :func:`repro.mergesort.fast.serial_merge_profile`.
+    """Baseline serial-merge profiles, one per (A, B) pair.
 
-    Profiles every (A, B) pair's baseline serial merge in one vectorized
-    pass.  When every tile's halves are sorted (the contract real merge
-    inputs satisfy) and values survive key packing, the fused path runs:
+    Per pair, bit-identical to the ``stats.merge`` shared-memory counters
+    of :func:`repro.mergesort.serial_merge.serial_merge_block` (compute
+    ops excepted), for every pair in one vectorized pass.  When every
+    tile's halves are sorted (the contract real merge inputs satisfy)
+    and values survive key packing, the fused path runs:
     one packed-key sort yields the merge decisions, the merge-path cuts
     fall out of a prefix sum over the source tags, and all pointer-merge
     rounds fold into a single stacked accounting pass.  Otherwise the
-    original bisection + sequential pointer loop runs — both paths are
-    bit-identical to the scalar profile per tile."""
+    original bisection + sequential pointer loop runs — both paths give
+    identical counters per tile."""
     if read_policy not in ("bounded", "always"):
         raise ParameterError(f"unknown read_policy {read_policy!r}")
     backing, n_a, total = _stack_pairs(pairs, E)
@@ -867,12 +879,14 @@ def batched_search_profile(
     *,
     mapped: bool = False,
 ) -> list[Counters]:
-    """Batched :func:`repro.mergesort.fast.search_profile`.
+    """Per-thread merge-path search profiles, one per (A, B) pair.
 
-    ``mapped=True`` routes the counted addresses through the CF layout
-    via the cached ``rho`` plan (position -> address table) instead of
-    per-element Python calls; the search trajectory itself reads plain
-    values, exactly like the scalar profile.
+    Per pair, bit-identical to the ``stats.search`` counters of
+    :func:`repro.mergesort.serial_merge.serial_merge_block`, or — with
+    ``mapped=True`` — of :func:`repro.mergesort.cf.cf_merge_block`,
+    whose search addresses go through the CF layout (the cached ``rho``
+    plan, a position -> address table); the search trajectory itself
+    reads plain values either way.
 
     When the tiles' halves are sorted and values survive key packing,
     the bisections are *replayed* instead of executed: the final cuts
@@ -912,9 +926,8 @@ def batched_search_profile(
         b_idx = diag - 1 - mid
         if fwd is not None:
             a_addr = fwd[np.minimum(mid, last)]
-            # Scalar path: rho(pi(clip(b_idx, 0, n_b-1) % total)); the
-            # ``% total`` folds the n_b == 0 clip artifact (-1) exactly
-            # as the per-tile profile does.
+            # rho(pi(clip(b_idx, 0, n_b-1) % total)); the ``% total``
+            # folds the n_b == 0 clip artifact (-1) into a valid address.
             b_pos = (
                 np.minimum(np.maximum(b_idx, 0), n_b_col - 1) % total
             )
@@ -957,10 +970,13 @@ def batched_search_profile(
 
 
 def batched_cf_merge_profile(tiles: int, total: int, E: int, w: int) -> list[Counters]:
-    """Batched :func:`repro.mergesort.fast.cf_merge_profile`.
+    """CF-Merge gather + scatter profiles for ``tiles`` same-size pairs.
 
-    CF-Merge's gather/scatter profile is input independent, so the batch
-    is ``tiles`` identical analytic counter sets."""
+    Computed analytically — ``E`` read rounds and ``E`` write rounds per
+    warp, one cycle each — and pinned to the merge-phase counters of
+    :func:`repro.mergesort.cf.cf_merge_block` by the test-suite.  The
+    *whole point* of the paper is that this profile is input
+    independent, so the batch is ``tiles`` identical counter sets."""
     if total % E:
         raise ParameterError("|A|+|B| must be a multiple of E")
     u = total // E
@@ -979,7 +995,7 @@ def batched_cf_merge_profile(tiles: int, total: int, E: int, w: int) -> list[Cou
 
 
 def _batched_stage_rounds(acc: BatchCounters, u: int, E: int, kind: str) -> None:
-    """Batched :func:`repro.mergesort.fast._strided_stage_rounds`.
+    """Count the thread-contiguous staging rounds (round m -> {iE + m}).
 
     With full warps the whole pass folds to one closed-form update from
     the ``fused_stage`` plan: staging round ``m`` reads ``i*E + m``, a
@@ -1018,20 +1034,26 @@ def batched_blocksort_profile(
     *,
     read_policy: str = "bounded",
 ) -> list[Counters]:
-    """Batched :func:`repro.mergesort.fast.blocksort_profile`.
+    """Blocksort profiles, one per row of the ``(n_tiles, u*E)`` ``tiles``.
 
-    ``tiles`` is ``(n_tiles, u*E)``; each tile's counters equal the
-    scalar profile on its row.
+    Per tile, bit-identical to the *shared memory* counters of
+    :func:`repro.mergesort.blocksort.blocksort_tile` (load + staging +
+    searches + merges; compute ops excepted).  The ``cf`` variant is
+    supported for coprime ``w, E`` only (its structured passes are
+    conflict free by theorem there; the simulator remains the reference
+    elsewhere).
 
-    When values survive key packing (the common case), each merge level
-    runs *fused*: one packed-key sort per level advances the data **and**
-    yields every thread's merge-path cut (a prefix sum over source tags)
-    and merge decisions.  The per-pair bisections are then replayed
-    without data reads (branch outcome ``== cut > mid`` along the real
-    probe path) and folded — with the closed-form pointer-merge rounds —
-    into stacked accounting passes; staging rounds fold analytically.
-    Otherwise the original per-round loop runs.  Both paths are
-    bit-identical to the scalar profile per tile."""
+    Each merge level runs *fused*: one packed-key sort per level
+    advances the data **and** yields every thread's merge-path cut (a
+    prefix sum over source tags) and merge decisions.  The per-pair
+    bisections are then replayed without data reads (branch outcome
+    ``== cut > mid`` along the real probe path) and folded — with the
+    closed-form pointer-merge rounds — into stacked accounting passes;
+    staging rounds fold analytically.  Tiles holding values past the
+    ``2*v + tag`` packing range (|v| >= 2^62) are first replaced by
+    their ranks, which keep every comparison (order and ties) and hence
+    every counter; :func:`fusion_stats` counts such passes as
+    ``fallback_blocksorts``."""
     tiles = np.asarray(tiles, dtype=np.int64)
     if tiles.ndim != 2:
         raise ParameterError("batched blocksort expects a (tiles, u*E) array")
@@ -1046,17 +1068,17 @@ def batched_blocksort_profile(
     if read_policy not in ("bounded", "always"):
         raise ParameterError(f"unknown read_policy {read_policy!r}")
     if variant == "cf" and not coprime(w, E):
-        raise ParameterError("fast cf blocksort profile requires coprime w, E")
+        raise ParameterError("cf blocksort profile requires coprime w, E")
 
     acc = BatchCounters(T, u, w)
     pack_dtype = _pack_dtype(tiles)
     _FUSION.note_profile("blocksorts", pack_dtype is not None)
-    if pack_dtype is not None:
-        _fused_blocksort_rounds(
-            acc, tiles, E, w, u, variant, read_policy, pack_dtype
-        )
-    else:
-        _looped_blocksort_rounds(acc, tiles, E, w, u, variant, read_policy)
+    if pack_dtype is None:
+        # Dense ranks keep every comparison (order and ties), hence every
+        # counter, and always fit the packing.
+        tiles = np.unique(tiles, return_inverse=True)[1].reshape(T, L)
+        pack_dtype = np.int32 if tiles.size <= (1 << 30) else np.int64
+    _fused_blocksort_rounds(acc, tiles, E, w, u, variant, read_policy, pack_dtype)
     return acc.to_counters()
 
 
@@ -1181,89 +1203,6 @@ def _fused_blocksort_rounds(
         np.bitwise_and(packed, -2, out=packed)
         g *= 2
         level += 1
-
-    # Final staging pass.
-    _batched_stage_rounds(acc, u, E, kind="write")
-
-
-def _looped_blocksort_rounds(
-    acc: BatchCounters,
-    tiles: IntArray,
-    E: int,
-    w: int,
-    u: int,
-    variant: str,
-    read_policy: str,
-) -> None:
-    """The original per-round blocksort loop (non-packable value fallback)."""
-    T, L = tiles.shape
-    tids = np.arange(u, dtype=np.int64)
-    last = L - 1
-
-    # Phase 1: load E contiguous words per thread, sort in registers.
-    _batched_stage_rounds(acc, u, E, kind="read")
-    regs = np.sort(tiles.reshape(T, u, E), axis=2)
-
-    g = 1
-    while g < u:
-        region = 2 * g * E
-        half = g * E
-        plain = regs.reshape(T, L)
-
-        # Staging writes (same residue rounds for both variants).
-        _batched_stage_rounds(acc, u, E, kind="write")
-
-        # Per-pair merge-path searches: count the probe traffic and keep
-        # the converged ``lo`` — it *is* the per-thread cut.
-        pbase = (tids * E) // region * region
-        tau = tids - pbase // E
-        diag = tau * E
-        lo = np.broadcast_to(np.maximum(0, diag - half), (T, u)).astype(np.int64)
-        hi = np.broadcast_to(np.minimum(diag, half), (T, u)).astype(np.int64)
-        live = lo < hi
-        while live.any():
-            mid = (lo + hi) // 2
-            b_idx = np.clip(diag - 1 - mid, 0, half - 1)
-            a_addr = pbase + mid
-            if variant == "cf":
-                b_addr = pbase + (region - 1 - b_idx)
-            else:
-                b_addr = pbase + half + b_idx
-            acc.round(a_addr, live)
-            acc.round(b_addr, live)
-            a_val = _take(plain, np.minimum(pbase + mid, last))
-            b_val = _take(plain, np.minimum(pbase + half + b_idx, last))
-            go_right = a_val <= b_val
-            lo = np.where(live & go_right, mid + 1, lo)
-            hi = np.where(live & ~go_right, mid, hi)
-            live = lo < hi
-        a_off = lo
-
-        # Merges.
-        if variant == "thrust":
-            a_end = np.empty_like(a_off)
-            a_end[:, :-1] = a_off[:, 1:]
-            a_end[:, -1] = 0
-            pair_last = tau == (region // E - 1)
-            a_end = np.where(pair_last, half, a_end)
-            a_ptr = pbase + a_off
-            a_end_v = pbase + a_end
-            b_ptr = pbase + half + (diag - a_off)
-            b_end_v = b_ptr + (E - (a_end - a_off))
-            batched_pointer_merge_profile(
-                plain, a_ptr, a_end_v, b_ptr, b_end_v, E, w,
-                read_policy=read_policy, acc=acc,
-            )
-        else:
-            # CF gather: E conflict-free read rounds per warp, per tile.
-            n_warps = u // w
-            acc.shared_read_rounds += E * n_warps
-            acc.shared_cycles += E * n_warps
-            acc.shared_requests += E * u
-
-        n_pairs = L // region
-        regs = np.sort(plain.reshape(T, n_pairs, region), axis=2).reshape(T, u, E)
-        g *= 2
 
     # Final staging pass.
     _batched_stage_rounds(acc, u, E, kind="write")

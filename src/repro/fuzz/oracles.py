@@ -11,8 +11,8 @@ lengths while chasing a failing check.
 Families
 --------
 ``differential``
-    CF-Merge and the Thrust-style baseline vs ``numpy.sort``; the fast
-    vectorized conflict profile vs the lockstep simulator's counters;
+    CF-Merge and the Thrust-style baseline vs ``numpy.sort``; the batched
+    lane's conflict profile vs the lockstep simulator's counters;
     ``sort_by_key`` stability against ``numpy.argsort(kind="stable")``;
     every registered service backend on a segmented payload; the
     cluster-sharded engine lane byte-identical (values, counters,
@@ -49,10 +49,10 @@ import numpy.typing as npt
 from repro.config import SortParams
 from repro.core.schedule import block_gather_schedule
 from repro.core.verify import rounds_are_complete_residue_systems, schedule_conflicts
+from repro.engine.lane import profile_serial_merges
 from repro.errors import ParameterError
 from repro.fuzz.corpus import Geometry
 from repro.mergesort.by_key import sort_by_key
-from repro.mergesort.fast import serial_merge_profile
 from repro.mergesort.merge_path import block_split_from_merge_path
 from repro.mergesort.pipeline import gpu_mergesort
 from repro.mergesort.serial_merge import serial_merge_block
@@ -82,7 +82,7 @@ INJECTABLE_BUGS: tuple[str, ...] = ("swap_tail", "drop_min")
 #: bearing, large enough to preserve most ordering structure.
 KEY_MODULUS = 1 << 20
 
-#: Counter fields the fast profile must reproduce exactly.
+#: Counter fields the lane's profile must reproduce exactly.
 _PROFILE_FIELDS = (
     "shared_replays",
     "shared_excess",
@@ -105,7 +105,7 @@ def constructed_excess(w: int, E: int, u_merge: int) -> int:
     from repro.worstcase import worstcase_merge_inputs
 
     a, b = worstcase_merge_inputs(w, E, u=u_merge)
-    return int(serial_merge_profile(a, b, E, w).shared_excess)
+    return int(profile_serial_merges([(a, b)], E, w)[0].shared_excess)
 
 
 def baseline_excess_bound(w: int, E: int, u_merge: int) -> int:
@@ -320,7 +320,7 @@ def evaluate_case(
     a = np.sort(data[:half]) if mergeable else None
     b = np.sort(data[half:]) if mergeable else None
     baseline_prof = (
-        serial_merge_profile(a, b, E, w)
+        profile_serial_merges([(a, b)], E, w)[0]
         if mergeable and ("differential" in oracles or "bound" in oracles)
         else None
     )
@@ -344,7 +344,7 @@ def evaluate_case(
         if baseline_prof is not None and a is not None and b is not None:
             _, stats = serial_merge_block(a, b, E, w, simulate_search=False)
             mismatched = [
-                f"{name}: fast {getattr(baseline_prof, name)} "
+                f"{name}: lane {getattr(baseline_prof, name)} "
                 f"!= sim {getattr(stats.merge, name)}"
                 for name in _PROFILE_FIELDS
                 if int(getattr(baseline_prof, name)) != int(getattr(stats.merge, name))
@@ -402,7 +402,7 @@ def evaluate_case(
 
     if "bound" in oracles:
         if baseline_prof is None and mergeable and a is not None and b is not None:
-            baseline_prof = serial_merge_profile(a, b, E, w)
+            baseline_prof = profile_serial_merges([(a, b)], E, w)[0]
         if baseline_prof is not None:
             u_merge = n // E
             try:

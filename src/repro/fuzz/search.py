@@ -3,8 +3,9 @@
 Searches the space of warp-level merges at one ``(w, E)``: a candidate
 is an interleaving mask over ``w * E`` distinct values (``True`` -> run
 A, ``False`` -> run B), scored by the baseline serial merge's
-merge-phase excess (:func:`repro.mergesort.fast.serial_merge_profile` —
-the vectorized profile, so thousands of evaluations run in seconds).
+merge-phase excess (:func:`repro.engine.lane.profile_serial_merges` —
+the vectorized profile, bit-identical to the lockstep simulator, so
+thousands of evaluations run in seconds).
 
 Simulated annealing over two move kinds — swap one A element with one B
 element (70%), or flip a window of the mask (30%) — with a geometric
@@ -25,8 +26,8 @@ from typing import Any
 import numpy as np
 import numpy.typing as npt
 
+from repro.engine.lane import profile_cf_merges, profile_serial_merges
 from repro.errors import ParameterError
-from repro.mergesort.fast import cf_merge_profile, serial_merge_profile
 from repro.worstcase import theorem8_combined
 
 __all__ = ["SearchResult", "adversarial_search", "mask_to_inputs"]
@@ -98,7 +99,7 @@ def _repair(mask: BoolArray) -> BoolArray:
 
 def _excess(mask: BoolArray, E: int, w: int) -> int:
     a, b = mask_to_inputs(mask)
-    return int(serial_merge_profile(a, b, E, w).shared_excess)
+    return int(profile_serial_merges([(a, b)], E, w)[0].shared_excess)
 
 
 def adversarial_search(
@@ -145,7 +146,7 @@ def adversarial_search(
 
     formula = int(theorem8_combined(w, E))
     a, b = mask_to_inputs(best_mask)
-    cf_replays = int(cf_merge_profile(a, b, E, w).shared_replays)
+    cf_replays = int(profile_cf_merges([(a, b)], E, w)[0].shared_replays)
     return SearchResult(
         w=w,
         E=E,

@@ -23,10 +23,10 @@ Step (d) is where the two variants differ:
   odd-even transposition network merges them obliviously, and the dual
   subsequence scatter writes the results back conflict free.
 
-:mod:`repro.mergesort.fast` re-implements the conflict *counting* (not the
-execution) of both merge phases as vectorized NumPy, cross-validated
-against the lockstep simulation, so the throughput experiments can sweep
-to the paper's ``n = 2^26 * E`` scales.
+The batched engine lane (:mod:`repro.engine.lane`) re-implements the
+conflict *counting* (not the execution) of these kernels as vectorized
+NumPy, bit-identical to the lockstep simulator, so the throughput
+experiments can sweep to the paper's ``n = 2^26 * E`` scales.
 """
 
 from repro.mergesort.merge_path import (

@@ -16,16 +16,72 @@ the packing keeps the sort stable per segment.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
+import numpy.typing as npt
 
 from repro.errors import ParameterError
 from repro.mergesort.pipeline import gpu_mergesort
 from repro.sim.counters import Counters
 
-__all__ = ["segmented_sort"]
+__all__ = [
+    "KEY_BITS",
+    "KEY_LIMIT",
+    "segment_bounds",
+    "segmented_sort",
+    "unpack_segments",
+]
 
-_KEY_BITS = 40
-_KEY_LIMIT = 1 << (_KEY_BITS - 1)
+#: Packed-word geometry: ``(rank << KEY_BITS) | (key + KEY_LIMIT)``, so
+#: keys must fit in ``+-2^(KEY_BITS - 1)``.  The batched backends
+#: (:mod:`repro.engine.backend`, :mod:`repro.cluster.service`) share it.
+KEY_BITS = 40
+KEY_LIMIT = 1 << (KEY_BITS - 1)
+
+
+def segment_bounds(
+    data: npt.NDArray[np.int64], offsets: Sequence[int]
+) -> list[int]:
+    """Validate a segmented batch; return its bounds ``offsets + [len(data)]``.
+
+    ``data`` must be 1-D ``int64`` with packable keys, and ``offsets``
+    must start at 0 (when present), be non-decreasing, and stay within
+    ``data``.
+    """
+    if data.ndim != 1:
+        raise ParameterError("data must be one-dimensional")
+    bounds = list(offsets) + [len(data)]
+    if offsets and bounds[0] != 0:
+        raise ParameterError("the first segment offset must be 0")
+    for prev, nxt in zip(bounds, bounds[1:]):
+        if nxt < prev:
+            raise ParameterError("segment offsets must be non-decreasing")
+    if bounds[:-1] and bounds[-2] > len(data):
+        raise ParameterError("segment offsets exceed the data length")
+    if len(data) and (data.min() <= -KEY_LIMIT or data.max() >= KEY_LIMIT):
+        raise ParameterError(f"keys must fit in +-2^{KEY_BITS - 1}")
+    return bounds
+
+
+def unpack_segments(
+    out: npt.NDArray[np.int64],
+    sorted_rows: Sequence[npt.NDArray[np.int64]],
+    row_segments: Sequence[Sequence[tuple[int, int]]],
+) -> None:
+    """Write sorted packed rows back into ``out``, segment by segment.
+
+    Row ``i`` holds the packed words of the ``(lo, hi)`` segments in
+    ``row_segments[i]``, in order (padding words sort last and are
+    ignored); their keys land in ``out[lo:hi]``.
+    """
+    mask = np.int64((1 << KEY_BITS) - 1)
+    for row, members in zip(sorted_rows, row_segments):
+        keys = (row & mask) - KEY_LIMIT
+        pos = 0
+        for lo, hi in members:
+            out[lo:hi] = keys[pos : pos + (hi - lo)]
+            pos += hi - lo
 
 
 def segmented_sort(
@@ -48,23 +104,12 @@ def segmented_sort(
     """
     data = np.asarray(data, dtype=np.int64)
     offsets = list(segment_offsets)
-    if data.ndim != 1:
-        raise ParameterError("data must be one-dimensional")
-    if offsets and offsets[0] != 0:
-        raise ParameterError("the first segment offset must be 0")
-    for prev, nxt in zip(offsets, offsets[1:]):
-        if nxt < prev:
-            raise ParameterError("segment offsets must be non-decreasing")
-    if offsets and offsets[-1] > len(data):
-        raise ParameterError("segment offsets exceed the data length")
-    if len(data) and (data.min() <= -_KEY_LIMIT or data.max() >= _KEY_LIMIT):
-        raise ParameterError(f"keys must fit in +-2^{_KEY_BITS - 1}")
+    bounds = segment_bounds(data, offsets)
 
     out = data.copy()
     total = Counters()
     if not offsets:
         return out, total
-    bounds = offsets + [len(data)]
     tile = u * E
 
     # Partition segments into "short" (batched) and "long" (individual).
@@ -84,14 +129,10 @@ def segmented_sort(
         packed_parts = []
         for rank, (lo, hi) in enumerate(short):
             packed_parts.append(
-                (np.int64(rank) << _KEY_BITS) | (data[lo:hi] + _KEY_LIMIT)
+                (np.int64(rank) << KEY_BITS) | (data[lo:hi] + KEY_LIMIT)
             )
         packed = np.concatenate(packed_parts)
         result = gpu_mergesort(packed, E=E, u=u, w=w, variant=variant)
         total.merge(result.total_counters)
-        keys = (result.data & ((1 << _KEY_BITS) - 1)) - _KEY_LIMIT
-        pos = 0
-        for lo, hi in short:
-            out[lo:hi] = keys[pos : pos + (hi - lo)]
-            pos += hi - lo
+        unpack_segments(out, [result.data], [short])
     return out, total

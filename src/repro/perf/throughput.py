@@ -90,9 +90,8 @@ def measure_block_costs(
     is exact; random blocks are averaged over ``samples`` draws.  Both
     workloads run through the batched engine lane
     (:mod:`repro.engine.lane`) — one fused vectorized pass per phase
-    instead of per-pair Python loops, with bit-identical counters (the
-    lane's cross-validation against :mod:`repro.mergesort.fast` is pinned
-    in ``tests/test_engine_batch.py``).
+    instead of per-pair Python loops, with counters bit-identical to the
+    lockstep simulator (pinned in ``tests/test_engine_batch.py``).
     """
     if workload not in ("random", "worstcase"):
         raise ParameterError(f"unknown workload {workload!r}")

@@ -29,10 +29,10 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.config import SortParams
+from repro.engine.lane import profile_serial_merges
 from repro.errors import ParameterError
 from repro.fuzz.corpus import Geometry
 from repro.fuzz.oracles import baseline_excess_bound
-from repro.mergesort.fast import serial_merge_profile
 from repro.mergesort.pipeline import gpu_mergesort
 from repro.replay.log import TrafficLog, materialize
 from repro.replay.stats import record_checks, record_replay, record_responses
@@ -205,7 +205,7 @@ def response_checks(
                     f"no §4 construction at u={u_merge}: {exc}"
                 )
             else:
-                excess = int(serial_merge_profile(a, b, E, w).shared_excess)
+                excess = int(profile_serial_merges([(a, b)], E, w)[0].shared_excess)
                 checks["baseline_bound"] = _check(
                     excess <= ceiling,
                     f"baseline merge excess {excess} <= ceiling {ceiling}",

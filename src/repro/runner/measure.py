@@ -75,13 +75,13 @@ def _throughput_tile(params: dict[str, Any]) -> dict[str, Any]:
 
 def _theorem8_tile(params: dict[str, Any]) -> dict[str, Any]:
     """Measure one (w, E) worst-case merge against the closed form."""
-    from repro.mergesort.fast import serial_merge_profile
+    from repro.engine.lane import profile_serial_merges
     from repro.worstcase import theorem8_combined, worstcase_merge_inputs
 
     w = _as_int(params["w"], "w")
     E = _as_int(params["E"], "E")
     a, b = worstcase_merge_inputs(w, E)
-    prof = serial_merge_profile(a, b, E, w)
+    prof = profile_serial_merges([(a, b)], E, w)[0]
     return {
         "formula": int(theorem8_combined(w, E)),
         "excess": int(prof.shared_excess),
@@ -160,7 +160,7 @@ def _engine_tile(params: dict[str, Any]) -> dict[str, Any]:
     """One batched engine pass over a stack of blocksort tiles.
 
     Deterministic per parameters: the per-tile counters are bit-identical
-    to the per-tile fast profiles (cross-validated in the engine tests),
+    to the lockstep simulator's (cross-validated in the engine tests),
     so their sum gates the batched lane in CI like any other counter.
     The fusion/arena deltas are pure call counts of *this* pass — warm
     state (arena reuse hits, peak bytes) is deliberately excluded, since

@@ -166,8 +166,8 @@ def engine_spec(tiles: int = 8, seed: int = 0) -> SweepSpec:
 
     Each job stacks ``tiles`` same-shape blocksort tiles and profiles
     them in one vectorized pass through :mod:`repro.engine.batch`; the
-    summed per-tile counters are bit-identical to the per-tile fast
-    profiles, so the sweep gates the batched lane's correctness-critical
+    summed per-tile counters are bit-identical to the lockstep
+    simulator's, so the sweep gates the batched lane's correctness-critical
     arithmetic in CI.
     """
     return SweepSpec(

@@ -14,7 +14,7 @@ by default:
     The batched engine lane (:mod:`repro.engine.backend`): segments are
     packed into independent blocksort tiles and the whole micro-batch is
     profiled/sorted in one vectorized pass, with per-tile counters
-    bit-identical to the per-tile fast profiles.
+    bit-identical to the lockstep simulator's blocksort.
 ``cf-cluster``
     The batched engine lane sharded through the cluster worker pool
     (:mod:`repro.cluster.service`): long segments and packed tile rows

@@ -31,8 +31,9 @@ __all__ = ["BatchRecord", "ServiceMetrics", "METRICS_SCHEMA"]
 
 #: Versioned so dashboards can evolve with the snapshot shape.
 #: 2 added the ``engine.plan_cache`` section; 3 added ``cluster``;
-#: 4 added ``replay``; 5 added ``engine.arena`` and ``engine.fusion``.
-METRICS_SCHEMA = 5
+#: 4 added ``replay``; 5 added ``engine.arena`` and ``engine.fusion``;
+#: 6 added ``requests.failed``.
+METRICS_SCHEMA = 6
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,7 @@ class ServiceMetrics:
         self._submitted = 0
         self._shed = 0
         self._expired = 0
+        self._failed = 0
         self._max_queue_depth = 0
         self._depth_samples = 0
         self._depth_total = 0
@@ -103,6 +105,8 @@ class ServiceMetrics:
             self._results.append(result)
             if result.error == "DeadlineExceededError":
                 self._expired += 1
+            elif result.error == "ServiceError":
+                self._failed += 1
 
     def record_batch(self, record: BatchRecord, counters: Counters) -> None:
         """Note one executed micro-batch and fold in its counters."""
@@ -151,6 +155,7 @@ class ServiceMetrics:
                     "completed": n_completed,
                     "shed": self._shed,
                     "expired": self._expired,
+                    "failed": self._failed,
                     "latency_s": {
                         "mean": sum(latencies) / n_completed if n_completed else 0.0,
                         "p50": percentile(latencies, 0.50),

@@ -17,16 +17,13 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.errors import DeadlineExceededError, ParameterError, QueueFullError, ServiceError
+from repro.mergesort.segmented import KEY_LIMIT
 
 __all__ = ["REQUEST_KINDS", "SortRequest", "SortResult", "validate_request_data"]
 
 #: Admitted request kinds: ``"flat"`` (a plain key array) or ``"columns"``
 #: (packed composite-key words from :mod:`repro.columns.service`).
 REQUEST_KINDS: tuple[str, ...] = ("flat", "columns")
-
-#: ``repro.mergesort.segmented`` packs keys with the segment id into one
-#: 64-bit word, so batched keys must fit in ±2^39 (its ``_KEY_LIMIT``).
-KEY_LIMIT = 1 << 39
 
 #: Error-name -> exception class map for :meth:`SortResult.raise_if_failed`.
 _ERROR_CLASSES: dict[str, type[ServiceError]] = {

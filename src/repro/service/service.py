@@ -14,6 +14,7 @@ array, or ``submit_many`` a whole workload and collect per-request
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from typing import TYPE_CHECKING, Sequence
@@ -36,6 +37,8 @@ if TYPE_CHECKING:
     from repro.replay.recorder import TrafficRecorder
 
 __all__ = ["ResultTicket", "SortService", "Client"]
+
+_LOG = logging.getLogger(__name__)
 
 #: Default sort geometry: small enough that one simulated tile is fast,
 #: large enough that micro-batching has headroom (tile = u*E = 160).
@@ -257,18 +260,39 @@ class SortService:
         )
         shard = batch.shard_for(self._pool.shards)
         started = time.monotonic()
-        with self.tracer.span(
-            "service.batch",
-            category="service",
-            tid=1 + shard,
-            args={
-                "batch_id": run.batch_id,
-                "backend": run.backend,
-                "shard": shard,
-                "requests": len(live_requests),
-            },
-        ):
-            outcome, stats = run_batch(run, self.params, self.w, cache=self._cache)
+        try:
+            with self.tracer.span(
+                "service.batch",
+                category="service",
+                tid=1 + shard,
+                args={
+                    "batch_id": run.batch_id,
+                    "backend": run.backend,
+                    "shard": shard,
+                    "requests": len(live_requests),
+                },
+            ):
+                outcome, stats = run_batch(run, self.params, self.w, cache=self._cache)
+        except Exception:
+            # A failing backend fails its own requests, not the shard:
+            # completing them releases their admission slots.
+            _LOG.exception(
+                "batch %d on backend %r failed", run.batch_id, run.backend
+            )
+            service_s = time.monotonic() - started
+            for request in live_requests:
+                self._finish(
+                    SortResult(
+                        request_id=request.request_id,
+                        backend=run.backend,
+                        batch_id=run.batch_id,
+                        shard=shard,
+                        wait_s=flush_time - members[request.request_id].submitted_at,
+                        service_s=service_s,
+                        error="ServiceError",
+                    )
+                )
+            return
         service_s = time.monotonic() - started
         tile = self.params.tile_elements
         elements = run.elements

@@ -35,6 +35,7 @@ COUNTER_PREFIXES = (
     "requests.completed",
     "requests.shed",
     "requests.expired",
+    "requests.failed",
     "batches.count",
     "batches.elements",
     "batches.padded_elements",

@@ -2,9 +2,10 @@
 
 The batched backend must be observationally identical to the stock
 ``cf`` backend (same sorted segments) while its counters equal the sum
-of per-tile :func:`repro.mergesort.fast.blocksort_profile` runs over the
-same packed tiles — the bit-identity contract of the engine lane, now at
-the service boundary.
+of the lockstep simulator's per-tile
+:func:`~repro.mergesort.blocksort.blocksort_tile` shared-memory counters
+over the same packed tiles — the bit-identity contract of the engine
+lane, now at the service boundary.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import numpy as np
 import pytest
 
 from repro.config import SortParams
-from repro.engine.backend import KEY_BITS, KEY_LIMIT, cf_batched_backend, pack_tiles
+from repro.engine.backend import cf_batched_backend, pack_tiles
 from repro.errors import ParameterError
-from repro.mergesort.fast import blocksort_profile
+from repro.mergesort import blocksort_tile
+from repro.mergesort.segmented import KEY_BITS, KEY_LIMIT
 from repro.service.backends import available_backends, get_backend
 from repro.sim.counters import Counters
 
@@ -83,8 +85,13 @@ class TestCounterContract:
         tiles, packed = pack_tiles(data, segs, tile)
         want = Counters()
         for row in packed:
-            want.merge(blocksort_profile(row.copy(), PARAMS.E, W, "cf"))
-        assert outcome.counters.as_dict() == want.as_dict()
+            _, sim = blocksort_tile(row.copy(), PARAMS.E, W, "cf")
+            want.merge(sim.total)
+        # The lane models exactly the shared-memory traffic.
+        got = outcome.counters.as_dict()
+        for field, value in want.as_dict().items():
+            shared = field.startswith(("shared_", "broadcast"))
+            assert got[field] == (value if shared else 0), field
         assert outcome.launches == len(tiles)
 
 

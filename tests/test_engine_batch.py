@@ -1,11 +1,13 @@
-"""Three-way cross-validation of the batched engine lane.
+"""Cross-validation of the batched engine lane against the simulator.
 
-The batched vectorized lane (:mod:`repro.engine.batch`) must report
-*bit-identical* per-tile counters to the per-tile fast profiles
-(:mod:`repro.mergesort.fast`), which are themselves pinned to the
-lockstep simulator — on every workload generator, the Section 4
-adversary, and non-coprime geometries.  Sorted outputs are checked where
-the lane sorts (the odd-even row sort).
+The batched vectorized lane (:mod:`repro.engine.batch`) must report, per
+tile, *bit-identical* counters to a one-tile (T=1) call of the same
+profile — batching never mixes tiles — and to the lockstep simulator
+(:class:`~repro.sim.BankModel`, ``serial_merge_block``,
+``cf_merge_block``, ``blocksort_tile``) — on every workload generator,
+the Section 4 adversary, the full int64 value range, and non-coprime
+geometries.  Sorted outputs are checked where the lane sorts (the
+odd-even row sort).
 """
 
 from __future__ import annotations
@@ -18,22 +20,39 @@ from repro.engine.batch import (
     batched_blocksort_profile,
     batched_search_profile,
     batched_serial_merge_profile,
+    fusion_stats,
     odd_even_sort_rows,
     pad_and_stack,
 )
 from repro.engine.lane import EngineStats, profile_blocksorts, profile_searches
 from repro.errors import ParameterError
-from repro.mergesort.blocksort import blocksort_tile
-from repro.mergesort.fast import (
-    blocksort_profile,
-    count_round,
-    search_profile,
-    serial_merge_profile,
-)
+from repro.mergesort import blocksort_tile, cf_merge_block, serial_merge_block
+from repro.sim import BankModel
 from repro.sim.counters import Counters
 from repro.workloads.generators import WORKLOADS, adversarial
 
 GEOMETRIES = [(5, 32, 8), (15, 64, 32), (16, 64, 32), (6, 16, 8)]  # last two non-coprime
+
+SHARED_FIELDS = [f for f in Counters().as_dict() if f.startswith(("shared_", "broadcast"))]
+
+
+def _shared(c: Counters) -> dict[str, int]:
+    """The shared-memory fields, the ones the lane models."""
+    return {f: getattr(c, f) for f in SHARED_FIELDS}
+
+
+def _bank_model_round(addr, act, w, counters: Counters) -> None:
+    """Charge one tile's read round warp by warp through ``BankModel``."""
+    bm = BankModel(w)
+    for s in range(0, len(addr), w):
+        cost = bm.round_cost(addr[s : s + w][act[s : s + w]])
+        if cost.requests:
+            counters.shared_read_rounds += 1
+            counters.shared_requests += cost.requests
+            counters.shared_cycles += cost.cycles
+            counters.shared_replays += cost.replays
+            counters.shared_excess += cost.excess
+            counters.broadcast_reads += cost.broadcasts
 
 
 def _tile_pairs(tile_len, seed, n_pairs=4):
@@ -57,7 +76,7 @@ class TestBatchCounters:
             act = rng.random((tiles, u)) < 0.7
             bc.round(addr, act)
             for t in range(tiles):
-                count_round(addr[t], act[t], np.arange(u), w, singles[t])
+                _bank_model_round(addr[t], act[t], w, singles[t])
         for got, want in zip(bc.to_counters(), singles):
             assert got.as_dict() == want.as_dict()
 
@@ -77,6 +96,7 @@ class TestBlocksortCrossValidation:
     @pytest.mark.parametrize("E,u,w", GEOMETRIES)
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_batched_equals_fast_on_every_generator(self, E, u, w, workload):
+        # Batched pass == per-tile T=1 passes == the lockstep simulator.
         tile = u * E
         rows = np.stack(
             [WORKLOADS[workload](tile, seed=3 + k) for k in range(3)]
@@ -86,10 +106,12 @@ class TestBlocksortCrossValidation:
                 continue
             batched = batched_blocksort_profile(rows, E, w, variant)
             for k in range(rows.shape[0]):
-                single = blocksort_profile(rows[k].copy(), E, w, variant)
+                (single,) = batched_blocksort_profile(rows[k : k + 1], E, w, variant)
                 assert batched[k].as_dict() == single.as_dict(), (
                     f"{workload}/{variant} tile {k}"
                 )
+            _, sim = blocksort_tile(rows[0].copy(), E, w, variant)
+            assert _shared(batched[0]) == _shared(sim.total), f"{workload}/{variant}"
 
     @pytest.mark.parametrize("E,u,w", [(5, 32, 8), (15, 64, 32)])
     def test_batched_equals_lockstep_sim_on_the_adversary(self, E, u, w):
@@ -99,19 +121,30 @@ class TestBlocksortCrossValidation:
             batched = batched_blocksort_profile(rows, E, w, variant)
             for k in range(2):
                 _, sim = blocksort_tile(rows[k].copy(), E, w, variant)
-                shared = {
-                    f: getattr(sim.total, f)
-                    for f in Counters().as_dict()
-                    if f.startswith(("shared_", "broadcast"))
-                }
-                got = batched[k].as_dict()
-                for field, want in shared.items():
-                    assert got[field] == want, f"{variant} tile {k} {field}"
+                assert _shared(batched[k]) == _shared(sim.total), f"{variant} tile {k}"
 
     def test_noncoprime_cf_rejected_like_fast(self):
         rows = np.zeros((2, 16 * 8), dtype=np.int64)
         with pytest.raises(ParameterError):
             batched_blocksort_profile(rows, 8, 8, "cf")
+
+    @pytest.mark.parametrize("variant", ["thrust", "cf"])
+    @pytest.mark.parametrize("E,u,w", [(5, 32, 8), (15, 64, 32)])
+    def test_full_int64_range_matches_simulator(self, E, u, w, variant):
+        # Values past the 2v + tag packing range (|v| >= 2^62) are ranked
+        # first; ranks keep order and ties, so every counter is unchanged.
+        info = np.iinfo(np.int64)
+        rng = np.random.default_rng(E + u)
+        wide = rng.integers(info.min, info.max, u * E, dtype=np.int64)
+        wide[:3] = [info.min, info.max - 1, info.min]  # below the sentinel
+        wide[3:9] = wide[9:15]  # ties
+        rows = np.stack([wide, rng.integers(0, 50, u * E)])
+        before = fusion_stats()["fallback_blocksorts"]
+        batched = batched_blocksort_profile(rows, E, w, variant)
+        assert fusion_stats()["fallback_blocksorts"] == before + 1
+        for k in range(2):
+            _, sim = blocksort_tile(rows[k].copy(), E, w, variant)
+            assert _shared(batched[k]) == _shared(sim.total), f"tile {k}"
 
 
 class TestMergeAndSearchCrossValidation:
@@ -120,16 +153,22 @@ class TestMergeAndSearchCrossValidation:
         pairs = _tile_pairs(u * E, seed=E * 100 + u)
         batched = batched_serial_merge_profile(pairs, E, w)
         for k, (a, b) in enumerate(pairs):
-            assert batched[k].as_dict() == serial_merge_profile(a, b, E, w).as_dict()
+            (single,) = batched_serial_merge_profile([(a, b)], E, w)
+            assert batched[k].as_dict() == single.as_dict()
+            _, sim = serial_merge_block(a, b, E, w, simulate_search=False)
+            assert _shared(batched[k]) == _shared(sim.merge)
 
     @pytest.mark.parametrize("E,u,w", GEOMETRIES)
     @pytest.mark.parametrize("mapped", [False, True])
     def test_search_profiles_match(self, E, u, w, mapped):
         pairs = _tile_pairs(u * E, seed=E * 10 + w)
         batched = batched_search_profile(pairs, E, w, mapped=mapped)
+        simulate = cf_merge_block if mapped else serial_merge_block
         for k, (a, b) in enumerate(pairs):
-            want = search_profile(a, b, E, w, mapped=mapped)
-            assert batched[k].as_dict() == want.as_dict()
+            (single,) = batched_search_profile([(a, b)], E, w, mapped=mapped)
+            assert batched[k].as_dict() == single.as_dict()
+            _, sim = simulate(a, b, E, w)
+            assert _shared(batched[k]) == _shared(sim.search)
 
 
 class TestRowPrimitives:
@@ -162,7 +201,8 @@ class TestLaneGrouping:
         assert stats.items == 7
         assert stats.passes == 2  # one vectorized pass per tile length
         for k, tile in enumerate(tiles):
-            assert got[k].as_dict() == blocksort_profile(tile, E, w, "cf").as_dict()
+            _, sim = blocksort_tile(tile.copy(), E, w, "cf")
+            assert _shared(got[k]) == _shared(sim.total)
 
     def test_lane_search_results_keep_submission_order(self):
         E, w = 5, 8
@@ -171,7 +211,8 @@ class TestLaneGrouping:
         got = profile_searches(pairs, E, w, mapped=True, stats=stats)
         assert stats.passes == 2
         for k, (a, b) in enumerate(pairs):
-            assert got[k].as_dict() == search_profile(a, b, E, w, mapped=True).as_dict()
+            _, sim = cf_merge_block(a, b, E, w)
+            assert _shared(got[k]) == _shared(sim.search)
 
 
 class TestRoundManyEquality:

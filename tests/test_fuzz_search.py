@@ -49,12 +49,15 @@ class TestAdversarialSearch:
         assert again == found
 
     def test_best_mask_replays_to_the_recorded_excess(self, found):
-        from repro.mergesort.fast import serial_merge_profile
+        # The search scores through the engine lane; the lockstep
+        # simulator must reproduce the recorded excess exactly.
+        from repro.mergesort import serial_merge_block
 
         mask = np.asarray(found.best_mask, dtype=bool)
         a, b = mask_to_inputs(mask)
         assert len(a) + len(b) == 12 * 5
-        assert serial_merge_profile(a, b, 5, 12).shared_excess == found.best_excess
+        _, sim = serial_merge_block(a, b, 5, 12, simulate_search=False)
+        assert sim.merge.shared_excess == found.best_excess
 
     def test_improvements_are_monotone(self, found):
         iterations = [i for i, _ in found.improvements]

@@ -1,8 +1,10 @@
-"""Cross-validation of the vectorized fast engine against the simulator.
+"""Cross-validation of the vectorized counting lane against the simulator.
 
-The throughput experiments (Figures 5-6) rely on the fast engine; these
-tests guarantee it reports *identical* conflict statistics to the lockstep
-simulation on the same inputs.
+The throughput experiments (Figures 5-6), the Theorem 8 table, the fuzz
+oracles and the adversarial search all count conflicts through the
+batched engine lane (:mod:`repro.engine.lane`), usually one tile per
+call.  These tests guarantee that a one-tile call reports *identical*
+shared-memory statistics to the lockstep simulation on the same inputs.
 """
 
 from __future__ import annotations
@@ -10,15 +12,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ParameterError
-from repro.mergesort import cf_merge_block, serial_merge_block
-from repro.mergesort.fast import (
-    cf_merge_profile,
-    count_round,
-    search_profile,
-    serial_merge_profile,
+from repro.engine.batch import BatchCounters
+from repro.engine.lane import (
+    profile_blocksorts,
+    profile_cf_merges,
+    profile_searches,
+    profile_serial_merges,
 )
-from repro.sim import Counters
+from repro.errors import ParameterError
+from repro.mergesort import blocksort_tile, cf_merge_block, serial_merge_block
+from repro.sim import BankModel, Counters
 
 
 def split_inputs(rng, total, n_a):
@@ -38,45 +41,47 @@ SHARED_FIELDS = [
 ]
 
 
-def assert_shared_equal(sim: Counters, fast: Counters):
+def assert_shared_equal(sim: Counters, lane: Counters):
     for f in SHARED_FIELDS:
-        assert getattr(sim, f) == getattr(fast, f), f
+        assert getattr(sim, f) == getattr(lane, f), f
+
+
+def one_round(addresses, active, w, kind="read") -> Counters:
+    """Account one round of ``len(addresses)`` threads as a one-tile batch."""
+    acc = BatchCounters(1, len(addresses), w)
+    acc.round(np.asarray(addresses)[None, :], np.asarray(active)[None, :], kind=kind)
+    return acc.to_counters()[0]
 
 
 class TestCountRound:
     def test_matches_bank_model(self):
-        from repro.sim import BankModel
-
         rng = np.random.default_rng(0)
         bm = BankModel(8)
-        for _ in range(50):
+        for i in range(50):
             addrs = rng.integers(0, 64, 16)
-            c = Counters()
-            count_round(addrs, np.ones(16, dtype=bool), np.arange(16), 8, c)
-            # Two warps of 8; compare with per-warp BankModel costs.
-            c0 = bm.round_cost(addrs[:8])
-            c1 = bm.round_cost(addrs[8:])
-            assert c.shared_cycles == c0.cycles + c1.cycles
-            assert c.shared_replays == c0.replays + c1.replays
-            assert c.shared_excess == c0.excess + c1.excess
-            assert c.broadcast_reads == c0.broadcasts + c1.broadcasts
+            active = np.ones(16, dtype=bool) if i % 2 else rng.random(16) < 0.6
+            c = one_round(addrs, active, 8)
+            # Two warps of 8; compare with per-warp BankModel costs over
+            # the active lanes only (an idle warp issues no round).
+            warps = [bm.round_cost(addrs[s:s + 8][active[s:s + 8]]) for s in (0, 8)]
+            assert c.shared_cycles == sum(r.cycles for r in warps)
+            assert c.shared_replays == sum(r.replays for r in warps)
+            assert c.shared_excess == sum(r.excess for r in warps)
+            assert c.broadcast_reads == sum(r.broadcasts for r in warps)
+            assert c.shared_requests == sum(r.requests for r in warps)
+            assert c.shared_read_rounds == sum(r.requests > 0 for r in warps)
 
     def test_inactive_threads_skip(self):
-        c = Counters()
-        count_round(
-            np.array([0, 8, 16]), np.array([True, False, False]), np.arange(3), 8, c
-        )
+        c = one_round(np.array([0, 8, 16]), np.array([True, False, False]), 8)
         assert c.shared_cycles == 1
         assert c.shared_requests == 1
 
     def test_all_inactive_is_free(self):
-        c = Counters()
-        count_round(np.array([0]), np.array([False]), np.array([0]), 8, c)
+        c = one_round(np.array([0]), np.array([False]), 8)
         assert c.shared_rounds == 0
 
     def test_write_kind(self):
-        c = Counters()
-        count_round(np.array([0, 1]), np.ones(2, dtype=bool), np.arange(2), 8, c, kind="write")
+        c = one_round(np.array([0, 1]), np.ones(2, dtype=bool), 8, kind="write")
         assert c.shared_write_rounds == 1
         assert c.shared_read_rounds == 0
 
@@ -89,12 +94,12 @@ class TestSerialMergeProfile:
         for n_a in [0, u * E // 3, u * E]:
             a, b = split_inputs(rng, u * E, n_a)
             _, sim = serial_merge_block(a, b, E, w, read_policy=policy)
-            fast = serial_merge_profile(a, b, E, w, read_policy=policy)
-            assert_shared_equal(sim.merge, fast)
+            (lane,) = profile_serial_merges([(a, b)], E, w, read_policy=policy)
+            assert_shared_equal(sim.merge, lane)
 
     def test_bad_policy(self):
         with pytest.raises(ParameterError):
-            serial_merge_profile([1], [2], 1, 2, read_policy="x")
+            profile_serial_merges([([1], [2])], 1, 2, read_policy="x")
 
 
 class TestSearchProfile:
@@ -103,16 +108,16 @@ class TestSearchProfile:
         rng = np.random.default_rng(17)
         a, b = split_inputs(rng, u * E, u * E // 2)
         _, sim = serial_merge_block(a, b, E, w)
-        fast = search_profile(a, b, E, w)
-        assert_shared_equal(sim.search, fast)
+        (lane,) = profile_searches([(a, b)], E, w)
+        assert_shared_equal(sim.search, lane)
 
     @pytest.mark.parametrize("w,E,u", [(12, 5, 24), (9, 6, 18)])
     def test_matches_simulator_mapped(self, w, E, u):
         rng = np.random.default_rng(18)
         a, b = split_inputs(rng, u * E, u * E // 3)
         _, sim = cf_merge_block(a, b, E, w)
-        fast = search_profile(a, b, E, w, mapped=True)
-        assert_shared_equal(sim.search, fast)
+        (lane,) = profile_searches([(a, b)], E, w, mapped=True)
+        assert_shared_equal(sim.search, lane)
 
 
 class TestCFProfile:
@@ -121,51 +126,42 @@ class TestCFProfile:
         rng = np.random.default_rng(19)
         a, b = split_inputs(rng, u * E, u * E // 2)
         _, sim = cf_merge_block(a, b, E, w, simulate_search=False)
-        fast = cf_merge_profile(a, b, E, w)
-        assert sim.merge.shared_read_rounds == fast.shared_read_rounds
-        assert sim.merge.shared_write_rounds == fast.shared_write_rounds
-        assert sim.merge.shared_cycles == fast.shared_cycles
-        assert sim.merge.shared_replays == fast.shared_replays == 0
+        (lane,) = profile_cf_merges([(a, b)], E, w)
+        assert_shared_equal(sim.merge, lane)
+        assert lane.shared_replays == 0
 
     def test_input_independence(self):
         # The entire point: the CF profile depends only on the geometry.
         rng = np.random.default_rng(20)
         a1, b1 = split_inputs(rng, 480, 100)
         a2, b2 = split_inputs(rng, 480, 400)
-        p1 = cf_merge_profile(a1, b1, 15, 32)
-        p2 = cf_merge_profile(a2, b2, 15, 32)
+        (p1,) = profile_cf_merges([(a1, b1)], 15, 32)
+        (p2,) = profile_cf_merges([(a2, b2)], 15, 32)
         assert p1.as_dict() == p2.as_dict()
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            cf_merge_profile(np.arange(3), np.arange(4), 5, 2)
+            profile_cf_merges([(np.arange(3), np.arange(4))], 5, 2)
 
 
 class TestBlocksortProfile:
     @pytest.mark.parametrize("variant", ["thrust", "cf"])
     @pytest.mark.parametrize("w,E,u", [(8, 5, 16), (32, 15, 64), (16, 7, 32)])
     def test_matches_simulator(self, variant, w, E, u):
-        from repro.mergesort.blocksort import blocksort_tile
-        from repro.mergesort.fast import blocksort_profile
-
         rng = np.random.default_rng(w + E + u)
         tile = rng.integers(0, 10**6, u * E)
-        fast = blocksort_profile(tile, E, w, variant)
+        (lane,) = profile_blocksorts([tile], E, w, variant)
         _, sim = blocksort_tile(tile, E, w, variant)
-        assert_shared_equal(sim.total, fast)
+        assert_shared_equal(sim.total, lane)
 
     def test_noncoprime_cf_rejected(self):
-        from repro.mergesort.fast import blocksort_profile
-
         with pytest.raises(ParameterError):
-            blocksort_profile(np.arange(16 * 8), 8, 8, "cf")
+            profile_blocksorts([np.arange(16 * 8)], 8, 8, "cf")
 
     def test_geometry_validation(self):
-        from repro.mergesort.fast import blocksort_profile
-
         with pytest.raises(ParameterError):
-            blocksort_profile(np.arange(41), 5, 8)  # not a multiple of E
+            profile_blocksorts([np.arange(41)], 5, 8)  # not a multiple of E
         with pytest.raises(ParameterError):
-            blocksort_profile(np.arange(24 * 5), 5, 8)  # u=24 not power of 2
+            profile_blocksorts([np.arange(24 * 5)], 5, 8)  # u=24 not power of 2
         with pytest.raises(ParameterError):
-            blocksort_profile(np.arange(16 * 5), 5, 8, "merge-insertion")
+            profile_blocksorts([np.arange(16 * 5)], 5, 8, "merge-insertion")

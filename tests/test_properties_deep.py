@@ -22,8 +22,8 @@ from repro.core import (
     rho_inverse,
     warp_gather_schedule,
 )
-from repro.mergesort import gpu_mergesort
-from repro.mergesort.fast import serial_merge_profile
+from repro.engine.lane import profile_serial_merges
+from repro.mergesort import gpu_mergesort, serial_merge_block
 from repro.mergesort.merge_path import merge_path_search
 from repro.sim import BankModel, Counters
 
@@ -206,6 +206,8 @@ class TestFastEngineProperties:
         vals = np.sort(rng.choice(10**6, size=total, replace=False))
         mask = rng.random(total) < 0.5
         a, b = vals[mask], vals[~mask]
-        p1 = serial_merge_profile(a, b, 5, 12)
-        p2 = serial_merge_profile(a * 3, b * 3, 5, 12)
+        p1, p2 = profile_serial_merges([(a, b), (a * 3, b * 3)], 5, 12)
         assert p1.as_dict() == p2.as_dict()
+        _, sim = serial_merge_block(a, b, 5, 12, simulate_search=False)
+        assert p1.shared_excess == sim.merge.shared_excess
+        assert p1.shared_cycles == sim.merge.shared_cycles

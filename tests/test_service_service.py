@@ -166,6 +166,80 @@ class TestBackpressureAndShedding:
             assert service.in_flight == 0
 
 
+def _raising_backend(data, offsets, params, w):
+    raise RuntimeError("backend exploded")
+
+
+@pytest.fixture
+def raising_backend(monkeypatch):
+    """Register a backend that always raises, for this test only."""
+    from repro.service import backends
+
+    monkeypatch.setattr(backends, "_REGISTRY", dict(backends._REGISTRY))
+    register_backend("raising", _raising_backend)
+    return "raising"
+
+
+class TestBackendFailure:
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_raising_backend_fails_its_requests_not_the_shard(
+        self, shards, raising_backend, caplog
+    ):
+        service = SortService(policy=_fast_policy(shards=shards))
+        try:
+            # One request per batch, so batch ids (and shards) cycle.
+            failed = [
+                service.submit(np.arange(8, dtype=np.int64), backend=raising_backend)
+                .result(30.0)
+                for _ in range(shards)
+            ]
+            assert [r.error for r in failed] == ["ServiceError"] * shards
+            assert {r.shard for r in failed} == set(range(shards))
+            assert all(r.data.size == 0 for r in failed)
+            with pytest.raises(ServiceError):
+                failed[0].raise_if_failed()
+            assert service.in_flight == 0
+            # Each failure is reported with its traceback.
+            logged = [r for r in caplog.records if r.exc_info]
+            assert len(logged) == shards
+            assert "backend exploded" in str(logged[0].exc_info[1])
+
+            # Every shard that ran a failing batch still serves.
+            later = [
+                service.submit(np.arange(8, 0, -1, dtype=np.int64), backend="numpy")
+                .result(30.0)
+                for _ in range(shards)
+            ]
+            assert all(r.ok for r in later)
+            assert {r.shard for r in later} == set(range(shards))
+            assert all(list(r.data) == list(range(1, 9)) for r in later)
+
+            snap = service.metrics.snapshot()["requests"]
+            assert snap["failed"] == shards
+            assert snap["completed"] == shards
+            assert snap["expired"] == 0
+        finally:
+            service.close()
+        assert service.in_flight == 0
+
+    def test_whole_failing_batch_releases_every_slot(self, raising_backend):
+        # A batch of several requests fails as a unit, and the slots it
+        # held are free again for blocking submits.
+        policy = _fast_policy(queue_capacity=4, max_wait_s=0.05)
+        with SortService(policy=policy) as service:
+            tickets = [
+                service.submit(p, backend=raising_backend, block=True, timeout=30.0)
+                for p in _payloads(4)
+            ]
+            assert all(t.result(30.0).error == "ServiceError" for t in tickets)
+            assert service.in_flight == 0
+            again = [
+                service.submit(p, backend="numpy", block=True, timeout=30.0)
+                for p in _payloads(4)
+            ]
+            assert all(t.result(30.0).ok for t in again)
+
+
 class TestDeadlines:
     def test_expired_deadline_yields_error_result(self):
         # A deadline far shorter than the batching wait: the request must

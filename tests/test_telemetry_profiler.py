@@ -60,15 +60,15 @@ class TestWorstcase:
 
     def test_merge_excess_matches_the_fast_measurement_path(self):
         # The runner's theorem8 experiment measures the same quantity
-        # through the vectorized fast path; the trace-based attribution
-        # must agree exactly.
-        from repro.mergesort.fast import serial_merge_profile
+        # through the vectorized engine lane; the simulator trace-based
+        # attribution must agree exactly.
+        from repro.engine.lane import profile_serial_merges
         from repro.worstcase import worstcase_merge_inputs
 
         run = profile_worstcase(w=W, E=E)
         a, b = worstcase_merge_inputs(W, E)
-        fast = serial_merge_profile(a, b, E, W)
-        assert run.merge_excess == fast.shared_excess
+        (lane,) = profile_serial_merges([(a, b)], E, W)
+        assert run.merge_excess == lane.shared_excess
 
     def test_merge_excess_meets_theorem8(self):
         from repro.worstcase import theorem8_combined

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.errors import WorstCaseConstructionError
-from repro.mergesort import cf_merge_block, gpu_mergesort
-from repro.mergesort.fast import serial_merge_profile
+from repro.engine.lane import profile_serial_merges
+from repro.mergesort import cf_merge_block, gpu_mergesort, serial_merge_block
 from repro.mergesort.merge_path import (
     block_split_from_merge_path,
     merge_path_search,
@@ -170,13 +170,17 @@ class TestTheorem8:
         # read policy skips each thread's final (exhausted) read — hence
         # the `- 2w` slack (binding only in the degenerate E == w case).
         a, b = worstcase_merge_inputs(w, E)
-        profile = serial_merge_profile(a, b, E, w, read_policy="bounded")
+        (profile,) = profile_serial_merges([(a, b)], E, w, read_policy="bounded")
         assert profile.shared_excess >= theorem8_combined(w, E) - 2 * w
+        # The lane's count is the lockstep simulator's, exactly.
+        _, sim = serial_merge_block(a, b, E, w, simulate_search=False)
+        assert profile.shared_excess == sim.merge.shared_excess
+        assert profile.shared_replays == sim.merge.shared_replays
 
     @pytest.mark.parametrize("w,E", [(32, 15), (32, 17), (12, 5), (12, 9)])
     def test_worstcase_far_exceeds_random(self, w, E):
         a, b = worstcase_merge_inputs(w, E)
-        worst = serial_merge_profile(a, b, E, w)
+        (worst,) = profile_serial_merges([(a, b)], E, w)
         rng = np.random.default_rng(42)
         total = w * E
         rand_excess = []
@@ -184,7 +188,7 @@ class TestTheorem8:
             idx = rng.permutation(total)
             ra = np.sort(np.arange(total)[idx[: len(a)]])
             rb = np.sort(np.arange(total)[idx[len(a) :]])
-            rand_excess.append(serial_merge_profile(ra, rb, E, w).shared_excess)
+            rand_excess.append(profile_serial_merges([(ra, rb)], E, w)[0].shared_excess)
         assert worst.shared_excess > 1.5 * np.mean(rand_excess)
 
     @pytest.mark.parametrize("w,E", [(32, 15), (32, 17)])
@@ -193,7 +197,7 @@ class TestTheorem8:
         # conflicts per step; our measured replays per merge round must be
         # a large fraction of E (random inputs sit at 2-3).
         a, b = worstcase_merge_inputs(w, E)
-        profile = serial_merge_profile(a, b, E, w)
+        (profile,) = profile_serial_merges([(a, b)], E, w)
         per_round = profile.shared_replays / profile.shared_read_rounds
         assert per_round > E / 2
 
