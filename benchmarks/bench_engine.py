@@ -8,9 +8,15 @@ the per-tile counters are bit-identical, i.e. batching never mixes
 tiles.  The batched side is timed at steady state (arena warm, best of
 three passes).
 
-When ``ENGINE_REPORT`` names a path, the speedup test also writes a
-deterministic JSON report (counters, digests, plan-cache hit counts — no
-timings), which CI generates twice and compares byte-for-byte.
+A second test times the whole-sort pipeline: ``batched_mergesort``
+(best of three passes) against the lockstep ``gpu_mergesort`` (one
+pass) on long segments, asserting a 10x floor and full-result identity
+per segment.
+
+When ``ENGINE_REPORT`` names a path, both tests also write their
+sections of a deterministic JSON report (counters, digests, plan-cache
+hit counts — no timings), which CI generates twice and compares
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -22,16 +28,46 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 from conftest import attach
 
 from repro.engine.arena import arena_stats
 from repro.engine.batch import batched_blocksort_profile, fusion_stats
 from repro.engine.plans import plan_cache_stats
+from repro.mergesort.pipeline import batched_mergesort, gpu_mergesort
+from repro.sim.counters import Counters
+from repro.workloads import adversarial, uniform_random
 
 #: The acceptance-criterion sweep: 256 tiles x (256 threads x 16 elems).
 E, U, W, TILES = 16, 256, 32, 256
 TILE = U * E  # 4096 keys per tile; TILES * TILE = 2^20 keys total
 VARIANT = "thrust"  # gcd(E, w) = 16: the non-coprime (baseline) geometry
+
+
+#: The pipeline test's geometry: one tile is 160 keys, coprime w and E.
+PIPE_E, PIPE_U, PIPE_W = 5, 32, 8
+#: Batched whole-sort floor over the lockstep pipeline (one pass each).
+PIPELINE_MIN_SPEEDUP = 10.0
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _fresh_report():
+    """Start ``ENGINE_REPORT`` empty before this module's first test, so a
+    section no test wrote this time cannot survive from an earlier run."""
+    report_path = os.environ.get("ENGINE_REPORT")
+    if report_path:
+        Path(report_path).unlink(missing_ok=True)
+
+
+def _write_report(sections: dict) -> None:
+    """Merge ``sections`` into the ``ENGINE_REPORT`` file, if one is named."""
+    report_path = os.environ.get("ENGINE_REPORT")
+    if not report_path:
+        return
+    path = Path(report_path)
+    payload = json.loads(path.read_text()) if path.exists() else {}
+    payload.update(sections)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _sweep_rows() -> np.ndarray:
@@ -117,14 +153,9 @@ def test_engine_batched_speedup(benchmark):
         f"(floor {floor}x): loop {t_loop:.3f}s vs batched {t_batched:.3f}s"
     )
 
-    report_path = os.environ.get("ENGINE_REPORT")
-    if report_path:
-        payload = _report_payload(
-            batched, plan_cache_stats(), fusion_delta, arena_delta
-        )
-        Path(report_path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+    _write_report(
+        _report_payload(batched, plan_cache_stats(), fusion_delta, arena_delta)
+    )
 
     # Keep pytest-benchmark's timing series populated (one extra pass).
     benchmark.pedantic(run_batched, rounds=1, iterations=1)
@@ -153,3 +184,80 @@ def test_engine_plan_cache_reuse(benchmark):
         cache_misses=int(after["misses"]),
         hit_rate=round(float(after["hit_rate"]), 3),
     )
+
+
+def _pipeline_segments() -> list[tuple[str, np.ndarray]]:
+    """Long segments shaped like the wall-clock ``sort-long`` pool.
+
+    Random segments of 310-2410 keys and the Section 4 adversary at
+    2-16 tiles, the variant alternating between cf and thrust, so each
+    variant sorts one adversary of each size.
+    """
+    tile = PIPE_U * PIPE_E
+    out = []
+    for i, n_tiles in enumerate((2, 2, 4, 4, 8, 8, 16, 16)):
+        variant = ("cf", "thrust")[i % 2]
+        out.append((variant, uniform_random(tile + 150 + 300 * i, seed=i)))
+        out.append((variant, adversarial(n_tiles, PIPE_E, PIPE_U, PIPE_W)))
+    return out
+
+
+def test_pipeline_batched_speedup(benchmark):
+    """batched_mergesort >= 10x gpu_mergesort, identical on every field."""
+    segments = _pipeline_segments()
+
+    def run_batched():
+        return [
+            batched_mergesort(data, PIPE_E, PIPE_U, PIPE_W, variant)
+            for variant, data in segments
+        ]
+
+    batched = run_batched()  # warms the plan cache and the arena
+    t_batched = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        run_batched()
+        t_batched = min(t_batched, time.perf_counter() - t0)
+
+    t0 = time.perf_counter()
+    lockstep = [
+        gpu_mergesort(data, PIPE_E, PIPE_U, PIPE_W, variant)
+        for variant, data in segments
+    ]
+    t_lockstep = time.perf_counter() - t0
+
+    total = Counters()
+    digests = []
+    for k, (got, want) in enumerate(zip(batched, lockstep)):
+        record = got.as_dict()
+        assert record == want.as_dict(), f"segment {k} diverged"
+        total.merge(got.total_counters)
+        digests.append(
+            hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+        )
+
+    speedup = t_lockstep / t_batched
+    attach(
+        benchmark,
+        speedup=round(speedup, 2),
+        lockstep_s=round(t_lockstep, 3),
+        batched_s=round(t_batched, 3),
+        n_keys=sum(len(data) for _, data in segments),
+    )
+    assert speedup >= PIPELINE_MIN_SPEEDUP, (
+        f"batched pipeline only {speedup:.2f}x faster than the lockstep one "
+        f"(floor {PIPELINE_MIN_SPEEDUP}x): lockstep {t_lockstep:.3f}s vs "
+        f"batched {t_batched:.3f}s"
+    )
+    _write_report({
+        "pipeline": {
+            "params": {"E": PIPE_E, "u": PIPE_U, "w": PIPE_W},
+            "segments": [
+                {"variant": variant, "n": len(data)} for variant, data in segments
+            ],
+            "counters_sum": total.as_dict(),
+            "per_segment_sha256": digests,
+        }
+    })
+
+    benchmark.pedantic(run_batched, rounds=1, iterations=1)

@@ -147,14 +147,14 @@ def _blocksort_rows(task: TaskDict) -> TaskDict:
 
 
 def _pipeline_segment(task: TaskDict) -> TaskDict:
-    """Run the full simulated mergesort pipeline over one long segment."""
-    from repro.mergesort.pipeline import gpu_mergesort
+    """Run the batched mergesort pipeline over one long segment."""
+    from repro.mergesort.pipeline import batched_mergesort
 
     lo, hi = task["lo"], task["hi"]
     handle, data = attach_int64(task["shm"], task["n"])
     out_handle, out = attach_int64(task["out_shm"], task["n"])
     try:
-        result = gpu_mergesort(
+        result = batched_mergesort(
             np.array(data[lo:hi]),
             E=task["E"],
             u=task["u"],

@@ -7,8 +7,8 @@ profile and :func:`~repro.mergesort.segmented.unpack_segments` — but the
 two heavy phases execute as pool tasks instead of driver loops:
 
 * each **long segment** (> one tile) becomes a ``pipeline_segment`` task
-  (the simulated ``gpu_mergesort`` fallback, exactly the single-process
-  long path);
+  (the batched pipeline, ``batched_mergesort``, exactly the
+  single-process long path);
 * the packed tile matrix is staged into shared memory and profiled/
   sorted by ``blocksort_rows`` tasks over fixed row blocks.
 

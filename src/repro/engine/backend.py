@@ -1,7 +1,7 @@
 """The ``cf-batched`` service backend: whole micro-batches, one lane pass.
 
 The stock ``cf`` backend sorts a micro-batch by concatenating every
-short segment into one packed array and running the full simulated
+short segment into one packed array and running the full lockstep
 mergesort pipeline over it.  This backend instead packs segments into
 independent blocksort tiles (first-fit in submission order — a segment
 never straddles tiles) and profiles/sorts **all** tiles in one batched
@@ -17,10 +17,13 @@ vectorized pass through :mod:`repro.engine.batch`:
 * padding rule — tile tails are padded with a sentinel that sorts after
   every packed value; padding is per tile, never per segment.
 
-Segments longer than one tile fall back to the simulated pipeline, like
-:func:`repro.mergesort.segmented.segmented_sort`'s long path.  The lane's
-CF profile requires coprime ``(w, E)`` and a power-of-two ``u`` —
-geometry violations raise, they are never silently approximated.
+Segments longer than one tile are sorted one by one by the batched
+pipeline (:func:`repro.mergesort.pipeline.batched_mergesort`, like
+:func:`repro.mergesort.segmented.segmented_sort`'s long path), so each
+reports exactly the lockstep ``gpu_mergesort(..., "cf")`` counters,
+compute and global traffic included.  The lane's CF profile requires
+coprime ``(w, E)`` and a power-of-two ``u`` — geometry violations raise,
+they are never silently approximated.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import numpy.typing as npt
 from repro.config import SortParams
 from repro.engine.batch import batched_blocksort_profile, pad_and_stack
 from repro.errors import ParameterError
+from repro.mergesort.pipeline import batched_mergesort
 from repro.mergesort.segmented import (
     KEY_BITS,
     KEY_LIMIT,
@@ -137,9 +141,7 @@ def cf_batched_backend(
         if hi - lo <= tile:
             short.append((lo, hi))
         else:
-            from repro.mergesort.pipeline import gpu_mergesort
-
-            result = gpu_mergesort(data[lo:hi], E=E, u=u, w=w, variant="cf")
+            result = batched_mergesort(data[lo:hi], E=E, u=u, w=w, variant="cf")
             out[lo:hi] = result.data
             total.merge(result.total_counters)
             launches += 1

@@ -47,6 +47,7 @@ __all__ = [
     "batched_search_profile",
     "batched_cf_merge_profile",
     "batched_blocksort_profile",
+    "batched_blocksort_phases",
     "kway_thread_cuts",
     "kway_gather_addresses",
     "batched_kway_merge_profile",
@@ -488,6 +489,18 @@ class BatchCounters:
         self.shared_cycles += cycles_t
         self.shared_replays += cycles_t - n_warps_t
         self.shared_excess += requests_t - occupied_t
+
+    def total(self) -> Counters:
+        """Every tile's counters summed into one :class:`Counters`."""
+        return Counters(
+            shared_read_rounds=int(self.shared_read_rounds.sum()),
+            shared_write_rounds=int(self.shared_write_rounds.sum()),
+            shared_cycles=int(self.shared_cycles.sum()),
+            shared_replays=int(self.shared_replays.sum()),
+            shared_excess=int(self.shared_excess.sum()),
+            broadcast_reads=int(self.broadcast_reads.sum()),
+            shared_requests=int(self.shared_requests.sum()),
+        )
 
     def to_counters(self) -> list[Counters]:
         """Materialize one :class:`Counters` per tile."""
@@ -1054,6 +1067,40 @@ def batched_blocksort_profile(
     their ranks, which keep every comparison (order and ties) and hence
     every counter; :func:`fusion_stats` counts such passes as
     ``fallback_blocksorts``."""
+    tiles, u, pack_dtype = _blocksort_input(tiles, E, w, variant, read_policy)
+    acc = BatchCounters(tiles.shape[0], u, w)
+    _fused_blocksort_rounds(
+        acc, acc, acc, tiles, E, w, u, variant, read_policy, pack_dtype
+    )
+    return acc.to_counters()
+
+
+def batched_blocksort_phases(
+    tiles: IntArray, E: int, w: int, variant: str = "thrust"
+) -> tuple[Counters, Counters, Counters]:
+    """Blocksort ``(stage, search, merge)`` counters, summed over the rows.
+
+    The same pass as :func:`batched_blocksort_profile` (bounded read
+    policy), accounted per phase: each sum is bit-identical to the
+    matching :class:`~repro.mergesort.blocksort.BlocksortStats` field of
+    :func:`~repro.mergesort.blocksort.blocksort_tile` summed over the
+    tiles (shared memory only; compute ops excepted)."""
+    tiles, u, pack_dtype = _blocksort_input(tiles, E, w, variant, "bounded")
+    T = tiles.shape[0]
+    stage, search, merge = (BatchCounters(T, u, w) for _ in range(3))
+    _fused_blocksort_rounds(
+        stage, search, merge, tiles, E, w, u, variant, "bounded", pack_dtype
+    )
+    return stage.total(), search.total(), merge.total()
+
+
+def _blocksort_input(
+    tiles: IntArray, E: int, w: int, variant: str, read_policy: str
+) -> tuple[IntArray, int, type]:
+    """Validate a blocksort batch; return ``(tiles, u, pack dtype)``.
+
+    Rows holding values past the packing range come back as dense ranks.
+    """
     tiles = np.asarray(tiles, dtype=np.int64)
     if tiles.ndim != 2:
         raise ParameterError("batched blocksort expects a (tiles, u*E) array")
@@ -1070,7 +1117,6 @@ def batched_blocksort_profile(
     if variant == "cf" and not coprime(w, E):
         raise ParameterError("cf blocksort profile requires coprime w, E")
 
-    acc = BatchCounters(T, u, w)
     pack_dtype = _pack_dtype(tiles)
     _FUSION.note_profile("blocksorts", pack_dtype is not None)
     if pack_dtype is None:
@@ -1078,12 +1124,13 @@ def batched_blocksort_profile(
         # counter, and always fit the packing.
         tiles = np.unique(tiles, return_inverse=True)[1].reshape(T, L)
         pack_dtype = np.int32 if tiles.size <= (1 << 30) else np.int64
-    _fused_blocksort_rounds(acc, tiles, E, w, u, variant, read_policy, pack_dtype)
-    return acc.to_counters()
+    return tiles, u, pack_dtype
 
 
 def _fused_blocksort_rounds(
-    acc: BatchCounters,
+    stage: BatchCounters,
+    search: BatchCounters,
+    merge: BatchCounters,
     tiles: IntArray,
     E: int,
     w: int,
@@ -1092,11 +1139,15 @@ def _fused_blocksort_rounds(
     read_policy: str,
     pack_dtype: type,
 ) -> None:
-    """All blocksort rounds via per-level packed sorts + stacked accounting."""
+    """All blocksort rounds via per-level packed sorts + stacked accounting.
+
+    Staging, search and merge rounds land in the ``stage``, ``search``
+    and ``merge`` accumulators; passing one accumulator three times
+    counts the whole tile in it."""
     T, L = tiles.shape
 
     # Phase 1: load E contiguous words per thread, sort in registers.
-    _batched_stage_rounds(acc, u, E, kind="read")
+    _batched_stage_rounds(stage, u, E, kind="read")
     # The packed keys persist across levels: each level adds its own B
     # tags to the (tag-cleared) keys, sorts pair regions in place, and
     # clears the tag bit again — ``2 * merged`` is exactly the sorted
@@ -1119,7 +1170,7 @@ def _fused_blocksort_rounds(
         tag = np.asarray(plan["tag"])
 
         # Staging writes (same residue rounds for both variants).
-        _batched_stage_rounds(acc, u, E, kind="write")
+        _batched_stage_rounds(stage, u, E, kind="write")
 
         # One packed sort per level: merge decisions from the low bit
         # (stable, ties to A), and (via per-thread tag counts) every
@@ -1174,7 +1225,7 @@ def _fused_blocksort_rounds(
                     hi = np.where(live & ~go_right, mid, hi)
                     live = lo < hi
                     it += 1
-                acc.round_many(probes[: 2 * it], probe_live[: 2 * it], kind="read")
+                search.round_many(probes[: 2 * it], probe_live[: 2 * it], kind="read")
 
         # Merges.
         if variant == "thrust":
@@ -1183,7 +1234,7 @@ def _fused_blocksort_rounds(
             a_end[:, -1] = 0
             a_end = np.where(pair_last, half, a_end)
             _fused_pointer_merge_rounds(
-                acc,
+                merge,
                 take_a,
                 pbase + a_off,
                 pbase + a_end,
@@ -1196,16 +1247,16 @@ def _fused_blocksort_rounds(
         else:
             # CF gather: E conflict-free read rounds per warp, per tile.
             n_warps = u // w
-            acc.shared_read_rounds += E * n_warps
-            acc.shared_cycles += E * n_warps
-            acc.shared_requests += E * u
+            merge.shared_read_rounds += E * n_warps
+            merge.shared_cycles += E * n_warps
+            merge.shared_requests += E * u
 
         np.bitwise_and(packed, -2, out=packed)
         g *= 2
         level += 1
 
     # Final staging pass.
-    _batched_stage_rounds(acc, u, E, kind="write")
+    _batched_stage_rounds(stage, u, E, kind="write")
 
 
 # --------------------------------------------------------------- k-way merge

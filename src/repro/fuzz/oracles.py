@@ -12,7 +12,9 @@ Families
 --------
 ``differential``
     CF-Merge and the Thrust-style baseline vs ``numpy.sort``; the batched
-    lane's conflict profile vs the lockstep simulator's counters;
+    lane's conflict profile vs the lockstep simulator's counters; the
+    batched pipeline's full result (data and every counter) vs both
+    lockstep pipeline results;
     ``sort_by_key`` stability against ``numpy.argsort(kind="stable")``;
     every registered service backend on a segmented payload; the
     cluster-sharded engine lane byte-identical (values, counters,
@@ -54,7 +56,7 @@ from repro.errors import ParameterError
 from repro.fuzz.corpus import Geometry
 from repro.mergesort.by_key import sort_by_key
 from repro.mergesort.merge_path import block_split_from_merge_path
-from repro.mergesort.pipeline import gpu_mergesort
+from repro.mergesort.pipeline import MergesortResult, batched_mergesort, gpu_mergesort
 from repro.mergesort.serial_merge import serial_merge_block
 from repro.service.backends import available_backends, get_backend
 
@@ -209,6 +211,30 @@ def _cluster_check(data: Array, geometry: Geometry) -> dict[str, Any]:
     )
 
 
+def _batched_pipeline_check(
+    data: Array, geometry: Geometry, lockstep: dict[str, MergesortResult]
+) -> dict[str, Any]:
+    """``batched_mergesort`` equals the lockstep results on every field.
+
+    ``lockstep`` maps each variant to the case's ``gpu_mergesort``
+    result; the batched pipeline reruns both at the same geometry.
+    """
+    diverged: list[str] = []
+    for variant, want in lockstep.items():
+        got = batched_mergesort(data, geometry.E, geometry.u, geometry.w, variant)
+        want_fields, got_fields = want.as_dict(), got.as_dict()
+        diverged += [
+            f"{variant}:{name}"
+            for name in sorted(set(want_fields) | set(got_fields))
+            if want_fields.get(name) != got_fields.get(name)
+        ]
+    return _check(
+        not diverged,
+        f"batched_mergesort vs gpu_mergesort ({', '.join(lockstep)}) over n={len(data)}"
+        + (f"; diverged: {', '.join(diverged)}" if diverged else ""),
+    )
+
+
 def _columns_table(data: Array) -> Any:
     """A deterministic columnar table derived from one fuzz payload.
 
@@ -358,6 +384,9 @@ def evaluate_case(
             checks["differential/fast_profile_matches_sim"] = _skip(
                 f"n={n} does not form whole warps of E-element threads"
             )
+        checks["differential/batched_pipeline_matches_sim"] = _batched_pipeline_check(
+            data, geometry, {"cf": res_cf, "thrust": res_thrust}
+        )
         checks["differential/by_key_stable"] = _stability_check(data, geometry)
         checks["differential/backends_agree"] = _backends_check(data, geometry)
         checks["differential/cluster_matches_batched"] = _cluster_check(data, geometry)

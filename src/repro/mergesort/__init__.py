@@ -26,7 +26,9 @@ Step (d) is where the two variants differ:
 The batched engine lane (:mod:`repro.engine.lane`) re-implements the
 conflict *counting* (not the execution) of these kernels as vectorized
 NumPy, bit-identical to the lockstep simulator, so the throughput
-experiments can sweep to the paper's ``n = 2^26 * E`` scales.
+experiments can sweep to the paper's ``n = 2^26 * E`` scales, and
+:func:`~repro.mergesort.pipeline.batched_mergesort` runs the whole
+pipeline on it with every counter equal to :func:`gpu_mergesort`'s.
 """
 
 from repro.mergesort.merge_path import (
@@ -42,7 +44,7 @@ from repro.mergesort.register_merge import (
 from repro.mergesort.serial_merge import serial_merge_block
 from repro.mergesort.cf import cf_merge_block
 from repro.mergesort.blocksort import blocksort_tile
-from repro.mergesort.pipeline import MergesortResult, gpu_mergesort
+from repro.mergesort.pipeline import MergesortResult, batched_mergesort, gpu_mergesort
 from repro.mergesort.kway import (
     KwaySortResult,
     kway_level_count,
@@ -65,6 +67,7 @@ __all__ = [
     "cf_merge_block",
     "blocksort_tile",
     "gpu_mergesort",
+    "batched_mergesort",
     "MergesortResult",
     "kway_merge_path_search",
     "kway_merge_block",

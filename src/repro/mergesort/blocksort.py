@@ -260,6 +260,8 @@ def blocksort_tile(
     """
     if variant not in ("thrust", "cf"):
         raise ParameterError(f"unknown variant {variant!r}")
+    if read_policy not in ("bounded", "always"):
+        raise ParameterError(f"unknown read_policy {read_policy!r}")
     tile = np.asarray(tile, dtype=np.int64)
     if len(tile) % E:
         raise ParameterError(f"tile length {len(tile)} not a multiple of E={E}")

@@ -3,12 +3,22 @@
 Real GPU workloads often sort batches of small independent arrays
 (adjacency lists, strings' suffixes, per-query candidate sets); Thrust
 users express this as a segmented sort.  This module provides the same
-API on the simulated pipeline:
+API:
 
-* short segments (at most one tile) are grouped into shared tiles using
-  the packed (segment-id, key) trick — one blocksort pass orders every
-  segment at once;
-* long segments fall back to individual pipeline sorts.
+* short segments (at most one tile) are packed with the (segment-id, key)
+  trick into one array — one lockstep pipeline sort
+  (:func:`~repro.mergesort.pipeline.gpu_mergesort`) orders every segment
+  at once;
+* long segments are sorted one batched pipeline call each
+  (:func:`~repro.mergesort.pipeline.batched_mergesort`, whose result
+  equals :func:`~repro.mergesort.pipeline.gpu_mergesort`'s on every
+  field).
+
+The packed short batch stays on the lockstep path: on the batched
+pipeline it would make short ``cf`` and ``baseline`` requests 6-8x
+cheaper than ``kway`` and ``samplesort`` ones, and a service mixing
+those backends then varies widely in throughput from run to run (see
+``docs/PERFORMANCE.md``).
 
 The CF variant's zero-conflict guarantee is preserved in both paths, and
 the packing keeps the sort stable per segment.
@@ -22,7 +32,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.errors import ParameterError
-from repro.mergesort.pipeline import gpu_mergesort
+from repro.mergesort.pipeline import batched_mergesort, gpu_mergesort
 from repro.sim.counters import Counters
 
 __all__ = [
@@ -120,7 +130,7 @@ def segmented_sort(
         if hi - lo <= tile:
             short.append((lo, hi))
         else:
-            result = gpu_mergesort(data[lo:hi], E=E, u=u, w=w, variant=variant)
+            result = batched_mergesort(data[lo:hi], E=E, u=u, w=w, variant=variant)
             out[lo:hi] = result.data
             total.merge(result.total_counters)
 

@@ -9,17 +9,22 @@ by default:
     CF-Merge (the paper's conflict-free variant) through
     :func:`repro.mergesort.segmented.segmented_sort` — zero merge-phase
     bank conflicts for every input, so service latency is
-    input-independent.
+    input-independent.  Short segments are packed into one lockstep
+    pipeline sort; each segment longer than a tile runs through the
+    batched pipeline, with counters equal to the lockstep simulator's on
+    every field.
 ``cf-batched``
-    The batched engine lane (:mod:`repro.engine.backend`): segments are
-    packed into independent blocksort tiles and the whole micro-batch is
-    profiled/sorted in one vectorized pass, with per-tile counters
-    bit-identical to the lockstep simulator's blocksort.
+    The batched engine lane (:mod:`repro.engine.backend`): short
+    segments are packed into independent blocksort tiles and the whole
+    micro-batch is profiled/sorted in one vectorized pass, with per-tile
+    counters bit-identical to the lockstep simulator's blocksort; each
+    segment longer than a tile runs through the batched pipeline.
 ``cf-cluster``
     The batched engine lane sharded through the cluster worker pool
-    (:mod:`repro.cluster.service`): long segments and packed tile rows
-    execute as pool tasks over shared memory, byte-identical to
-    ``cf-batched`` whether the pool runs inline or across processes.
+    (:mod:`repro.cluster.service`): long segments (batched pipeline) and
+    packed tile rows execute as pool tasks over shared memory,
+    byte-identical to ``cf-batched`` whether the pool runs inline or
+    across processes.
 ``kway``
     The k-way CF pipeline (:func:`repro.mergesort.kway.kway_sort`,
     fan-in 4): ``log_k`` merge levels instead of ``log_2``, staged
@@ -29,8 +34,9 @@ by default:
     single partition pass over blocksorted tiles, per-bucket blocksort,
     k-way fallback for oversized buckets.
 ``baseline``
-    The Thrust-style serial shared-memory merge (variant ``"thrust"``),
-    vulnerable to the Section 4 adversary.
+    The Thrust-style serial shared-memory merge (variant ``"thrust"``)
+    through the same segmented sort, vulnerable to the Section 4
+    adversary.
 ``numpy``
     ``numpy.sort`` per segment: the pure-host reference oracle.  It
     reports zero simulator counters (nothing is simulated), so it serves
@@ -83,7 +89,7 @@ SortBackend = Callable[
 
 
 def _simulated_backend(variant: str) -> SortBackend:
-    """Build a backend running the simulated segmented sort ``variant``."""
+    """Build a backend running the segmented sort ``variant``."""
 
     def run(
         data: npt.NDArray[np.int64],
@@ -91,7 +97,7 @@ def _simulated_backend(variant: str) -> SortBackend:
         params: SortParams,
         w: int,
     ) -> BatchOutcome:
-        """Sort each segment with the simulated pipeline; return counters."""
+        """Sort each segment with ``segmented_sort``; return counters."""
         out, counters = segmented_sort(
             data, list(offsets), E=params.E, u=params.u, w=w, variant=variant
         )

@@ -17,6 +17,7 @@ import pytest
 
 from repro.engine.batch import (
     BatchCounters,
+    batched_blocksort_phases,
     batched_blocksort_profile,
     batched_search_profile,
     batched_serial_merge_profile,
@@ -145,6 +146,30 @@ class TestBlocksortCrossValidation:
         for k in range(2):
             _, sim = blocksort_tile(rows[k].copy(), E, w, variant)
             assert _shared(batched[k]) == _shared(sim.total), f"tile {k}"
+
+
+class TestBlocksortPhases:
+    @pytest.mark.parametrize("E,u,w,variant", [
+        (5, 32, 8, "thrust"), (5, 32, 8, "cf"), (6, 16, 8, "thrust"),  # last non-coprime
+    ])
+    def test_each_phase_sums_the_simulator_phase(self, E, u, w, variant):
+        rng = np.random.default_rng(E * u)
+        rows = np.stack([rng.integers(0, 40, u * E) for _ in range(3)])
+        phases = batched_blocksort_phases(rows, E, w, variant)
+        want = [Counters(), Counters(), Counters()]
+        for row in rows:
+            _, sim = blocksort_tile(row.copy(), E, w, variant)
+            for acc, part in zip(want, (sim.stage, sim.search, sim.merge)):
+                acc.merge(part)
+        for name, got, expect in zip(("stage", "search", "merge"), phases, want):
+            assert _shared(got) == _shared(expect), name
+
+    def test_phases_add_up_to_the_profile(self):
+        rows = adversarial(2, 5, 32, 8).reshape(2, 160)
+        for variant in ("thrust", "cf"):
+            stage, search, merge = batched_blocksort_phases(rows, 5, 8, variant)
+            total = sum(batched_blocksort_profile(rows, 5, 8, variant), Counters())
+            assert (stage + search + merge).as_dict() == total.as_dict()
 
 
 class TestMergeAndSearchCrossValidation:

@@ -130,6 +130,7 @@ class TestOracles:
             assert result["cf_merge_replays"] == 0, entry.origin
             assert set(result["checks"]) >= {
                 "differential/cf_matches_numpy",
+                "differential/batched_pipeline_matches_sim",
                 "invariant/cf_zero_merge_replays",
                 "bound/baseline_excess_bounded",
             }
@@ -150,6 +151,26 @@ class TestOracles:
         assert result["checks"]["invariant/cf_gather_schedule_crs"]["skipped"]
         # Differential checks still ran for real.
         assert not result["checks"]["differential/cf_matches_numpy"]["skipped"]
+        assert not result["checks"]["differential/batched_pipeline_matches_sim"][
+            "skipped"
+        ]
+
+    def test_batched_pipeline_divergence_is_caught(self, monkeypatch):
+        import repro.fuzz.oracles as oracles
+
+        real = oracles.batched_mergesort
+
+        def off_by_one(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.per_level[-1].merge.shared_replays += 1
+            return result
+
+        monkeypatch.setattr(oracles, "batched_mergesort", off_by_one)
+        result = evaluate_case(uniform_random(G.n, seed=5), G)
+        check = result["checks"]["differential/batched_pipeline_matches_sim"]
+        assert result["failures"] == ["differential/batched_pipeline_matches_sim"]
+        assert "cf:level0.merge" in check["detail"]
+        assert "thrust:level0.merge" in check["detail"]
 
     def test_short_input_skips_block_level_checks(self):
         result = evaluate_case(np.array([3, 1, 2], dtype=np.int64), G)
