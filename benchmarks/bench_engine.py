@@ -11,12 +11,16 @@ three passes).
 A second test times the whole-sort pipeline: ``batched_mergesort``
 (best of three passes) against the lockstep ``gpu_mergesort`` (one
 pass) on long segments, asserting a 10x floor and full-result identity
-per segment.
+per segment.  Another checks ``batched_kway_sort`` and
+``batched_sample_sort`` against their lockstep oracles on every field,
+and the last caps a one-tile call on each backend that left the
+lockstep simulator at 3x ``cf-batched``'s (best-of-k times in one
+process, calls interleaved).
 
-When ``ENGINE_REPORT`` names a path, both tests also write their
-sections of a deterministic JSON report (counters, digests, plan-cache
-hit counts — no timings), which CI generates twice and compares
-byte-for-byte.
+When ``ENGINE_REPORT`` names a path, the sweep, pipeline and k-way /
+sample-sort tests also write their sections of a deterministic JSON
+report (counters, digests, plan-cache hit counts — no timings), which
+CI generates twice and compares byte-for-byte.
 """
 
 from __future__ import annotations
@@ -31,10 +35,14 @@ import numpy as np
 import pytest
 from conftest import attach
 
+from repro.config import SortParams
 from repro.engine.arena import arena_stats
 from repro.engine.batch import batched_blocksort_profile, fusion_stats
 from repro.engine.plans import plan_cache_stats
+from repro.mergesort.kway import batched_kway_sort, kway_sort
 from repro.mergesort.pipeline import batched_mergesort, gpu_mergesort
+from repro.mergesort.samplesort import batched_sample_sort, sample_sort
+from repro.service.backends import KWAY_BACKEND_FANIN, get_backend
 from repro.sim.counters import Counters
 from repro.workloads import adversarial, uniform_random
 
@@ -48,6 +56,10 @@ VARIANT = "thrust"  # gcd(E, w) = 16: the non-coprime (baseline) geometry
 PIPE_E, PIPE_U, PIPE_W = 5, 32, 8
 #: Batched whole-sort floor over the lockstep pipeline (one pass each).
 PIPELINE_MIN_SPEEDUP = 10.0
+#: Backends that left the lockstep simulator for the batched lane.
+LANE_BACKENDS = ("cf", "baseline", "kway", "samplesort")
+#: Ceiling on their one-tile call time over ``cf-batched``'s.
+BACKEND_MAX_RATIO = 3.0
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -68,6 +80,10 @@ def _write_report(sections: dict) -> None:
     payload = json.loads(path.read_text()) if path.exists() else {}
     payload.update(sections)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _digest(record: dict) -> str:
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
 def _sweep_rows() -> np.ndarray:
@@ -232,9 +248,7 @@ def test_pipeline_batched_speedup(benchmark):
         record = got.as_dict()
         assert record == want.as_dict(), f"segment {k} diverged"
         total.merge(got.total_counters)
-        digests.append(
-            hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
-        )
+        digests.append(_digest(record))
 
     speedup = t_lockstep / t_batched
     attach(
@@ -261,3 +275,65 @@ def test_pipeline_batched_speedup(benchmark):
     })
 
     benchmark.pedantic(run_batched, rounds=1, iterations=1)
+
+
+def test_batched_kway_and_samplesort_match_their_oracles():
+    """Both batched sorts equal their lockstep oracles on every field."""
+    tile = PIPE_U * PIPE_E
+    inputs = [
+        uniform_random(tile - 1, seed=1),
+        uniform_random(6 * tile + 5, seed=2),  # a trailing group of 2 runs
+        uniform_random(5 * tile + 3, seed=3, high=2),  # overflowing buckets
+        uniform_random(9 * tile - 3, seed=4),  # a trailing lone run
+        adversarial(4, PIPE_E, PIPE_U, PIPE_W),
+        adversarial(16, PIPE_E, PIPE_U, PIPE_W),
+    ]
+    sections = {}
+    for name, batched, oracle in (
+        ("kway", batched_kway_sort, kway_sort),
+        ("samplesort", batched_sample_sort, sample_sort),
+    ):
+        args = (KWAY_BACKEND_FANIN,) if name == "kway" else ()
+        total = Counters()
+        digests = []
+        for k, data in enumerate(inputs):
+            got = batched(data, *args, PIPE_E, PIPE_U, PIPE_W)
+            record = got.as_dict()
+            want = oracle(data, *args, PIPE_E, PIPE_U, PIPE_W).as_dict()
+            assert record == want, f"{name} input {k} diverged"
+            total.merge(got.total_counters)
+            digests.append(_digest(record))
+        sections[name] = {
+            "params": {"E": PIPE_E, "u": PIPE_U, "w": PIPE_W},
+            "inputs": [len(data) for data in inputs],
+            "counters_sum": total.as_dict(),
+            "per_input_sha256": digests,
+        }
+    _write_report(sections)
+
+
+def test_backends_one_tile_within_ratio_of_cf_batched(benchmark):
+    """A one-tile call on each lane backend costs <= 3x cf-batched's."""
+    params = SortParams(PIPE_E, PIPE_U)
+    tile = adversarial(1, PIPE_E, PIPE_U, PIPE_W)
+    names = ("cf-batched",) + LANE_BACKENDS
+    best = dict.fromkeys(names, float("inf"))
+    for name in names:
+        get_backend(name)(tile, [0], params, PIPE_W)  # warm the plan cache
+    # Interleaved best-of-k: a slow stretch of a noisy host hits every
+    # backend, and the minimum drops it.
+    for _ in range(15):
+        for name in names:
+            t0 = time.perf_counter()
+            get_backend(name)(tile, [0], params, PIPE_W)
+            best[name] = min(best[name], time.perf_counter() - t0)
+    ratios = {name: best[name] / best["cf-batched"] for name in LANE_BACKENDS}
+    attach(benchmark, **{f"{name}_ratio": round(r, 2) for name, r in ratios.items()})
+    slow = {name: round(r, 2) for name, r in ratios.items() if r > BACKEND_MAX_RATIO}
+    assert not slow, (
+        f"one-tile calls over {BACKEND_MAX_RATIO}x cf-batched "
+        f"({best['cf-batched'] * 1e3:.2f} ms): {slow}"
+    )
+    benchmark.pedantic(
+        lambda: get_backend("kway")(tile, [0], params, PIPE_W), rounds=1, iterations=1
+    )

@@ -24,6 +24,7 @@ from repro.engine.batch import (
     batched_blocksort_profile,
     batched_cf_merge_profile,
     batched_kway_merge_profile,
+    batched_kway_search_profile,
     batched_pointer_merge_profile,
     batched_search_profile,
     batched_serial_merge_profile,
@@ -56,6 +57,7 @@ __all__ = [
     "batched_blocksort_profile",
     "batched_cf_merge_profile",
     "batched_kway_merge_profile",
+    "batched_kway_search_profile",
     "batched_pointer_merge_profile",
     "batched_search_profile",
     "batched_serial_merge_profile",

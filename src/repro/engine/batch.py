@@ -15,7 +15,8 @@ Bit-identity contract: every profile here returns, per tile, exactly the
 shared-memory counters the lockstep simulator reports for that tile
 (:func:`~repro.mergesort.serial_merge.serial_merge_block`,
 :func:`~repro.mergesort.cf.cf_merge_block`,
-:func:`~repro.mergesort.blocksort.blocksort_tile`; cross-validated in
+:func:`~repro.mergesort.blocksort.blocksort_tile`,
+:func:`~repro.mergesort.kway.kway_merge_block`; cross-validated in
 the test-suite, e.g. ``tests/test_engine_batch.py``).
 The accumulator makes warps globally distinct across tiles (warp slot =
 ``tile * ceil(u/w) + tid // w``), so dedup/bincount statistics never mix
@@ -51,6 +52,7 @@ __all__ = [
     "kway_thread_cuts",
     "kway_gather_addresses",
     "batched_kway_merge_profile",
+    "batched_kway_search_profile",
     "fusion_stats",
     "reset_fusion_stats",
 ]
@@ -1423,4 +1425,89 @@ def batched_kway_merge_profile(
     out = acc.to_counters()
     for c in out:
         c.compute_ops = 2 * u * E + ops_per_row * u
+    return out
+
+
+def batched_kway_search_profile(
+    groups: Sequence[Sequence[npt.ArrayLike]], E: int, w: int
+) -> list[Counters]:
+    """CF k-way search counters for same-shape groups, one stacked pass.
+
+    Per group, bit-identical to the *search*-phase counters of
+    :func:`repro.mergesort.kway.kway_merge_block` with ``variant="cf"``
+    and the ``"staged"`` schedule, compute ops included.  Each thread
+    runs one lower-bound bisection per run against its pivot (the merged
+    value just before its diagonal), reading the ``rho``-mapped staged
+    layout.  Along the real probe path the branch at ``mid`` is
+    ``mid < lb`` (``lb`` the pivot's lower bound in that run), so every
+    trajectory replays without data reads.  Every read follows exactly
+    one ``Compute(2)``, so a thread's ``j``-th read falls in lockstep
+    round ``j``, across run boundaries too: the reads are stacked by
+    that ordinal into one accounting pass.
+    """
+    if not groups:
+        raise ParameterError("batched_kway_search_profile needs >= 1 group")
+    k = len(groups[0])
+    T = len(groups)
+    lens = np.empty((T, k), dtype=np.int64)
+    lower: list[IntArray] = []
+    total = -1
+    for t, runs in enumerate(groups):
+        arrays = [np.asarray(r, dtype=np.int64) for r in runs]
+        if len(arrays) != k:
+            raise ParameterError(
+                f"every group must have the same k; got {len(arrays)} and {k}"
+            )
+        lens[t] = [len(a) for a in arrays]
+        if total < 0:
+            total = int(lens[t].sum())
+            if total == 0 or total % E:
+                raise ParameterError(
+                    f"group length {total} must be a positive multiple of E={E}"
+                )
+            u = total // E
+            if u % w:
+                raise ParameterError(f"block width u={u} must be a multiple of w={w}")
+            diagonals = np.maximum(np.arange(u, dtype=np.int64) * E - 1, 0)
+        elif int(lens[t].sum()) != total:
+            raise ParameterError("every group must have the same total length")
+        pivots = np.sort(np.concatenate(arrays))[diagonals]
+        lower.append(
+            np.stack([np.searchsorted(a, pivots, side="left") for a in arrays], axis=1)
+        )
+
+    lb = np.stack(lower)  # (T, u, k)
+    bases = (np.cumsum(lens, axis=1) - lens)[:, None, :]
+    rho_fwd = np.asarray(get_plan("rho", total, E, w)["fwd"])
+    lo = np.zeros((T, u, k), dtype=np.int64)
+    hi = np.broadcast_to(lens[:, None, :], (T, u, k)).copy()
+    live = lo < hi
+    step_addr: list[IntArray] = []
+    step_live: list[BoolArray] = []
+    while live.any():
+        mid = (lo + hi) // 2
+        step_addr.append(rho_fwd[np.where(live, bases + mid, 0)])
+        step_live.append(live)
+        go_right = mid < lb
+        lo = np.where(live & go_right, mid + 1, lo)
+        hi = np.where(live & ~go_right, mid, hi)
+        live = lo < hi
+
+    # A thread's reads of run r follow all its reads of runs < r; within
+    # a run the live steps are a prefix, so step s is read number first + s.
+    alive = np.stack(step_live)  # (steps, T, u, k)
+    per_run = alive.sum(axis=0)
+    first = np.cumsum(per_run, axis=2) - per_run
+    s, t_idx, i_idx, r_idx = np.nonzero(alive)
+    ordinal = first[t_idx, i_idx, r_idx] + s
+    rounds = int(per_run.sum(axis=2).max())
+    round_addr = np.zeros((rounds, T, u), dtype=np.int64)
+    round_live = np.zeros((rounds, T, u), dtype=bool)
+    round_addr[ordinal, t_idx, i_idx] = np.stack(step_addr)[s, t_idx, i_idx, r_idx]
+    round_live[ordinal, t_idx, i_idx] = True
+    acc = BatchCounters(T, u, w)
+    acc.round_many(round_addr, round_live, "read")
+    out = acc.to_counters()
+    for c in out:
+        c.compute_ops = 2 * c.shared_requests
     return out

@@ -14,7 +14,8 @@ Families
     CF-Merge and the Thrust-style baseline vs ``numpy.sort``; the batched
     lane's conflict profile vs the lockstep simulator's counters; the
     batched pipeline's full result (data and every counter) vs both
-    lockstep pipeline results;
+    lockstep pipeline results; the batched k-way sort and sample sort vs
+    their lockstep oracles, on every field;
     ``sort_by_key`` stability against ``numpy.argsort(kind="stable")``;
     every registered service backend on a segmented payload; the
     cluster-sharded engine lane byte-identical (values, counters,
@@ -42,8 +43,8 @@ Families
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Any, Sequence
+from functools import lru_cache, partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -55,10 +56,12 @@ from repro.engine.lane import profile_serial_merges
 from repro.errors import ParameterError
 from repro.fuzz.corpus import Geometry
 from repro.mergesort.by_key import sort_by_key
+from repro.mergesort.kway import KwaySortResult, batched_kway_sort, kway_sort
 from repro.mergesort.merge_path import block_split_from_merge_path
 from repro.mergesort.pipeline import MergesortResult, batched_mergesort, gpu_mergesort
+from repro.mergesort.samplesort import SampleSortResult, batched_sample_sort, sample_sort
 from repro.mergesort.serial_merge import serial_merge_block
-from repro.service.backends import available_backends, get_backend
+from repro.service.backends import KWAY_BACKEND_FANIN, available_backends, get_backend
 
 __all__ = [
     "ORACLE_FAMILIES",
@@ -211,6 +214,17 @@ def _cluster_check(data: Array, geometry: Geometry) -> dict[str, Any]:
     )
 
 
+def _diverged(
+    label: str, want: dict[str, Any], got: dict[str, Any]
+) -> list[str]:
+    """``label:field`` for every field the two ``as_dict`` records differ on."""
+    return [
+        f"{label}:{name}"
+        for name in sorted(set(want) | set(got))
+        if want.get(name) != got.get(name)
+    ]
+
+
 def _batched_pipeline_check(
     data: Array, geometry: Geometry, lockstep: dict[str, MergesortResult]
 ) -> dict[str, Any]:
@@ -222,15 +236,39 @@ def _batched_pipeline_check(
     diverged: list[str] = []
     for variant, want in lockstep.items():
         got = batched_mergesort(data, geometry.E, geometry.u, geometry.w, variant)
-        want_fields, got_fields = want.as_dict(), got.as_dict()
-        diverged += [
-            f"{variant}:{name}"
-            for name in sorted(set(want_fields) | set(got_fields))
-            if want_fields.get(name) != got_fields.get(name)
-        ]
+        diverged += _diverged(variant, want.as_dict(), got.as_dict())
     return _check(
         not diverged,
         f"batched_mergesort vs gpu_mergesort ({', '.join(lockstep)}) over n={len(data)}"
+        + (f"; diverged: {', '.join(diverged)}" if diverged else ""),
+    )
+
+
+def _batched_sort_check(
+    data: Array,
+    geometry: Geometry,
+    label: str,
+    batched: Callable[..., KwaySortResult | SampleSortResult],
+    oracle: Callable[..., KwaySortResult | SampleSortResult],
+) -> dict[str, Any]:
+    """A batched sort equals its lockstep oracle on every ``as_dict`` field.
+
+    Both sorts are called as ``sort(data, E=..., u=..., w=...)``.
+    Geometries the lane rejects skip: non-coprime ``w, E`` (the batched
+    sorts hand those to their oracles) and a non-power-of-two ``u``.
+    """
+    w, E, u = geometry.w, geometry.E, geometry.u
+    if not geometry.coprime:
+        return _skip(f"gcd(E={E}, w={w}) != 1 — {label} runs its oracle")
+    try:
+        got = batched(data, E=E, u=u, w=w)
+    except ParameterError as exc:
+        return _skip(f"batched-lane precondition failed: {exc}")
+    want = oracle(data, E=E, u=u, w=w)
+    diverged = _diverged("cf", want.as_dict(), got.as_dict())
+    return _check(
+        not diverged,
+        f"{label} vs its lockstep oracle over n={len(data)}"
         + (f"; diverged: {', '.join(diverged)}" if diverged else ""),
     )
 
@@ -386,6 +424,14 @@ def evaluate_case(
             )
         checks["differential/batched_pipeline_matches_sim"] = _batched_pipeline_check(
             data, geometry, {"cf": res_cf, "thrust": res_thrust}
+        )
+        checks["differential/batched_kway_matches_sim"] = _batched_sort_check(
+            data, geometry, f"batched_kway_sort (k={KWAY_BACKEND_FANIN})",
+            partial(batched_kway_sort, k=KWAY_BACKEND_FANIN),
+            partial(kway_sort, k=KWAY_BACKEND_FANIN),
+        )
+        checks["differential/batched_samplesort_matches_sim"] = _batched_sort_check(
+            data, geometry, "batched_sample_sort", batched_sample_sort, sample_sort
         )
         checks["differential/by_key_stable"] = _stability_check(data, geometry)
         checks["differential/backends_agree"] = _backends_check(data, geometry)

@@ -28,7 +28,10 @@ conflict *counting* (not the execution) of these kernels as vectorized
 NumPy, bit-identical to the lockstep simulator, so the throughput
 experiments can sweep to the paper's ``n = 2^26 * E`` scales, and
 :func:`~repro.mergesort.pipeline.batched_mergesort` runs the whole
-pipeline on it with every counter equal to :func:`gpu_mergesort`'s.
+pipeline on it with every counter equal to :func:`gpu_mergesort`'s;
+:func:`~repro.mergesort.kway.batched_kway_sort` and
+:func:`~repro.mergesort.samplesort.batched_sample_sort` do the same for
+:func:`kway_sort` and :func:`sample_sort`.
 """
 
 from repro.mergesort.merge_path import (
@@ -47,6 +50,7 @@ from repro.mergesort.blocksort import blocksort_tile
 from repro.mergesort.pipeline import MergesortResult, batched_mergesort, gpu_mergesort
 from repro.mergesort.kway import (
     KwaySortResult,
+    batched_kway_sort,
     kway_level_count,
     kway_merge_block,
     kway_merge_path_search,
@@ -54,7 +58,7 @@ from repro.mergesort.kway import (
     merge_two_runs,
     tournament_merge_runs,
 )
-from repro.mergesort.samplesort import SampleSortResult, sample_sort
+from repro.mergesort.samplesort import SampleSortResult, batched_sample_sort, sample_sort
 
 __all__ = [
     "merge_path_search",
@@ -73,9 +77,11 @@ __all__ = [
     "kway_merge_block",
     "kway_level_count",
     "kway_sort",
+    "batched_kway_sort",
     "KwaySortResult",
     "tournament_merge_runs",
     "merge_two_runs",
     "sample_sort",
+    "batched_sample_sort",
     "SampleSortResult",
 ]

@@ -34,7 +34,15 @@ Three layers, from kernel to driver:
 * :func:`kway_sort` — the full pipeline: blocksort over ``u*E`` tiles,
   then ``ceil(log_k(n_tiles))`` k-way merge levels (vs. the pairwise
   pipeline's ``ceil(log2)``), with the same analytic global-memory
-  accounting as :func:`repro.mergesort.pipeline.gpu_mergesort`.
+  accounting as :func:`repro.mergesort.pipeline.gpu_mergesort`.  As in
+  that module, one host skeleton (padding, k-way cuts, global traffic)
+  takes injected kernels: :func:`kway_sort` runs every block on the
+  lockstep simulator and is the oracle; :func:`batched_kway_sort` runs
+  each level's blocks in batched engine-lane passes
+  (:func:`~repro.engine.batch.batched_kway_search_profile`,
+  :func:`~repro.engine.batch.batched_kway_merge_profile`) and returns
+  the same result on every field, for ``variant="cf"`` and the staged
+  schedule (the ``kway`` service backend's configuration).
 
 * :func:`tournament_merge_runs` — the *pairwise tournament* this module
   shipped before real k-way kernels existed: ``ceil(log2(k))`` levels
@@ -47,23 +55,33 @@ from __future__ import annotations
 
 from collections.abc import Generator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.engine.batch import (
+    batched_kway_merge_profile,
+    batched_kway_search_profile,
     kway_gather_addresses,
     kway_thread_cuts,
     odd_even_sort_rows,
 )
 from repro.engine.plans import get_plan
 from repro.errors import ParameterError
-from repro.mergesort.blocksort import BlocksortStats, blocksort_tile
+from repro.mergesort.blocksort import BlocksortStats
 from repro.mergesort.cf import cf_merge_block
-from repro.mergesort.pipeline import _segments
+from repro.mergesort.pipeline import (
+    BlocksortKernel,
+    _batched_blocksort,
+    _checked_input,
+    _lockstep_blocksort,
+    _segments,
+)
 from repro.mergesort.serial_merge import SENTINEL, serial_merge_block
 from repro.mergesort.stats import MergePhaseStats
+from repro.numtheory import coprime
 from repro.sim.block import ThreadBlock
 from repro.sim.counters import Counters
 from repro.sim.instructions import Compute, Instruction, SharedRead, SharedWrite
@@ -73,6 +91,7 @@ __all__ = [
     "kway_merge_path_search",
     "kway_merge_block",
     "kway_sort",
+    "batched_kway_sort",
     "KwaySortResult",
     "kway_level_count",
     "tournament_merge_runs",
@@ -444,6 +463,158 @@ class KwaySortResult:
             + self.merge_stats.merge.shared_replays
         )
 
+    def as_dict(self) -> dict[str, Any]:
+        """Every field as plain JSON types, counters keyed by phase and level."""
+        out: dict[str, Any] = {
+            "data": self.data.tolist(),
+            "n": self.n,
+            "k": self.k,
+            "variant": self.variant,
+            "schedule": self.schedule,
+            "E": self.E,
+            "u": self.u,
+            "w": self.w,
+            "merge_level_count": self.merge_level_count,
+            "merge_replays": self.merge_replays,
+            "global": self.global_stats.as_dict(),
+        }
+        for phase in ("stage", "search", "merge"):
+            out[f"blocksort.{phase}"] = getattr(self.blocksort_stats, phase).as_dict()
+        for level, stats in enumerate(self.per_level):
+            out[f"level{level}.search"] = stats.search.as_dict()
+            out[f"level{level}.merge"] = stats.merge.as_dict()
+        return out
+
+
+# Kernels a level hands its blocks to: each block is ``k`` run fragments
+# totalling one tile, merged into one ``u*E`` row.
+KwayMergeKernel = Callable[
+    [list[list[IntArray]]], tuple[list[IntArray], MergePhaseStats]
+]
+
+
+def _checked_args(
+    data: npt.ArrayLike, k: int, variant: str, schedule: str, read_policy: str
+) -> IntArray:
+    """Validate what both entry points share; return ``data`` as int64."""
+    if k < 2:
+        raise ParameterError(f"k must be >= 2, got {k}")
+    if schedule not in KWAY_SCHEDULES:
+        raise ParameterError(f"unknown k-way schedule {schedule!r}")
+    if read_policy not in ("bounded", "always"):
+        raise ParameterError(f"unknown read_policy {read_policy!r}")
+    return _checked_input(data, variant)
+
+
+def _kway_sort(
+    values: IntArray,
+    pad: int,
+    k: int,
+    E: int,
+    u: int,
+    w: int,
+    variant: str,
+    schedule: str,
+    blocksort: BlocksortKernel,
+    merge: KwayMergeKernel,
+) -> KwaySortResult:
+    """The skeleton: pad, blocksort, then merge ``k`` runs per group.
+
+    ``pad`` fills the last tile; it must sort after every value.  Each
+    level cuts every group of up to ``k`` runs into ``u*E``-element
+    blocks along the stable k-way merge path and hands all blocks to one
+    ``merge`` call; a lone trailing run is carried to the next level.
+    """
+    n = len(values)
+    result = KwaySortResult(
+        data=np.array([], dtype=np.int64), n=n, k=k, variant=variant,
+        schedule=schedule, E=E, u=u, w=w,
+    )
+    if n == 0:
+        return result
+
+    tile = u * E
+    n_tiles = (n + tile - 1) // tile
+    padded = np.full(n_tiles * tile, pad, dtype=np.int64)
+    padded[:n] = values
+    runs, result.blocksort_stats = blocksort(padded.reshape(n_tiles, tile))
+    # Tile load + store, fully coalesced.
+    result.global_stats.global_read_transactions += n_tiles * (tile // 32 + 1)
+    result.global_stats.global_write_transactions += n_tiles * (tile // 32 + 1)
+
+    while len(runs) > 1:
+        groups = [runs[g : g + k] for g in range(0, len(runs), k)]
+        carried = groups.pop() if len(groups[-1]) == 1 else []
+        blocks: list[list[IntArray]] = []
+        for group in groups:
+            # Row b holds the stable k-way cut at diagonal b*tile.
+            cuts = kway_thread_cuts(group, tile)[0].tolist()
+            # Each inner cut reads one global word per search step per run.
+            steps = (len(cuts) - 2) * _kway_search_steps([len(run) for run in group])
+            result.global_stats.global_read_transactions += steps
+            result.global_stats.global_read_requests += steps
+            for prev, cut in zip(cuts, cuts[1:]):
+                blocks.append([run[p:c] for run, p, c in zip(group, prev, cut)])
+                for p, c in zip(prev, cut):
+                    result.global_stats.global_read_transactions += _segments(p, c)
+                result.global_stats.global_write_transactions += tile // 32
+        merged, level_stats = merge(blocks)
+        runs = []
+        first = 0
+        for group in groups:
+            count = sum(len(run) for run in group) // tile
+            runs.append(np.concatenate(merged[first : first + count]))
+            first += count
+        runs += carried
+        result.per_level.append(level_stats)
+        result.merge_stats.merge_into(level_stats)
+        result.merge_level_count += 1
+
+    result.data = runs[0][:n]
+    return result
+
+
+def _lockstep_merge(
+    blocks: list[list[IntArray]],
+    E: int,
+    w: int,
+    variant: str,
+    schedule: str,
+    simulate_search: bool,
+) -> tuple[list[IntArray], MergePhaseStats]:
+    """One simulated thread block per merge block."""
+    level_stats = MergePhaseStats()
+    merged: list[IntArray] = []
+    for frags in blocks:
+        merged_blk, stats = kway_merge_block(
+            frags, E, w, variant=variant, schedule=schedule,
+            simulate_search=simulate_search,
+        )
+        level_stats.merge_into(stats)
+        merged.append(merged_blk)
+    return merged, level_stats
+
+
+def _batched_merge(
+    blocks: list[list[IntArray]], E: int, w: int
+) -> tuple[list[IntArray], MergePhaseStats]:
+    """One level's blocks in one search pass plus one merge pass per fan-in.
+
+    Only the trailing group of a level can hold fewer than ``k`` runs,
+    so a level makes at most two passes of each kind.
+    """
+    level_stats = MergePhaseStats()
+    by_fanin: dict[int, list[list[IntArray]]] = {}
+    for frags in blocks:
+        by_fanin.setdefault(len(frags), []).append(frags)
+    for same_k in by_fanin.values():
+        for c in batched_kway_search_profile(same_k, E, w):
+            level_stats.search.merge(c)
+        for c in batched_kway_merge_profile(same_k, E, w):
+            level_stats.merge.merge(c)
+    merged = np.sort(np.stack([np.concatenate(frags) for frags in blocks]), axis=1)
+    return list(merged), level_stats
+
 
 def kway_sort(
     data: npt.ArrayLike,
@@ -464,86 +635,46 @@ def kway_sort(
     but each merge level combines up to ``k`` runs per group through
     :func:`kway_merge_block`, so an ``n``-element input needs
     ``ceil(log_k(n / (u*E)))`` levels instead of ``ceil(log2(...))``.
+    Every shared-memory round runs on the lockstep simulator: this is
+    the oracle :func:`batched_kway_sort` is checked against.
     """
-    if k < 2:
-        raise ParameterError(f"k must be >= 2, got {k}")
-    if variant not in ("thrust", "cf"):
-        raise ParameterError(f"unknown variant {variant!r}")
-    if schedule not in KWAY_SCHEDULES:
-        raise ParameterError(f"unknown k-way schedule {schedule!r}")
-    values = np.asarray(data, dtype=np.int64)
-    if values.ndim != 1:
-        raise ParameterError("input must be one-dimensional")
-    n = len(values)
-    result = KwaySortResult(
-        data=np.array([], dtype=np.int64), n=n, k=k, variant=variant,
-        schedule=schedule, E=E, u=u, w=w,
+    values = _checked_args(data, k, variant, schedule, read_policy)
+    return _kway_sort(
+        values, SENTINEL, k, E, u, w, variant, schedule,
+        partial(
+            _lockstep_blocksort, E=E, w=w, variant=variant, read_policy=read_policy
+        ),
+        partial(
+            _lockstep_merge, E=E, w=w, variant=variant, schedule=schedule,
+            simulate_search=simulate_search,
+        ),
     )
-    if n == 0:
-        return result
-    if np.any(values >= SENTINEL):
-        raise ParameterError("input values must be < 2^63 - 1 (padding sentinel)")
 
-    tile = u * E
-    n_tiles = (n + tile - 1) // tile
-    padded = np.full(n_tiles * tile, SENTINEL, dtype=np.int64)
-    padded[:n] = values
 
-    runs: list[IntArray] = []
-    for t in range(n_tiles):
-        chunk = padded[t * tile : (t + 1) * tile]
-        sorted_tile, stats = blocksort_tile(
-            chunk, E, w, variant, read_policy=read_policy
-        )
-        result.blocksort_stats.search.merge(stats.search)
-        result.blocksort_stats.merge.merge(stats.merge)
-        result.blocksort_stats.stage.merge(stats.stage)
-        runs.append(sorted_tile)
-        result.global_stats.global_read_transactions += tile // 32 + 1
-        result.global_stats.global_write_transactions += tile // 32 + 1
+def batched_kway_sort(
+    data: npt.ArrayLike, k: int, E: int, u: int, w: int = 32
+) -> KwaySortResult:
+    """:func:`kway_sort` on the batched engine lane; same result.
 
-    while len(runs) > 1:
-        level_stats = MergePhaseStats()
-        next_runs: list[IntArray] = []
-        for g in range(0, len(runs), k):
-            group = runs[g : g + k]
-            if len(group) == 1:
-                next_runs.append(group[0])
-                continue
-            lens_g = [len(r) for r in group]
-            total_g = sum(lens_g)
-            n_blocks = total_g // tile
-            out = np.empty(total_g, dtype=np.int64)
-            prev = [0] * len(group)
-            for b in range(1, n_blocks + 1):
-                if b < n_blocks:
-                    cut = list(kway_merge_path_search(group, b * tile))
-                    steps = _kway_search_steps(lens_g)
-                    # One global word read per binary-search step per run.
-                    result.global_stats.global_read_transactions += steps
-                    result.global_stats.global_read_requests += steps
-                else:
-                    cut = lens_g
-                frags = [
-                    run[p:c] for run, p, c in zip(group, prev, cut)
-                ]
-                merged_blk, bstats = kway_merge_block(
-                    frags, E, w, variant=variant, schedule=schedule,
-                    simulate_search=simulate_search,
-                )
-                level_stats.merge_into(bstats)
-                out[(b - 1) * tile : b * tile] = merged_blk
-                for p, c in zip(prev, cut):
-                    result.global_stats.global_read_transactions += _segments(p, c)
-                result.global_stats.global_write_transactions += tile // 32
-                prev = cut
-            next_runs.append(out)
-        runs = next_runs
-        result.per_level.append(level_stats)
-        result.merge_stats.merge_into(level_stats)
-        result.merge_level_count += 1
-
-    result.data = runs[0][:n]
+    Every field of the returned :class:`KwaySortResult` equals that of
+    :func:`kway_sort` at its defaults (``variant="cf"``, the ``"staged"``
+    schedule, ``read_policy="bounded"``, searches simulated).  Every
+    tile is blocksorted in one fused lane pass, and each merge level
+    profiles its blocks in one k-way search pass plus one k-way merge
+    pass.  As in :func:`repro.mergesort.pipeline.batched_mergesort`, the
+    lane runs on the dense ranks of the input.  With ``gcd(w, E) > 1``
+    there is no exact lane profile and :func:`kway_sort` runs instead.
+    """
+    values = _checked_args(data, k, "cf", "staged", "bounded")
+    if not coprime(w, E):
+        return kway_sort(values, k, E, u, w)
+    uniq, ranks = np.unique(values, return_inverse=True)
+    result = _kway_sort(
+        ranks.astype(np.int64, copy=False), len(uniq), k, E, u, w, "cf", "staged",
+        partial(_batched_blocksort, E=E, w=w, variant="cf"),
+        partial(_batched_merge, E=E, w=w),
+    )
+    result.data = uniq[result.data]
     return result
 
 

@@ -10,12 +10,16 @@ worst-case bound instead of a probabilistic one: with ``p`` tiles,
 at most ``(s/2 + p)·tile/s`` elements for distinct keys — exactly one
 tile at the default ``s = 2p``, so every bucket fits one blocksort.
 
-Everything data-touching runs on the simulator's blocksort (so the CF
+Everything data-touching runs on the simulated blocksort (so the CF
 variant's zero-conflict guarantee carries over verbatim); the host-side
 splitter selection is charged analytically to the global counters, like
-the merge pipeline's partition searches:
+the merge pipeline's partition searches.  One host skeleton takes the
+kernels: :func:`sample_sort` runs them on the lockstep simulator and is
+the oracle; :func:`batched_sample_sort` sorts all tiles, and then all
+buckets, in one batched engine-lane pass each, with the same result on
+every field (``variant="cf"``, default oversampling):
 
-1. **Tile sort** — each ``u*E`` tile through ``blocksort_tile``.
+1. **Tile sort** — every ``u*E`` tile through the blocksort kernel.
 2. **Sample + splitters** — ``s`` equidistant elements per sorted tile;
    the ``p*s`` samples are sorted and the ``2p - 1`` splitters read off
    the cached ``sample_splitters`` plan ranks.
@@ -24,26 +28,37 @@ the merge pipeline's partition searches:
    coalesced segment); charged as one read + one write pass.
 4. **Bucket sort** — buckets up to one tile are padded and blocksorted;
    oversized buckets (duplicate-heavy inputs defeat the distinct-key
-   bound) fall back to :func:`repro.mergesort.kway.kway_sort` and are
-   counted in ``overflow_buckets``.
+   bound) fall back to :func:`repro.mergesort.kway.kway_sort` (or
+   :func:`~repro.mergesort.kway.batched_kway_sort`) and are counted in
+   ``overflow_buckets``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 import numpy.typing as npt
 
+from repro.engine.batch import pad_and_stack
 from repro.engine.plans import get_plan
 from repro.errors import ParameterError
-from repro.mergesort.blocksort import BlocksortStats, blocksort_tile
-from repro.mergesort.kway import kway_sort
+from repro.mergesort.blocksort import BlocksortStats
+from repro.mergesort.kway import KwaySortResult, batched_kway_sort, kway_sort
+from repro.mergesort.pipeline import (
+    BlocksortKernel,
+    _batched_blocksort,
+    _checked_input,
+    _lockstep_blocksort,
+)
 from repro.mergesort.serial_merge import SENTINEL
 from repro.mergesort.stats import MergePhaseStats
+from repro.numtheory import coprime
 from repro.sim.counters import Counters
 
-__all__ = ["sample_sort", "SampleSortResult"]
+__all__ = ["sample_sort", "batched_sample_sort", "SampleSortResult"]
 
 IntArray = npt.NDArray[np.int64]
 
@@ -108,66 +123,96 @@ class SampleSortResult:
             + self.bucket_merge.merge.shared_replays
         )
 
+    def as_dict(self) -> dict[str, Any]:
+        """Every field as plain JSON types, counters keyed by phase."""
+        out: dict[str, Any] = {
+            "data": self.data.tolist(),
+            "n": self.n,
+            "variant": self.variant,
+            "E": self.E,
+            "u": self.u,
+            "w": self.w,
+            "oversample": self.oversample,
+            "n_tiles": self.n_tiles,
+            "n_buckets": self.n_buckets,
+            "bucket_sizes": list(self.bucket_sizes),
+            "max_bucket": self.max_bucket,
+            "bucket_bound": self.bucket_bound,
+            "overflow_buckets": self.overflow_buckets,
+            "merge_replays": self.merge_replays,
+            "global": self.global_stats.as_dict(),
+            "bucket_merge.search": self.bucket_merge.search.as_dict(),
+            "bucket_merge.merge": self.bucket_merge.merge.as_dict(),
+        }
+        for name in ("tile_blocksort", "bucket_blocksort"):
+            for phase in ("stage", "search", "merge"):
+                out[f"{name}.{phase}"] = getattr(getattr(self, name), phase).as_dict()
+        return out
 
-def sample_sort(
-    data: npt.ArrayLike,
+
+#: Sorts one oversized bucket with the k-way pipeline.
+OverflowSort = Callable[[IntArray], KwaySortResult]
+
+
+def _checked_args(
+    data: npt.ArrayLike, variant: str, oversample: int | None, tile: int
+) -> IntArray:
+    """Validate what both entry points share; return ``data`` as int64."""
+    if oversample is not None:
+        _check_oversample(oversample, tile)
+    return _checked_input(data, variant)
+
+
+def _check_oversample(s: int, tile: int) -> None:
+    """``s`` samples per tile must be even and in ``[2, tile]``."""
+    if not 2 <= s <= tile or s % 2:
+        raise ParameterError(
+            f"oversample {s} must be even and in [2, tile={tile}]"
+        )
+
+
+def _sample_sort(
+    values: IntArray,
+    pad: int,
     E: int,
     u: int,
-    w: int = 32,
-    *,
-    variant: str = "cf",
-    oversample: int | None = None,
+    w: int,
+    variant: str,
+    oversample: int | None,
+    blocksort: BlocksortKernel,
+    overflow: OverflowSort,
 ) -> SampleSortResult:
-    """Sort ``data`` with the deterministic sample-sort pipeline.
+    """The skeleton: tile sort, splitters, scatter, then bucket sorts.
 
-    ``oversample`` is ``s``, the samples taken per sorted tile (must
-    be even: the splitter stride is ``s/2``); the default
-    ``min(2p, tile)`` makes the distinct-key bucket bound exactly one
-    tile.  Geometry constraints are those of
-    :func:`repro.mergesort.blocksort.blocksort_tile` (power-of-two
-    ``u``, multiple of ``w``); violations raise ``ParameterError``.
+    ``pad`` fills the last tile and every bucket row; it must sort after
+    every value.  All tiles go to one ``blocksort`` call, and so do all
+    buckets of at most one tile; each oversized bucket goes to
+    ``overflow``.
     """
-    if variant not in ("thrust", "cf"):
-        raise ParameterError(f"unknown variant {variant!r}")
-    values = np.asarray(data, dtype=np.int64)
-    if values.ndim != 1:
-        raise ParameterError("input must be one-dimensional")
     n = len(values)
     result = SampleSortResult(
         data=np.array([], dtype=np.int64), n=n, variant=variant, E=E, u=u, w=w
     )
     if n == 0:
         return result
-    if np.any(values >= SENTINEL):
-        raise ParameterError("input values must be < 2^63 - 1 (padding sentinel)")
 
     tile = u * E
     p = (n + tile - 1) // tile
     s = oversample if oversample is not None else min(2 * p, tile)
-    if not 2 <= s <= tile or s % 2:
-        raise ParameterError(
-            f"oversample {s} must be even and in [2, tile={tile}]"
-        )
+    _check_oversample(s, tile)
     result.oversample = s
     result.n_tiles = p
     q = 2 * p
     result.n_buckets = q
     result.bucket_bound = (s // 2 + p) * tile // s
 
-    padded = np.full(p * tile, SENTINEL, dtype=np.int64)
+    padded = np.full(p * tile, pad, dtype=np.int64)
     padded[:n] = values
 
     # ---- phase 1: tile blocksort -----------------------------------------
-    sorted_tiles: list[IntArray] = []
-    for t in range(p):
-        chunk = padded[t * tile : (t + 1) * tile]
-        sorted_tile, stats = blocksort_tile(chunk, E, w, variant)
-        result.tile_blocksort.search.merge(stats.search)
-        result.tile_blocksort.merge.merge(stats.merge)
-        result.tile_blocksort.stage.merge(stats.stage)
-        sorted_tiles.append(sorted_tile)
-        result.global_stats.global_read_transactions += tile // 32 + 1
-        result.global_stats.global_write_transactions += tile // 32 + 1
+    sorted_tiles, result.tile_blocksort = blocksort(padded.reshape(p, tile))
+    result.global_stats.global_read_transactions += p * (tile // 32 + 1)
+    result.global_stats.global_write_transactions += p * (tile // 32 + 1)
 
     if p == 1:
         result.n_buckets = 1
@@ -195,7 +240,7 @@ def sample_sort(
 
     # ---- phase 3: bucket scatter -----------------------------------------
     merged_tiles = np.concatenate(sorted_tiles)
-    real = merged_tiles[merged_tiles != SENTINEL]
+    real = merged_tiles[merged_tiles != pad]
     ids = np.searchsorted(splitters, real, side="right")
     # One coalesced read pass + one segmented write pass (per tile, each
     # bucket's slice is contiguous: one segment per non-empty pair).
@@ -214,39 +259,84 @@ def sample_sort(
     result.global_stats.compute_ops += n * max(1, int(q - 1).bit_length())
 
     # ---- phase 4: per-bucket sort ----------------------------------------
-    out_parts: list[IntArray] = []
-    sizes: list[int] = []
-    for b in range(q):
-        bucket = real[ids == b]
-        size = len(bucket)
-        sizes.append(size)
-        if size == 0:
+    buckets: list[IntArray] = [real[ids == b] for b in range(q)]
+    result.bucket_sizes = [len(bucket) for bucket in buckets]
+    result.max_bucket = max(result.bucket_sizes)
+    fits = [b for b, size in enumerate(result.bucket_sizes) if 0 < size <= tile]
+    if fits:
+        rows = pad_and_stack([buckets[b] for b in fits], tile, pad)
+        sorted_rows, result.bucket_blocksort = blocksort(rows)
+        for b, row in zip(fits, sorted_rows):
+            buckets[b] = row[: len(buckets[b])]
+        result.global_stats.global_read_transactions += len(fits) * (tile // 32 + 1)
+        result.global_stats.global_write_transactions += len(fits) * (tile // 32 + 1)
+    for b, bucket in enumerate(buckets):
+        if len(bucket) <= tile:
             continue
-        if size <= tile:
-            chunk = np.full(tile, SENTINEL, dtype=np.int64)
-            chunk[:size] = bucket
-            sorted_bucket, stats = blocksort_tile(chunk, E, w, variant)
-            result.bucket_blocksort.search.merge(stats.search)
-            result.bucket_blocksort.merge.merge(stats.merge)
-            result.bucket_blocksort.stage.merge(stats.stage)
-            out_parts.append(sorted_bucket[:size])
-            result.global_stats.global_read_transactions += tile // 32 + 1
-            result.global_stats.global_write_transactions += tile // 32 + 1
-        else:
-            # Duplicate-heavy inputs can defeat the distinct-key bound;
-            # oversized buckets take the k-way pipeline, fully counted.
-            result.overflow_buckets += 1
-            fallback = kway_sort(
-                bucket, OVERFLOW_FANIN, E, u, w, variant=variant
-            )
-            result.bucket_blocksort.search.merge(fallback.blocksort_stats.search)
-            result.bucket_blocksort.merge.merge(fallback.blocksort_stats.merge)
-            result.bucket_blocksort.stage.merge(fallback.blocksort_stats.stage)
-            result.bucket_merge.merge_into(fallback.merge_stats)
-            result.global_stats.merge(fallback.global_stats)
-            out_parts.append(fallback.data)
+        # Duplicate-heavy inputs can defeat the distinct-key bound;
+        # oversized buckets take the k-way pipeline, fully counted.
+        result.overflow_buckets += 1
+        fallback = overflow(bucket)
+        result.bucket_blocksort.search.merge(fallback.blocksort_stats.search)
+        result.bucket_blocksort.merge.merge(fallback.blocksort_stats.merge)
+        result.bucket_blocksort.stage.merge(fallback.blocksort_stats.stage)
+        result.bucket_merge.merge_into(fallback.merge_stats)
+        result.global_stats.merge(fallback.global_stats)
+        buckets[b] = fallback.data
 
-    result.bucket_sizes = sizes
-    result.max_bucket = max(sizes)
-    result.data = np.concatenate(out_parts)
+    result.data = np.concatenate(buckets)
+    return result
+
+
+def sample_sort(
+    data: npt.ArrayLike,
+    E: int,
+    u: int,
+    w: int = 32,
+    *,
+    variant: str = "cf",
+    oversample: int | None = None,
+) -> SampleSortResult:
+    """Sort ``data`` with the deterministic sample-sort pipeline.
+
+    ``oversample`` is ``s``, the samples taken per sorted tile (must
+    be even: the splitter stride is ``s/2``); the default
+    ``min(2p, tile)`` makes the distinct-key bucket bound exactly one
+    tile.  Geometry constraints are those of
+    :func:`repro.mergesort.blocksort.blocksort_tile` (power-of-two
+    ``u``, multiple of ``w``); violations raise ``ParameterError``.
+    Every shared-memory round runs on the lockstep simulator: this is
+    the oracle :func:`batched_sample_sort` is checked against.
+    """
+    values = _checked_args(data, variant, oversample, u * E)
+    return _sample_sort(
+        values, SENTINEL, E, u, w, variant, oversample,
+        partial(_lockstep_blocksort, E=E, w=w, variant=variant, read_policy="bounded"),
+        partial(kway_sort, k=OVERFLOW_FANIN, E=E, u=u, w=w, variant=variant),
+    )
+
+
+def batched_sample_sort(
+    data: npt.ArrayLike, E: int, u: int, w: int = 32
+) -> SampleSortResult:
+    """:func:`sample_sort` on the batched engine lane; same result.
+
+    Every field of the returned :class:`SampleSortResult` equals that of
+    :func:`sample_sort` at its defaults (``variant="cf"``, default
+    oversampling).  All tiles are blocksorted in one fused lane pass,
+    and so are all buckets of at most one tile; oversized buckets take
+    :func:`repro.mergesort.kway.batched_kway_sort`.  The lane runs on
+    the dense ranks of the input.  With ``gcd(w, E) > 1`` there is no
+    exact lane profile and :func:`sample_sort` runs instead.
+    """
+    values = _checked_args(data, "cf", None, u * E)
+    if not coprime(w, E):
+        return sample_sort(values, E, u, w)
+    uniq, ranks = np.unique(values, return_inverse=True)
+    result = _sample_sort(
+        ranks.astype(np.int64, copy=False), len(uniq), E, u, w, "cf", None,
+        partial(_batched_blocksort, E=E, w=w, variant="cf"),
+        partial(batched_kway_sort, k=OVERFLOW_FANIN, E=E, u=u, w=w),
+    )
+    result.data = uniq[result.data]
     return result

@@ -6,21 +6,15 @@ users express this as a segmented sort.  This module provides the same
 API:
 
 * short segments (at most one tile) are packed with the (segment-id, key)
-  trick into one array — one lockstep pipeline sort
-  (:func:`~repro.mergesort.pipeline.gpu_mergesort`) orders every segment
-  at once;
-* long segments are sorted one batched pipeline call each
-  (:func:`~repro.mergesort.pipeline.batched_mergesort`, whose result
-  equals :func:`~repro.mergesort.pipeline.gpu_mergesort`'s on every
-  field).
+  trick into one array — one pipeline sort orders every segment at once;
+* long segments are sorted one pipeline call each.
 
-The packed short batch stays on the lockstep path: on the batched
-pipeline it would make short ``cf`` and ``baseline`` requests 6-8x
-cheaper than ``kway`` and ``samplesort`` ones, and a service mixing
-those backends then varies widely in throughput from run to run (see
-``docs/PERFORMANCE.md``).
+Both passes run on the batched pipeline
+(:func:`~repro.mergesort.pipeline.batched_mergesort`, whose result
+equals the lockstep :func:`~repro.mergesort.pipeline.gpu_mergesort`'s on
+every field), so the counters are the simulator's without running it.
 
-The CF variant's zero-conflict guarantee is preserved in both paths, and
+The CF variant's zero-conflict guarantee is preserved in both passes, and
 the packing keeps the sort stable per segment.
 """
 
@@ -32,7 +26,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.errors import ParameterError
-from repro.mergesort.pipeline import batched_mergesort, gpu_mergesort
+from repro.mergesort.pipeline import batched_mergesort
 from repro.sim.counters import Counters
 
 __all__ = [
@@ -142,7 +136,7 @@ def segmented_sort(
                 (np.int64(rank) << KEY_BITS) | (data[lo:hi] + KEY_LIMIT)
             )
         packed = np.concatenate(packed_parts)
-        result = gpu_mergesort(packed, E=E, u=u, w=w, variant=variant)
+        result = batched_mergesort(packed, E=E, u=u, w=w, variant=variant)
         total.merge(result.total_counters)
         unpack_segments(out, [result.data], [short])
     return out, total

@@ -27,7 +27,9 @@ from repro.config import RTX_2080_TI, DeviceSpec, SortParams
 from repro.engine.lane import profile_cf_merges, profile_searches, profile_serial_merges
 from repro.errors import ParameterError
 from repro.mergesort.blocksort import blocksort_tile
+from repro.mergesort.pipeline import _batched_blocksort
 from repro.mergesort.register_merge import compare_exchange_count_odd_even
+from repro.numtheory import coprime
 from repro.perf.calibration import DEFAULT_CONSTANTS, CycleConstants
 from repro.perf.cost_model import CostBreakdown, CostModel
 from repro.perf.occupancy import occupancy
@@ -131,14 +133,16 @@ def measure_blocksort_cost(
     samples: int = 2,
     seed: int = 0,
 ) -> Counters:
-    """Measure one tile's blocksort counters with the exact simulator.
+    """Measure one tile's blocksort counters, averaged over sampled tiles.
 
     For the worst-case workload, tiles of the §4 full-input generator are
     used (the construction scrambles tile contents deterministically).
+    The sampled tiles run in one pass of the batched engine lane, with
+    counters equal to the lockstep simulator's; ``cf`` at non-coprime
+    ``(w, E)`` has no exact lane profile and runs ``blocksort_tile``.
     """
     E, u = params.E, params.u
     tile = u * E
-    acc = Counters()
     if workload == "worstcase":
         n_tiles = 2
         data = worstcase_full_input(n_tiles, E, u, w)
@@ -147,9 +151,13 @@ def measure_blocksort_cost(
         tiles = [
             uniform_random(tile, seed=seed + k, high=2**40) for k in range(samples)
         ]
-    for t in tiles:
-        _, stats = blocksort_tile(t, E, w, variant)
-        acc.merge(stats.total)
+    if variant == "cf" and not coprime(w, E):
+        acc = Counters()
+        for t in tiles:
+            _, stats = blocksort_tile(t, E, w, variant)
+            acc.merge(stats.total)
+    else:
+        acc = _batched_blocksort(np.stack(tiles), E, w, variant)[1].total
     return _scale(acc, 1 / len(tiles))
 
 

@@ -9,10 +9,9 @@ by default:
     CF-Merge (the paper's conflict-free variant) through
     :func:`repro.mergesort.segmented.segmented_sort` — zero merge-phase
     bank conflicts for every input, so service latency is
-    input-independent.  Short segments are packed into one lockstep
-    pipeline sort; each segment longer than a tile runs through the
-    batched pipeline, with counters equal to the lockstep simulator's on
-    every field.
+    input-independent.  Short segments are packed into one batched
+    pipeline sort, and each segment longer than a tile gets its own,
+    with counters equal to the lockstep simulator's on every field.
 ``cf-batched``
     The batched engine lane (:mod:`repro.engine.backend`): short
     segments are packed into independent blocksort tiles and the whole
@@ -26,13 +25,15 @@ by default:
     byte-identical to ``cf-batched`` whether the pool runs inline or
     across processes.
 ``kway``
-    The k-way CF pipeline (:func:`repro.mergesort.kway.kway_sort`,
-    fan-in 4): ``log_k`` merge levels instead of ``log_2``, staged
-    conflict-free gather schedule per segment.
+    The k-way CF pipeline on the batched lane
+    (:func:`repro.mergesort.kway.batched_kway_sort`, fan-in 4), one call
+    per segment: ``log_k`` merge levels instead of ``log_2``, staged
+    conflict-free gather schedule.
 ``samplesort``
-    Deterministic sample sort (:func:`repro.mergesort.samplesort.sample_sort`):
-    single partition pass over blocksorted tiles, per-bucket blocksort,
-    k-way fallback for oversized buckets.
+    Deterministic sample sort on the batched lane
+    (:func:`repro.mergesort.samplesort.batched_sample_sort`), one call
+    per segment: single partition pass over blocksorted tiles,
+    per-bucket blocksort, k-way fallback for oversized buckets.
 ``baseline``
     The Thrust-style serial shared-memory merge (variant ``"thrust"``)
     through the same segmented sort, vulnerable to the Section 4
@@ -40,8 +41,13 @@ by default:
 ``numpy``
     ``numpy.sort`` per segment: the pure-host reference oracle.  It
     reports zero simulator counters (nothing is simulated), so it serves
-    as the correctness baseline the two simulated backends are checked
+    as the correctness baseline the simulated backends are checked
     against, not as a cost datapoint.
+
+Every simulated backend reports counters equal, on every field, to the
+lockstep simulator's (``gpu_mergesort``, ``kway_sort``, ``sample_sort``
+and ``blocksort_tile`` stay as the oracles), yet none of them runs it
+at coprime ``(w, E)``; CF at ``gcd(w, E) > 1`` is handed to the oracles.
 
 The registry is open: :func:`register_backend` lets experiments plug in
 new variants without touching the scheduler or the worker pool.
@@ -148,54 +154,58 @@ def _cf_cluster(
 #: Fan-in the ``kway`` backend merges with.
 KWAY_BACKEND_FANIN = 4
 
-
-def _kway_backend(
-    data: npt.NDArray[np.int64],
-    offsets: Sequence[int],
-    params: SortParams,
-    w: int,
-) -> BatchOutcome:
-    """Sort each segment with the k-way CF pipeline (fan-in 4)."""
-    from repro.mergesort.kway import kway_sort
-
-    out = data.copy()
-    counters = Counters()
-    launches = 0
-    bounds = list(offsets) + [len(data)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi == lo:
-            continue
-        result = kway_sort(
-            data[lo:hi], KWAY_BACKEND_FANIN, params.E, params.u, w, variant="cf"
-        )
-        out[lo:hi] = result.data
-        counters.merge(result.total_counters)
-        launches += 1 + result.merge_level_count
-    return BatchOutcome(data=out, counters=counters, launches=max(launches, 1))
+#: Sorts one segment: ``(keys, params, w) -> (sorted, counters, launches)``.
+SegmentSort = Callable[
+    [npt.NDArray[np.int64], SortParams, int],
+    tuple[npt.NDArray[np.int64], Counters, int],
+]
 
 
-def _samplesort_backend(
-    data: npt.NDArray[np.int64],
-    offsets: Sequence[int],
-    params: SortParams,
-    w: int,
-) -> BatchOutcome:
-    """Sort each segment with the deterministic sample-sort pipeline."""
-    from repro.mergesort.samplesort import sample_sort
+def _per_segment_backend(name: str, sort: SegmentSort) -> SortBackend:
+    """Build a backend that sorts each non-empty segment with ``sort``."""
 
-    out = data.copy()
-    counters = Counters()
-    launches = 0
-    bounds = list(offsets) + [len(data)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi == lo:
-            continue
-        result = sample_sort(data[lo:hi], params.E, params.u, w, variant="cf")
-        out[lo:hi] = result.data
-        counters.merge(result.total_counters)
-        # Tile sort, scatter, bucket sort: three launch waves per segment.
-        launches += 3 if result.n_tiles > 1 else 1
-    return BatchOutcome(data=out, counters=counters, launches=max(launches, 1))
+    def run(
+        data: npt.NDArray[np.int64],
+        offsets: Sequence[int],
+        params: SortParams,
+        w: int,
+    ) -> BatchOutcome:
+        """Sort each segment on its own; sum counters and launches."""
+        out = data.copy()
+        counters = Counters()
+        launches = 0
+        bounds = list(offsets) + [len(data)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi == lo:
+                continue
+            out[lo:hi], seg_counters, seg_launches = sort(data[lo:hi], params, w)
+            counters.merge(seg_counters)
+            launches += seg_launches
+        return BatchOutcome(data=out, counters=counters, launches=max(launches, 1))
+
+    run.__name__ = f"{name}_backend"
+    return run
+
+
+def _kway_segment(
+    segment: npt.NDArray[np.int64], params: SortParams, w: int
+) -> tuple[npt.NDArray[np.int64], Counters, int]:
+    """The k-way CF pipeline (fan-in 4): blocksort plus one launch per level."""
+    from repro.mergesort.kway import batched_kway_sort
+
+    result = batched_kway_sort(segment, KWAY_BACKEND_FANIN, params.E, params.u, w)
+    return result.data, result.total_counters, 1 + result.merge_level_count
+
+
+def _samplesort_segment(
+    segment: npt.NDArray[np.int64], params: SortParams, w: int
+) -> tuple[npt.NDArray[np.int64], Counters, int]:
+    """The deterministic sample sort: tile sort, scatter, bucket sort."""
+    from repro.mergesort.samplesort import batched_sample_sort
+
+    result = batched_sample_sort(segment, params.E, params.u, w)
+    # Three launch waves per multi-tile segment, one for a single tile.
+    return result.data, result.total_counters, 3 if result.n_tiles > 1 else 1
 
 
 #: The names every stock service exposes, in dispatch-priority order.
@@ -213,8 +223,8 @@ _REGISTRY: dict[str, SortBackend] = {
     "cf": _simulated_backend("cf"),
     "cf-batched": _cf_batched,
     "cf-cluster": _cf_cluster,
-    "kway": _kway_backend,
-    "samplesort": _samplesort_backend,
+    "kway": _per_segment_backend("kway", _kway_segment),
+    "samplesort": _per_segment_backend("samplesort", _samplesort_segment),
     "baseline": _simulated_backend("thrust"),
     "numpy": _numpy_backend,
 }

@@ -7,6 +7,7 @@ import pytest
 
 from repro.engine.batch import (
     batched_kway_merge_profile,
+    batched_kway_search_profile,
     kway_gather_addresses,
     kway_thread_cuts,
 )
@@ -146,4 +147,29 @@ class TestBatchedKwayIdentity:
         with pytest.raises(ParameterError):
             batched_kway_merge_profile(
                 [_interleaved(2, 80), _interleaved(2, 160)], 5, 8
+            )
+
+
+class TestKwaySearchProfile:
+    @pytest.mark.parametrize("k,E,w,u", [(2, 5, 8, 32), (4, 5, 8, 16), (3, 7, 4, 8)])
+    def test_matches_the_lockstep_search(self, k, E, w, u):
+        rng = np.random.default_rng(k * E + u)
+        groups = []
+        for high in (3, 50, 1 << 20):
+            values = rng.integers(0, high, u * E)
+            cuts = np.sort(rng.integers(0, u * E + 1, k - 1))
+            groups.append([np.sort(part) for part in np.split(values, cuts)])
+        got = batched_kway_search_profile(groups, E, w)
+        for runs, counters in zip(groups, got):
+            _, stats = kway_merge_block(runs, E, w, variant="cf")
+            assert counters.as_dict() == stats.search.as_dict()
+
+    def test_mixed_shapes_rejected(self):
+        with pytest.raises(ParameterError, match="same k"):
+            batched_kway_search_profile(
+                [[np.arange(80)[::2], np.arange(80)[1::2]], [np.arange(80)]], 5, 8
+            )
+        with pytest.raises(ParameterError, match="total length"):
+            batched_kway_search_profile(
+                [[np.arange(40), np.arange(40)], [np.arange(80), np.arange(80)]], 5, 8
             )

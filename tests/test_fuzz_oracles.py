@@ -131,6 +131,8 @@ class TestOracles:
             assert set(result["checks"]) >= {
                 "differential/cf_matches_numpy",
                 "differential/batched_pipeline_matches_sim",
+                "differential/batched_kway_matches_sim",
+                "differential/batched_samplesort_matches_sim",
                 "invariant/cf_zero_merge_replays",
                 "bound/baseline_excess_bounded",
             }
@@ -171,6 +173,44 @@ class TestOracles:
         assert result["failures"] == ["differential/batched_pipeline_matches_sim"]
         assert "cf:level0.merge" in check["detail"]
         assert "thrust:level0.merge" in check["detail"]
+
+    def test_batched_kway_divergence_is_caught(self, monkeypatch):
+        import repro.fuzz.oracles as oracles
+
+        real = oracles.batched_kway_sort
+
+        def off_by_one(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.per_level[-1].search.shared_replays += 1
+            return result
+
+        monkeypatch.setattr(oracles, "batched_kway_sort", off_by_one)
+        result = evaluate_case(uniform_random(G.n, seed=5), G)
+        check = result["checks"]["differential/batched_kway_matches_sim"]
+        assert result["failures"] == ["differential/batched_kway_matches_sim"]
+        assert "cf:level0.search" in check["detail"]
+
+    def test_batched_samplesort_divergence_is_caught(self, monkeypatch):
+        import repro.fuzz.oracles as oracles
+
+        real = oracles.batched_sample_sort
+
+        def off_by_one(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.bucket_blocksort.merge.shared_replays += 1
+            return result
+
+        monkeypatch.setattr(oracles, "batched_sample_sort", off_by_one)
+        result = evaluate_case(uniform_random(G.n, seed=5), G)
+        check = result["checks"]["differential/batched_samplesort_matches_sim"]
+        assert result["failures"] == ["differential/batched_samplesort_matches_sim"]
+        assert "cf:bucket_blocksort.merge" in check["detail"]
+
+    def test_non_coprime_geometry_skips_batched_kway_and_samplesort(self):
+        geometry = Geometry(w=8, E=6, u=16)
+        result = evaluate_case(uniform_random(geometry.n, seed=3), geometry)
+        for name in ("batched_kway_matches_sim", "batched_samplesort_matches_sim"):
+            assert result["checks"][f"differential/{name}"]["skipped"]
 
     def test_short_input_skips_block_level_checks(self):
         result = evaluate_case(np.array([3, 1, 2], dtype=np.int64), G)

@@ -6,8 +6,8 @@ blocksort phase's counters, each merge level's search and merge
 counters, the analytic global traffic, the level count and the merge
 replays.  The serving backends built on it (``cf``,
 ``baseline``, ``cf-batched``, ``cf-cluster``) must in turn report exactly
-what the lockstep composition reports; ``segmented_sort`` keeps its
-packed batch of short segments on the lockstep pipeline.
+what the lockstep composition reports; ``segmented_sort`` runs its long
+segments and its packed batch of short segments on it.
 """
 
 from __future__ import annotations
@@ -220,22 +220,19 @@ class TestBackends:
         assert clustered.counters.as_dict() == batched.counters.as_dict()
         assert clustered.launches == batched.launches
 
-    def test_segmented_sort_batches_only_long_segments(self, monkeypatch):
+    def test_segmented_sort_runs_every_pass_batched(self, monkeypatch):
         calls = []
-        for name in ("batched_mergesort", "gpu_mergesort"):
+        real = segmented.batched_mergesort
 
-            def spy(data, *args, _name=name, _real=getattr(segmented, name), **kwargs):
-                calls.append((_name, len(data)))
-                return _real(data, *args, **kwargs)
+        def spy(data, *args, **kwargs):
+            calls.append(len(data))
+            return real(data, *args, **kwargs)
 
-            monkeypatch.setattr(segmented, name, spy)
+        monkeypatch.setattr(segmented, "batched_mergesort", spy)
         data, offsets = _payload([400, 30, 150, 700], seed=4)
         segmented.segmented_sort(data, offsets, PARAMS.E, PARAMS.u, W, "cf")
-        assert calls == [
-            ("batched_mergesort", 400),
-            ("batched_mergesort", 700),
-            ("gpu_mergesort", 180),
-        ]
+        # Each long segment, then the packed batch of the short ones.
+        assert calls == [400, 700, 180]
 
     @pytest.mark.parametrize("backend,variant", [("cf", "cf"), ("baseline", "thrust")])
     def test_simulated_backends_equal_the_lockstep_composition(self, backend, variant):

@@ -1,0 +1,199 @@
+"""``batched_kway_sort`` and ``batched_sample_sort`` against their oracles.
+
+Each batched sort must return the same result as its lockstep oracle
+(``kway_sort`` / ``sample_sort`` at their defaults) on every field: the
+sorted data and its dtype, each blocksort phase's counters, each merge
+level's search and merge counters, the bucket bookkeeping and the
+analytic global traffic.  The ``kway`` and ``samplesort`` service
+backends built on them must report exactly what the per-segment lockstep
+composition reports, and no stock backend may run the lockstep
+simulator at all.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.config import SortParams
+from repro.errors import ParameterError
+from repro.mergesort import kway as kway_module
+from repro.mergesort.kway import batched_kway_sort, kway_sort
+from repro.mergesort.samplesort import batched_sample_sort, sample_sort
+from repro.mergesort.serial_merge import SENTINEL
+from repro.service.backends import DEFAULT_BACKENDS, KWAY_BACKEND_FANIN, get_backend
+from repro.sim.block import ThreadBlock
+from repro.worstcase import worstcase_full_input
+
+COPRIME = [(5, 32, 8), (3, 8, 4), (7, 16, 16), (5, 16, 8)]
+NON_COPRIME = [(6, 16, 4), (8, 16, 8)]
+
+
+def _lengths(tile: int) -> list[int]:
+    """0, 1, tile-1, tile, tile+1, then 2, 3, 6 and 9 tiles.
+
+    At fan-in 4, 6 and 9 tiles leave a trailing group of 2 and 1 runs.
+    """
+    return [0, 1, tile - 1, tile, tile + 1, 2 * tile, 3 * tile + 7, 6 * tile, 9 * tile - 3]
+
+
+def _data(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.integers(-(10**6), 10**6, n)
+    if kind == "duplicates":
+        return rng.integers(0, 2, n)
+    info = np.iinfo(np.int64)
+    data = rng.integers(info.min, SENTINEL, n, dtype=np.int64)
+    data[: min(n, 3)] = [info.min, SENTINEL - 1, 0][: min(n, 3)]
+    return data
+
+
+def assert_kway_matches(data, k, E, u, w):
+    got = batched_kway_sort(data, k, E, u, w)
+    want = kway_sort(data, k, E, u, w)
+    assert got.as_dict() == want.as_dict()
+    assert got.data.dtype == want.data.dtype
+    return got
+
+
+def assert_samplesort_matches(data, E, u, w):
+    got = batched_sample_sort(data, E, u, w)
+    want = sample_sort(data, E, u, w)
+    assert got.as_dict() == want.as_dict()
+    assert got.data.dtype == want.data.dtype
+    return got
+
+
+class TestBatchedKwaySort:
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("E,u,w", COPRIME)
+    def test_every_length_matches_the_simulator(self, E, u, w, k):
+        for n in _lengths(u * E):
+            data = _data("random", n, seed=E * 100 + u + n)
+            assert_kway_matches(data, k, E, u, w)
+
+    @pytest.mark.parametrize("kind", ["duplicates", "full_range"])
+    def test_structured_inputs(self, kind):
+        data = _data(kind, 6 * 160 + 17, seed=3)
+        assert_kway_matches(data, 4, 5, 32, 8)
+
+    @pytest.mark.parametrize("n_tiles", [2, 4, 8])
+    def test_section4_adversary(self, n_tiles):
+        data = worstcase_full_input(n_tiles, 5, 32, 8)
+        got = assert_kway_matches(data, 4, 5, 32, 8)
+        assert got.merge_replays == 0
+
+    @pytest.mark.parametrize("E,u,w", NON_COPRIME)
+    def test_non_coprime_delegates_to_the_simulator(self, E, u, w, monkeypatch):
+        calls = []
+        real = kway_module.kway_sort
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kway_module, "kway_sort", spy)
+        data = _data("random", 3 * u * E + 5, seed=1)
+        result = batched_kway_sort(data, 4, E, u, w)
+        assert len(calls) == 1
+        assert result.as_dict() == real(data, 4, E, u, w).as_dict()
+
+    def test_rejects_what_the_oracle_rejects(self):
+        with pytest.raises(ParameterError, match="k must be"):
+            batched_kway_sort(np.arange(10), 1, 5, 32, 8)
+        with pytest.raises(ParameterError, match="sentinel"):
+            batched_kway_sort(np.array([1, SENTINEL]), 4, 5, 32, 8)
+        with pytest.raises(ParameterError, match="one-dimensional"):
+            batched_kway_sort(np.zeros((2, 2), dtype=np.int64), 4, 5, 32, 8)
+
+
+class TestBatchedSampleSort:
+    @pytest.mark.parametrize("E,u,w", COPRIME)
+    def test_every_length_matches_the_simulator(self, E, u, w):
+        for n in _lengths(u * E):
+            data = _data("random", n, seed=E * 10 + u + n)
+            assert_samplesort_matches(data, E, u, w)
+
+    @pytest.mark.parametrize("n", [3 * 160 + 1, 5 * 160 + 3, 9 * 160])
+    def test_duplicate_heavy_overflow_buckets(self, n):
+        data = _data("duplicates", n, seed=n)
+        got = assert_samplesort_matches(data, 5, 32, 8)
+        assert got.overflow_buckets > 0
+
+    def test_full_int64_range(self):
+        assert_samplesort_matches(_data("full_range", 4 * 160 + 9, seed=5), 5, 32, 8)
+
+    @pytest.mark.parametrize("n_tiles", [2, 4])
+    def test_section4_adversary(self, n_tiles):
+        data = worstcase_full_input(n_tiles, 5, 32, 8)
+        got = assert_samplesort_matches(data, 5, 32, 8)
+        assert got.merge_replays == 0
+
+    def test_non_coprime_geometry_matches(self):
+        data = _data("random", 3 * 96 + 5, seed=2)
+        assert_samplesort_matches(data, 6, 16, 4)
+
+
+class TestValidationOnEmptyInput:
+    def test_kway_sort_rejects_unknown_read_policy(self):
+        with pytest.raises(ParameterError, match="read_policy"):
+            kway_sort(np.array([], np.int64), 4, 5, 32, 8, read_policy="bogus")
+
+    def test_sample_sort_rejects_odd_oversample(self):
+        with pytest.raises(ParameterError, match="oversample"):
+            sample_sort(np.array([], np.int64), 5, 32, 8, oversample=3)
+
+
+PARAMS = SortParams(5, 32)
+W = 8
+
+
+def _payload(lengths, seed, high=1 << 20):
+    rng = np.random.default_rng(seed)
+    data = rng.integers(-high, high, sum(lengths), dtype=np.int64)
+    offsets = [int(o) for o in np.cumsum([0] + lengths[:-1])]
+    return data, offsets
+
+
+class TestBackends:
+    def test_no_stock_backend_runs_the_lockstep_simulator(self, monkeypatch):
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("ThreadBlock.run called")
+
+        monkeypatch.setattr(ThreadBlock, "run", forbidden)
+        # Short segments, multi-tile segments (one with a trailing k-way
+        # group shorter than the fan-in) and a duplicate-heavy segment
+        # whose sample-sort buckets overflow.
+        data, offsets = _payload([30, 160, 0, 400, 90, 6 * 160 + 5, 700, 12], seed=2)
+        data[offsets[-2]:offsets[-1]] %= 3
+        for name in DEFAULT_BACKENDS:
+            outcome = get_backend(name)(data, offsets, PARAMS, W)
+            bounds = offsets + [len(data)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                assert np.array_equal(outcome.data[lo:hi], np.sort(data[lo:hi])), name
+
+    @pytest.mark.parametrize("backend", ["kway", "samplesort"])
+    def test_backends_equal_the_lockstep_composition(self, backend):
+        data, offsets = _payload([400, 30, 0, 150, 6 * 160 + 5, 90, 700], seed=3)
+        data[offsets[-1]:] %= 3  # the last segment overflows its buckets
+        outcome = get_backend(backend)(data, offsets, PARAMS, W)
+        out = data.copy()
+        counters = None
+        launches = 0
+        bounds = offsets + [len(data)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi == lo:
+                continue
+            if backend == "kway":
+                res = kway_sort(data[lo:hi], KWAY_BACKEND_FANIN, PARAMS.E, PARAMS.u, W)
+                launches += 1 + res.merge_level_count
+            else:
+                res = sample_sort(data[lo:hi], PARAMS.E, PARAMS.u, W)
+                launches += 3 if res.n_tiles > 1 else 1
+            out[lo:hi] = res.data
+            total = res.total_counters
+            counters = total if counters is None else counters + total
+        assert np.array_equal(outcome.data, out)
+        assert outcome.counters.as_dict() == counters.as_dict()
+        assert outcome.launches == launches
