@@ -108,9 +108,8 @@ class DeadlineExceededError(ServiceError):
     """A request's deadline expired before its result (CLI exit code 4).
 
     Raised when a queued request's relative deadline passes before a
-    worker completes its batch; the scheduler drops expired requests at
-    flush time rather than wasting a worker shard on a result nobody is
-    waiting for.
+    shard takes it; the scheduler drops expired requests as it takes
+    them rather than wasting a shard on a result nobody is waiting for.
     """
 
     exit_code = 4

@@ -75,6 +75,7 @@ from repro.mergesort.cf import cf_merge_block
 from repro.mergesort.pipeline import (
     BlocksortKernel,
     _batched_blocksort,
+    _charge_tiles,
     _checked_input,
     _lockstep_blocksort,
     _segments,
@@ -538,9 +539,7 @@ def _kway_sort(
     padded = np.full(n_tiles * tile, pad, dtype=np.int64)
     padded[:n] = values
     runs, result.blocksort_stats = blocksort(padded.reshape(n_tiles, tile))
-    # Tile load + store, fully coalesced.
-    result.global_stats.global_read_transactions += n_tiles * (tile // 32 + 1)
-    result.global_stats.global_write_transactions += n_tiles * (tile // 32 + 1)
+    _charge_tiles(result.global_stats, n_tiles, tile)
 
     while len(runs) > 1:
         groups = [runs[g : g + k] for g in range(0, len(runs), k)]

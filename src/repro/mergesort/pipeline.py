@@ -16,6 +16,10 @@ and differ only in the kernels that count shared-memory traffic:
   :func:`gpu_mergesort`'s on every field; CF at non-coprime ``(w, E)``
   (no exact lane profile there) is delegated to :func:`gpu_mergesort`.
 
+:func:`blocksort_segments` serves many short inputs at once: each gets
+its own tile, and all tiles go through one lane blocksort pass, with the
+counters the one-tile sorts of those inputs would report.
+
 Inputs of arbitrary length are padded to a whole number of tiles with
 ``+inf`` sentinels (Thrust pads likewise); sentinels are stripped from the
 output.
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -46,7 +50,7 @@ from repro.mergesort.stats import MergePhaseStats
 from repro.numtheory import coprime
 from repro.sim.counters import Counters
 
-__all__ = ["gpu_mergesort", "batched_mergesort", "MergesortResult"]
+__all__ = ["gpu_mergesort", "batched_mergesort", "blocksort_segments", "MergesortResult"]
 
 IntArray = npt.NDArray[np.int64]
 Block = tuple[IntArray, IntArray]
@@ -54,6 +58,13 @@ Block = tuple[IntArray, IntArray]
 BlocksortKernel = Callable[[IntArray], tuple[list[IntArray], BlocksortStats]]
 #: Merges one level's ``(A, B)`` blocks: ``-> (merged blocks, level stats)``.
 MergeKernel = Callable[[list[Block]], tuple[list[IntArray], MergePhaseStats]]
+
+
+def _charge_tiles(counters: Counters, n_tiles: int, tile: int) -> None:
+    """Charge ``n_tiles`` fully coalesced tile loads and stores."""
+    transactions = n_tiles * (tile // 32 + 1)
+    counters.global_read_transactions += transactions
+    counters.global_write_transactions += transactions
 
 
 def _segments(lo: int, hi: int, seg: int = 32) -> int:
@@ -162,9 +173,7 @@ def _mergesort(
     padded[:n] = data
 
     runs, result.blocksort_stats = blocksort(padded.reshape(n_tiles, tile))
-    # Tile load + store, fully coalesced.
-    result.global_stats.global_read_transactions += n_tiles * (tile // 32 + 1)
-    result.global_stats.global_write_transactions += n_tiles * (tile // 32 + 1)
+    _charge_tiles(result.global_stats, n_tiles, tile)
 
     while len(runs) > 1:
         blocks: list[Block] = []
@@ -316,6 +325,36 @@ def _batched_merge(
         level_stats.merge.compute_ops = len(blocks) * (2 * u * E + ops * u)
     merged = np.sort(np.stack([np.concatenate(blk) for blk in blocks]), axis=1)
     return list(merged), level_stats
+
+
+def blocksort_segments(
+    segments: Sequence[IntArray], E: int, u: int, w: int
+) -> tuple[list[IntArray], Counters]:
+    """Sort inputs of at most one tile each in one CF lane blocksort pass.
+
+    Each segment fills its own tile with its own dense ranks, padded with
+    the rank past its largest, as a one-tile :func:`batched_mergesort`,
+    ``batched_kway_sort`` or ``batched_sample_sort`` call pads it.  So
+    the returned counters (blocksort phases plus one coalesced load and
+    store per tile) equal the sum of those calls' ``total_counters``
+    with ``variant="cf"``.  Returns the sorted segments and the counters;
+    needs at least one segment and coprime ``(w, E)``.
+    """
+    tile = u * E
+    uniques = []
+    rows = np.empty((len(segments), tile), dtype=np.int64)
+    for row, segment in zip(rows, segments):
+        values, ranks = np.unique(segment, return_inverse=True)
+        row[: len(segment)] = ranks
+        row[len(segment) :] = len(values)
+        uniques.append(values)
+    runs, stats = _batched_blocksort(rows, E, w, "cf")
+    counters = stats.total
+    _charge_tiles(counters, len(rows), tile)
+    return [
+        values[run[: len(segment)]]
+        for values, run, segment in zip(uniques, runs, segments)
+    ], counters
 
 
 def gpu_mergesort(

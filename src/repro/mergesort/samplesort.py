@@ -50,6 +50,7 @@ from repro.mergesort.kway import KwaySortResult, batched_kway_sort, kway_sort
 from repro.mergesort.pipeline import (
     BlocksortKernel,
     _batched_blocksort,
+    _charge_tiles,
     _checked_input,
     _lockstep_blocksort,
 )
@@ -211,8 +212,7 @@ def _sample_sort(
 
     # ---- phase 1: tile blocksort -----------------------------------------
     sorted_tiles, result.tile_blocksort = blocksort(padded.reshape(p, tile))
-    result.global_stats.global_read_transactions += p * (tile // 32 + 1)
-    result.global_stats.global_write_transactions += p * (tile // 32 + 1)
+    _charge_tiles(result.global_stats, p, tile)
 
     if p == 1:
         result.n_buckets = 1
@@ -268,8 +268,7 @@ def _sample_sort(
         sorted_rows, result.bucket_blocksort = blocksort(rows)
         for b, row in zip(fits, sorted_rows):
             buckets[b] = row[: len(buckets[b])]
-        result.global_stats.global_read_transactions += len(fits) * (tile // 32 + 1)
-        result.global_stats.global_write_transactions += len(fits) * (tile // 32 + 1)
+        _charge_tiles(result.global_stats, len(fits), tile)
     for b, bucket in enumerate(buckets):
         if len(bucket) <= tile:
             continue

@@ -84,8 +84,11 @@ class ReplayConfig:
         ``samplesort``, and ``cf-cluster`` alike.
     batch_tiles / batch_requests / shards:
         The :class:`~repro.service.batching.BatchPolicy` dimensions the
-        replay plans with (flush waits are logical, so ``max_wait_s``
-        does not apply).
+        replay plans with.  The replayer is a fixed logical-clock model:
+        windows flush at their end tick and batch ``b`` runs on shard
+        ``b mod shards``.  It no longer mirrors how the live service
+        forms batches (idle shards pulling from the backlog), and these
+        defaults stay fixed whatever the live policy's are.
     window_ticks:
         Arrival-window width on the logical clock; each window flushes
         at its end tick.

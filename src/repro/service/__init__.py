@@ -4,13 +4,13 @@ Many real deployments of GPU mergesort are *services*: lots of small,
 independent sort requests that only become GPU-shaped work once coalesced
 into whole ``u*E``-element tiles.  This subsystem reproduces that shape on
 the paper's simulator stack — typed requests with deadlines
-(:mod:`~repro.service.request`), a micro-batching scheduler with size and
-wait flush triggers (:mod:`~repro.service.scheduler`,
-:mod:`~repro.service.batching`), sharded workers executing each batch
-through the :mod:`repro.runner` executor as a segmented sort
-(:mod:`~repro.service.pool`, :mod:`~repro.service.jobs`), a pluggable
-backend registry (``cf`` / ``baseline`` / ``numpy``,
-:mod:`~repro.service.backends`), bounded-queue backpressure with
+(:mod:`~repro.service.request`), a work-conserving scheduler whose idle
+shard threads cut each batch from the backlog
+(:mod:`~repro.service.scheduler`, :mod:`~repro.service.batching`) and
+execute it through the :mod:`repro.runner` executor
+(:mod:`~repro.service.jobs`), a pluggable backend registry (``cf``,
+``cf-batched``, ``cf-cluster``, ``kway``, ``samplesort``, ``baseline``,
+``numpy``; :mod:`~repro.service.backends`), bounded-queue backpressure with
 load-shedding, and a metrics layer whose snapshots export as RunReport
 artifacts (:mod:`~repro.service.metrics`).
 
@@ -28,7 +28,6 @@ from repro.service.backends import (
 from repro.service.batching import BatchPolicy, MicroBatch, plan_batches
 from repro.service.jobs import batch_job, run_batch
 from repro.service.metrics import METRICS_SCHEMA, BatchRecord, ServiceMetrics
-from repro.service.pool import ShardedWorkerPool
 from repro.service.request import KEY_LIMIT, SortRequest, SortResult
 from repro.service.scheduler import BatchScheduler, PendingRequest
 from repro.service.service import (
@@ -57,7 +56,6 @@ __all__ = [
     "METRICS_SCHEMA",
     "BatchRecord",
     "ServiceMetrics",
-    "ShardedWorkerPool",
     "BatchScheduler",
     "PendingRequest",
     "DEFAULT_PARAMS",

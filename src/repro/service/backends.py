@@ -27,13 +27,19 @@ by default:
 ``kway``
     The k-way CF pipeline on the batched lane
     (:func:`repro.mergesort.kway.batched_kway_sort`, fan-in 4), one call
-    per segment: ``log_k`` merge levels instead of ``log_2``, staged
-    conflict-free gather schedule.
+    per segment longer than a tile: ``log_k`` merge levels instead of
+    ``log_2``, staged conflict-free gather schedule.
 ``samplesort``
     Deterministic sample sort on the batched lane
     (:func:`repro.mergesort.samplesort.batched_sample_sort`), one call
-    per segment: single partition pass over blocksorted tiles,
-    per-bucket blocksort, k-way fallback for oversized buckets.
+    per segment longer than a tile: single partition pass over
+    blocksorted tiles, per-bucket blocksort, k-way fallback for
+    oversized buckets.
+
+    Both blocksort every segment of at most one tile, each in its own
+    tile, in one lane pass
+    (:func:`repro.mergesort.pipeline.blocksort_segments`), with the
+    data, counters and launches of one call per segment.
 ``baseline``
     The Thrust-style serial shared-memory merge (variant ``"thrust"``)
     through the same segmented sort, vulnerable to the Section 4
@@ -63,7 +69,9 @@ import numpy.typing as npt
 
 from repro.config import SortParams
 from repro.errors import ParameterError
+from repro.mergesort.pipeline import blocksort_segments
 from repro.mergesort.segmented import segmented_sort
+from repro.numtheory import coprime
 from repro.sim.counters import Counters
 
 __all__ = [
@@ -162,7 +170,11 @@ SegmentSort = Callable[
 
 
 def _per_segment_backend(name: str, sort: SegmentSort) -> SortBackend:
-    """Build a backend that sorts each non-empty segment with ``sort``."""
+    """Build a backend that sorts each segment longer than a tile with ``sort``.
+
+    Segments of at most one tile share one lane blocksort pass, one
+    launch each; at non-coprime ``(w, E)`` every segment takes ``sort``.
+    """
 
     def run(
         data: npt.NDArray[np.int64],
@@ -170,17 +182,30 @@ def _per_segment_backend(name: str, sort: SegmentSort) -> SortBackend:
         params: SortParams,
         w: int,
     ) -> BatchOutcome:
-        """Sort each segment on its own; sum counters and launches."""
+        """Sort the short segments together, each longer one on its own."""
         out = data.copy()
         counters = Counters()
         launches = 0
+        pack = coprime(w, params.E)
+        short: list[tuple[int, int]] = []
         bounds = list(offsets) + [len(data)]
         for lo, hi in zip(bounds, bounds[1:]):
             if hi == lo:
                 continue
+            if pack and hi - lo <= params.tile_elements:
+                short.append((lo, hi))
+                continue
             out[lo:hi], seg_counters, seg_launches = sort(data[lo:hi], params, w)
             counters.merge(seg_counters)
             launches += seg_launches
+        if short:
+            sorted_short, tile_counters = blocksort_segments(
+                [data[lo:hi] for lo, hi in short], params.E, params.u, w
+            )
+            for (lo, hi), segment in zip(short, sorted_short):
+                out[lo:hi] = segment
+            counters.merge(tile_counters)
+            launches += len(short)
         return BatchOutcome(data=out, counters=counters, launches=max(launches, 1))
 
     run.__name__ = f"{name}_backend"

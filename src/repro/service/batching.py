@@ -2,12 +2,12 @@
 
 The paper's batching insight, applied to serving: one simulated thread
 block sorts a tile of ``u*E`` elements in input-independent time (CF
-variant), so the service packs as many queued requests as fit into a
-whole number of tiles before launching.  This module is the *pure* half
-of the scheduler — given queued requests and a :class:`BatchPolicy`, it
-decides batch boundaries deterministically, with no clocks or threads —
-so the live scheduler, the synchronous client path, and the benchmark
-workers all share one planning function.
+variant), so the service packs the requests queued for one backend into
+whole tiles, up to a cap, before launching.  This module is the *pure*
+half of the scheduler — given queued requests and a :class:`BatchPolicy`,
+it decides batch boundaries deterministically, with no clocks or threads
+— so the live scheduler, the synchronous client path, the replayer and
+the benchmark workers all share one planning function.
 """
 
 from __future__ import annotations
@@ -23,56 +23,37 @@ __all__ = ["BatchPolicy", "MicroBatch", "plan_batches"]
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """The scheduler's knobs: when to flush, how much to queue.
+    """The scheduler's knobs: how large a batch may grow, how much to queue.
 
     Attributes
     ----------
     max_batch_tiles:
-        Batch capacity in whole ``u*E`` tiles; a flush triggers as soon
-        as the queued elements fill it.
+        Batch capacity in whole ``u*E`` tiles; a batch stops growing as
+        soon as its elements fill it.
     max_batch_requests:
-        Flush trigger on request count, whichever comes first.
-    max_wait_s:
-        Oldest-request age that forces a flush of a partial batch (the
-        latency bound traded against fill ratio).
+        Batch capacity in requests, whichever comes first.
     queue_capacity:
         Bounded admission-queue size in *requests*; submissions beyond it
         are shed with :class:`~repro.errors.QueueFullError` (or block,
         under backpressure).
     shards:
-        Worker shards batches are distributed over (``batch_id mod
-        shards``, so placement is deterministic).
-    coalesce_backends:
-        Backends whose under-capacity flushes the scheduler may *retain*
-        across flush boundaries: when another backend triggers a flush,
-        a still-filling batch for one of these backends stays pending
-        (until it fills or its oldest request ages ``max_wait_s``), so
-        the batched engine lane sees maximal same-shape batches.
+        Threads executing batches.  The live service is bound by the
+        interpreter lock, so one is fastest; more let a batch that runs
+        on worker processes (``cf-cluster`` with a process pool) overlap
+        work on other backends.  The logical-clock replayer places batch
+        ``b`` on shard ``b mod shards``.
     """
 
-    max_batch_tiles: int = 4
+    max_batch_tiles: int = 32
     max_batch_requests: int = 64
-    max_wait_s: float = 0.05
     queue_capacity: int = 1024
-    shards: int = 2
-    coalesce_backends: tuple[str, ...] = ("cf-batched", "cf-cluster")
+    shards: int = 1
 
     def __post_init__(self) -> None:
         """Validate every knob's domain."""
         for name in ("max_batch_tiles", "max_batch_requests", "queue_capacity", "shards"):
             if int(getattr(self, name)) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.max_wait_s <= 0:
-            raise ParameterError(f"max_wait_s must be > 0, got {self.max_wait_s}")
-        names = tuple(self.coalesce_backends)
-        for backend in names:
-            if not isinstance(backend, str) or not backend or (
-                not backend.replace("-", "_").isidentifier()
-            ):
-                raise ParameterError(
-                    f"coalesce_backends entries must be backend names, got {backend!r}"
-                )
-        object.__setattr__(self, "coalesce_backends", names)
 
     def capacity_elements(self, params: SortParams) -> int:
         """Batch capacity in elements: ``max_batch_tiles`` whole tiles."""
@@ -83,7 +64,7 @@ class BatchPolicy:
 class MicroBatch:
     """One planned micro-batch: the unit a worker shard executes."""
 
-    #: Monotonically increasing batch identity (also fixes the shard).
+    #: Monotonically increasing batch identity.
     batch_id: int
     #: Backend every request in the batch selected.
     backend: str
@@ -120,7 +101,7 @@ class MicroBatch:
         return elements / (tiles * tile)
 
     def shard_for(self, shards: int) -> int:
-        """Deterministic shard assignment: ``batch_id mod shards``."""
+        """The replayer's deterministic shard assignment: ``batch_id mod shards``."""
         return self.batch_id % shards
 
 

@@ -1,16 +1,16 @@
 """CLI verbs for the sort service: ``repro serve`` and ``repro submit``.
 
-Both verbs drive the *threaded* service (admission gate, scheduler,
-sharded workers) with a deterministic synthetic workload from
-:mod:`repro.service.synthetic`:
+Both verbs drive the *threaded* service (admission gate, shard threads
+pulling batches off the backlog) with a deterministic synthetic workload
+from :mod:`repro.service.synthetic`:
 
 * ``repro submit`` — closed-loop: admit ``--count`` requests under
   backpressure, wait for every result, verify each against
   ``numpy.sort``, and print the latency/batching summary.
 * ``repro serve`` — open-loop smoke: feed the same workload in timed
-  bursts so the scheduler exercises both flush triggers (size *and*
-  wait), then report; ``--selftest`` turns the report into assertions
-  (everything sorted, non-zero batch fill) for CI.
+  bursts, so batches form both from a backlog and from lone requests
+  between bursts, then report; ``--selftest`` turns the report into
+  assertions (everything sorted, non-zero batch fill) for CI.
 
 Failure modes map to distinct exit codes (documented on the exception
 classes in :mod:`repro.errors`): 0 ok, 1 verification failure, 3 queue
@@ -74,7 +74,6 @@ def _policy_from(args: argparse.Namespace) -> BatchPolicy:
     return BatchPolicy(
         max_batch_tiles=args.batch_tiles,
         max_batch_requests=args.batch_requests,
-        max_wait_s=args.max_wait,
         queue_capacity=args.queue_capacity,
         shards=args.shards,
     )
@@ -258,7 +257,7 @@ def run_serve(args: argparse.Namespace) -> int:
                 if snapshots is not None:
                     snapshots.write(client.service.metrics.prometheus())
                 if args.burst_gap > 0:
-                    # Let the wait-trigger flush fire between bursts.
+                    # Let the shards drain the burst before the next one.
                     time.sleep(args.burst_gap)
         results = [t.result(args.timeout) for t in tickets]
         ok, expired, mismatched = _verify(accepted, results)
@@ -299,6 +298,7 @@ def run_serve(args: argparse.Namespace) -> int:
 def add_service_arguments(parser: argparse.ArgumentParser) -> None:
     """Register the serve/submit flag group on the main CLI parser."""
     group = parser.add_argument_group("service (serve/submit)")
+    policy = BatchPolicy()
     group.add_argument(
         "--count", type=int, default=200,
         help="(serve/submit) synthetic requests to issue (default 200)",
@@ -332,24 +332,26 @@ def add_service_arguments(parser: argparse.ArgumentParser) -> None:
         help="(serve/submit) workload synthesis seed (default 0)",
     )
     group.add_argument(
-        "--max-wait", type=float, default=0.05, dest="max_wait",
-        help="(serve/submit) scheduler max batching wait in seconds (default 0.05)",
+        "--batch-tiles", type=int, default=policy.max_batch_tiles, dest="batch_tiles",
+        help="(serve/submit) micro-batch capacity in whole u*E tiles "
+        f"(default {policy.max_batch_tiles})",
     )
     group.add_argument(
-        "--batch-tiles", type=int, default=4, dest="batch_tiles",
-        help="(serve/submit) micro-batch capacity in whole u*E tiles (default 4)",
+        "--batch-requests", type=int, default=policy.max_batch_requests,
+        dest="batch_requests",
+        help="(serve/submit) micro-batch capacity in requests "
+        f"(default {policy.max_batch_requests})",
     )
     group.add_argument(
-        "--batch-requests", type=int, default=64, dest="batch_requests",
-        help="(serve/submit) micro-batch capacity in requests (default 64)",
+        "--queue-capacity", type=int, default=policy.queue_capacity,
+        dest="queue_capacity",
+        help="(serve/submit) admission bound on in-flight requests "
+        f"(default {policy.queue_capacity})",
     )
     group.add_argument(
-        "--queue-capacity", type=int, default=1024, dest="queue_capacity",
-        help="(serve/submit) admission bound on in-flight requests (default 1024)",
-    )
-    group.add_argument(
-        "--shards", type=int, default=2,
-        help="(serve/submit) worker shards executing batches (default 2)",
+        "--shards", type=int, default=policy.shards,
+        help="(serve/submit) shard threads executing batches "
+        f"(default {policy.shards})",
     )
     group.add_argument(
         "--workers-procs", type=int, default=0, dest="workers_procs",

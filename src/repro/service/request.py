@@ -122,7 +122,7 @@ class SortResult:
     batch_id: int = -1
     #: Worker shard that executed the batch (-1 when never executed).
     shard: int = -1
-    #: Seconds spent queued before the batch flushed.
+    #: Seconds spent queued before a shard took the request.
     wait_s: float = 0.0
     #: Seconds spent executing the batch that contained the request.
     service_s: float = 0.0

@@ -1,32 +1,24 @@
-"""The micro-batching scheduler: queued requests -> whole-tile batches.
+"""The work-conserving scheduler: idle shards pull batches off the backlog.
 
-One daemon thread owns the admission queue's consumer side.  It
-accumulates pending requests and flushes them into micro-batches when
-either trigger fires:
+``shards`` daemon threads wait on one :class:`threading.Condition`.  An
+idle shard takes the backend of the oldest pending request and cuts the
+first :func:`~repro.service.batching.plan_batches` batch from that
+backend's queue, in admission order.  Nothing waits for a batch to fill:
+a batch holds one request under light load and grows with the backlog,
+up to ``max_batch_tiles`` whole tiles or ``max_batch_requests``.
 
-* **size** — the pending set fills the batch capacity
-  (``max_batch_tiles`` whole ``u*E`` tiles, or ``max_batch_requests``);
-* **wait** — the oldest pending request has aged ``max_wait_s``.
-
-At flush time, requests whose deadline already passed are expired (the
-``on_expired`` callback) instead of batched — a worker shard is never
-spent on a result nobody is waiting for — and the survivors are split
-into per-backend :class:`~repro.service.batching.MicroBatch` units by
-:func:`~repro.service.batching.plan_batches` and handed to
-``on_batch``.
-
-Backends named in :attr:`BatchPolicy.coalesce_backends` additionally
-coalesce *across* flush boundaries: an under-capacity group whose oldest
-request is still younger than ``max_wait_s`` is retained in the pending
-set instead of dispatched, so the batched engine lane receives maximal
-same-shape batches.  Close-time flushes force-dispatch everything.
+Requests whose deadline already passed are expired (the ``on_expired``
+callback) as the shard takes them, so a shard is never spent on a result
+nobody is waiting for; the batch itself runs through ``on_batch`` on the
+shard that took it.  :meth:`BatchScheduler.close` refuses new requests,
+lets the shards drain everything already queued, and joins them.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,9 +28,6 @@ from repro.service.request import SortRequest
 from repro.telemetry.spans import NULL_TRACER, Tracer
 
 __all__ = ["PendingRequest", "BatchScheduler"]
-
-#: Idle poll granularity of the scheduler loop, seconds.
-_IDLE_POLL_S = 0.05
 
 
 @dataclass
@@ -57,14 +46,22 @@ class PendingRequest:
         return self.deadline_at is not None and time.monotonic() > self.deadline_at
 
 
+#: Runs one batch: ``(batch, its pending requests in order, take time, shard)``.
+BatchHandler = Callable[[MicroBatch, list[PendingRequest], float, int], None]
+
+
 class BatchScheduler:
-    """The scheduler thread: admission queue in, planned batches out."""
+    """Per-backend admission queues drained by ``shards`` pulling threads.
+
+    ``tracer`` (optional, default off) wraps each executed batch in a
+    ``pool.work`` span on the shard's logical track.
+    """
 
     def __init__(
         self,
         policy: BatchPolicy,
         params: SortParams,
-        on_batch: Callable[[MicroBatch, dict[int, PendingRequest], float], None],
+        on_batch: BatchHandler,
         on_expired: Callable[[PendingRequest, float], None],
         tracer: Tracer | None = None,
     ) -> None:
@@ -73,145 +70,95 @@ class BatchScheduler:
         self._on_batch = on_batch
         self._on_expired = on_expired
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._queue: queue.Queue[PendingRequest | None] = queue.Queue()
+        self._cond = threading.Condition()
+        #: Pending requests per backend, in admission order; never empty.
+        self._queues: dict[str, deque[PendingRequest]] = {}
         self._next_batch_id = 0
-        self._closed = threading.Event()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-service-scheduler", daemon=True
-        )
-        self._thread.start()
+        self._closing = False
+        self._threads = [
+            threading.Thread(
+                target=self._shard_loop,
+                args=(shard,),
+                name=f"repro-service-shard-{shard}",
+                daemon=True,
+            )
+            for shard in range(policy.shards)
+        ]
+        for thread in self._threads:
+            thread.start()
 
-    def enqueue(self, pending: PendingRequest) -> None:
-        """Hand one admitted request to the scheduler."""
-        self._queue.put(pending)
-
-    def depth(self) -> int:
-        """Approximate number of requests the scheduler has not flushed."""
-        return self._queue.qsize()
+    def enqueue(self, pending: PendingRequest) -> bool:
+        """Queue one admitted request; ``False`` once :meth:`close` has begun."""
+        with self._cond:
+            if self._closing:
+                return False
+            self._queues.setdefault(pending.request.backend, deque()).append(pending)
+            self._cond.notify()
+        return True
 
     def close(self) -> None:
-        """Flush whatever is pending, then stop and join the thread."""
-        self._queue.put(None)
-        self._thread.join()
-        self._closed.set()
+        """Refuse new requests, drain the queued ones, join every shard."""
+        with self._cond:
+            self._closing = True
+            self._cond.notify_all()
+        for thread in self._threads:
+            thread.join()
 
-    def _should_flush(self, pending: list[PendingRequest], now: float) -> bool:
-        """Size/wait flush decision for the current pending set."""
-        if not pending:
-            return False
-        if len(pending) >= self._policy.max_batch_requests:
-            return True
-        elements = sum(p.request.elements for p in pending)
-        if elements >= self._policy.capacity_elements(self._params):
-            return True
-        oldest = pending[0].submitted_at
-        return now - oldest >= self._policy.max_wait_s
+    def _take(
+        self,
+    ) -> tuple[MicroBatch | None, list[PendingRequest], list[PendingRequest]]:
+        """Cut the oldest backend's first batch; the caller holds the lock.
 
-    def _retain_for_coalescing(
-        self, live: list[PendingRequest], now: float, force: bool
-    ) -> tuple[list[PendingRequest], list[PendingRequest]]:
-        """Split ``live`` into (dispatch-now, retain-across-flush) sets.
-
-        A coalescible backend's whole pending group is retained when it
-        is still under both capacity triggers and its oldest request is
-        younger than ``max_wait_s`` — the next flush sees it again,
-        merged with newer same-backend arrivals, so the engine lane gets
-        maximal same-shape batches.  ``force`` (close-time) dispatches
-        everything.
+        Returns ``(batch, its live requests, the expired ones taken)``;
+        ``batch`` is ``None`` when every request taken had expired.
         """
-        if force or not self._policy.coalesce_backends:
-            return live, []
+        backend = min(self._queues, key=lambda b: self._queues[b][0].submitted_at)
+        queue = self._queues[backend]
         capacity = self._policy.capacity_elements(self._params)
-        groups: dict[str, list[PendingRequest]] = {}
-        for item in live:
-            groups.setdefault(item.request.backend, []).append(item)
-        retained_set = set()
-        for backend, group in groups.items():
-            if backend not in self._policy.coalesce_backends:
-                continue
-            elements = sum(p.request.elements for p in group)
-            aged = now - group[0].submitted_at >= self._policy.max_wait_s
-            if (
-                not aged
-                and elements < capacity
-                and len(group) < self._policy.max_batch_requests
-            ):
-                retained_set.update(id(p) for p in group)
-        dispatch = [p for p in live if id(p) not in retained_set]
-        retained = [p for p in live if id(p) in retained_set]
-        return dispatch, retained
-
-    def _flush(
-        self, pending: list[PendingRequest], *, force: bool = False
-    ) -> list[PendingRequest]:
-        """Expire the dead, batch the rest, dispatch via ``on_batch``.
-
-        Returns the requests *retained* for cross-flush coalescing
-        (under-capacity groups of :attr:`BatchPolicy.coalesce_backends`
-        still younger than ``max_wait_s``); the loop keeps them pending.
-        Batch ids advance only on dispatch, never for retained groups.
-        """
-        flush_time = time.monotonic()
         live: list[PendingRequest] = []
-        for item in pending:
+        expired: list[PendingRequest] = []
+        elements = 0
+        # A prefix at least as long as the first batch: planning it cuts
+        # the same first batch as planning the whole queue would.
+        while queue and len(live) < self._policy.max_batch_requests and elements < capacity:
+            item = queue.popleft()
             if item.expired:
-                self._on_expired(item, flush_time)
+                expired.append(item)
             else:
                 live.append(item)
-        live, retained = self._retain_for_coalescing(live, flush_time, force)
-        if not live:
-            return retained
-        by_id = {item.request.request_id: item for item in live}
-        batches = plan_batches(
-            [item.request for item in live],
-            self._policy,
-            self._params,
-            first_batch_id=self._next_batch_id,
-        )
-        with self._tracer.span(
-            "scheduler.flush",
-            category="service.scheduler",
-            tid=1,
-            args={
-                "pending": len(pending),
-                "expired": len(pending) - len(live),
-                "batches": len(batches),
-            },
-        ):
-            for batch in batches:
-                self._next_batch_id = max(self._next_batch_id, batch.batch_id + 1)
-                members = {
-                    r.request_id: by_id[r.request_id] for r in batch.requests
-                }
-                self._on_batch(batch, members, flush_time)
-        return retained
+                elements += item.request.elements
+        batch: MicroBatch | None = None
+        if live:
+            batch = plan_batches(
+                [item.request for item in live],
+                self._policy,
+                self._params,
+                first_batch_id=self._next_batch_id,
+            )[0]
+            self._next_batch_id += 1
+            queue.extendleft(reversed(live[len(batch.requests) :]))
+            live = live[: len(batch.requests)]
+        if not queue:
+            del self._queues[backend]
+        return batch, live, expired
 
-    def _loop(self) -> None:
-        """Accumulate-and-flush until the close sentinel arrives."""
-        pending: list[PendingRequest] = []
-        closing = False
+    def _shard_loop(self, shard: int) -> None:
+        """Take and run batches until closed and drained."""
         while True:
-            if closing and not pending and self._queue.empty():
-                return
-            if pending:
-                deadline = pending[0].submitted_at + self._policy.max_wait_s
-                timeout = max(0.0, deadline - time.monotonic())
-            else:
-                timeout = _IDLE_POLL_S
-            try:
-                item = self._queue.get(timeout=timeout)
-            except queue.Empty:
-                item = None
-            else:
-                if item is None:
-                    closing = True
-                else:
-                    pending.append(item)
-            now = time.monotonic()
-            if pending and (
-                self._should_flush(pending, now)
-                or (closing and self._queue.empty())
-            ):
-                pending = self._flush(
-                    pending, force=closing and self._queue.empty()
-                )
+            with self._cond:
+                while not self._queues and not self._closing:
+                    self._cond.wait()
+                if not self._queues:
+                    return
+                batch, live, expired = self._take()
+            taken_at = time.monotonic()
+            for item in expired:
+                self._on_expired(item, taken_at)
+            if batch is not None:
+                with self._tracer.span(
+                    "pool.work",
+                    category="service.shard",
+                    tid=shard + 1,
+                    args={"batch_id": batch.batch_id, "expired": len(expired)},
+                ):
+                    self._on_batch(batch, live, taken_at, shard)

@@ -2,10 +2,9 @@
 
 :class:`SortService` wires the subsystem together: a bounded admission
 gate (in-flight request slots — the backpressure contract), the
-micro-batching :class:`~repro.service.scheduler.BatchScheduler`, the
-:class:`~repro.service.pool.ShardedWorkerPool` executing batches through
-the :mod:`repro.runner` executor, and one
-:class:`~repro.service.metrics.ServiceMetrics` accumulator.
+work-conserving :class:`~repro.service.scheduler.BatchScheduler` whose
+shard threads execute batches through the :mod:`repro.runner` executor,
+and one :class:`~repro.service.metrics.ServiceMetrics` accumulator.
 
 :class:`Client` is the ergonomic synchronous surface: ``sort`` one
 array, or ``submit_many`` a whole workload and collect per-request
@@ -28,7 +27,6 @@ from repro.runner.cache import ResultCache
 from repro.service.batching import BatchPolicy, MicroBatch
 from repro.service.jobs import run_batch
 from repro.service.metrics import BatchRecord, ServiceMetrics
-from repro.service.pool import ShardedWorkerPool
 from repro.service.request import SortRequest, SortResult
 from repro.service.scheduler import BatchScheduler, PendingRequest
 from repro.telemetry.spans import NULL_TRACER, Tracer
@@ -115,15 +113,10 @@ class SortService:
         self._tracked: dict[int, _Tracked] = {}
         self._next_request_id = 0
         self._closed = False
-        self._pool: ShardedWorkerPool[
-            tuple[MicroBatch, dict[int, PendingRequest], float]
-        ] = ShardedWorkerPool(
-            self.policy.shards, self._execute_batch, tracer=self.tracer
-        )
         self._scheduler = BatchScheduler(
             self.policy,
             params,
-            on_batch=self._dispatch_batch,
+            on_batch=self._execute_batch,
             on_expired=self._expire,
             tracer=self.tracer,
         )
@@ -147,7 +140,9 @@ class SortService:
         ``block=True`` (backpressure) the call waits up to ``timeout``
         seconds for a slot before raising the same error.  ``kind`` tags
         the request (``"flat"`` or ``"columns"``, see
-        :data:`repro.service.request.REQUEST_KINDS`).
+        :data:`repro.service.request.REQUEST_KINDS`).  A submit that
+        races :meth:`close` past admission raises
+        :class:`~repro.errors.ServiceError` and gives its slot back.
         """
         if self._closed:
             raise ServiceError("service is closed")
@@ -196,8 +191,14 @@ class SortService:
         ):
             if self.recorder is not None:
                 self.recorder.record(request)
-            self.metrics.record_admitted(depth)
-            self._scheduler.enqueue(pending)
+            queued = self._scheduler.enqueue(pending)
+        if not queued:
+            with self._state_lock:
+                del self._tracked[request_id]
+                self._in_flight -= 1
+            self._slots.release()
+            raise ServiceError("service is closed")
+        self.metrics.record_admitted(depth)
         return ticket
 
     @property
@@ -219,46 +220,25 @@ class SortService:
         tracked.ticket._complete(result)
         self._slots.release()
 
-    def _expire(self, pending: PendingRequest, flush_time: float) -> None:
+    def _expire(self, pending: PendingRequest, taken_at: float) -> None:
         """Deadline-expiry path: complete with ``DeadlineExceededError``."""
         self._finish(
             SortResult(
                 request_id=pending.request.request_id,
                 backend=pending.request.backend,
-                wait_s=flush_time - pending.submitted_at,
+                wait_s=taken_at - pending.submitted_at,
                 error="DeadlineExceededError",
             )
         )
 
-    def _dispatch_batch(
+    def _execute_batch(
         self,
         batch: MicroBatch,
-        members: dict[int, PendingRequest],
-        flush_time: float,
+        members: list[PendingRequest],
+        taken_at: float,
+        shard: int,
     ) -> None:
-        """Scheduler callback: route one planned batch to its shard."""
-        shard = batch.shard_for(self._pool.shards)
-        self._pool.dispatch(shard, (batch, members, flush_time))
-
-    def _execute_batch(
-        self, work: tuple[MicroBatch, dict[int, PendingRequest], float]
-    ) -> None:
-        """Worker-shard callback: run one batch and fan results out."""
-        batch, members, flush_time = work
-        # Re-check deadlines: the batch may have queued behind others.
-        live_requests: list[SortRequest] = []
-        for request in batch.requests:
-            pending = members[request.request_id]
-            if pending.expired:
-                self._expire(pending, time.monotonic())
-            else:
-                live_requests.append(request)
-        if not live_requests:
-            return
-        run = MicroBatch(
-            batch_id=batch.batch_id, backend=batch.backend, requests=live_requests
-        )
-        shard = batch.shard_for(self._pool.shards)
+        """Shard callback: run one batch and fan its results out."""
         started = time.monotonic()
         try:
             with self.tracer.span(
@@ -266,28 +246,28 @@ class SortService:
                 category="service",
                 tid=1 + shard,
                 args={
-                    "batch_id": run.batch_id,
-                    "backend": run.backend,
+                    "batch_id": batch.batch_id,
+                    "backend": batch.backend,
                     "shard": shard,
-                    "requests": len(live_requests),
+                    "requests": len(members),
                 },
             ):
-                outcome, stats = run_batch(run, self.params, self.w, cache=self._cache)
+                outcome, stats = run_batch(batch, self.params, self.w, cache=self._cache)
         except Exception:
             # A failing backend fails its own requests, not the shard:
             # completing them releases their admission slots.
             _LOG.exception(
-                "batch %d on backend %r failed", run.batch_id, run.backend
+                "batch %d on backend %r failed", batch.batch_id, batch.backend
             )
             service_s = time.monotonic() - started
-            for request in live_requests:
+            for pending in members:
                 self._finish(
                     SortResult(
-                        request_id=request.request_id,
-                        backend=run.backend,
-                        batch_id=run.batch_id,
+                        request_id=pending.request.request_id,
+                        backend=batch.backend,
+                        batch_id=batch.batch_id,
                         shard=shard,
-                        wait_s=flush_time - members[request.request_id].submitted_at,
+                        wait_s=taken_at - pending.submitted_at,
                         service_s=service_s,
                         error="ServiceError",
                     )
@@ -295,14 +275,14 @@ class SortService:
             return
         service_s = time.monotonic() - started
         tile = self.params.tile_elements
-        elements = run.elements
+        elements = batch.elements
         padded = ((elements + tile - 1) // tile) * tile if elements else 0
         self.metrics.record_batch(
             BatchRecord(
-                batch_id=run.batch_id,
-                backend=run.backend,
+                batch_id=batch.batch_id,
+                backend=batch.backend,
                 shard=shard,
-                requests=len(live_requests),
+                requests=len(members),
                 elements=elements,
                 padded_elements=padded,
                 service_s=service_s,
@@ -311,16 +291,16 @@ class SortService:
             ),
             outcome.counters,
         )
-        for request, offset in zip(live_requests, run.offsets):
-            pending = members[request.request_id]
+        for pending, offset in zip(members, batch.offsets):
+            request = pending.request
             self._finish(
                 SortResult(
                     request_id=request.request_id,
-                    backend=run.backend,
+                    backend=batch.backend,
                     data=outcome.data[offset : offset + request.elements].copy(),
-                    batch_id=run.batch_id,
+                    batch_id=batch.batch_id,
                     shard=shard,
-                    wait_s=flush_time - pending.submitted_at,
+                    wait_s=taken_at - pending.submitted_at,
                     service_s=service_s,
                     batch_replays=outcome.counters.shared_replays,
                 )
@@ -329,12 +309,11 @@ class SortService:
     # ------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Drain: flush pending batches, finish in-flight work, stop threads."""
+        """Drain: refuse new requests, finish every queued one, stop threads."""
         if self._closed:
             return
         self._closed = True
         self._scheduler.close()
-        self._pool.close()
 
     def __enter__(self) -> "SortService":
         """Context-manager entry: the service is already running."""

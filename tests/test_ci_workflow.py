@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.runner import RunReport, compare_reports
+from repro.service import DEFAULT_BACKENDS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = REPO_ROOT / ".github" / "workflows" / "ci.yml"
@@ -122,12 +123,14 @@ def test_smoke_job_runs_quick_suite_and_perf_gate(workflow):
 
 def test_smoke_job_runs_service_selftest(workflow):
     # The service smoke: a mixed random/adversarial batch through every
-    # backend, self-verified output, metrics artifact for upload.
+    # stock backend, self-verified output, metrics artifact for upload.
     steps = _steps_text(workflow["jobs"]["smoke"])
     assert "python -m repro serve" in steps
     assert "--mix mixed" in steps
     assert "--selftest" in steps
     assert "--metrics-out service-metrics.json" in steps
+    backends = steps.split("--backends", 1)[1].split()[0].split(",")
+    assert sorted(backends) == sorted(DEFAULT_BACKENDS)
 
 
 def test_smoke_job_always_uploads_run_reports(workflow):

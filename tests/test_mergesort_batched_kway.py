@@ -6,7 +6,8 @@ sorted data and its dtype, each blocksort phase's counters, each merge
 level's search and merge counters, the bucket bookkeeping and the
 analytic global traffic.  The ``kway`` and ``samplesort`` service
 backends built on them must report exactly what the per-segment lockstep
-composition reports, and no stock backend may run the lockstep
+composition reports, although they blocksort every short segment of a
+batch in one lane pass, and no stock backend may run the lockstep
 simulator at all.
 """
 
@@ -18,11 +19,13 @@ import pytest
 from repro.config import SortParams
 from repro.errors import ParameterError
 from repro.mergesort import kway as kway_module
+from repro.mergesort import pipeline as pipeline_module
 from repro.mergesort.kway import batched_kway_sort, kway_sort
 from repro.mergesort.samplesort import batched_sample_sort, sample_sort
 from repro.mergesort.serial_merge import SENTINEL
 from repro.service.backends import DEFAULT_BACKENDS, KWAY_BACKEND_FANIN, get_backend
 from repro.sim.block import ThreadBlock
+from repro.sim.counters import Counters
 from repro.worstcase import worstcase_full_input
 
 COPRIME = [(5, 32, 8), (3, 8, 4), (7, 16, 16), (5, 16, 8)]
@@ -156,6 +159,53 @@ def _payload(lengths, seed, high=1 << 20):
     return data, offsets
 
 
+#: ``(E, u, w)`` of the batch tests; ``(8, 16, 8)`` is not coprime.
+BATCH_GEOMETRIES = [(5, 32, 8), (5, 16, 8), (7, 64, 32), (8, 16, 8)]
+
+
+def _mixed_batch(E, u, w, seed):
+    """Many short segments plus empty, edge-length, long and hard ones.
+
+    Besides random short segments: empty and one-key segments, tile-1,
+    tile, tile+1 and 2*tile+3 keys, a duplicate-heavy short and long
+    segment, a full-int64-range short segment, and the Section 4
+    adversary tile.
+    """
+    tile = u * E
+    rng = np.random.default_rng(seed)
+    short = [int(n) for n in rng.integers(1, tile + 1, 12)]
+    lengths = [0, 1, tile - 1, tile, tile + 1, 2 * tile + 3] + short + [0, 40, 3 * tile]
+    data, offsets = _payload(lengths, seed)
+    bounds = offsets + [len(data)]
+    dup_short, dup_long = offsets[-2], offsets[-1]
+    data[dup_short : bounds[-2]] %= 3
+    data[dup_long:] %= 3
+    data[offsets[6] : bounds[7]] = _data("full_range", lengths[6], seed)
+    attack = worstcase_full_input(1, E, u, w)
+    data = np.concatenate([data, attack])
+    return data, offsets + [len(data) - len(attack)]
+
+
+def _one_call_per_segment(backend, data, offsets, params, w):
+    """What one ``batched_*`` call per non-empty segment reports."""
+    out = data.copy()
+    counters = Counters()
+    launches = 0
+    bounds = offsets + [len(data)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi == lo:
+            continue
+        if backend == "kway":
+            res = batched_kway_sort(data[lo:hi], KWAY_BACKEND_FANIN, params.E, params.u, w)
+            launches += 1 + res.merge_level_count
+        else:
+            res = batched_sample_sort(data[lo:hi], params.E, params.u, w)
+            launches += 3 if res.n_tiles > 1 else 1
+        out[lo:hi] = res.data
+        counters.merge(res.total_counters)
+    return out, counters, max(launches, 1)
+
+
 class TestBackends:
     def test_no_stock_backend_runs_the_lockstep_simulator(self, monkeypatch):
         def forbidden(self, *args, **kwargs):
@@ -197,3 +247,34 @@ class TestBackends:
         assert np.array_equal(outcome.data, out)
         assert outcome.counters.as_dict() == counters.as_dict()
         assert outcome.launches == launches
+
+    @pytest.mark.parametrize("backend", ["kway", "samplesort"])
+    @pytest.mark.parametrize("E,u,w", BATCH_GEOMETRIES)
+    def test_a_mixed_batch_equals_one_call_per_segment(self, backend, E, u, w):
+        data, offsets = _mixed_batch(E, u, w, seed=E * 100 + u)
+        params = SortParams(E, u)
+        outcome = get_backend(backend)(data, offsets, params, w)
+        out, counters, launches = _one_call_per_segment(backend, data, offsets, params, w)
+        assert np.array_equal(outcome.data, out)
+        assert outcome.data.dtype == out.dtype
+        assert outcome.counters.as_dict() == counters.as_dict()
+        assert outcome.launches == launches
+
+    @pytest.mark.parametrize("backend", ["kway", "samplesort"])
+    def test_one_lane_pass_covers_every_short_segment(self, backend, monkeypatch):
+        passes = []
+        real = pipeline_module._batched_blocksort
+
+        def spy(tiles, *args, **kwargs):
+            passes.append(len(tiles))
+            return real(tiles, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "_batched_blocksort", spy)
+        tile = PARAMS.tile_elements
+        data, offsets = _payload([0, 3, tile, 70, 0, 1, tile - 1, 40, 2 * tile + 3], seed=4)
+        outcome = get_backend(backend)(data, offsets, PARAMS, W)
+        # Six non-empty short segments, one pass; the long one sorts on its own.
+        assert passes == [6]
+        bounds = offsets + [len(data)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            assert np.array_equal(outcome.data[lo:hi], np.sort(data[lo:hi]))

@@ -34,7 +34,8 @@ def _req(rid: int, n: int, backend: str = "cf", seed: int | None = None) -> Sort
 class TestBatchPolicy:
     def test_defaults_valid(self):
         policy = BatchPolicy()
-        assert policy.capacity_elements(PARAMS) == 4 * 40
+        assert policy.capacity_elements(PARAMS) == 32 * 40
+        assert policy.shards == 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -43,8 +44,8 @@ class TestBatchPolicy:
             {"max_batch_requests": 0},
             {"queue_capacity": 0},
             {"shards": 0},
-            {"max_wait_s": 0.0},
-            {"max_wait_s": -1.0},
+            {"max_batch_tiles": -1},
+            {"shards": -1},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):

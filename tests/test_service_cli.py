@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -19,7 +20,7 @@ class TestSubmit:
     def test_submit_verifies_and_exits_zero(self, capsys):
         code = _run(
             ["submit", "--count", "12", "--mix", "mixed",
-             "--backends", "cf,baseline,numpy", "--max-wait", "0.02"]
+             "--backends", "cf,baseline,numpy"]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -29,8 +30,7 @@ class TestSubmit:
     def test_submit_writes_metrics_artifact(self, tmp_path, capsys):
         path = tmp_path / "metrics.json"
         code = _run(
-            ["submit", "--count", "6", "--max-wait", "0.02",
-             "--metrics-out", str(path)]
+            ["submit", "--count", "6", "--metrics-out", str(path)]
         )
         assert code == 0
         report = RunReport.read(path)
@@ -45,21 +45,29 @@ class TestSubmit:
         assert code == 2
         assert "unknown backend" in capsys.readouterr().err
 
-    def test_submit_expired_deadlines_exit_code(self, capsys):
-        # Deadlines far below the batching wait: every request expires and
-        # the process exits with the documented deadline code.
-        code = _run(
-            ["submit", "--count", "3", "--deadline", "0.0005",
-             "--max-wait", "0.3"]
-        )
+    def test_submit_expired_deadlines_exit_code(self, capsys, gated_backend):
+        # One request per batch, and the gate holds the first batch far
+        # past the deadline: the requests queued behind it expire, and the
+        # process exits with the documented deadline code.
+        backend, gate = gated_backend
+        timer = threading.Timer(0.2, gate.set)
+        timer.start()
+        try:
+            code = _run(
+                ["submit", "--count", "3", "--deadline", "0.0005",
+                 "--backends", backend, "--batch-requests", "1"]
+            )
+        finally:
+            timer.cancel()
         assert code == DeadlineExceededError.exit_code
+        assert "expired" in capsys.readouterr().out
 
 
 class TestServe:
     def test_serve_selftest_passes(self, capsys):
         code = _run(
             ["serve", "--count", "20", "--mix", "mixed", "--selftest",
-             "--max-wait", "0.02", "--burst", "8", "--burst-gap", "0.01"]
+             "--burst", "8", "--burst-gap", "0.01"]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -68,7 +76,7 @@ class TestServe:
     def test_serve_writes_metrics_artifact(self, tmp_path):
         path = tmp_path / "serve.json"
         code = _run(
-            ["serve", "--count", "8", "--max-wait", "0.02",
+            ["serve", "--count", "8",
              "--burst-gap", "0", "--metrics-out", str(path)]
         )
         assert code == 0
@@ -83,3 +91,4 @@ class TestParserIntegration:
         assert "serve" in help_text
         assert "submit" in help_text
         assert "--selftest" in help_text
+        assert "--max-wait" not in help_text

@@ -1,7 +1,14 @@
-"""Scheduler flush triggers, expiry at flush time, and the worker pool."""
+"""The work-conserving scheduler: idle shards pull batches off the backlog.
+
+Most tests hold the first batch at a gate: its callback blocks on an
+``Event`` until the test opens it, so later requests queue behind it and
+the test controls exactly what the shard finds when it comes back.  A
+flush here is one batch an idle shard cuts from the backlog.
+"""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -9,190 +16,50 @@ import numpy as np
 
 from repro.config import SortParams
 from repro.service import BatchPolicy, BatchScheduler, PendingRequest, SortRequest
-from repro.service.pool import ShardedWorkerPool
 
 PARAMS = SortParams(E=5, u=8)  # tile = 40
 
 
-class _Collector:
-    """Thread-safe capture of the scheduler's callbacks."""
+class _Gate:
+    """Thread-safe capture of the scheduler's callbacks.
 
-    def __init__(self) -> None:
+    With ``hold=True`` the first batch's callback blocks until
+    :meth:`open` is called; every later batch runs straight through.
+    """
+
+    def __init__(self, hold: bool = True) -> None:
         self.lock = threading.Lock()
-        self.batches = []
-        self.expired = []
-        self.event = threading.Event()
+        self.batches: list[tuple[list[int], str, int, int]] = []
+        self.expired: list[int] = []
+        self.first_started = threading.Event()
+        self._open = threading.Event()
+        if not hold:
+            self._open.set()
 
-    def on_batch(self, batch, members, flush_time) -> None:
+    def on_batch(self, batch, members, taken_at, shard) -> None:
+        assert [p.request for p in members] == batch.requests
         with self.lock:
-            self.batches.append((batch, dict(members), flush_time))
-        self.event.set()
+            self.batches.append(
+                ([r.request_id for r in batch.requests], batch.backend, batch.batch_id, shard)
+            )
+        self.first_started.set()
+        assert self._open.wait(10.0), "gate never opened"
 
-    def on_expired(self, pending, flush_time) -> None:
+    def on_expired(self, pending, taken_at) -> None:
         with self.lock:
-            self.expired.append(pending)
-        self.event.set()
+            self.expired.append(pending.request.request_id)
+
+    def open(self) -> None:
+        self._open.set()
+
+    def ids(self) -> list[list[int]]:
+        with self.lock:
+            return [ids for ids, _, _, _ in self.batches]
 
 
-def _pending(rid: int, n: int, deadline_s: float | None = None) -> PendingRequest:
-    now = time.monotonic()
-    return PendingRequest(
-        request=SortRequest(
-            request_id=rid,
-            data=np.arange(n, dtype=np.int64)[::-1].copy(),
-        ),
-        submitted_at=now,
-        deadline_at=None if deadline_s is None else now + deadline_s,
-    )
-
-
-def _wait_for(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return predicate()
-
-
-class TestFlushTriggers:
-    def test_size_trigger_fires_before_max_wait(self):
-        # max_wait is huge; the request-count trigger must flush alone.
-        collector = _Collector()
-        policy = BatchPolicy(max_batch_requests=4, max_wait_s=30.0)
-        scheduler = BatchScheduler(
-            policy, PARAMS, on_batch=collector.on_batch, on_expired=collector.on_expired
-        )
-        try:
-            started = time.monotonic()
-            for rid in range(4):
-                scheduler.enqueue(_pending(rid, 5))
-            assert _wait_for(lambda: collector.batches)
-            elapsed = time.monotonic() - started
-            assert elapsed < 5.0  # nowhere near max_wait_s
-            with collector.lock:
-                total = sum(len(b.requests) for b, _, _ in collector.batches)
-            assert total == 4
-        finally:
-            scheduler.close()
-
-    def test_element_capacity_trigger(self):
-        # One tile of capacity; two 25-element requests overflow it.
-        collector = _Collector()
-        policy = BatchPolicy(max_batch_tiles=1, max_batch_requests=64, max_wait_s=30.0)
-        scheduler = BatchScheduler(
-            policy, PARAMS, on_batch=collector.on_batch, on_expired=collector.on_expired
-        )
-        try:
-            scheduler.enqueue(_pending(0, 25))
-            scheduler.enqueue(_pending(1, 25))
-            assert _wait_for(lambda: collector.batches)
-        finally:
-            scheduler.close()
-
-    def test_wait_trigger_flushes_partial_batch(self):
-        # Far below both size triggers: only the age trigger can flush.
-        collector = _Collector()
-        policy = BatchPolicy(max_batch_requests=64, max_batch_tiles=8, max_wait_s=0.05)
-        scheduler = BatchScheduler(
-            policy, PARAMS, on_batch=collector.on_batch, on_expired=collector.on_expired
-        )
-        try:
-            scheduler.enqueue(_pending(0, 5))
-            assert _wait_for(lambda: collector.batches, timeout=5.0)
-            with collector.lock:
-                (batch, members, flush_time) = collector.batches[0]
-            assert [r.request_id for r in batch.requests] == [0]
-            assert 0 in members
-        finally:
-            scheduler.close()
-
-    def test_close_flushes_whatever_is_pending(self):
-        collector = _Collector()
-        policy = BatchPolicy(max_batch_requests=64, max_batch_tiles=8, max_wait_s=30.0)
-        scheduler = BatchScheduler(
-            policy, PARAMS, on_batch=collector.on_batch, on_expired=collector.on_expired
-        )
-        scheduler.enqueue(_pending(0, 5))
-        scheduler.enqueue(_pending(1, 5))
-        scheduler.close()  # must not strand the two pending requests
-        total = sum(len(b.requests) for b, _, _ in collector.batches)
-        assert total == 2
-
-    def test_batch_ids_increase_across_flushes(self):
-        collector = _Collector()
-        policy = BatchPolicy(max_batch_requests=1, max_wait_s=30.0)
-        scheduler = BatchScheduler(
-            policy, PARAMS, on_batch=collector.on_batch, on_expired=collector.on_expired
-        )
-        try:
-            for rid in range(3):
-                scheduler.enqueue(_pending(rid, 5))
-            assert _wait_for(lambda: len(collector.batches) == 3)
-            with collector.lock:
-                ids = [b.batch_id for b, _, _ in collector.batches]
-            assert ids == sorted(ids)
-            assert len(set(ids)) == 3
-        finally:
-            scheduler.close()
-
-
-class TestExpiryAtFlush:
-    def test_already_expired_requests_skip_batching(self):
-        collector = _Collector()
-        policy = BatchPolicy(max_batch_requests=2, max_wait_s=30.0)
-        scheduler = BatchScheduler(
-            policy, PARAMS, on_batch=collector.on_batch, on_expired=collector.on_expired
-        )
-        try:
-            dead = _pending(0, 5, deadline_s=0.001)
-            time.sleep(0.01)  # let the deadline lapse before the flush
-            scheduler.enqueue(dead)
-            scheduler.enqueue(_pending(1, 5))
-            assert _wait_for(lambda: collector.expired and collector.batches)
-            with collector.lock:
-                expired_ids = [p.request.request_id for p in collector.expired]
-                batched_ids = [
-                    r.request_id
-                    for b, _, _ in collector.batches
-                    for r in b.requests
-                ]
-            assert expired_ids == [0]
-            assert batched_ids == [1]
-        finally:
-            scheduler.close()
-
-
-class TestShardedWorkerPool:
-    def test_close_drains_dispatched_work(self):
-        done = []
-        lock = threading.Lock()
-
-        def handler(item: int) -> None:
-            time.sleep(0.002)
-            with lock:
-                done.append(item)
-
-        pool: ShardedWorkerPool[int] = ShardedWorkerPool(3, handler)
-        for i in range(30):
-            pool.dispatch(i % 3, i)
-        pool.close()
-        assert sorted(done) == list(range(30))
-
-    def test_fifo_within_a_shard(self):
-        seen: list[int] = []
-
-        def handler(item: int) -> None:
-            seen.append(item)
-
-        pool: ShardedWorkerPool[int] = ShardedWorkerPool(1, handler)
-        for i in range(10):
-            pool.dispatch(0, i)
-        pool.close()
-        assert seen == list(range(10))
-
-
-def _pending_for(rid: int, n: int, backend: str) -> PendingRequest:
+def _pending(
+    rid: int, n: int = 5, backend: str = "cf", deadline_s: float | None = None
+) -> PendingRequest:
     now = time.monotonic()
     return PendingRequest(
         request=SortRequest(
@@ -201,134 +68,181 @@ def _pending_for(rid: int, n: int, backend: str) -> PendingRequest:
             backend=backend,
         ),
         submitted_at=now,
-        deadline_at=None,
+        deadline_at=None if deadline_s is None else now + deadline_s,
     )
 
 
-class TestCrossFlushCoalescing:
-    def test_under_capacity_coalescible_group_is_retained(self):
-        # A cf flush must not drag the still-filling cf-batched group
-        # out with it; the retained group dispatches at close time.
-        collector = _Collector()
-        policy = BatchPolicy(
-            max_batch_requests=2, max_wait_s=30.0,
-            coalesce_backends=("cf-batched",),
-        )
-        scheduler = BatchScheduler(
-            policy, PARAMS, on_batch=collector.on_batch, on_expired=collector.on_expired
-        )
-        scheduler.enqueue(_pending_for(0, 5, "cf-batched"))
-        scheduler.enqueue(_pending_for(1, 5, "cf"))
-        assert _wait_for(lambda: collector.batches)
-        with collector.lock:
-            first = [
-                (b.backend, [r.request_id for r in b.requests])
-                for b, _, _ in collector.batches
-            ]
-        assert first == [("cf", [1])], "cf-batched group should be retained"
-        scheduler.close()  # force-dispatches the retained group
-        backends = [b.backend for b, _, _ in collector.batches]
-        assert backends == ["cf", "cf-batched"]
+def _close(scheduler: BatchScheduler) -> None:
+    """``close()`` with a time bound: it must drain and return."""
+    closer = threading.Thread(target=scheduler.close)
+    closer.start()
+    closer.join(10.0)
+    assert not closer.is_alive(), "close() did not return"
 
-    def test_retained_group_coalesces_with_later_arrivals(self):
-        # The whole point: a request surviving one flush merges with a
-        # newer same-backend request into ONE batch.
-        collector = _Collector()
-        policy = BatchPolicy(
-            max_batch_requests=2, max_wait_s=30.0,
-            coalesce_backends=("cf-batched",),
-        )
+
+def _held(gate: _Gate, policy: BatchPolicy) -> BatchScheduler:
+    """A scheduler whose shard is busy with request 100 at the gate."""
+    scheduler = BatchScheduler(
+        policy, PARAMS, on_batch=gate.on_batch, on_expired=gate.on_expired
+    )
+    assert scheduler.enqueue(_pending(100, backend="gate"))
+    assert gate.first_started.wait(10.0)
+    return scheduler
+
+
+class TestFlushTriggers:
+    def test_idle_shard_takes_a_lone_request_at_once(self):
+        gate = _Gate(hold=False)
         scheduler = BatchScheduler(
-            policy, PARAMS, on_batch=collector.on_batch, on_expired=collector.on_expired
+            BatchPolicy(), PARAMS, on_batch=gate.on_batch, on_expired=gate.on_expired
         )
         try:
-            scheduler.enqueue(_pending_for(0, 5, "cf-batched"))
-            scheduler.enqueue(_pending_for(1, 5, "cf"))  # triggers flush #1
-            assert _wait_for(lambda: collector.batches)
-            scheduler.enqueue(_pending_for(2, 5, "cf-batched"))  # fills the group
-            assert _wait_for(lambda: len(collector.batches) >= 2)
-            with collector.lock:
-                coalesced = [
-                    [r.request_id for r in b.requests]
-                    for b, _, _ in collector.batches
-                    if b.backend == "cf-batched"
-                ]
-            assert coalesced == [[0, 2]], "requests 0 and 2 must share one batch"
+            started = time.monotonic()
+            scheduler.enqueue(_pending(0))
+            # Far below every cap: nothing but an idle shard can take it.
+            assert gate.first_started.wait(10.0)
+            assert time.monotonic() - started < 5.0
+            assert gate.ids() == [[0]]
         finally:
-            scheduler.close()
+            _close(scheduler)
 
-    def test_batch_ids_advance_only_on_dispatch(self):
-        collector = _Collector()
-        policy = BatchPolicy(
-            max_batch_requests=2, max_wait_s=30.0,
-            coalesce_backends=("cf-batched",),
-        )
-        scheduler = BatchScheduler(
-            policy, PARAMS, on_batch=collector.on_batch, on_expired=collector.on_expired
-        )
-        scheduler.enqueue(_pending_for(0, 5, "cf-batched"))  # retained first
-        scheduler.enqueue(_pending_for(1, 5, "cf"))
-        assert _wait_for(lambda: collector.batches)
-        scheduler.close()
-        ids = [b.batch_id for b, _, _ in collector.batches]
-        assert ids == [0, 1], "retention must not burn batch ids"
+    def test_queued_requests_for_one_backend_form_one_batch(self):
+        gate = _Gate()
+        scheduler = _held(gate, BatchPolicy())
+        for rid in range(4):
+            scheduler.enqueue(_pending(rid))
+        gate.open()
+        _close(scheduler)
+        assert gate.ids() == [[100], [0, 1, 2, 3]]
 
-    def test_aged_coalescible_group_dispatches_on_wait_trigger(self):
-        collector = _Collector()
-        policy = BatchPolicy(
-            max_batch_requests=64, max_batch_tiles=8, max_wait_s=0.05,
-            coalesce_backends=("cf-batched",),
-        )
+    def test_request_caps_split_the_backlog(self):
+        gate = _Gate()
+        scheduler = _held(gate, BatchPolicy(max_batch_tiles=64, max_batch_requests=3))
+        for rid in range(8):
+            scheduler.enqueue(_pending(rid))
+        gate.open()
+        _close(scheduler)
+        assert [len(ids) for ids in gate.ids()[1:]] == [3, 3, 2]
+        assert sum(gate.ids()[1:], []) == list(range(8))
+
+    def test_element_capacity_trigger(self):
+        # One tile of capacity (40 elements): 15 + 20 fit, 10 more would
+        # not; then 10 + 30 fill the next tile exactly.
+        gate = _Gate()
+        scheduler = _held(gate, BatchPolicy(max_batch_tiles=1))
+        for rid, n in enumerate([15, 20, 10, 30]):
+            scheduler.enqueue(_pending(rid, n))
+        gate.open()
+        _close(scheduler)
+        assert gate.ids()[1:] == [[0, 1], [2, 3]]
+
+    def test_oldest_backend_goes_first(self):
+        gate = _Gate()
+        scheduler = _held(gate, BatchPolicy())
+        for rid, backend in enumerate(["cf", "numpy", "cf"]):
+            scheduler.enqueue(_pending(rid, backend=backend))
+        gate.open()
+        _close(scheduler)
+        with gate.lock:
+            batches = [(ids, backend) for ids, backend, _, _ in gate.batches[1:]]
+        assert batches == [([0, 2], "cf"), ([1], "numpy")]
+
+    def test_close_flushes_whatever_is_pending(self):
+        gate = _Gate()
+        scheduler = _held(gate, BatchPolicy(max_batch_requests=2))
+        for rid, backend in enumerate(["cf", "numpy", "cf", "kway", "cf"]):
+            scheduler.enqueue(_pending(rid, backend=backend))
+        closer = threading.Thread(target=scheduler.close)
+        closer.start()
+        # close() waits for the drain; new requests are refused meanwhile.
+        probe = 1000
+        deadline = time.monotonic() + 10.0
+        while scheduler.enqueue(_pending(probe)) and time.monotonic() < deadline:
+            probe += 1
+            time.sleep(0.001)
+        gate.open()
+        closer.join(10.0)
+        assert not closer.is_alive()
+        # Everything queued before close() began ran; the refused probe did not.
+        drained = sorted(sum(gate.ids()[1:], []))
+        assert drained == list(range(5)) + list(range(1000, probe))
+
+    def test_batch_ids_increase_across_flushes(self):
+        gate = _Gate()
+        scheduler = _held(gate, BatchPolicy(max_batch_requests=1))
+        for rid in range(3):
+            scheduler.enqueue(_pending(rid))
+        gate.open()
+        _close(scheduler)
+        with gate.lock:
+            batch_ids = [batch_id for _, _, batch_id, _ in gate.batches]
+        assert batch_ids == [0, 1, 2, 3]
+
+    def test_two_shards_run_two_batches_at_once(self):
+        # Each batch waits at a two-party barrier: it only passes if the
+        # other shard is running the other batch at the same time.
+        barrier = threading.Barrier(2, timeout=10.0)
+        seen: list[int] = []
+        lock = threading.Lock()
+
+        def on_batch(batch, members, taken_at, shard) -> None:
+            barrier.wait()
+            with lock:
+                seen.append(shard)
+
         scheduler = BatchScheduler(
-            policy, PARAMS, on_batch=collector.on_batch, on_expired=collector.on_expired
+            BatchPolicy(shards=2), PARAMS, on_batch=on_batch, on_expired=lambda p, t: None
         )
+        scheduler.enqueue(_pending(0, backend="cf"))
+        scheduler.enqueue(_pending(1, backend="numpy"))
+        _close(scheduler)
+        assert sorted(seen) == [0, 1]
+
+    def test_concurrent_submitters_lose_no_request(self):
+        # More threads than cores and a short switch interval: a lost or
+        # doubled update to the shared queues would drop or repeat an id.
+        gate = _Gate(hold=False)
+        scheduler = BatchScheduler(
+            BatchPolicy(max_batch_requests=5, shards=3),
+            PARAMS,
+            on_batch=gate.on_batch,
+            on_expired=gate.on_expired,
+        )
+        backends = ["cf", "numpy", "kway"]
+
+        def submit(worker: int) -> None:
+            for i in range(50):
+                rid = worker * 50 + i
+                assert scheduler.enqueue(_pending(rid, backend=backends[rid % 3]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            scheduler.enqueue(_pending_for(0, 5, "cf-batched"))
-            # No other traffic: only aging can dispatch it.
-            assert _wait_for(lambda: collector.batches, timeout=5.0)
-            with collector.lock:
-                (batch, _, _) = collector.batches[0]
-            assert [r.request_id for r in batch.requests] == [0]
+            submitters = [threading.Thread(target=submit, args=(k,)) for k in range(8)]
+            for thread in submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(10.0)
+                assert not thread.is_alive()
+            _close(scheduler)
         finally:
-            scheduler.close()
-
-    def test_full_coalescible_group_dispatches_immediately(self):
-        collector = _Collector()
-        policy = BatchPolicy(
-            max_batch_requests=2, max_wait_s=30.0,
-            coalesce_backends=("cf-batched",),
-        )
-        scheduler = BatchScheduler(
-            policy, PARAMS, on_batch=collector.on_batch, on_expired=collector.on_expired
-        )
-        try:
-            scheduler.enqueue(_pending_for(0, 5, "cf-batched"))
-            scheduler.enqueue(_pending_for(1, 5, "cf-batched"))  # group full
-            assert _wait_for(lambda: collector.batches)
-            with collector.lock:
-                (batch, _, _) = collector.batches[0]
-            assert [r.request_id for r in batch.requests] == [0, 1]
-        finally:
-            scheduler.close()
+            sys.setswitchinterval(interval)
+        assert sorted(sum(gate.ids(), [])) == list(range(400))
+        with gate.lock:
+            batch_ids = sorted(batch_id for _, _, batch_id, _ in gate.batches)
+            assert all(len(ids) <= 5 for ids, _, _, _ in gate.batches)
+        assert batch_ids == list(range(len(batch_ids)))
 
 
-class TestCoalescePolicyValidation:
-    def test_default_names_the_batched_backends(self):
-        assert BatchPolicy().coalesce_backends == ("cf-batched", "cf-cluster")
-
-    def test_list_is_normalized_to_tuple(self):
-        policy = BatchPolicy(coalesce_backends=["kway"])
-        assert policy.coalesce_backends == ("kway",)
-
-    def test_invalid_backend_names_rejected(self):
-        import pytest
-
-        from repro.errors import ParameterError
-
-        with pytest.raises(ParameterError):
-            BatchPolicy(coalesce_backends=("not a name",))
-        with pytest.raises(ParameterError):
-            BatchPolicy(coalesce_backends=("",))
-
-    def test_empty_tuple_disables_coalescing(self):
-        assert BatchPolicy(coalesce_backends=()).coalesce_backends == ()
+class TestExpiryAtFlush:
+    def test_already_expired_requests_skip_batching(self):
+        gate = _Gate()
+        scheduler = _held(gate, BatchPolicy())
+        scheduler.enqueue(_pending(0, deadline_s=0.001))
+        scheduler.enqueue(_pending(1))
+        time.sleep(0.01)  # the deadline lapses while the shard is busy
+        gate.open()
+        _close(scheduler)
+        with gate.lock:
+            assert gate.expired == [0]
+        assert gate.ids() == [[100], [1]]

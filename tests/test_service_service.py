@@ -29,12 +29,6 @@ def _payloads(count: int, mix: str = "mixed", seed: int = 0):
     return synth_payloads(count, 8, 160, mix, seed, DEFAULT_PARAMS, DEFAULT_W)
 
 
-def _fast_policy(**overrides) -> BatchPolicy:
-    kwargs = dict(max_wait_s=0.02)
-    kwargs.update(overrides)
-    return BatchPolicy(**kwargs)
-
-
 class TestBackendRegistry:
     def test_defaults_registered(self):
         assert set(available_backends()) >= {"cf", "baseline", "numpy"}
@@ -75,7 +69,7 @@ class TestServiceEndToEnd:
     @pytest.mark.parametrize("backend", ["cf", "baseline", "numpy"])
     def test_submit_many_returns_sorted_results(self, backend):
         payloads = _payloads(12)
-        with Client(service=SortService(policy=_fast_policy())) as client:
+        with Client(service=SortService()) as client:
             results = client.submit_many(payloads, backend=backend, timeout=60)
         assert len(results) == len(payloads)
         for payload, result in zip(payloads, results):
@@ -88,7 +82,7 @@ class TestServiceEndToEnd:
         payloads = _payloads(9, seed=5)
         sorted_by_backend = {}
         for backend in ("cf", "baseline", "numpy"):
-            with Client(service=SortService(policy=_fast_policy())) as client:
+            with Client(service=SortService()) as client:
                 results = client.submit_many(payloads, backend=backend, timeout=60)
             sorted_by_backend[backend] = [r.data for r in results]
         for arrays in zip(*sorted_by_backend.values()):
@@ -102,13 +96,48 @@ class TestServiceEndToEnd:
         assert list(out) == [-3, 0, 5, 9]
 
     def test_submit_after_close_raises(self):
-        service = SortService(policy=_fast_policy())
+        service = SortService()
         service.close()
         with pytest.raises(ServiceError):
             service.submit(np.arange(4, dtype=np.int64))
 
+    def test_submit_racing_close_is_refused_not_stranded(self):
+        # The recorder holds submit between admission and enqueue until
+        # close() has run: the late request must be refused, not queued
+        # behind shards that have already exited.
+        class HoldingRecorder:
+            def __init__(self) -> None:
+                self.admitted = threading.Event()
+                self.release = threading.Event()
+
+            def record(self, request) -> None:
+                self.admitted.set()
+                assert self.release.wait(10.0)
+
+        recorder = HoldingRecorder()
+        service = SortService(recorder=recorder)
+        outcome: dict[str, object] = {}
+
+        def submit() -> None:
+            try:
+                outcome["ticket"] = service.submit(np.arange(8, dtype=np.int64))
+            except ServiceError as exc:
+                outcome["error"] = exc
+
+        submitter = threading.Thread(target=submit)
+        submitter.start()
+        assert recorder.admitted.wait(10.0)
+        assert service.in_flight == 1
+        service.close()
+        recorder.release.set()
+        submitter.join(10.0)
+        assert not submitter.is_alive()
+        assert "ticket" not in outcome
+        assert isinstance(outcome["error"], ServiceError)
+        assert service.in_flight == 0
+
     def test_results_report_latency_split(self):
-        with Client(service=SortService(policy=_fast_policy())) as client:
+        with Client(service=SortService()) as client:
             results = client.submit_many(_payloads(4), timeout=60)
         for result in results:
             assert result.wait_s >= 0.0
@@ -117,23 +146,24 @@ class TestServiceEndToEnd:
 
 
 class TestBackpressureAndShedding:
-    def test_load_shedding_when_queue_full(self):
+    def test_load_shedding_when_queue_full(self, gated_backend):
         # Capacity 2, non-blocking: the third concurrent submit must shed.
-        policy = _fast_policy(queue_capacity=2, max_wait_s=5.0)
-        service = SortService(policy=policy)
+        backend, gate = gated_backend
+        service = SortService(policy=BatchPolicy(queue_capacity=2))
         try:
-            service.submit(np.arange(8, dtype=np.int64))
-            service.submit(np.arange(8, dtype=np.int64))
+            service.submit(np.arange(8, dtype=np.int64), backend=backend)
+            service.submit(np.arange(8, dtype=np.int64), backend=backend)
             with pytest.raises(QueueFullError):
-                service.submit(np.arange(8, dtype=np.int64))
+                service.submit(np.arange(8, dtype=np.int64), backend=backend)
             assert service.metrics.snapshot()["requests"]["shed"] == 1
         finally:
+            gate.set()
             service.close()
 
     def test_blocking_submit_waits_for_capacity(self):
         # With block=True the submit rides backpressure instead of shedding:
         # once the in-flight work drains, the blocked submit proceeds.
-        policy = _fast_policy(queue_capacity=2, max_wait_s=0.01)
+        policy = BatchPolicy(queue_capacity=2)
         results: list[SortResult] = []
         with SortService(policy=policy) as service:
             tickets = [
@@ -143,20 +173,22 @@ class TestBackpressureAndShedding:
         assert len(results) == 8
         assert all(r.ok for r in results)
 
-    def test_blocking_submit_times_out_as_queue_full(self):
-        policy = _fast_policy(queue_capacity=1, max_wait_s=10.0)
-        service = SortService(policy=policy)
+    def test_blocking_submit_times_out_as_queue_full(self, gated_backend):
+        backend, gate = gated_backend
+        service = SortService(policy=BatchPolicy(queue_capacity=1))
         try:
-            service.submit(np.arange(8, dtype=np.int64))  # occupies the slot
+            # Occupies the only slot until the gate opens.
+            service.submit(np.arange(8, dtype=np.int64), backend=backend)
             with pytest.raises(QueueFullError):
                 service.submit(
                     np.arange(8, dtype=np.int64), block=True, timeout=0.05
                 )
         finally:
+            gate.set()
             service.close()
 
     def test_in_flight_returns_to_zero(self):
-        with SortService(policy=_fast_policy()) as service:
+        with SortService() as service:
             tickets = [service.submit(p) for p in _payloads(5)]
             for ticket in tickets:
                 ticket.result(30.0)
@@ -171,11 +203,8 @@ def _raising_backend(data, offsets, params, w):
 
 
 @pytest.fixture
-def raising_backend(monkeypatch):
+def raising_backend(isolated_registry):
     """Register a backend that always raises, for this test only."""
-    from repro.service import backends
-
-    monkeypatch.setattr(backends, "_REGISTRY", dict(backends._REGISTRY))
     register_backend("raising", _raising_backend)
     return "raising"
 
@@ -185,14 +214,27 @@ class TestBackendFailure:
     def test_raising_backend_fails_its_requests_not_the_shard(
         self, shards, raising_backend, caplog
     ):
-        service = SortService(policy=_fast_policy(shards=shards))
+        # One request per batch, and every batch waits at a barrier until
+        # each shard holds one: the batches run on every shard at once.
+        barrier = threading.Barrier(shards, timeout=30.0)
+
+        def raise_together(data, offsets, params, w):
+            barrier.wait()
+            return _raising_backend(data, offsets, params, w)
+
+        def sort_together(data, offsets, params, w):
+            barrier.wait()
+            return get_backend("numpy")(data, offsets, params, w)
+
+        register_backend(raising_backend, raise_together)
+        register_backend("together", sort_together)
+        service = SortService(policy=BatchPolicy(max_batch_requests=1, shards=shards))
         try:
-            # One request per batch, so batch ids (and shards) cycle.
-            failed = [
+            tickets = [
                 service.submit(np.arange(8, dtype=np.int64), backend=raising_backend)
-                .result(30.0)
                 for _ in range(shards)
             ]
+            failed = [ticket.result(30.0) for ticket in tickets]
             assert [r.error for r in failed] == ["ServiceError"] * shards
             assert {r.shard for r in failed} == set(range(shards))
             assert all(r.data.size == 0 for r in failed)
@@ -205,11 +247,11 @@ class TestBackendFailure:
             assert "backend exploded" in str(logged[0].exc_info[1])
 
             # Every shard that ran a failing batch still serves.
-            later = [
-                service.submit(np.arange(8, 0, -1, dtype=np.int64), backend="numpy")
-                .result(30.0)
+            tickets = [
+                service.submit(np.arange(8, 0, -1, dtype=np.int64), backend="together")
                 for _ in range(shards)
             ]
+            later = [ticket.result(30.0) for ticket in tickets]
             assert all(r.ok for r in later)
             assert {r.shard for r in later} == set(range(shards))
             assert all(list(r.data) == list(range(1, 9)) for r in later)
@@ -225,8 +267,7 @@ class TestBackendFailure:
     def test_whole_failing_batch_releases_every_slot(self, raising_backend):
         # A batch of several requests fails as a unit, and the slots it
         # held are free again for blocking submits.
-        policy = _fast_policy(queue_capacity=4, max_wait_s=0.05)
-        with SortService(policy=policy) as service:
+        with SortService(policy=BatchPolicy(queue_capacity=4)) as service:
             tickets = [
                 service.submit(p, backend=raising_backend, block=True, timeout=30.0)
                 for p in _payloads(4)
@@ -241,14 +282,18 @@ class TestBackendFailure:
 
 
 class TestDeadlines:
-    def test_expired_deadline_yields_error_result(self):
-        # A deadline far shorter than the batching wait: the request must
-        # come back as DeadlineExceededError, not as sorted data.
-        policy = _fast_policy(max_wait_s=0.3)
-        with SortService(policy=policy) as service:
+    def test_expired_deadline_yields_error_result(self, gated_backend):
+        # The deadline lapses while the only shard is busy at the gate:
+        # the request must come back as DeadlineExceededError, not as
+        # sorted data.
+        backend, gate = gated_backend
+        with SortService() as service:
+            service.submit(np.arange(8, dtype=np.int64), backend=backend)
             ticket = service.submit(
                 np.arange(16, dtype=np.int64), deadline_s=0.001
             )
+            time.sleep(0.01)
+            gate.set()
             result = ticket.result(30.0)
         assert not result.ok
         assert result.error == "DeadlineExceededError"
@@ -256,22 +301,26 @@ class TestDeadlines:
             result.raise_if_failed()
 
     def test_generous_deadline_completes(self):
-        with SortService(policy=_fast_policy()) as service:
+        with SortService() as service:
             ticket = service.submit(np.arange(16, dtype=np.int64), deadline_s=30.0)
             result = ticket.result(30.0)
         assert result.ok
 
-    def test_expiry_counted_in_metrics(self):
-        policy = _fast_policy(max_wait_s=0.3)
-        with SortService(policy=policy) as service:
-            service.submit(np.arange(8, dtype=np.int64), deadline_s=0.001).result(30.0)
+    def test_expiry_counted_in_metrics(self, gated_backend):
+        backend, gate = gated_backend
+        with SortService() as service:
+            service.submit(np.arange(8, dtype=np.int64), backend=backend)
+            ticket = service.submit(np.arange(8, dtype=np.int64), deadline_s=0.001)
+            time.sleep(0.01)
+            gate.set()
+            ticket.result(30.0)
             snap = service.metrics.snapshot()
         assert snap["requests"]["expired"] == 1
 
 
 class TestMetrics:
     def test_snapshot_schema(self):
-        with Client(service=SortService(policy=_fast_policy())) as client:
+        with Client(service=SortService()) as client:
             client.submit_many(_payloads(10), timeout=60)
             snap = client.metrics_snapshot()
         assert snap["schema"] == METRICS_SCHEMA
@@ -302,7 +351,7 @@ class TestMetrics:
         assert snap["counters"]["shared_replays"] >= 0
 
     def test_to_run_report_round_trips(self, tmp_path):
-        with Client(service=SortService(policy=_fast_policy())) as client:
+        with Client(service=SortService()) as client:
             client.submit_many(_payloads(6), timeout=60)
             report = client.service.metrics.to_run_report()
         path = report.write(tmp_path / "service.json")
