@@ -1,12 +1,16 @@
 """The batched-engine acceptance benchmark: plan-cached batching vs loops.
 
-Times one batched pass of the vectorized lane (:mod:`repro.engine.batch`)
-against the same lane called once per tile (T=1) on the acceptance sweep
-— 256 blocksort tiles at E=16, u=256, w=32 (n = 2^20 keys) — and asserts
-the speedup floor (``ENGINE_MIN_SPEEDUP``, default 3.1x) while checking
-the per-tile counters are bit-identical, i.e. batching never mixes
-tiles.  The batched side is timed at steady state (arena warm, best of
-three passes).
+Runs one batched pass of the vectorized lane (:mod:`repro.engine.batch`)
+on the acceptance sweep — 256 blocksort tiles at E=16, u=256, w=32
+(n = 2^20 keys) — and gates it on the fusion ledger: the pass must note
+one fused blocksort, no single-round accounting and at most two
+``round_many`` calls per blocksort level.  A lane that falls back to
+per-tile passes makes 256 times those calls, so the check catches it
+deterministically, with no timing floor at the host's noise level.  The
+same lane called once per tile (T=1) checks that the per-tile counters
+are bit-identical, i.e. batching never mixes tiles; both sides are
+timed (batched at steady state, arena warm, best of three) and the
+timings are printed, not gated.
 
 A second test times the whole-sort pipeline: ``batched_mergesort``
 (best of three passes) against the lockstep ``gpu_mergesort`` (one
@@ -19,8 +23,8 @@ process, calls interleaved).
 
 When ``ENGINE_REPORT`` names a path, the sweep, pipeline and k-way /
 sample-sort tests also write their sections of a deterministic JSON
-report (counters, digests, plan-cache hit counts — no timings), which
-CI generates twice and compares byte-for-byte.
+report (counters, digests, fusion-ledger counts, plan-cache hit counts
+— no timings), which CI generates twice and compares byte-for-byte.
 """
 
 from __future__ import annotations
@@ -35,9 +39,10 @@ import numpy as np
 import pytest
 from conftest import attach
 
+import repro.engine.batch as batch
 from repro.config import SortParams
 from repro.engine.arena import arena_stats
-from repro.engine.batch import batched_blocksort_profile, fusion_stats
+from repro.engine.batch import BatchCounters, batched_blocksort_profile, fusion_stats
 from repro.engine.plans import plan_cache_stats
 from repro.mergesort.kway import batched_kway_sort, kway_sort
 from repro.mergesort.pipeline import batched_mergesort, gpu_mergesort
@@ -50,6 +55,9 @@ from repro.workloads import adversarial, uniform_random
 E, U, W, TILES = 16, 256, 32, 256
 TILE = U * E  # 4096 keys per tile; TILES * TILE = 2^20 keys total
 VARIANT = "thrust"  # gcd(E, w) = 16: the non-coprime (baseline) geometry
+LEVELS = U.bit_length() - 1  # blocksort merge levels per tile
+#: Ledger ceiling: one search pass plus one pointer-merge pass per level.
+MAX_ROUND_MANY_PER_LEVEL = 2
 
 
 #: The pipeline test's geometry: one tile is 160 keys, coprime w and E.
@@ -97,7 +105,7 @@ def _report_payload(batched, stats, fusion_delta, arena_delta) -> dict:
     The fusion/arena sections are before/after deltas of the sweep's own
     batched pass (pure call counts — no reuse hits or peak bytes, which
     depend on process warm state), so double runs produce identical
-    bytes.
+    bytes.  The ledger section is what the lane gate checks.
     """
     acc: dict[str, int] = {}
     digest = hashlib.sha256()
@@ -117,11 +125,49 @@ def _report_payload(batched, stats, fusion_delta, arena_delta) -> dict:
         },
         "fusion": {k: int(v) for k, v in fusion_delta.items()},
         "arena": {k: int(v) for k, v in arena_delta.items()},
+        "ledger": {
+            "levels": LEVELS,
+            "round_many_limit": MAX_ROUND_MANY_PER_LEVEL * LEVELS,
+            "round_many_calls": int(fusion_delta["round_many_calls"]),
+            "round_calls": int(fusion_delta["round_calls"]),
+            "fused_blocksorts": int(fusion_delta["fused_blocksorts"]),
+        },
     }
 
 
-def test_engine_batched_speedup(benchmark):
-    """One batched pass >= ENGINE_MIN_SPEEDUP x the per-tile (T=1) loop."""
+def lane_ledger_problems(fusion_delta: dict[str, float]) -> list[str]:
+    """Why one blocksort call's fusion-ledger delta is not one lane pass.
+
+    One batched pass over every tile notes one fused blocksort, no
+    single-round :meth:`BatchCounters.round` call and at most
+    :data:`MAX_ROUND_MANY_PER_LEVEL` ``round_many`` calls per blocksort
+    level.  A lane that loops per tile notes one fused blocksort per
+    tile, or one set of ``round_many`` calls per tile.
+    """
+    problems = []
+    if fusion_delta["fused_blocksorts"] != 1:
+        problems.append(
+            f"{int(fusion_delta['fused_blocksorts'])} fused blocksorts, not 1"
+        )
+    if fusion_delta["round_calls"]:
+        problems.append(f"{int(fusion_delta['round_calls'])} single-round calls")
+    limit = MAX_ROUND_MANY_PER_LEVEL * LEVELS
+    if fusion_delta["round_many_calls"] > limit:
+        problems.append(
+            f"{int(fusion_delta['round_many_calls'])} round_many calls > {limit}"
+        )
+    return problems
+
+
+def _ledger_delta(run) -> dict[str, float]:
+    before = fusion_stats()
+    run()
+    after = fusion_stats()
+    return {k: after[k] - before[k] for k in after}
+
+
+def test_engine_batched_lane_pass(benchmark):
+    """One batched pass over all tiles: one lane pass by the ledger, per-tile identical."""
     rows = _sweep_rows()
     batched_blocksort_profile(rows[:2], E, W, VARIANT)  # warm the plan cache
 
@@ -129,15 +175,17 @@ def test_engine_batched_speedup(benchmark):
         return batched_blocksort_profile(rows, E, W, VARIANT)
 
     # First full pass warms the arena and yields the counters + the
-    # deterministic fusion/arena deltas; the floor is then asserted on
-    # steady-state timing (best of 3 — min is the noise-robust
-    # estimator on a shared machine).
+    # deterministic fusion/arena deltas the ledger check reads.
     f0, a0 = fusion_stats(), arena_stats()
     batched = run_batched()
     f1, a1 = fusion_stats(), arena_stats()
     fusion_delta = {k: f1[k] - f0[k] for k in f1}
     arena_delta = {"checkouts": a1["checkouts"] - a0["checkouts"]}
+    problems = lane_ledger_problems(fusion_delta)
+    assert not problems, f"the batched lane fell back to per-tile work: {problems}"
 
+    # Steady-state timing, printed only (min is the noise-robust
+    # estimator on a shared machine).
     t_batched = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
@@ -155,26 +203,52 @@ def test_engine_batched_speedup(benchmark):
     for k in range(TILES):
         assert batched[k].as_dict() == singles[k].as_dict(), f"tile {k} diverged"
 
-    speedup = t_loop / t_batched
-    floor = float(os.environ.get("ENGINE_MIN_SPEEDUP", "3.1"))
     attach(
         benchmark,
-        speedup=round(speedup, 2),
+        speedup=round(t_loop / t_batched, 2),
         loop_s=round(t_loop, 3),
         batched_s=round(t_batched, 3),
         n_keys=TILES * TILE,
+        round_many_calls=int(fusion_delta["round_many_calls"]),
     )
-    assert speedup >= floor, (
-        f"batched lane only {speedup:.2f}x faster than the per-tile loop "
-        f"(floor {floor}x): loop {t_loop:.3f}s vs batched {t_batched:.3f}s"
-    )
-
     _write_report(
         _report_payload(batched, plan_cache_stats(), fusion_delta, arena_delta)
     )
 
     # Keep pytest-benchmark's timing series populated (one extra pass).
     benchmark.pedantic(run_batched, rounds=1, iterations=1)
+
+
+@pytest.mark.parametrize("fallback", ["one call per tile", "per-tile passes in one call"])
+def test_lane_ledger_rejects_a_per_tile_loop(fallback, monkeypatch):
+    """Either way of looping per tile fails the ledger check; the lane passes it."""
+    rows = _sweep_rows()[:16]
+    assert not lane_ledger_problems(
+        _ledger_delta(lambda: batched_blocksort_profile(rows, E, W, VARIANT))
+    )
+    if fallback == "one call per tile":
+        def run():
+            for k in range(len(rows)):
+                batched_blocksort_profile(rows[k : k + 1], E, W, VARIANT)
+    else:
+        real = batch._fused_blocksort_rounds
+
+        def per_tile(stage, search, merge, tiles, *args):
+            for k in range(tiles.shape[0]):
+                accs = [BatchCounters(1, acc.u, acc.w) for acc in (stage, search, merge)]
+                real(*accs, tiles[k : k + 1], *args)
+                for acc, one in zip((stage, search, merge), accs):
+                    for name in ("shared_read_rounds", "shared_write_rounds",
+                                 "shared_cycles", "shared_replays", "shared_excess",
+                                 "broadcast_reads", "shared_requests"):
+                        getattr(acc, name)[k] += getattr(one, name)[0]
+
+        monkeypatch.setattr(batch, "_fused_blocksort_rounds", per_tile)
+
+        def run():
+            return batched_blocksort_profile(rows, E, W, VARIANT)
+
+    assert lane_ledger_problems(_ledger_delta(run))
 
 
 def test_engine_plan_cache_reuse(benchmark):

@@ -78,6 +78,8 @@ class BufferArena:
         self._discards = 0
         self._resident_bytes = 0
         self._peak_bytes = 0
+        #: Bytes held in the free lists, kept in step by every pool change.
+        self._free_bytes = 0
 
     def checkout(
         self,
@@ -102,6 +104,7 @@ class BufferArena:
             pool = self._free.get(key)
             if pool:
                 buf = pool.pop()
+                self._free_bytes -= int(buf.nbytes)
                 self._reuse_hits += 1
             else:
                 buf = _aligned_empty(shp, dt)
@@ -124,17 +127,15 @@ class BufferArena:
             del self._out_refs[id(buf)]
             self._releases += 1
             self._free.setdefault(key, []).append(buf)
+            self._free_bytes += int(buf.nbytes)
             # Trim oldest free buffers beyond capacity (checked-out
             # buffers are never trimmed — the caller holds them).
-            free_bytes = sum(
-                int(b.nbytes) for pool in self._free.values() for b in pool
-            )
-            while free_bytes > self.capacity_bytes:
+            while self._free_bytes > self.capacity_bytes:
                 oldest_key = next(k for k, pool in self._free.items() if pool)
                 victim = self._free[oldest_key].pop(0)
                 if not self._free[oldest_key]:
                     del self._free[oldest_key]
-                free_bytes -= int(victim.nbytes)
+                self._free_bytes -= int(victim.nbytes)
                 self._resident_bytes -= int(victim.nbytes)
                 self._discards += 1
 
@@ -186,6 +187,7 @@ class BufferArena:
             self._discards = 0
             self._resident_bytes = 0
             self._peak_bytes = 0
+            self._free_bytes = 0
 
 
 #: The process-global arena every engine call site shares.

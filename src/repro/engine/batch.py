@@ -23,12 +23,24 @@ The accumulator makes warps globally distinct across tiles (warp slot =
 tiles; data-dependent loops run while *any* tile is live — extra
 iterations contribute nothing to tiles that already converged, because
 every count is masked per lane.
+
+Fixed cost per call is what the small sorts pay, so passes stack:
+independent rounds of several merge levels fold into shared accounting
+passes.  The blocksort replays every level's bisections in one stacked
+``(levels, tiles, u)`` loop and accounts all search probes in one
+:meth:`BatchCounters.round_many` call and all pointer-merge rounds in
+one more; :func:`merge_tags`, :func:`tagged_search_profile` and
+:func:`tagged_merge_profile` let a caller profile the blocks of many
+merge levels at once, each row one block.  A stacked pass holds whole
+levels of at most :data:`STACK_ROWS` tile rows, so large batches keep
+one pass per level and bounded scratch.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Sequence
+from functools import cached_property
+from typing import Any, Callable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -46,6 +58,9 @@ __all__ = [
     "batched_pointer_merge_profile",
     "batched_serial_merge_profile",
     "batched_search_profile",
+    "merge_tags",
+    "tagged_search_profile",
+    "tagged_merge_profile",
     "batched_cf_merge_profile",
     "batched_blocksort_profile",
     "batched_blocksort_phases",
@@ -63,8 +78,16 @@ SENTINEL = np.iinfo(np.int64).max
 #: Keys packed as ``2*value + tag`` must stay inside int64: |value| < 2^62.
 _PACK_LIMIT = 1 << 62
 
+#: Tile rows one stacked accounting pass holds.  A pass takes whole
+#: levels while their rows fit (a level wider than this runs alone), so
+#: small sorts fold every level into one pass while large ones keep one
+#: pass per level and their scratch stays bounded.
+STACK_ROWS = 64
+
 IntArray = npt.NDArray[np.int64]
 BoolArray = npt.NDArray[np.bool_]
+#: Index arrays the replays narrow to int32 where addresses allow.
+AnyIntArray = npt.NDArray[np.integer[Any]]
 
 
 class _FusionStats:
@@ -173,11 +196,6 @@ class BatchCounters:
         #: != 0, possible in search profiles) still gets its own slot and
         #: never aliases the next tile's first warp.
         self._slots = -(-u // w)
-        lane = np.arange(tiles * u, dtype=np.int64)
-        self._tile_of = lane // u
-        self._warp_of = self._tile_of * self._slots + (lane % u) // w
-        self._col_of = (lane % u) % w
-        self._row_base = np.arange(tiles * self._slots, dtype=np.int64)[:, None] * w
         zeros = lambda: np.zeros(tiles, dtype=np.int64)  # noqa: E731
         self.shared_read_rounds = zeros()
         self.shared_write_rounds = zeros()
@@ -186,6 +204,14 @@ class BatchCounters:
         self.shared_excess = zeros()
         self.broadcast_reads = zeros()
         self.shared_requests = zeros()
+
+    @cached_property
+    def _lane_maps(self) -> tuple[IntArray, IntArray, IntArray]:
+        """Each flattened ``(tiles, u)`` lane's tile, warp row and column."""
+        lane = np.arange(self.tiles * self.u, dtype=np.int64)
+        tile_of = lane // self.u
+        warp_of = tile_of * self._slots + (lane % self.u) // self.w
+        return tile_of, warp_of, (lane % self.u) % self.w
 
     def round(self, addresses: IntArray, active: BoolArray, kind: str = "read") -> None:
         """Account one warp-synchronous round across every tile at once.
@@ -232,19 +258,21 @@ class BatchCounters:
                 .ravel()[flat]
                 .astype(np.int64)
             )
-            requests_t = np.bincount(self._tile_of[flat], minlength=T)
+            tile_of, warp_of, col_of = self._lane_maps
+            requests_t = np.bincount(tile_of[flat], minlength=T)
             # Scatter active addresses into fixed (warp row, lane) cells;
             # inactive cells (and padding slots of the partial trailing
             # warp) hold a sentinel that sorts after every address.
             mat = np.full((n_rows, w), SENTINEL, dtype=np.int64)
-            mat[self._warp_of[flat], self._col_of[flat]] = addr
+            mat[warp_of[flat], col_of[flat]] = addr
             mat.sort(axis=1)
             fresh = mat != SENTINEL
             fresh[:, 1:] &= mat[:, 1:] != mat[:, :-1]
 
         # Distinct addresses per (warp row, bank): one flat bincount.
+        row_base = np.arange(n_rows, dtype=np.int64)[:, None] * w
         counts = np.bincount(
-            (self._row_base + mat % w)[fresh], minlength=n_rows * w
+            (row_base + mat % w)[fresh], minlength=n_rows * w
         ).reshape(n_rows, w)
         per_warp_max = counts.max(axis=1)
         per_warp_excess = np.maximum(counts - 1, 0).sum(axis=1)
@@ -492,16 +520,16 @@ class BatchCounters:
         self.shared_replays += cycles_t - n_warps_t
         self.shared_excess += requests_t - occupied_t
 
-    def total(self) -> Counters:
-        """Every tile's counters summed into one :class:`Counters`."""
+    def total(self, rows: slice = slice(None)) -> Counters:
+        """The counters of the tiles in ``rows`` (all by default), summed."""
         return Counters(
-            shared_read_rounds=int(self.shared_read_rounds.sum()),
-            shared_write_rounds=int(self.shared_write_rounds.sum()),
-            shared_cycles=int(self.shared_cycles.sum()),
-            shared_replays=int(self.shared_replays.sum()),
-            shared_excess=int(self.shared_excess.sum()),
-            broadcast_reads=int(self.broadcast_reads.sum()),
-            shared_requests=int(self.shared_requests.sum()),
+            shared_read_rounds=int(self.shared_read_rounds[rows].sum()),
+            shared_write_rounds=int(self.shared_write_rounds[rows].sum()),
+            shared_cycles=int(self.shared_cycles[rows].sum()),
+            shared_replays=int(self.shared_replays[rows].sum()),
+            shared_excess=int(self.shared_excess[rows].sum()),
+            broadcast_reads=int(self.broadcast_reads[rows].sum()),
+            shared_requests=int(self.shared_requests[rows].sum()),
         )
 
     def to_counters(self) -> list[Counters]:
@@ -725,72 +753,59 @@ def _halves_sorted(backing: IntArray, n_a: IntArray) -> bool:
     return bool(np.all(ascending | at_boundary))
 
 
-def _packed_merge_tags(packed: IntArray) -> tuple[IntArray, IntArray]:
-    """Stable ties-to-A merge via one packed-key sort.
-
-    ``packed`` is ``2*value + tag`` with ``tag`` 1 on every B position
-    (the helper owns and sorts it in place along the last axis).
-    Sorting orders by value with A before B on ties; the low bit of the
-    sorted keys says which half each merged output came from, and an
-    arithmetic shift recovers the sorted values exactly (``2v + tag``
-    is monotone in ``v``; ``>> 1`` floors back for negatives too).
-    Returns ``(from_a, merged)``.
-    """
-    packed.sort(axis=-1)
-    return 1 - (packed & 1), packed >> 1
-
-
 def _fused_pointer_merge_rounds(
     acc: BatchCounters,
     take_a: BoolArray,
-    a_ptr: IntArray,
-    a_end: IntArray,
-    b_ptr: IntArray,
-    b_end: IntArray,
+    a_ptr: AnyIntArray,
+    a_end: AnyIntArray,
+    b_ptr: AnyIntArray,
+    b_end: AnyIntArray,
     E: int,
     length: int,
     read_policy: str,
 ) -> None:
     """Replay :func:`batched_pointer_merge_profile`'s rounds in closed form.
 
-    ``take_a`` is ``(tiles, u, E)``: the merge decision each thread makes
-    at each of its ``E`` steps (known up front from the packed-sort
-    tags).  Pointer trajectories then collapse to cumulative sums —
-    after step ``j`` a thread has consumed ``csum[j]`` A elements and
-    ``j + 1 - csum[j]`` B elements — so every round's addresses and
-    active masks are closed-form and the whole merge (initial key loads
-    plus ``E`` advance rounds) folds into one :meth:`BatchCounters
-    .round_many` call, bit-identical to the sequential loop.  Every
-    address stays below ``length``, so the sequential loop's safety
-    clamp is a no-op here and is skipped.
+    The pointer arrays are ``(levels, tiles, u)``: each leading slice is
+    one independent merge over the accumulator's tiles (a blocksort
+    level, say).  ``take_a`` is ``(levels, tiles, u, E)``: the merge
+    decision each thread makes at each of its ``E`` steps (known up
+    front from the packed-sort tags).  Pointer trajectories then
+    collapse to cumulative sums — after step ``j`` a thread has consumed
+    ``csum[j]`` A elements and ``j + 1 - csum[j]`` B elements — so every
+    round's addresses and active masks are closed-form, and every
+    level's merge (initial key loads plus ``E`` advance rounds) folds
+    into one :meth:`BatchCounters.round_many` call, bit-identical to the
+    sequential loops.  Every address stays below ``length``, so the
+    sequential loop's safety clamp is a no-op here and is skipped.
 
     Under ``bounded`` reads each active lane's address sits inside its
     own thread's A or B window; windows are pairwise disjoint within a
     warp (merge-path cuts are nondecreasing, pair regions disjoint), so
     the accounting runs with ``assume_distinct=True``.
     """
-    T, u = a_ptr.shape
+    G, T, u = a_ptr.shape
     dt: type = np.int32 if length < (1 << 31) else np.int64
     a_ptr_n = a_ptr.astype(dt)
     b_ptr_n = b_ptr.astype(dt)
     a_end_n = a_end.astype(dt)
     b_end_n = b_end.astype(dt)
     # Round-major layout keeps every pass below contiguous: step j of
-    # all lanes lives in one (T, u) slab.
-    take_aE = np.ascontiguousarray(take_a.transpose(2, 0, 1))
+    # all lanes of all levels lives in one (levels, T, u) slab.
+    take_aE = np.ascontiguousarray(np.moveaxis(take_a, -1, 0))
     # Slab-wise running sum: ~13x faster than np.cumsum(axis=0) with its
     # per-element bool->int cast.
-    csum = np.empty((E, T, u), dtype=dt)
+    csum = np.empty((E, G, T, u), dtype=dt)
     np.copyto(csum[0], take_aE[0])
     for j in range(1, E):
         np.add(csum[j - 1], take_aE[j], out=csum[j])
     pa = a_ptr_n[None] + csum
     # Reuse csum's buffer for pb = b_ptr + (step - csum).
-    np.subtract(np.arange(1, E + 1, dtype=dt)[:, None, None], csum, out=csum)
+    np.subtract(np.arange(1, E + 1, dtype=dt)[:, None, None, None], csum, out=csum)
     pb = csum
     pb += b_ptr_n[None]
-    with ENGINE_ARENA.lease((E + 2, T, u), dt) as rounds, ENGINE_ARENA.lease(
-        (E + 2, T, u), np.bool_
+    with ENGINE_ARENA.lease((E + 2, G, T, u), dt) as rounds, ENGINE_ARENA.lease(
+        (E + 2, G, T, u), np.bool_
     ) as lives:
         rounds[0] = a_ptr_n
         rounds[1] = b_ptr_n
@@ -813,7 +828,9 @@ def _fused_pointer_merge_rounds(
                 where=take_aE & ~in_a_range,
             )
             lives[2:] = True
-            acc.round_many(rounds, lives, kind="read")
+            acc.round_many(
+                rounds.reshape(-1, T, u), lives.reshape(-1, T, u), kind="read"
+            )
         else:
             # Select per-lane pointer and liveness with arithmetic
             # blends (masked copyto is far slower than full passes).
@@ -825,7 +842,201 @@ def _fused_pointer_merge_rounds(
             np.subtract(pa, pb, out=pa)
             np.multiply(pa, take_aE, out=pa)
             np.add(pb, pa, out=rounds[2:])
-            acc.round_many(rounds, lives, kind="read", assume_distinct=True)
+            acc.round_many(
+                rounds.reshape(-1, T, u),
+                lives.reshape(-1, T, u),
+                kind="read",
+                assume_distinct=True,
+            )
+
+
+def _replay_searches(
+    acc: BatchCounters,
+    lo: AnyIntArray,
+    hi: AnyIntArray,
+    cuts: AnyIntArray,
+    probe: Callable[[AnyIntArray], tuple[AnyIntArray, AnyIntArray]],
+) -> None:
+    """Replay stacked merge-path bisections from their final cuts.
+
+    ``lo``, ``hi`` and ``cuts`` are ``(levels, tiles, u)``: each leading
+    slice is one independent set of per-thread searches over the
+    accumulator's tiles.  Along the real probe path the branch taken at
+    ``mid`` is exactly ``cut > mid`` (each branch keeps
+    ``lo <= cut <= hi``), so the probe addresses ``probe(mid) -> (a
+    address, b address)`` and the live masks reproduce with no data
+    reads.  All levels step together and every probe folds into one
+    :meth:`BatchCounters.round_many` call.  A level whose searches have
+    all converged adds no more slabs, so each level folds exactly the
+    rounds its own bisection loop would run.
+    """
+    G = lo.shape[0]
+    live = lo < hi
+    # A bisection over an interval of s candidates ends within
+    # s.bit_length() steps of two reads each.
+    steps = int((hi - lo).max(initial=0)).bit_length()
+    if not steps or not live.any():
+        return
+    probes = np.empty((2 * G * steps,) + lo.shape[1:], dtype=np.int32)
+    probe_live = np.empty(probes.shape, dtype=bool)
+    n = 0
+    while True:
+        level_live = live.any(axis=(1, 2))
+        k = int(np.count_nonzero(level_live))
+        if not k:
+            break
+        mid = (lo + hi) >> 1
+        a_addr, b_addr = probe(mid)
+        now = live
+        if k < G:
+            a_addr, b_addr, now = (
+                a_addr[level_live], b_addr[level_live], live[level_live]
+            )
+        probes[n : n + k] = a_addr
+        probes[n + k : n + 2 * k] = b_addr
+        probe_live[n : n + k] = now
+        probe_live[n + k : n + 2 * k] = now
+        n += 2 * k
+        go_right = cuts > mid
+        lo = np.where(live & go_right, mid + 1, lo)
+        hi = np.where(live & ~go_right, mid, hi)
+        live = lo < hi
+    acc.round_many(probes[:n], probe_live[:n], kind="read")
+
+
+def _thread_cuts(from_a: BoolArray, E: int) -> AnyIntArray:
+    """Per-thread merge-path cuts from the merged rows' source tags.
+
+    ``from_a`` is ``(rows, total)``: whether each merged output came from
+    the A half.  The cut at diagonal ``i*E`` is the number of A outputs
+    before it, so whole-row prefix sums collapse to per-thread counts.
+    """
+    rows, total = from_a.shape
+    cnt = from_a.reshape(rows, total // E, E).sum(axis=2, dtype=np.int32)
+    return np.cumsum(cnt, axis=1, dtype=np.int32) - cnt
+
+
+def merge_tags(backing: IntArray, n_a: IntArray) -> tuple[BoolArray, IntArray]:
+    """Stable ties-to-A merge of each row's sorted A and B halves.
+
+    ``backing`` is ``(rows, total)``, row ``t`` holding A in its first
+    ``n_a[t]`` words and B after; values must survive the ``2*v + tag``
+    packing (:data:`_PACK_LIMIT`), ``tag`` 1 on every B position.
+    Sorting the packed keys orders by value with A before B on ties; the
+    low bit of the sorted keys says which half each merged output came
+    from, and an arithmetic shift recovers the sorted values exactly
+    (``2v + tag`` is monotone in ``v``; ``>> 1`` floors back for
+    negatives too).  Returns ``(from_a, merged)``: the tags
+    :func:`tagged_search_profile` and :func:`tagged_merge_profile`
+    replay the rounds from, and the merged rows.
+    """
+    rows, total = backing.shape
+    dtype = _pack_dtype(backing)
+    if dtype is None:
+        raise ParameterError("merge_tags values must satisfy |v| < 2^62")
+    packed = backing.astype(dtype) * 2
+    packed += np.arange(total, dtype=dtype)[None, :] >= np.asarray(n_a)[:, None]
+    packed.sort(axis=1)
+    from_a = (packed & 1) == 0
+    packed >>= 1
+    return from_a, packed.astype(np.int64, copy=False)
+
+
+def tagged_search_profile(
+    from_a: BoolArray, n_a: IntArray, E: int, w: int, *, mapped: bool = False
+) -> BatchCounters:
+    """Merge-path search counters of every row, from its merge tags.
+
+    ``from_a`` is the ``(rows, total)`` tag matrix :func:`merge_tags`
+    returns and ``n_a`` each row's ``|A|``.  Per row, bit-identical to
+    :func:`batched_search_profile` on the row's (A, B) pair, in one
+    stacked replay: rows may come from different merge levels, and a
+    row range of the returned accumulator sums to that range's counters
+    (:meth:`BatchCounters.total`).
+    """
+    rows, total = from_a.shape
+    u = total // E
+    n_a_col = np.asarray(n_a, dtype=np.int32)[:, None]
+    n_b_col = total - n_a_col
+    diag = np.arange(u, dtype=np.int32)[None, :] * E
+    last = total - 1
+    acc = BatchCounters(rows, u, w)
+    if mapped:
+        fwd = np.asarray(get_plan("rho", total, E, w)["fwd"])
+
+        def probe(mid: AnyIntArray) -> tuple[AnyIntArray, AnyIntArray]:
+            # rho(pi(clip(b_idx, 0, n_b-1) % total)); the ``% total``
+            # folds the n_b == 0 clip artifact (-1) into a valid address.
+            b_pos = np.minimum(np.maximum(diag - 1 - mid, 0), n_b_col - 1) % total
+            return fwd[np.minimum(mid, last)], fwd[last - b_pos]
+
+    else:
+
+        def probe(mid: AnyIntArray) -> tuple[AnyIntArray, AnyIntArray]:
+            b_idx = np.minimum(
+                np.maximum(diag - 1 - mid, 0), np.maximum(n_b_col - 1, 0)
+            )
+            return mid, n_a_col + b_idx
+
+    lo = np.maximum(0, diag - n_b_col)
+    hi = np.minimum(diag, n_a_col)
+    _replay_searches(
+        acc, lo[None], hi[None], _thread_cuts(from_a, E)[None], probe
+    )
+    return acc
+
+
+def tagged_merge_profile(
+    from_a: BoolArray,
+    n_a: IntArray,
+    E: int,
+    w: int,
+    variant: str = "thrust",
+    *,
+    read_policy: str = "bounded",
+) -> BatchCounters:
+    """Merge-phase counters of every row, from its merge tags.
+
+    The ``variant="thrust"`` counters equal
+    :func:`batched_serial_merge_profile`'s on each row's (A, B) pair,
+    every pointer-merge round folded into one stacked accounting pass;
+    the ``"cf"`` ones are :func:`batched_cf_merge_profile`'s analytic
+    gather and scatter rounds.  Like :func:`tagged_search_profile`, rows
+    may come from different merge levels.
+    """
+    if variant not in ("thrust", "cf"):
+        raise ParameterError(f"unknown variant {variant!r}")
+    if read_policy not in ("bounded", "always"):
+        raise ParameterError(f"unknown read_policy {read_policy!r}")
+    rows, total = from_a.shape
+    u = total // E
+    if u % w:
+        raise ParameterError(f"thread count {u} must be a multiple of w = {w}")
+    acc = BatchCounters(rows, u, w)
+    if variant == "cf":
+        _cf_merge_rounds(acc, E)
+        return acc
+    n_a_col = np.asarray(n_a, dtype=np.int64)[:, None]
+    diag = (np.arange(u, dtype=np.int64) * E)[None, :]
+    a_off = _thread_cuts(from_a, E).astype(np.int64)
+    # a_end[i] = next thread's cut; the last thread ends at |A|.
+    a_end = np.empty_like(a_off)
+    a_end[:, :-1] = a_off[:, 1:]
+    a_end[:, -1:] = n_a_col
+    b_ptr = n_a_col + (diag - a_off)
+    b_end = n_a_col + (diag + E) - a_end
+    _fused_pointer_merge_rounds(
+        acc,
+        from_a.reshape(1, rows, u, E),
+        a_off[None],
+        a_end[None],
+        b_ptr[None],
+        b_end[None],
+        E,
+        total,
+        read_policy,
+    )
+    return acc
 
 
 def batched_serial_merge_profile(
@@ -841,50 +1052,35 @@ def batched_serial_merge_profile(
     of :func:`repro.mergesort.serial_merge.serial_merge_block` (compute
     ops excepted), for every pair in one vectorized pass.  When every
     tile's halves are sorted (the contract real merge inputs satisfy)
-    and values survive key packing, the fused path runs:
-    one packed-key sort yields the merge decisions, the merge-path cuts
-    fall out of a prefix sum over the source tags, and all pointer-merge
-    rounds fold into a single stacked accounting pass.  Otherwise the
-    original bisection + sequential pointer loop runs — both paths give
-    identical counters per tile."""
+    and values survive key packing, the fused path runs: one packed-key
+    sort (:func:`merge_tags`) yields the merge decisions, and
+    :func:`tagged_merge_profile` folds all pointer-merge rounds into a
+    single stacked accounting pass.  Otherwise the original bisection +
+    sequential pointer loop runs — both paths give identical counters
+    per tile."""
     if read_policy not in ("bounded", "always"):
         raise ParameterError(f"unknown read_policy {read_policy!r}")
     backing, n_a, total = _stack_pairs(pairs, E)
     u = total // E
     if u % w:
         raise ParameterError(f"thread count {u} must be a multiple of w = {w}")
-    T = backing.shape[0]
-    diag = (np.arange(u, dtype=np.int64) * E)[None, :]
     fused = _values_packable(backing) and _halves_sorted(backing, n_a)
     _FUSION.note_profile("merges", fused)
     if fused:
-        tag = (
-            np.arange(total, dtype=np.int64)[None, :] >= n_a[:, None]
-        ).astype(np.int64)
-        from_a, _ = _packed_merge_tags(backing * 2 + tag)
-        take_a = from_a.reshape(T, u, E) != 0
-        # Cut at diagonal i*E = #A outputs before thread i; whole-row
-        # prefix sums collapse to per-thread tag counts.
-        cnt = take_a.sum(axis=2, dtype=np.int64)
-        a_off = np.cumsum(cnt, axis=1) - cnt
-    else:
-        a_off = _batched_block_cuts(backing, n_a, E, u)
-    # a_end[i] = next thread's cut; the last thread ends at |A|.
+        from_a, _ = merge_tags(backing, n_a)
+        return tagged_merge_profile(
+            from_a, n_a, E, w, read_policy=read_policy
+        ).to_counters()
+    diag = (np.arange(u, dtype=np.int64) * E)[None, :]
+    a_off = _batched_block_cuts(backing, n_a, E, u)
     a_end = np.empty_like(a_off)
     a_end[:, :-1] = a_off[:, 1:]
     a_end[:, -1] = n_a
     b_ptr = n_a[:, None] + (diag - a_off)
     b_end = n_a[:, None] + (diag + E) - a_end
-    if fused:
-        acc = BatchCounters(T, u, w)
-        _fused_pointer_merge_rounds(
-            acc, take_a, a_off, a_end, b_ptr, b_end, E, total, read_policy
-        )
-    else:
-        acc = batched_pointer_merge_profile(
-            backing, a_off, a_end, b_ptr, b_end, E, w, read_policy=read_policy
-        )
-    return acc.to_counters()
+    return batched_pointer_merge_profile(
+        backing, a_off, a_end, b_ptr, b_end, E, w, read_policy=read_policy
+    ).to_counters()
 
 
 def batched_search_profile(
@@ -905,12 +1101,16 @@ def batched_search_profile(
 
     When the tiles' halves are sorted and values survive key packing,
     the bisections are *replayed* instead of executed: the final cuts
-    come from one packed-key sort, and along the real probe path every
-    branch outcome equals ``cut > mid`` (each branch keeps
-    ``lo <= cut <= hi``), so the probe addresses and live masks are
-    reproduced exactly with no data reads, and all probe rounds fold
-    into one stacked accounting pass."""
+    come from one packed-key sort (:func:`merge_tags`), and
+    :func:`tagged_search_profile` reproduces every probe with no data
+    reads, folded into one stacked accounting pass."""
     backing, n_a, total = _stack_pairs(pairs, E)
+    fused = _values_packable(backing) and _halves_sorted(backing, n_a)
+    _FUSION.note_profile("searches", fused)
+    if fused:
+        from_a, _ = merge_tags(backing, n_a)
+        return tagged_search_profile(from_a, n_a, E, w, mapped=mapped).to_counters()
+
     T = backing.shape[0]
     u = total // E
     n_a_col = n_a[:, None]
@@ -918,70 +1118,39 @@ def batched_search_profile(
     acc = BatchCounters(T, u, w)
     fwd = np.asarray(get_plan("rho", total, E, w)["fwd"]) if mapped else None
     last = total - 1
-
-    fused = _values_packable(backing) and _halves_sorted(backing, n_a)
-    _FUSION.note_profile("searches", fused)
-    cuts: IntArray | None = None
-    if fused:
-        tag = (
-            np.arange(total, dtype=np.int64)[None, :] >= n_a_col
-        ).astype(np.int64)
-        from_a, _ = _packed_merge_tags(backing * 2 + tag)
-        cnt = from_a.reshape(T, u, E).sum(axis=2, dtype=np.int64)
-        cuts = np.cumsum(cnt, axis=1) - cnt
-
-    rounds_addr: list[IntArray] = []
-    rounds_live: list[BoolArray] = []
     diag = (np.arange(u, dtype=np.int64) * E)[None, :]
     lo = np.maximum(0, np.broadcast_to(diag - n_b_col, (T, u))).astype(np.int64)
     hi = np.minimum(np.broadcast_to(diag, (T, u)), n_a_col).astype(np.int64)
     live = lo < hi
     while live.any():
         mid = (lo + hi) // 2
-        b_idx = diag - 1 - mid
+        b_idx = np.minimum(np.maximum(diag - 1 - mid, 0), np.maximum(n_b_col - 1, 0))
         if fwd is not None:
-            a_addr = fwd[np.minimum(mid, last)]
-            # rho(pi(clip(b_idx, 0, n_b-1) % total)); the ``% total``
-            # folds the n_b == 0 clip artifact (-1) into a valid address.
-            b_pos = (
-                np.minimum(np.maximum(b_idx, 0), n_b_col - 1) % total
-            )
-            b_addr = fwd[total - 1 - b_pos]
+            b_pos = np.minimum(np.maximum(diag - 1 - mid, 0), n_b_col - 1) % total
+            acc.round(fwd[np.minimum(mid, last)], live)
+            acc.round(fwd[total - 1 - b_pos], live)
         else:
-            a_addr = mid
-            b_addr = n_a_col + np.minimum(
-                np.maximum(b_idx, 0), np.maximum(n_b_col - 1, 0)
-            )
-        if cuts is not None:
-            rounds_addr.append(np.broadcast_to(a_addr, (T, u)))
-            rounds_live.append(live)
-            rounds_addr.append(np.broadcast_to(b_addr, (T, u)))
-            rounds_live.append(live)
-            go_right = cuts > mid
-        else:
-            acc.round(a_addr, live)
-            acc.round(b_addr, live)
-            a_val = _take(
-                backing,
-                np.minimum(
-                    np.minimum(np.maximum(mid, 0), np.maximum(n_a_col - 1, 0)), last
-                ),
-            )
-            b_val = _take(
-                backing,
-                np.minimum(
-                    n_a_col
-                    + np.minimum(np.maximum(b_idx, 0), np.maximum(n_b_col - 1, 0)),
-                    last,
-                ),
-            )
-            go_right = a_val <= b_val
+            acc.round(mid, live)
+            acc.round(n_a_col + b_idx, live)
+        a_val = _take(
+            backing, np.minimum(np.maximum(mid, 0), np.maximum(n_a_col - 1, 0))
+        )
+        b_val = _take(backing, np.minimum(n_a_col + b_idx, last))
+        go_right = a_val <= b_val
         lo = np.where(live & go_right, mid + 1, lo)
         hi = np.where(live & ~go_right, mid, hi)
         live = lo < hi
-    if rounds_addr:
-        acc.round_many(np.stack(rounds_addr), np.stack(rounds_live), kind="read")
     return acc.to_counters()
+
+
+def _cf_merge_rounds(acc: BatchCounters, E: int) -> None:
+    """Charge every tile one CF-Merge gather and scatter: ``E`` read and
+    ``E`` write rounds per warp, one cycle each."""
+    n_warps = acc.u // acc.w
+    acc.shared_read_rounds += E * n_warps
+    acc.shared_write_rounds += E * n_warps
+    acc.shared_cycles += 2 * E * n_warps
+    acc.shared_requests += 2 * E * acc.u
 
 
 def batched_cf_merge_profile(tiles: int, total: int, E: int, w: int) -> list[Counters]:
@@ -997,16 +1166,11 @@ def batched_cf_merge_profile(tiles: int, total: int, E: int, w: int) -> list[Cou
     u = total // E
     if u % w:
         raise ParameterError(f"thread count {u} must be a multiple of w={w}")
-    n_warps = u // w
-    out = []
-    for _ in range(tiles):
-        c = Counters()
-        c.shared_read_rounds = E * n_warps
-        c.shared_write_rounds = E * n_warps
-        c.shared_cycles = 2 * E * n_warps
-        c.shared_requests = 2 * E * u
-        out.append(c)
-    return out
+    if not tiles:
+        return []
+    acc = BatchCounters(tiles, u, w)
+    _cf_merge_rounds(acc, E)
+    return acc.to_counters()
 
 
 def _batched_stage_rounds(acc: BatchCounters, u: int, E: int, kind: str) -> None:
@@ -1145,7 +1309,12 @@ def _fused_blocksort_rounds(
 
     Staging, search and merge rounds land in the ``stage``, ``search``
     and ``merge`` accumulators; passing one accumulator three times
-    counts the whole tile in it."""
+    counts the whole tile in it.  The levels run in stacked passes of at
+    most :data:`STACK_ROWS` tile rows (whole levels; a level wider than
+    that runs alone): each level's packed sort advances the data, then
+    one bisection replay over the pass's ``(levels, tiles, u)`` cuts and
+    one pointer-merge replay account every level of the pass.
+    """
     T, L = tiles.shape
 
     # Phase 1: load E contiguous words per thread, sort in registers.
@@ -1161,87 +1330,76 @@ def _fused_blocksort_rounds(
     ).reshape(T, L)
     packed *= 2
 
-    g, level = 1, 0
-    while g < u:
-        region = 2 * g * E
-        half = g * E
-        plan = get_plan("fused_level", u, E, w, level=level)
-        pbase = np.asarray(plan["pbase"])
-        diag = np.asarray(plan["diag"])
-        pair_last = np.asarray(plan["pair_last"])
-        tag = np.asarray(plan["tag"])
+    n_levels = u.bit_length() - 1
+    per_pass = max(1, STACK_ROWS // T)
+    for first in range(0, n_levels, per_pass):
+        levels = range(first, min(first + per_pass, n_levels))
+        G = len(levels)
+        plans = [get_plan("fused_level", u, E, w, level=level) for level in levels]
 
-        # Staging writes (same residue rounds for both variants).
-        _batched_stage_rounds(stage, u, E, kind="write")
+        def stacked(key: str) -> AnyIntArray:
+            """The pass's ``key`` plan rows as one ``(levels, 1, u)`` int32 array."""
+            rows = np.stack([np.asarray(plan[key]) for plan in plans])
+            return rows[:, None, :].astype(np.int32)
 
-        # One packed sort per level: merge decisions from the low bit
-        # (stable, ties to A), and (via per-thread tag counts) every
-        # thread's merge-path cut.
-        n_pairs = L // region
-        packed += tag.astype(pack_dtype)[None, :]
-        packed.reshape(T, n_pairs, region).sort(axis=2)
-        take_a = (packed.reshape(T, u, E) & 1) == 0
-        # pbase + diag == tid*E, and the cut is the count of A-half
-        # outputs between the pair's base and the thread's diagonal;
-        # per-thread counts + a (T, u) prefix replace a (T, L) one.
-        cnt = take_a.sum(axis=2, dtype=np.int64)
-        excl = np.cumsum(cnt, axis=1) - cnt
-        a_off = excl - excl[:, pbase // E]
+        pbase, diag, lo, hi = stacked("pbase"), stacked("diag"), stacked("lo"), stacked("hi")
+        half = (E << np.arange(first, first + G, dtype=np.int32))[:, None, None]
+        cuts = np.empty((G, T, u), dtype=np.int32)
+        take_a = np.empty((G, T, u, E), dtype=bool)
+        for j, plan in enumerate(plans):
+            # Staging writes (same residue rounds for both variants).
+            _batched_stage_rounds(stage, u, E, kind="write")
+            # One packed sort per level: merge decisions from the low bit
+            # (stable, ties to A), and (via per-thread tag counts) every
+            # thread's merge-path cut.
+            region = 2 * int(half[j, 0, 0])
+            packed += np.asarray(plan["tag"]).astype(pack_dtype)[None, :]
+            packed.reshape(T, L // region, region).sort(axis=2)
+            np.equal(packed.reshape(T, u, E) & 1, 0, out=take_a[j])
+            # pbase + diag == tid*E, and the cut is the count of A-half
+            # outputs between the pair's base and the thread's diagonal;
+            # per-thread counts + a (T, u) prefix replace a (T, L) one.
+            cnt = take_a[j].sum(axis=2, dtype=np.int32)
+            excl = np.cumsum(cnt, axis=1, dtype=np.int32) - cnt
+            cuts[j] = excl - excl[:, np.asarray(plan["pbase"]) // E]
+            np.bitwise_and(packed, -2, out=packed)
 
-        # Replay the per-pair bisections: along the real probe path the
-        # branch taken at ``mid`` is exactly ``cut > mid``, so the probe
-        # addresses and live masks reproduce with no data reads.  The
-        # whole replay runs in int32 (addresses < L < 2^31 by packing),
-        # writing straight into leased round buffers sized by the worst
-        # bisection depth.
-        pbase32 = pbase.astype(np.int32)
-        diag32 = diag.astype(np.int32)
-        cut32 = a_off.astype(np.int32)
-        lo = np.broadcast_to(np.asarray(plan["lo"]), (T, u)).astype(np.int32)
-        hi = np.broadcast_to(np.asarray(plan["hi"]), (T, u)).astype(np.int32)
-        max_rounds = 2 * int(np.max(np.asarray(plan["hi"]) - np.asarray(plan["lo"]))).bit_length()
-        live = lo < hi
-        if max_rounds and live.any():
+        # Every level's bisections in one replay (no data reads: the
+        # branch at ``mid`` is ``cut > mid``); addresses are int32,
+        # below L < 2^31 by packing.
+        if variant == "cf":
+            b_base = pbase + 2 * half - 1
+        else:
+            b_base = pbase + half
+
+        def probe(mid: AnyIntArray) -> tuple[AnyIntArray, AnyIntArray]:
+            b_idx = np.clip(diag - 1 - mid, 0, half - 1)
             if variant == "cf":
-                b_base = pbase32 + np.int32(region - 1)
-            else:
-                b_base = pbase32 + np.int32(half)
-            with ENGINE_ARENA.lease(
-                (max_rounds, T, u), np.int32
-            ) as probes, ENGINE_ARENA.lease(
-                (max_rounds, T, u), np.bool_
-            ) as probe_live:
-                it = 0
-                while live.any():
-                    mid = (lo + hi) // 2
-                    b_idx = np.clip(diag32 - 1 - mid, 0, half - 1)
-                    np.add(pbase32, mid, out=probes[2 * it])
-                    if variant == "cf":
-                        np.subtract(b_base, b_idx, out=probes[2 * it + 1])
-                    else:
-                        np.add(b_base, b_idx, out=probes[2 * it + 1])
-                    probe_live[2 * it] = live
-                    probe_live[2 * it + 1] = live
-                    go_right = cut32 > mid
-                    lo = np.where(live & go_right, mid + 1, lo)
-                    hi = np.where(live & ~go_right, mid, hi)
-                    live = lo < hi
-                    it += 1
-                search.round_many(probes[: 2 * it], probe_live[: 2 * it], kind="read")
+                return pbase + mid, b_base - b_idx
+            return pbase + mid, b_base + b_idx
+
+        _replay_searches(
+            search,
+            np.broadcast_to(lo, (G, T, u)),
+            np.broadcast_to(hi, (G, T, u)),
+            cuts,
+            probe,
+        )
 
         # Merges.
         if variant == "thrust":
-            a_end = np.empty_like(a_off)
-            a_end[:, :-1] = a_off[:, 1:]
-            a_end[:, -1] = 0
-            a_end = np.where(pair_last, half, a_end)
+            a_end = np.empty_like(cuts)
+            a_end[..., :-1] = cuts[..., 1:]
+            a_end[..., -1] = 0
+            a_end = np.where(stacked("pair_last") != 0, half, a_end)
+            b_ptr = pbase + half + (diag - cuts)
             _fused_pointer_merge_rounds(
                 merge,
                 take_a,
-                pbase + a_off,
+                pbase + cuts,
                 pbase + a_end,
-                pbase + half + (diag - a_off),
-                pbase + half + (diag - a_off) + (E - (a_end - a_off)),
+                b_ptr,
+                b_ptr + (E - (a_end - cuts)),
                 E,
                 L,
                 read_policy,
@@ -1249,13 +1407,9 @@ def _fused_blocksort_rounds(
         else:
             # CF gather: E conflict-free read rounds per warp, per tile.
             n_warps = u // w
-            merge.shared_read_rounds += E * n_warps
-            merge.shared_cycles += E * n_warps
-            merge.shared_requests += E * u
-
-        np.bitwise_and(packed, -2, out=packed)
-        g *= 2
-        level += 1
+            merge.shared_read_rounds += G * E * n_warps
+            merge.shared_cycles += G * E * n_warps
+            merge.shared_requests += G * E * u
 
     # Final staging pass.
     _batched_stage_rounds(stage, u, E, kind="write")

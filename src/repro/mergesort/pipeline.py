@@ -9,10 +9,14 @@ and differ only in the kernels that count shared-memory traffic:
 
 * :func:`gpu_mergesort` runs every shared-memory round through the
   lockstep simulator, one tile or block per kernel call — the oracle;
-* :func:`batched_mergesort` blocksorts every tile in one fused pass of
-  the batched engine lane (:mod:`repro.engine.batch`) and profiles each
-  merge level's blocks in one batched search pass plus one batched merge
-  pass, with compute ops derived in closed form.  Its result equals
+* :func:`batched_mergesort` runs on the batched engine lane
+  (:mod:`repro.engine.batch`).  Blocksort stacks its levels into shared
+  accounting passes; each merge level's blocks are merged at once by one
+  packed-key sort, and their profiling is deferred, so the blocks of
+  every level go through one search pass and one merge pass (a stacked
+  pass holds whole levels of at most ``STACK_ROWS`` blocks, so large
+  sorts keep one pass per level).  Per-level counters are row-range sums
+  of those passes; compute ops follow in closed form.  Its result equals
   :func:`gpu_mergesort`'s on every field; CF at non-coprime ``(w, E)``
   (no exact lane profile there) is delegated to :func:`gpu_mergesort`.
 
@@ -29,16 +33,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Protocol, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.engine.batch import (
+    STACK_ROWS,
     batched_blocksort_phases,
-    batched_cf_merge_profile,
-    batched_search_profile,
-    batched_serial_merge_profile,
+    merge_tags,
+    tagged_merge_profile,
+    tagged_search_profile,
 )
 from repro.errors import ParameterError
 from repro.mergesort.blocksort import BlocksortStats, blocksort_tile
@@ -56,8 +61,16 @@ IntArray = npt.NDArray[np.int64]
 Block = tuple[IntArray, IntArray]
 #: Sorts a ``(tiles, u*E)`` matrix: ``-> (sorted rows, blocksort stats)``.
 BlocksortKernel = Callable[[IntArray], tuple[list[IntArray], BlocksortStats]]
-#: Merges one level's ``(A, B)`` blocks: ``-> (merged blocks, level stats)``.
-MergeKernel = Callable[[list[Block]], tuple[list[IntArray], MergePhaseStats]]
+
+
+class MergeKernel(Protocol):
+    """Merges one level's ``(A, B)`` blocks per call, in level order."""
+
+    def __call__(self, blocks: list[Block]) -> list[IntArray]:
+        """The merged blocks, in order."""
+
+    def finish(self) -> list[MergePhaseStats]:
+        """Every merged level's counters, in level order."""
 
 
 def _charge_tiles(counters: Counters, n_tiles: int, tile: int) -> None:
@@ -158,7 +171,7 @@ def _mergesort(
     ``pad`` fills the last tile; it must sort after every value of
     ``data``.  Each level cuts every pair of runs into ``u*E``-element
     blocks along the merge path and hands all blocks to one ``merge``
-    call.
+    call; the levels' counters come from ``merge.finish()``.
     """
     n = len(data)
     result = MergesortResult(
@@ -201,7 +214,7 @@ def _mergesort(
                 ) + _segments(prev_cut[1], cut[1])
                 result.global_stats.global_write_transactions += tile // 32
                 prev_cut = cut
-        merged, level_stats = merge(blocks)
+        merged = merge(blocks)
         next_runs: list[IntArray] = []
         first = 0
         for count in pair_blocks:
@@ -210,10 +223,11 @@ def _mergesort(
         if len(runs) % 2:
             next_runs.append(runs[-1])
         runs = next_runs
-        result.per_level.append(level_stats)
-        result.merge_stats.merge_into(level_stats)
         result.merge_level_count += 1
 
+    result.per_level = merge.finish()
+    for level_stats in result.per_level:
+        result.merge_stats.merge_into(level_stats)
     result.data = runs[0][:n]
     return result
 
@@ -240,31 +254,38 @@ def _lockstep_blocksort(
     return runs, stats
 
 
-def _lockstep_merge(
-    blocks: list[Block],
-    E: int,
-    w: int,
-    variant: str,
-    read_policy: str,
-    simulate_search: bool,
-) -> tuple[list[IntArray], MergePhaseStats]:
-    """One simulated thread block per merge block."""
-    level_stats = MergePhaseStats()
-    merged = []
-    for a_blk, b_blk in blocks:
-        if variant == "thrust":
-            merged_blk, stats = serial_merge_block(
-                a_blk, b_blk, E, w,
-                simulate_search=simulate_search,
-                read_policy=read_policy,
-            )
-        else:
-            merged_blk, stats = cf_merge_block(
-                a_blk, b_blk, E, w, simulate_search=simulate_search
-            )
-        level_stats.merge_into(stats)
-        merged.append(merged_blk)
-    return merged, level_stats
+class _LockstepMerge:
+    """One simulated thread block per merge block, counted as it merges."""
+
+    def __init__(
+        self, E: int, w: int, variant: str, read_policy: str, simulate_search: bool
+    ) -> None:
+        self.E, self.w, self.variant = E, w, variant
+        self.read_policy, self.simulate_search = read_policy, simulate_search
+        self.per_level: list[MergePhaseStats] = []
+
+    def __call__(self, blocks: list[Block]) -> list[IntArray]:
+        level_stats = MergePhaseStats()
+        merged = []
+        for a_blk, b_blk in blocks:
+            if self.variant == "thrust":
+                merged_blk, stats = serial_merge_block(
+                    a_blk, b_blk, self.E, self.w,
+                    simulate_search=self.simulate_search,
+                    read_policy=self.read_policy,
+                )
+            else:
+                merged_blk, stats = cf_merge_block(
+                    a_blk, b_blk, self.E, self.w,
+                    simulate_search=self.simulate_search,
+                )
+            level_stats.merge_into(stats)
+            merged.append(merged_blk)
+        self.per_level.append(level_stats)
+        return merged
+
+    def finish(self) -> list[MergePhaseStats]:
+        return self.per_level
 
 
 # -------------------------------------------------------- batched kernels
@@ -298,33 +319,65 @@ def _batched_blocksort(
     return list(np.sort(tiles, axis=1)), stats
 
 
-def _batched_merge(
-    blocks: list[Block], E: int, w: int, variant: str
-) -> tuple[list[IntArray], MergePhaseStats]:
-    """One level's blocks in one search pass plus one merge pass."""
-    tile = len(blocks[0][0]) + len(blocks[0][1])
-    u = tile // E
-    level_stats = MergePhaseStats()
-    level_stats.search = sum(
-        batched_search_profile(blocks, E, w, mapped=variant == "cf"), Counters()
-    )
-    # Two ops per bisection step (two reads per step), or four with CF's
-    # position -> address mapping.
-    per_step = 2 if variant == "thrust" else 4
-    level_stats.search.compute_ops = per_step * level_stats.search.shared_requests // 2
-    if variant == "thrust":
-        level_stats.merge = sum(batched_serial_merge_profile(blocks, E, w), Counters())
-        # One op per output step.
-        level_stats.merge.compute_ops = len(blocks) * u * E
-    else:
-        level_stats.merge = sum(
-            batched_cf_merge_profile(len(blocks), tile, E, w), Counters()
+class _LaneMerge:
+    """Merges each level at once; profiles queued levels in stacked passes.
+
+    A call merges a level's blocks with one packed-key sort
+    (:func:`~repro.engine.batch.merge_tags`) and queues their merge tags.
+    Queued levels are profiled together — one search pass and one merge
+    pass over every queued block, per-level counters summed from row
+    ranges — when the next level would take the queue past
+    :data:`~repro.engine.batch.STACK_ROWS` blocks, and at :meth:`finish`.
+    """
+
+    def __init__(self, E: int, w: int, variant: str) -> None:
+        self.E, self.w, self.variant = E, w, variant
+        self.per_level: list[MergePhaseStats] = []
+        self._tags: list[npt.NDArray[np.bool_]] = []
+        self._n_a: list[IntArray] = []
+
+    def __call__(self, blocks: list[Block]) -> list[IntArray]:
+        n_a = np.array([len(a_blk) for a_blk, _ in blocks], dtype=np.int64)
+        from_a, merged = merge_tags(
+            np.stack([np.concatenate(blk) for blk in blocks]), n_a
         )
-        # One op per gathered and per scattered word, plus the network.
-        ops = compare_exchange_count_odd_even(E)
-        level_stats.merge.compute_ops = len(blocks) * (2 * u * E + ops * u)
-    merged = np.sort(np.stack([np.concatenate(blk) for blk in blocks]), axis=1)
-    return list(merged), level_stats
+        if self._tags and sum(map(len, self._tags)) + len(blocks) > STACK_ROWS:
+            self._profile()
+        self._tags.append(from_a)
+        self._n_a.append(n_a)
+        return list(merged)
+
+    def _profile(self) -> None:
+        E, w, variant = self.E, self.w, self.variant
+        from_a = np.concatenate(self._tags)
+        n_a = np.concatenate(self._n_a)
+        u = from_a.shape[1] // E
+        search = tagged_search_profile(from_a, n_a, E, w, mapped=variant == "cf")
+        merge = tagged_merge_profile(from_a, n_a, E, w, variant)
+        # Two ops per bisection step (two reads per step), or four with
+        # CF's position -> address mapping.
+        per_step = 2 if variant == "thrust" else 4
+        # One op per output step, or one per gathered and per scattered
+        # word plus the network.
+        if variant == "thrust":
+            per_block = u * E
+        else:
+            per_block = 2 * u * E + compare_exchange_count_odd_even(E) * u
+        first = 0
+        for tags in self._tags:
+            rows = slice(first, first + len(tags))
+            first += len(tags)
+            stats = MergePhaseStats(search.total(rows), merge.total(rows))
+            stats.search.compute_ops = per_step * stats.search.shared_requests // 2
+            stats.merge.compute_ops = len(tags) * per_block
+            self.per_level.append(stats)
+        self._tags.clear()
+        self._n_a.clear()
+
+    def finish(self) -> list[MergePhaseStats]:
+        if self._tags:
+            self._profile()
+        return self.per_level
 
 
 def blocksort_segments(
@@ -396,10 +449,7 @@ def gpu_mergesort(
     return _mergesort(
         data, SENTINEL, E, u, w, variant,
         partial(_lockstep_blocksort, E=E, w=w, variant=variant, read_policy=read_policy),
-        partial(
-            _lockstep_merge, E=E, w=w, variant=variant,
-            read_policy=read_policy, simulate_search=simulate_search,
-        ),
+        _LockstepMerge(E, w, variant, read_policy, simulate_search),
     )
 
 
@@ -423,7 +473,7 @@ def batched_mergesort(
     result = _mergesort(
         ranks.astype(np.int64, copy=False), len(values), E, u, w, variant,
         partial(_batched_blocksort, E=E, w=w, variant=variant),
-        partial(_batched_merge, E=E, w=w, variant=variant),
+        _LaneMerge(E, w, variant),
     )
     result.data = values[result.data]
     return result

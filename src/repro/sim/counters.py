@@ -64,8 +64,8 @@ class Counters:
 
     def merge(self, other: "Counters") -> None:
         """Add ``other``'s statistics into ``self`` in place."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def __add__(self, other: "Counters") -> "Counters":
         out = Counters()
@@ -75,12 +75,12 @@ class Counters:
 
     def reset(self) -> None:
         """Zero every statistic."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
+        for name in _FIELDS:
+            setattr(self, name, 0)
 
     def as_dict(self) -> dict[str, int]:
         """Return the statistics as a plain dictionary."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _FIELDS}
 
     @property
     def shared_rounds(self) -> int:
@@ -114,3 +114,8 @@ class Counters:
             f"barriers             : {self.sync_barriers}",
         ]
         return "\n".join(lines)
+
+
+#: Field names in declaration order: the arithmetic above iterates this
+#: tuple instead of calling ``dataclasses.fields`` on every use.
+_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(Counters))

@@ -188,14 +188,19 @@ def test_smoke_job_uploads_fuzz_artifacts(workflow):
 
 
 def test_engine_job_runs_the_benchmark_twice_and_diffs_reports(workflow):
-    # The engine smoke: the batched-lane speedup floor plus the
+    # The engine smoke: the batched lane's fusion-ledger check plus the
     # determinism contract — two runs must emit byte-identical reports
-    # (counters + plan-cache hit counts, no timings).
-    steps = _steps_text(workflow["jobs"]["engine"])
+    # (counters, ledger counts + plan-cache hit counts, no timings).  The
+    # lane gate is deterministic, so no timing floor is passed in.
+    job = workflow["jobs"]["engine"]
+    steps = _steps_text(job)
     assert "pytest benchmarks/bench_engine.py" in steps
     assert "ENGINE_REPORT=engine-report.json" in steps
     assert "ENGINE_REPORT=engine-report-again.json" in steps
     assert "cmp engine-report.json engine-report-again.json" in steps
+    bench = next(s for s in job["steps"] if "bench_engine.py" in str(s.get("run", "")))
+    assert "fusion ledger" in bench["name"]
+    assert bench["env"] == {"PYTHONPATH": "src"}
 
 
 def test_engine_job_uploads_its_reports(workflow):

@@ -14,6 +14,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.arena import ALIGNMENT, BufferArena, ENGINE_ARENA, arena_stats
 from repro.errors import ParameterError
@@ -208,3 +210,74 @@ class TestCapacityAndStats:
         }
         assert all(isinstance(v, float) for v in stats.values())
         assert stats is not ENGINE_ARENA.stats()  # a fresh dict each call
+
+
+#: Pool shapes of differing sizes (64, 16, 128 and 48 bytes).
+_SHAPES = [((8,), np.int64), ((4, 4), np.int8), ((16,), np.int64), ((2, 3), np.int64)]
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("checkout"), st.integers(0, len(_SHAPES) - 1)),
+        st.tuples(st.just("release"), st.integers(0, 7)),
+        st.tuples(st.just("clear"), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+class _RecomputingPool:
+    """The pool bookkeeping as a reference: free bytes re-summed per release."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.free: dict[tuple, list[tuple[int, int]]] = {}
+        self.discarded: list[int] = []
+
+    def checkout(self, key: tuple) -> int | None:
+        pool = self.free.get(key)
+        return pool.pop()[0] if pool else None
+
+    def release(self, key: tuple, ident: int, nbytes: int) -> None:
+        self.free.setdefault(key, []).append((ident, nbytes))
+        free = sum(n for pool in self.free.values() for _, n in pool)
+        while free > self.capacity:
+            oldest = next(k for k, pool in self.free.items() if pool)
+            ident, n = self.free[oldest].pop(0)
+            if not self.free[oldest]:
+                del self.free[oldest]
+            free -= n
+            self.discarded.append(ident)
+
+
+class TestRunningFreeBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(_OPS, st.sampled_from([0, 100, 200, 10_000]))
+    def test_running_total_and_trim_order_match_a_recomputed_pool(self, ops, capacity):
+        arena = BufferArena(capacity_bytes=capacity)
+        model = _RecomputingPool(capacity)
+        held = []  # every buffer ever handed out stays alive: ids stay unique
+        out = []
+        for op, arg in ops:
+            if op == "checkout":
+                shape, dtype = _SHAPES[arg]
+                key = (np.dtype(dtype).str, shape)
+                reused = model.checkout(key)
+                buf = arena.checkout(shape, dtype)
+                if reused is not None:
+                    assert id(buf) == reused
+                held.append(buf)
+                out.append((key, buf))
+            elif op == "release" and out:
+                key, buf = out.pop(arg % len(out))
+                arena.release(buf)
+                model.release(key, id(buf), buf.nbytes)
+            elif op == "clear":
+                arena.clear()
+                model = _RecomputingPool(capacity)
+                out.clear()
+            pooled = [b for pool in arena._free.values() for b in pool]
+            assert arena._free_bytes == sum(b.nbytes for b in pooled)
+            assert {k: [id(b) for b in pool] for k, pool in arena._free.items()} == {
+                k: [ident for ident, _ in pool] for k, pool in model.free.items()
+            }
+            assert arena.stats()["discards"] == len(model.discarded)

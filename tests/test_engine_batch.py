@@ -15,7 +15,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.engine.batch as batch
 from repro.engine.batch import (
+    STACK_ROWS,
     BatchCounters,
     batched_blocksort_phases,
     batched_blocksort_profile,
@@ -124,6 +126,30 @@ class TestBlocksortCrossValidation:
                 _, sim = blocksort_tile(rows[k].copy(), E, w, variant)
                 assert _shared(batched[k]) == _shared(sim.total), f"{variant} tile {k}"
 
+    @pytest.mark.parametrize(
+        "n_tiles",
+        # E=3, u=16: four levels.  One pass holds them all; one tile more
+        # splits them; past STACK_ROWS tiles every level runs alone.
+        [STACK_ROWS // 4, STACK_ROWS // 4 + 1, STACK_ROWS + 1],
+        ids=["one-pass", "split-levels", "level-per-pass"],
+    )
+    @pytest.mark.parametrize(
+        "variant,read_policy",
+        [("thrust", "bounded"), ("thrust", "always"), ("cf", "bounded")],
+    )
+    def test_every_tile_matches_the_simulator_across_the_stack_budget(
+        self, n_tiles, variant, read_policy
+    ):
+        E, u, w = 3, 16, 4
+        rng = np.random.default_rng(n_tiles)
+        rows = rng.integers(0, 60, (n_tiles, u * E))
+        batched = batched_blocksort_profile(
+            rows, E, w, variant, read_policy=read_policy
+        )
+        for k, row in enumerate(rows):
+            _, sim = blocksort_tile(row.copy(), E, w, variant, read_policy=read_policy)
+            assert _shared(batched[k]) == _shared(sim.total), f"tile {k}"
+
     def test_noncoprime_cf_rejected_like_fast(self):
         rows = np.zeros((2, 16 * 8), dtype=np.int64)
         with pytest.raises(ParameterError):
@@ -146,6 +172,62 @@ class TestBlocksortCrossValidation:
         for k in range(2):
             _, sim = blocksort_tile(rows[k].copy(), E, w, variant)
             assert _shared(batched[k]) == _shared(sim.total), f"tile {k}"
+
+
+class TestStackedPasses:
+    @pytest.mark.parametrize(
+        "n_tiles,passes",
+        # E=5, u=32: five levels; a pass holds STACK_ROWS // n_tiles of them.
+        [(1, 1), (STACK_ROWS // 5, 1), (STACK_ROWS // 5 + 1, 2), (STACK_ROWS + 1, 5)],
+    )
+    @pytest.mark.parametrize(
+        "variant,read_policy,per_pass",
+        # One search round_many; the CF merge is analytic, the pointer
+        # merge folds into one more.
+        [("cf", "bounded", 1), ("thrust", "bounded", 2), ("thrust", "always", 2)],
+    )
+    def test_each_pass_folds_into_one_round_many_per_phase(
+        self, n_tiles, passes, variant, read_policy, per_pass
+    ):
+        rows = np.random.default_rng(n_tiles).integers(0, 1 << 20, (n_tiles, 160))
+        before = fusion_stats()
+        batched_blocksort_profile(rows, 5, 8, variant, read_policy=read_policy)
+        after = fusion_stats()
+        delta = {k: after[k] - before[k] for k in after}
+        assert delta["round_many_calls"] == passes * per_pass
+        assert delta["round_calls"] == 0
+        assert delta["fused_blocksorts"] == 1
+
+    @pytest.mark.parametrize("variant", ["thrust", "cf"])
+    def test_stacking_folds_the_rounds_of_one_pass_per_level(self, variant, monkeypatch):
+        # Levels converge after different bisection depths; their dead
+        # slabs are dropped, so the ledger's rounds_folded (and every
+        # counter) is the same whether the levels share a pass or not.
+        rng = np.random.default_rng(5)
+        rows = np.vstack([adversarial(2, 5, 32, 8).reshape(2, 160),
+                          rng.integers(0, 1 << 20, (2, 160))])
+        runs = []
+        for budget in (batch.STACK_ROWS, 1):
+            monkeypatch.setattr(batch, "STACK_ROWS", budget)
+            before = fusion_stats()
+            counters = batched_blocksort_profile(rows, 5, 8, variant)
+            after = fusion_stats()
+            runs.append((
+                [c.as_dict() for c in counters],
+                after["rounds_folded"] - before["rounds_folded"],
+                after["round_many_calls"] - before["round_many_calls"],
+            ))
+        (stacked, stacked_folded, stacked_calls), (alone, alone_folded, alone_calls) = runs
+        assert stacked == alone
+        assert stacked_folded == alone_folded
+        assert stacked_calls < alone_calls
+
+    def test_row_range_totals_sum_the_rows(self):
+        bc = BatchCounters(3, 8, 4)
+        bc.round(np.arange(24).reshape(3, 8) % 5, np.ones((3, 8), dtype=bool))
+        per_row = bc.to_counters()
+        assert bc.total(slice(1, 3)).as_dict() == (per_row[1] + per_row[2]).as_dict()
+        assert bc.total().as_dict() == sum(per_row, Counters()).as_dict()
 
 
 class TestBlocksortPhases:

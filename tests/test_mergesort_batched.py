@@ -66,6 +66,15 @@ class TestGeometries:
             data = rng.integers(-100, 100, n)
             assert_matches_the_simulator(data, E, u, w, variant)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n_tiles", [33, 65])
+    def test_both_sides_of_the_stack_budget(self, n_tiles, variant):
+        # E=3, u=8: 33 tiles stack two 32-block levels per pass, and its
+        # 33-block last level runs alone; at 65 tiles every level does.
+        rng = np.random.default_rng(n_tiles)
+        data = rng.integers(-1000, 1000, n_tiles * 24 - 1)
+        assert_matches_the_simulator(data, 3, 8, 4, variant)
+
     def test_non_coprime_cf_delegates_to_the_simulator(self, monkeypatch):
         calls = []
         real = pipeline.gpu_mergesort
@@ -80,6 +89,28 @@ class TestGeometries:
         assert len(calls) == 1
         batched_mergesort(data, 8, 16, 8, "thrust")
         assert len(calls) == 1  # thrust runs the lane at any geometry
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n_tiles,passes", [(2, 1), (16, 1), (17, 2)])
+    def test_merge_levels_share_one_search_and_one_merge_pass(
+        self, n_tiles, passes, variant, monkeypatch
+    ):
+        # Up to 16 tiles every merge level fits one stacked pass of
+        # STACK_ROWS blocks; 17 tiles need a second.
+        calls = {"search": 0, "merge": 0}
+        for name, key in (("tagged_search_profile", "search"),
+                          ("tagged_merge_profile", "merge")):
+            real = getattr(pipeline, name)
+
+            def spy(*args, _real=real, _key=key, **kwargs):
+                calls[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, spy)
+        data = np.random.default_rng(n_tiles).integers(0, 1000, n_tiles * 160)
+        result = batched_mergesort(data, 5, 32, 8, variant)
+        assert np.array_equal(result.data, np.sort(data))
+        assert calls == {"search": passes, "merge": passes}
 
     def test_lane_path_never_runs_the_simulator(self, monkeypatch):
         def forbidden(*args, **kwargs):
