@@ -9,8 +9,10 @@ two heavy phases execute as pool tasks instead of driver loops:
 * each **long segment** (> one tile) becomes a ``pipeline_segment`` task
   (the batched pipeline, ``batched_mergesort``, exactly the
   single-process long path);
-* the packed tile matrix is staged into shared memory and profiled/
-  sorted by ``blocksort_rows`` tasks over fixed row blocks.
+* the packed tile matrix is staged into shared memory and cut into one
+  contiguous, equal ``blocksort_rows`` task per pool process (one task
+  for an inline pool), each profiled and sorted in one lane pass — the
+  Merge Path rule of one equal piece per processor.
 
 Tasks write disjoint shared-memory ranges and per-tile counters are
 summed in tile order (integer sums commute anyway), so values, counters,
@@ -36,12 +38,7 @@ from repro.sim.counters import Counters
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> cluster)
     from repro.service.backends import BatchOutcome
 
-__all__ = ["cf_cluster_backend", "ROWS_PER_TASK"]
-
-#: Packed tile rows one ``blocksort_rows`` task covers.  Fixed (not
-#: pool-width dependent) so the task list — and the CLUSTER_REPORT built
-#: from it — is a pure function of the input.
-ROWS_PER_TASK = 4
+__all__ = ["cf_cluster_backend"]
 
 
 def cf_cluster_backend(
@@ -105,7 +102,9 @@ def cf_cluster_backend(
                     "variant": "cf",
                 }
             )
-        for row_lo in range(0, n_rows, ROWS_PER_TASK):
+        parts = min(max(pool.procs, 1), n_rows)
+        for part in range(parts):
+            row_lo, row_hi = n_rows * part // parts, n_rows * (part + 1) // parts
             tasks.append(
                 {
                     "task_id": f"rows:{row_lo}",
@@ -114,7 +113,7 @@ def cf_cluster_backend(
                     "rows": n_rows,
                     "tile": tile,
                     "row_lo": row_lo,
-                    "row_hi": min(row_lo + ROWS_PER_TASK, n_rows),
+                    "row_hi": row_hi,
                     "E": E,
                     "w": w,
                     "variant": "cf",

@@ -7,8 +7,9 @@ the paper's simulator stack — typed requests with deadlines
 (:mod:`~repro.service.request`), a work-conserving scheduler whose idle
 shard threads cut each batch from the backlog
 (:mod:`~repro.service.scheduler`, :mod:`~repro.service.batching`) and
-execute it through the :mod:`repro.runner` executor
-(:mod:`~repro.service.jobs`), a pluggable backend registry (``cf``,
+sort it with one backend call, or through the :mod:`repro.runner`
+executor when a result cache is given (:mod:`~repro.service.jobs`), a
+pluggable backend registry (``cf``,
 ``cf-batched``, ``cf-cluster``, ``kway``, ``samplesort``, ``baseline``,
 ``numpy``; :mod:`~repro.service.backends`), bounded-queue backpressure with
 load-shedding, and a metrics layer whose snapshots export as RunReport

@@ -1,18 +1,24 @@
-"""Bridging micro-batches onto the :mod:`repro.runner` executor.
+"""Running one micro-batch: a direct backend call, or a cached runner job.
 
-One :class:`~repro.service.batching.MicroBatch` becomes one
-:class:`~repro.runner.TileJob` of kind ``"service_batch"`` whose
-parameters *are* the batch content (values, segment lengths, backend,
-sort geometry).  Executing through :func:`repro.runner.executor.execute`
-buys the service the runner's whole contract for free: deterministic
-results for any worker layout, plus optional content-addressed caching —
-two identical batches (same values, same backend, same geometry) hit the
-same cache entry, so repeated traffic is deduplicated at the launch
-level.
+:func:`run_batch` is how every caller executes a
+:class:`~repro.service.batching.MicroBatch`.  Without a
+:class:`~repro.runner.cache.ResultCache` it makes one backend call on the
+concatenated request arrays and the batch's segment offsets — the live
+:class:`~repro.service.service.SortService`, ``run_synchronous`` and the
+uncached replayer all go this way, so a batch costs only its backend.
+
+With a cache, the batch becomes one :class:`~repro.runner.TileJob` of
+kind ``"service_batch"`` (:func:`batch_job`) whose parameters *are* the
+batch content (values, segment lengths, backend, sort geometry), run
+through :func:`repro.runner.executor.execute` and rebuilt by
+:func:`decode_outcome`.  Two identical batches then hit the same cache
+entry, so repeated traffic is deduplicated at the launch level.  Both
+paths return the same data, counters and launches.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Any
 
 import numpy as np
@@ -54,7 +60,8 @@ def service_batch_tile(job_params: dict[str, Any]) -> dict[str, Any]:
     Pure function of the job parameters (the runner's caching contract):
     decodes the concatenated values/lengths, dispatches to the named
     backend, and returns the segment-wise sorted data plus the launch's
-    counters as plain JSON.
+    counters as plain JSON.  Only the cached path of :func:`run_batch`
+    reaches it.
     """
     values = job_params["values"]
     lengths = job_params["lengths"]
@@ -91,14 +98,22 @@ def run_batch(
     w: int,
     cache: ResultCache | None = None,
 ) -> tuple[BatchOutcome, ExecutionStats]:
-    """Execute one micro-batch through the runner executor.
+    """Sort one micro-batch: one backend call, or a cached runner job.
 
-    Runs in-process (``workers=1`` — shard threads provide the service's
-    parallelism; a process pool per micro-batch would cost more than the
-    sort) but still goes through :func:`repro.runner.executor.execute` so
-    cache probes, statistics, and the determinism contract are identical
-    to every other tile kind.
+    Without ``cache`` the batch's backend sorts the concatenated request
+    arrays directly; the stats then read one job, one miss.  With
+    ``cache`` the batch runs in-process (``workers=1`` — shard threads
+    provide the service's parallelism) as a ``service_batch`` job through
+    :func:`repro.runner.executor.execute`, so identical batches share one
+    cache entry.
     """
-    job = batch_job(batch, params, w)
-    results, stats = execute([job], cache=cache, workers=1)
-    return decode_outcome(results[0]), stats
+    if cache is not None:
+        job = batch_job(batch, params, w)
+        results, stats = execute([job], cache=cache, workers=1)
+        return decode_outcome(results[0]), stats
+    start = time.perf_counter()
+    arrays = [request.data for request in batch.requests]
+    data = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+    outcome = get_backend(batch.backend)(data, batch.offsets, params, w)
+    stats = ExecutionStats(total=1, misses=1, wall_s=time.perf_counter() - start)
+    return outcome, stats

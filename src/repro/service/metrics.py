@@ -75,7 +75,11 @@ class ServiceMetrics:
         self._queue_capacity = queue_capacity
         self._device = device
         self._started_at = time.monotonic()
-        self._results: list[SortResult] = []
+        #: Completed requests' latencies, plus their wait and service
+        #: sums: all a result leaves behind (never its sorted payload).
+        self._latencies: list[float] = []
+        self._wait_total = 0.0
+        self._service_total = 0.0
         self._batches: list[BatchRecord] = []
         self._counters = Counters()
         self._submitted = 0
@@ -100,10 +104,17 @@ class ServiceMetrics:
             self._shed += 1
 
     def record_result(self, result: SortResult) -> None:
-        """Note one completed (or expired/failed) request result."""
+        """Note one completed (or expired/failed) request result.
+
+        Keeps the timings of a completed result and counts a failed one;
+        the result object, and its sorted data, are not retained.
+        """
         with self._lock:
-            self._results.append(result)
-            if result.error == "DeadlineExceededError":
+            if result.ok:
+                self._latencies.append(result.latency_s)
+                self._wait_total += result.wait_s
+                self._service_total += result.service_s
+            elif result.error == "DeadlineExceededError":
                 self._expired += 1
             elif result.error == "ServiceError":
                 self._failed += 1
@@ -133,10 +144,7 @@ class ServiceMetrics:
         from repro.replay.stats import replay_stats
 
         with self._lock:
-            completed = [r for r in self._results if r.ok]
-            latencies = sorted(r.latency_s for r in completed)
-            waits = [r.wait_s for r in completed]
-            services = [r.service_s for r in completed]
+            latencies = sorted(self._latencies)
             elements = sum(b.elements for b in self._batches)
             padded = sum(b.padded_elements for b in self._batches)
             fill_ratios = [b.fill_ratio for b in self._batches]
@@ -146,7 +154,7 @@ class ServiceMetrics:
                 self._counters,
                 kernel_launches=max(len(self._batches), 1),
             )
-            n_completed = len(completed)
+            n_completed = len(latencies)
             return {
                 "schema": METRICS_SCHEMA,
                 "params": {"E": self._params.E, "u": self._params.u, "w": self._w},
@@ -162,8 +170,10 @@ class ServiceMetrics:
                         "p95": percentile(latencies, 0.95),
                         "max": latencies[-1] if latencies else 0.0,
                     },
-                    "wait_s_mean": sum(waits) / n_completed if n_completed else 0.0,
-                    "service_s_mean": sum(services) / n_completed if n_completed else 0.0,
+                    "wait_s_mean": self._wait_total / n_completed if n_completed else 0.0,
+                    "service_s_mean": (
+                        self._service_total / n_completed if n_completed else 0.0
+                    ),
                 },
                 "batches": {
                     "count": len(self._batches),

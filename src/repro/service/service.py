@@ -3,8 +3,10 @@
 :class:`SortService` wires the subsystem together: a bounded admission
 gate (in-flight request slots — the backpressure contract), the
 work-conserving :class:`~repro.service.scheduler.BatchScheduler` whose
-shard threads execute batches through the :mod:`repro.runner` executor,
-and one :class:`~repro.service.metrics.ServiceMetrics` accumulator.
+shard threads execute each batch with one backend call
+(:func:`~repro.service.jobs.run_batch`; through the :mod:`repro.runner`
+executor only when a ``ResultCache`` is given), and one
+:class:`~repro.service.metrics.ServiceMetrics` accumulator.
 
 :class:`Client` is the ergonomic synchronous surface: ``sort`` one
 array, or ``submit_many`` a whole workload and collect per-request

@@ -272,6 +272,22 @@ def test_cluster_job_runs_the_benchmark_twice_and_diffs_reports(workflow):
     assert "--external" in steps
 
 
+def test_cluster_job_serves_cf_cluster_on_worker_processes(workflow):
+    # cf-cluster splits its tile rows by pool width, so its batches must
+    # also run on worker processes: a self-verified serve smoke.
+    job = workflow["jobs"]["cluster"]
+    step = next(s for s in job["steps"] if "--workers-procs" in str(s.get("run", "")))
+    run = str(step["run"])
+    assert "python -m repro serve" in run
+    assert "--count 200" in run
+    assert "--mix mixed" in run
+    assert "--workers-procs 2" in run
+    assert "--selftest" in run
+    backends = run.split("--backends", 1)[1].split()[0].split(",")
+    assert sorted(backends) == ["cf-batched", "cf-cluster"]
+    assert step["env"] == {"PYTHONPATH": "src"}
+
+
 def test_cluster_job_uploads_its_reports(workflow):
     job = workflow["jobs"]["cluster"]
     upload = next(s for s in job["steps"] if "upload-artifact" in str(s.get("uses", "")))

@@ -39,7 +39,7 @@ from repro.cluster import (
 )
 from repro.cluster.service import cf_cluster_backend
 from repro.config import SortParams
-from repro.engine.backend import cf_batched_backend
+from repro.engine.backend import cf_batched_backend, pack_tiles
 from repro.errors import ParameterError
 
 E, U, W = 5, 32, 8
@@ -192,6 +192,26 @@ class TestClusterBackend:
         assert np.array_equal(clustered.data, batched.data)
         assert clustered.counters.as_dict() == batched.counters.as_dict()
         assert clustered.launches == batched.launches
+
+    @pytest.mark.parametrize("procs", [0, 2])
+    def test_one_row_task_per_pool_process(self, procs):
+        # Ten short segments pack into ten tile rows; one long, one empty.
+        sizes = [TILE - 3 * i for i in range(10)] + [2 * TILE + 50, 0]
+        data = _workload(9, sum(sizes))
+        offsets = np.cumsum([0] + sizes[:-1]).tolist()
+        params = SortParams(E, U)
+        short = [(lo, lo + n) for lo, n in zip(offsets, sizes) if 0 < n <= TILE]
+        rows = len(pack_tiles(data, short, TILE)[0])
+        assert rows >= 9
+        batched = cf_batched_backend(data, offsets, params, W)
+        before = cluster_stats()["tasks_executed"]
+        with ClusterPool(procs) as pool:
+            clustered = cf_cluster_backend(data, offsets, params, W, pool=pool)
+        tasks = cluster_stats()["tasks_executed"] - before
+        assert np.array_equal(clustered.data, batched.data)
+        assert clustered.counters.as_dict() == batched.counters.as_dict()
+        assert clustered.launches == batched.launches
+        assert tasks == 1 + min(max(procs, 1), rows)
 
     def test_backend_validation_matches_batched(self):
         params = SortParams(6, 32)  # non-coprime with w=8

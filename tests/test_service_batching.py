@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.config import SortParams
 from repro.errors import ParameterError
 from repro.runner import ResultCache
 from repro.service import (
+    DEFAULT_BACKENDS,
     BatchPolicy,
     MicroBatch,
     SortRequest,
@@ -131,15 +134,25 @@ class TestRunnerBridge:
         assert hash(job_a) == hash(job_b)
         assert job_a.kind == "service_batch"
 
-    @pytest.mark.parametrize("backend", ["cf", "baseline", "numpy"])
-    def test_run_batch_sorts_every_segment(self, backend):
-        requests = [_req(i, 25 + i, backend) for i in range(4)]
+    @pytest.mark.parametrize("backend", DEFAULT_BACKENDS)
+    def test_run_batch_sorts_every_segment(self, backend, tmp_path):
+        # Four short segments, one empty and one three tiles long.
+        sizes = [25, 26, 0, 27, 3 * 40 + 7, 28]
+        requests = [_req(i, n, backend) for i, n in enumerate(sizes)]
         batch = MicroBatch(batch_id=0, backend=backend, requests=requests)
         outcome, stats = run_batch(batch, PARAMS, W)
-        assert stats.total == 1
+        assert (stats.total, stats.hits, stats.misses) == (1, 0, 1)
         for request, offset in zip(requests, batch.offsets):
             segment = outcome.data[offset : offset + request.elements]
             assert np.array_equal(segment, np.sort(request.data))
+        # The direct call and the cached runner job agree on everything.
+        cached, cached_stats = run_batch(batch, PARAMS, W, cache=ResultCache(tmp_path))
+        assert cached_stats.misses == 1
+        assert np.array_equal(outcome.data, cached.data)
+        assert outcome.counters.as_dict() == cached.counters.as_dict()
+        assert json.dumps(outcome.counters.as_dict())  # plain ints
+        assert outcome.launches == cached.launches
+        assert type(outcome.launches) is int
 
     def test_identical_batches_share_a_cache_entry(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.errors import ParameterError, QueueFullError, ServiceError
+from repro.runner.cache import ResultCache
 from repro.runner.report import RunReport
 from repro.service import (
+    DEFAULT_BACKENDS,
     METRICS_SCHEMA,
     BatchPolicy,
     Client,
@@ -21,6 +25,7 @@ from repro.service import (
     get_backend,
     register_backend,
 )
+from repro.service import jobs
 from repro.service.service import DEFAULT_PARAMS, DEFAULT_W
 from repro.service.synthetic import synth_payloads
 
@@ -143,6 +148,31 @@ class TestServiceEndToEnd:
             assert result.wait_s >= 0.0
             assert result.service_s > 0.0
             assert result.latency_s == pytest.approx(result.wait_s + result.service_s)
+
+
+class TestDirectDispatch:
+    @pytest.mark.parametrize("cached", [False, True], ids=["direct", "cached"])
+    def test_runner_job_only_with_a_cache(self, monkeypatch, tmp_path, cached):
+        calls = dict.fromkeys(("batch_job", "execute"), 0)
+        for name in calls:
+
+            def spy(*args, _name=name, _original=getattr(jobs, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(jobs, name, spy)
+        cache = ResultCache(tmp_path) if cached else None
+        with SortService(cache=cache) as service:
+            client = Client(service=service)
+            for seed, backend in enumerate(DEFAULT_BACKENDS):
+                payloads = _payloads(4, seed=seed)
+                results = client.submit_many(payloads, backend=backend, timeout=60)
+                for payload, result in zip(payloads, results):
+                    assert np.array_equal(result.data, np.sort(payload)), backend
+            batches = service.metrics.snapshot()["batches"]["count"]
+        assert batches >= len(DEFAULT_BACKENDS)
+        per_batch = batches if cached else 0
+        assert calls == {"batch_job": per_batch, "execute": per_batch}
 
 
 class TestBackpressureAndShedding:
@@ -361,6 +391,20 @@ class TestMetrics:
         assert "batches.fill_ratio_mean" in metrics
         assert "modeled.us_per_request" in metrics
         assert "counters.shared_replays" in metrics
+
+    def test_recorded_result_payload_is_freed(self):
+        metrics = ServiceMetrics(DEFAULT_PARAMS, DEFAULT_W, queue_capacity=4)
+        data = np.arange(100, dtype=np.int64)
+        payload = weakref.ref(data)
+        metrics.record_result(
+            SortResult(request_id=0, backend="numpy", data=data, service_s=0.002)
+        )
+        del data
+        gc.collect()
+        assert payload() is None
+        requests = metrics.snapshot()["requests"]
+        assert requests["completed"] == 1
+        assert requests["latency_s"]["max"] == requests["service_s_mean"] == 0.002
 
     def test_thread_safe_recording(self):
         metrics = ServiceMetrics(DEFAULT_PARAMS, DEFAULT_W, queue_capacity=16)
