@@ -7,7 +7,8 @@ Three gates, mirroring the acceptance criteria:
   same plan executed inline.
 * **Backend identity** — the `cf-cluster` service backend reproduces
   `cf-batched` exactly on a segmented micro-batch: same sorted bytes,
-  same counters, same launch count.
+  same counters, same launch count, on the inline pool and as two range
+  tasks on a 2-process pool.
 * **Budget ceiling** — the external sort completes under a resident-key
   budget of `n/4` and its measured `peak_resident_keys` never exceeds
   the budget.
@@ -33,6 +34,7 @@ from repro.cluster import (
     ClusterPool,
     build_plan,
     cluster_sort,
+    cluster_stats,
     external_sort,
     wfq_order,
 )
@@ -138,7 +140,11 @@ def test_cluster_inline_process_identity(benchmark):
 
 
 def test_cf_cluster_backend_identity(benchmark):
-    """`cf-cluster` ≡ `cf-batched`: values, counters, launches."""
+    """`cf-cluster` ≡ `cf-batched`: values, counters, launches.
+
+    Once on the default (inline) pool, one range; once on two worker
+    processes, where the batch's valid cut gives one range task each.
+    """
     data, offsets = _segmented_workload()
     params = SortParams(E, U)
     batched = cf_batched_backend(data, offsets, params, W)
@@ -147,15 +153,22 @@ def test_cf_cluster_backend_identity(benchmark):
         lambda: cf_cluster_backend(data, offsets, params, W),
         rounds=1, iterations=1,
     )
+    before = cluster_stats()["tasks_process"]
+    with ClusterPool(2) as pool:
+        sharded = cf_cluster_backend(data, offsets, params, W, pool=pool)
+    process_tasks = cluster_stats()["tasks_process"] - before
     attach(
         benchmark,
         segments=len(offsets),
         launches=clustered.launches,
         shared_replays=clustered.counters.shared_replays,
+        process_tasks=process_tasks,
     )
-    assert np.array_equal(clustered.data, batched.data)
-    assert clustered.counters.as_dict() == batched.counters.as_dict()
-    assert clustered.launches == batched.launches
+    for outcome in (clustered, sharded):
+        assert np.array_equal(outcome.data, batched.data)
+        assert outcome.counters.as_dict() == batched.counters.as_dict()
+        assert outcome.launches == batched.launches
+    assert process_tasks == 2
 
 
 def test_external_sort_budget(benchmark):

@@ -8,7 +8,11 @@ the ``spawn`` start method can import it — executes one task and returns
 a plain-dictionary result: simulator counters as plain dicts, launch
 counts, and *span records* ``(name, args)`` the driver replays into its
 tracer in deterministic task order (cross-process span propagation on
-the logical clock, without sharing a clock).
+the logical clock, without sharing a clock).  There are three kinds:
+``sort_chunk`` sorts one chunk of a cluster plan through a registered
+backend, ``merge_slice`` merges one Merge-Path partition of the plan's
+sorted runs, and ``sort_range`` sorts one segment range of a
+``cf-cluster`` batch with ``cf-batched``.
 
 :class:`ClusterPool` runs a task list either **inline** (``procs=0``,
 a plain loop in the driver — the reference path) or across ``procs``
@@ -53,33 +57,53 @@ TaskDict = dict[str, Any]
 IntArray = npt.NDArray[np.int64]
 
 
-def _sort_chunk(task: TaskDict) -> TaskDict:
-    """Sort one chunk of the input through a registered service backend."""
-    from repro.service.backends import get_backend
-
+def _sort_slice(
+    task: TaskDict,
+    sort: Callable[..., Any],
+    offsets: list[int],
+    span: tuple[str, dict[str, Any]],
+) -> TaskDict:
+    """Sort ``[lo, hi)`` of the input block into the output block."""
     lo, hi = task["lo"], task["hi"]
     handle, data = attach_int64(task["shm"], task["n"])
     out_handle, out = attach_int64(task["out_shm"], task["n"])
     try:
         params = SortParams(E=task["E"], u=task["u"])
-        outcome = get_backend(task["backend"])(
-            np.array(data[lo:hi]), [0], params, task["w"]
-        )
+        outcome = sort(np.array(data[lo:hi]), offsets, params, task["w"])
         out[lo:hi] = outcome.data
         return {
             "task_id": task["task_id"],
             "counters": outcome.counters.as_dict(),
             "launches": outcome.launches,
-            "spans": [
-                (
-                    "cluster.sort_chunk",
-                    {"lo": lo, "hi": hi, "backend": task["backend"]},
-                )
-            ],
+            "spans": [span],
         }
     finally:
         handle.close()
         out_handle.close()
+
+
+def _sort_chunk(task: TaskDict) -> TaskDict:
+    """Sort one chunk of the input through a registered service backend."""
+    from repro.service.backends import get_backend
+
+    span = {"lo": task["lo"], "hi": task["hi"], "backend": task["backend"]}
+    return _sort_slice(
+        task, get_backend(task["backend"]), [0], ("cluster.sort_chunk", span)
+    )
+
+
+def _sort_range(task: TaskDict) -> TaskDict:
+    """Sort one segment range of a ``cf-cluster`` batch with ``cf-batched``.
+
+    The function itself, not the registry entry, so a wrapped
+    ``cf-batched`` registration never runs inside a ``cf-cluster`` call.
+    """
+    from repro.engine.backend import cf_batched_backend
+
+    span = {"lo": task["lo"], "hi": task["hi"], "segments": len(task["offsets"])}
+    return _sort_slice(
+        task, cf_batched_backend, task["offsets"], ("cluster.sort_range", span)
+    )
 
 
 def _merge_slice(task: TaskDict) -> TaskDict:
@@ -122,62 +146,10 @@ def _merge_slice(task: TaskDict) -> TaskDict:
         out_handle.close()
 
 
-def _blocksort_rows(task: TaskDict) -> TaskDict:
-    """Profile and sort a row range of a packed blocksort tile matrix."""
-    from repro.engine.batch import batched_blocksort_profile
-
-    rows, tile = task["rows"], task["tile"]
-    handle, flat = attach_int64(task["shm"], rows * tile)
-    try:
-        matrix = flat.reshape(rows, tile)
-        row_lo, row_hi = task["row_lo"], task["row_hi"]
-        sub = matrix[row_lo:row_hi]
-        per_tile = batched_blocksort_profile(sub, task["E"], task["w"], task["variant"])
-        matrix[row_lo:row_hi] = np.sort(sub, axis=1)
-        return {
-            "task_id": task["task_id"],
-            "counters_rows": [c.as_dict() for c in per_tile],
-            "launches": row_hi - row_lo,
-            "spans": [
-                ("cluster.blocksort_rows", {"row_lo": row_lo, "row_hi": row_hi})
-            ],
-        }
-    finally:
-        handle.close()
-
-
-def _pipeline_segment(task: TaskDict) -> TaskDict:
-    """Run the batched mergesort pipeline over one long segment."""
-    from repro.mergesort.pipeline import batched_mergesort
-
-    lo, hi = task["lo"], task["hi"]
-    handle, data = attach_int64(task["shm"], task["n"])
-    out_handle, out = attach_int64(task["out_shm"], task["n"])
-    try:
-        result = batched_mergesort(
-            np.array(data[lo:hi]),
-            E=task["E"],
-            u=task["u"],
-            w=task["w"],
-            variant=task["variant"],
-        )
-        out[lo:hi] = result.data
-        return {
-            "task_id": task["task_id"],
-            "counters": result.total_counters.as_dict(),
-            "launches": 1,
-            "spans": [("cluster.pipeline_segment", {"lo": lo, "hi": hi})],
-        }
-    finally:
-        handle.close()
-        out_handle.close()
-
-
 _TASK_KINDS = {
     "sort_chunk": _sort_chunk,
     "merge_slice": _merge_slice,
-    "blocksort_rows": _blocksort_rows,
-    "pipeline_segment": _pipeline_segment,
+    "sort_range": _sort_range,
 }
 
 

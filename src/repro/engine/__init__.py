@@ -25,7 +25,6 @@ from repro.engine.batch import (
     batched_cf_merge_profile,
     batched_kway_merge_profile,
     batched_kway_search_profile,
-    batched_pointer_merge_profile,
     batched_search_profile,
     batched_serial_merge_profile,
     kway_gather_addresses,
@@ -58,7 +57,6 @@ __all__ = [
     "batched_cf_merge_profile",
     "batched_kway_merge_profile",
     "batched_kway_search_profile",
-    "batched_pointer_merge_profile",
     "batched_search_profile",
     "batched_serial_merge_profile",
     "kway_gather_addresses",

@@ -3,7 +3,7 @@
 The stock ``cf`` backend sorts a micro-batch by concatenating every
 short segment into one packed array and running the full lockstep
 mergesort pipeline over it.  This backend instead packs segments into
-independent blocksort tiles (first-fit in submission order — a segment
+independent blocksort tiles (next-fit in submission order — a segment
 never straddles tiles) and profiles/sorts **all** tiles in one batched
 vectorized pass through :mod:`repro.engine.batch`:
 
@@ -24,10 +24,15 @@ reports exactly the lockstep ``gpu_mergesort(..., "cf")`` counters,
 compute and global traffic included.  The lane's CF profile requires
 coprime ``(w, E)`` and a power-of-two ``u`` — geometry violations raise,
 they are never silently approximated.
+
+``cf-cluster`` (:mod:`repro.cluster.service`) is this backend run on the
+cluster pool: :func:`split_batch` cuts a batch where no tile straddles
+the cut, one segment range per pool process.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -49,7 +54,7 @@ from repro.sim.counters import Counters
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> engine)
     from repro.service.backends import BatchOutcome
 
-__all__ = ["cf_batched_backend", "pack_tiles", "validate_batch"]
+__all__ = ["cf_batched_backend", "pack_tiles", "split_batch", "validate_batch"]
 
 
 def validate_batch(
@@ -77,12 +82,30 @@ def validate_batch(
     return arr, segment_bounds(arr, offsets)
 
 
+def _next_fit(sizes: Sequence[int], tile: int) -> list[int]:
+    """Where next-fit packing opens a tile: indices into ``sizes``.
+
+    A segment joins the open tile while it fits and opens a new tile
+    otherwise, so every tile holds a contiguous run of segments.
+    """
+    starts: list[int] = []
+    fill = 0
+    for index, size in enumerate(sizes):
+        if size > tile:
+            raise ParameterError(f"segment of {size} elements exceeds the tile ({tile})")
+        if not starts or fill + size > tile:
+            starts.append(index)
+            fill = 0
+        fill += size
+    return starts
+
+
 def pack_tiles(
     data: npt.NDArray[np.int64],
     segments: Sequence[tuple[int, int]],
     tile: int,
 ) -> tuple[list[list[tuple[int, int]]], npt.NDArray[np.int64]]:
-    """First-fit pack ``(lo, hi)`` segments into whole tiles.
+    """Next-fit pack ``(lo, hi)`` segments into whole tiles.
 
     Returns ``(tiles, packed)``: per tile, the segments it holds (in
     order), and the stacked ``(n_tiles, tile)`` packed matrix.  Packed
@@ -91,17 +114,11 @@ def pack_tiles(
     *and* keeps them grouped; the pad word ``len(segments) << KEY_BITS``
     sorts after every real word.
     """
-    tiles: list[list[tuple[int, int]]] = []
-    fill = 0
-    for lo, hi in segments:
-        size = hi - lo
-        if size > tile:
-            raise ParameterError(f"segment of {size} elements exceeds the tile ({tile})")
-        if not tiles or fill + size > tile:
-            tiles.append([])
-            fill = 0
-        tiles[-1].append((lo, hi))
-        fill += size
+    starts = _next_fit([hi - lo for lo, hi in segments], tile)
+    tiles = [
+        list(segments[start:end])
+        for start, end in zip(starts, starts[1:] + [len(segments)])
+    ]
     pad = np.int64(len(segments)) << KEY_BITS
     rows = []
     rank = 0
@@ -113,6 +130,46 @@ def pack_tiles(
         rows.append(np.concatenate(parts))
     packed = pad_and_stack(rows, tile, int(pad))
     return tiles, packed
+
+
+def split_batch(bounds: Sequence[int], tile: int, parts: int) -> list[int]:
+    """Cut a batch into at most ``parts`` segment ranges that pack alone.
+
+    ``bounds`` are the batch's segment bounds, ``offsets + [n]`` as
+    :func:`validate_batch` returns them.  A boundary between two
+    segments is a valid cut when no tile of :func:`pack_tiles`' next-fit
+    packing holds segments on both sides of it (long and empty segments
+    are not packed, so one lying inside a tile is no cut).  Each cut is
+    the valid boundary nearest ``k * n / parts`` keys, ``0 < k < parts``;
+    with fewer valid cuts there are fewer ranges.  Returns segment
+    indices ``cuts`` from 0 to ``len(bounds) - 1``: range ``r`` holds
+    segments ``cuts[r]:cuts[r + 1]``.
+
+    Packed alone, a range opens its tiles exactly where the whole batch
+    does, so :func:`cf_batched_backend` over the ranges builds the same
+    tiles (segment ranks shift by a constant, keeping every comparison)
+    and returns the same data, counters and launches, summed.
+    """
+    segments = len(bounds) - 1
+    n = bounds[-1]
+    short = [i for i in range(segments) if 0 < bounds[i + 1] - bounds[i] <= tile]
+    opens = {
+        short[s] for s in _next_fit([bounds[i + 1] - bounds[i] for i in short], tile)
+    }
+    # Key position of each valid cut -> its first segment boundary.
+    valid: dict[int, int] = {}
+    for j in range(1, segments):
+        k = bisect_left(short, j)
+        if 0 < bounds[j] < n and (k == len(short) or short[k] in opens):
+            valid.setdefault(bounds[j], j)
+    positions = sorted(valid)
+    cuts = {0, segments}
+    if positions:
+        for part in range(1, parts):
+            i = bisect_left(positions, part * n / parts)
+            near = positions[max(i - 1, 0) : i + 1]
+            cuts.add(valid[min(near, key=lambda p: abs(p * parts - part * n))])
+    return sorted(cuts)
 
 
 def cf_batched_backend(

@@ -34,6 +34,12 @@ one more; :func:`merge_tags`, :func:`tagged_search_profile` and
 merge levels at once, each row one block.  A stacked pass holds whole
 levels of at most :data:`STACK_ROWS` tile rows, so large batches keep
 one pass per level and bounded scratch.
+
+The blocksort, merge and search profiles each have one fused path.
+Values past the ``2*v + tag`` packing range are replaced by their dense
+ranks first (same comparisons, same counters), and a merge or search
+pair whose halves are not two sorted runs raises
+:class:`~repro.errors.ParameterError`.
 """
 
 from __future__ import annotations
@@ -55,7 +61,6 @@ __all__ = [
     "BatchCounters",
     "pad_and_stack",
     "odd_even_sort_rows",
-    "batched_pointer_merge_profile",
     "batched_serial_merge_profile",
     "batched_search_profile",
     "merge_tags",
@@ -599,75 +604,16 @@ def odd_even_sort_rows(rows: npt.ArrayLike) -> tuple[IntArray, int]:
     return out, int(len(lo))
 
 
-def _take(backing: IntArray, idx: IntArray) -> IntArray:
-    """Row-wise gather: ``backing[t, idx[t, i]]`` for every lane."""
-    return np.take_along_axis(backing, idx, axis=1)
-
-
-def batched_pointer_merge_profile(
-    backing: IntArray,
-    a_ptr: IntArray,
-    a_end: IntArray,
-    b_ptr: IntArray,
-    b_end: IntArray,
-    E: int,
-    w: int,
-    *,
-    read_policy: str = "bounded",
-    acc: BatchCounters | None = None,
-) -> BatchCounters:
-    """Serial-merge rounds for explicit per-thread pointer ranges.
-
-    Each thread merges ``backing[a_ptr:a_end]`` with
-    ``backing[b_ptr:b_end]`` (both sorted), reading from ``backing``'s
-    address space: two head-load rounds, then ``E`` advance rounds, as
-    :func:`repro.mergesort.serial_merge.serial_merge_block` issues them.
-    Every argument is ``(tiles, u)`` over a shared ``(tiles, L)``
-    ``backing``.  Passing ``acc`` folds the rounds into an existing
-    accumulator."""
-    if read_policy not in ("bounded", "always"):
-        raise ParameterError(f"unknown read_policy {read_policy!r}")
-    T, u = a_ptr.shape
-    if acc is None:
-        acc = BatchCounters(T, u, w)
-    last = backing.shape[1] - 1
-
-    a_ptr = a_ptr.astype(np.int64, copy=True)
-    b_ptr = b_ptr.astype(np.int64, copy=True)
-    a_active = a_ptr < a_end
-    acc.round(a_ptr, a_active)
-    a_key = np.where(a_active, _take(backing, np.minimum(a_ptr, last)), SENTINEL)
-    b_active = b_ptr < b_end
-    acc.round(b_ptr, b_active)
-    b_key = np.where(b_active, _take(backing, np.minimum(b_ptr, last)), SENTINEL)
-
-    pa = a_ptr.copy()
-    pb = b_ptr.copy()
-    for _ in range(E):
-        take_a = (pa < a_end) & ((pb >= b_end) | (a_key <= b_key))
-        pa = np.where(take_a, pa + 1, pa)
-        pb = np.where(take_a, pb, pb + 1)
-        next_addr = np.where(take_a, pa, pb)
-        in_range = np.where(take_a, pa < a_end, pb < b_end)
-        if read_policy == "always":
-            clamped = np.where(take_a, np.maximum(a_end - 1, 0), np.maximum(b_end - 1, 0))
-            addr = np.where(in_range, next_addr, clamped)
-            active = np.ones((T, u), dtype=bool)
-        else:
-            addr = next_addr
-            active = in_range
-        acc.round(np.minimum(addr, last), active)
-        new_key = _take(backing, np.minimum(addr, last))
-        loaded = active & in_range
-        a_key = np.where(take_a & loaded, new_key, np.where(take_a, SENTINEL, a_key))
-        b_key = np.where(~take_a & loaded, new_key, np.where(~take_a, SENTINEL, b_key))
-    return acc
-
-
 def _stack_pairs(
-    pairs: Sequence[tuple[npt.ArrayLike, npt.ArrayLike]], E: int
-) -> tuple[IntArray, IntArray, int]:
-    """Stack (A, B) pairs into one backing matrix + per-tile ``|A|``."""
+    pairs: Sequence[tuple[npt.ArrayLike, npt.ArrayLike]], E: int, profile: str
+) -> tuple[IntArray, IntArray]:
+    """Stack sorted (A, B) pairs into one backing matrix + per-tile ``|A|``.
+
+    Values past the ``2*v + tag`` packing range come back as dense
+    ranks, which keep every comparison (order and ties) and hence every
+    counter; :func:`fusion_stats` counts such passes as
+    ``fallback_<profile>`` (``fallback_merges``, ``fallback_searches``).
+    """
     if not pairs:
         raise ParameterError("batched profile needs at least one (a, b) pair")
     rows = [
@@ -683,40 +629,13 @@ def _stack_pairs(
         raise ParameterError(f"|A|+|B| = {total} must be a positive multiple of E = {E}")
     backing = np.stack(rows)
     n_a = np.asarray([len(np.asarray(a)) for a, _ in pairs], dtype=np.int64)
-    return backing, n_a, total
-
-
-def _batched_block_cuts(
-    backing: IntArray, n_a: IntArray, E: int, u: int
-) -> IntArray:
-    """Per-thread merge-path cuts ``a_off[t, i]`` at diagonals ``i*E``.
-
-    Replicates :func:`repro.mergesort.merge_path.merge_path_search`
-    element-wise (same ``lo``/``hi``/``mid`` trajectory, ties toward A),
-    vectorized over tiles × threads.  Out-of-range probe indices only
-    occur on lanes whose search already converged; they are clipped and
-    their comparisons discarded by the ``live`` mask.
-    """
-    T = backing.shape[0]
-    total = backing.shape[1]
-    n_a_col = n_a[:, None]
-    n_b_col = total - n_a_col
-    diag = (np.arange(u, dtype=np.int64) * E)[None, :]
-    lo = np.maximum(0, np.broadcast_to(diag - n_b_col, (T, u))).astype(np.int64)
-    hi = np.minimum(np.broadcast_to(diag, (T, u)), n_a_col).astype(np.int64)
-    live = lo < hi
-    last = total - 1
-    while live.any():
-        mid = (lo + hi) // 2
-        a_idx = np.minimum(np.maximum(mid, 0), np.maximum(n_a_col - 1, 0))
-        b_idx = np.minimum(np.maximum(diag - 1 - mid, 0), np.maximum(n_b_col - 1, 0))
-        a_val = _take(backing, np.minimum(a_idx, last))
-        b_val = _take(backing, np.minimum(n_a_col + b_idx, last))
-        go_right = a_val <= b_val
-        lo = np.where(live & go_right, mid + 1, lo)
-        hi = np.where(live & ~go_right, mid, hi)
-        live = lo < hi
-    return lo
+    if not _halves_sorted(backing, n_a):
+        raise ParameterError("every (A, B) pair must hold two sorted runs")
+    packable = _pack_dtype(backing) is not None
+    _FUSION.note_profile(profile, packable)
+    if not packable:
+        backing = np.unique(backing, return_inverse=True)[1].reshape(backing.shape)
+    return backing, n_a
 
 
 def _pack_dtype(backing: IntArray) -> type | None:
@@ -731,17 +650,12 @@ def _pack_dtype(backing: IntArray) -> type | None:
     return None
 
 
-def _values_packable(backing: IntArray) -> bool:
-    """True when every value survives the ``2*v + tag`` packing in int64."""
-    return _pack_dtype(backing) is not None
-
-
 def _halves_sorted(backing: IntArray, n_a: IntArray) -> bool:
     """True when every tile's A half and B half are each sorted ascending.
 
     One descent is allowed per row, exactly at the A/B boundary
     ``n_a - 1`` (and only when both halves are non-empty) — the single
-    vectorized check the fused single-sort profiles gate on.
+    vectorized check the merge and search profiles require.
     """
     total = backing.shape[1]
     if total < 2:
@@ -764,7 +678,11 @@ def _fused_pointer_merge_rounds(
     length: int,
     read_policy: str,
 ) -> None:
-    """Replay :func:`batched_pointer_merge_profile`'s rounds in closed form.
+    """Replay the serial merge's pointer rounds in closed form.
+
+    The rounds are those of
+    :func:`~repro.mergesort.serial_merge.serial_merge_block`'s per-thread
+    merge: two head loads, then ``E`` advance rounds.
 
     The pointer arrays are ``(levels, tiles, u)``: each leading slice is
     one independent merge over the accumulator's tiles (a blocksort
@@ -775,9 +693,8 @@ def _fused_pointer_merge_rounds(
     ``csum[j]`` A elements and ``j + 1 - csum[j]`` B elements — so every
     round's addresses and active masks are closed-form, and every
     level's merge (initial key loads plus ``E`` advance rounds) folds
-    into one :meth:`BatchCounters.round_many` call, bit-identical to the
-    sequential loops.  Every address stays below ``length``, so the
-    sequential loop's safety clamp is a no-op here and is skipped.
+    into one :meth:`BatchCounters.round_many` call, bit-identical to
+    running the rounds one by one.  Every address stays below ``length``.
 
     Under ``bounded`` reads each active lane's address sits inside its
     own thread's A or B window; windows are pairwise disjoint within a
@@ -1050,37 +967,16 @@ def batched_serial_merge_profile(
 
     Per pair, bit-identical to the ``stats.merge`` shared-memory counters
     of :func:`repro.mergesort.serial_merge.serial_merge_block` (compute
-    ops excepted), for every pair in one vectorized pass.  When every
-    tile's halves are sorted (the contract real merge inputs satisfy)
-    and values survive key packing, the fused path runs: one packed-key
-    sort (:func:`merge_tags`) yields the merge decisions, and
+    ops excepted), for every pair in one vectorized pass.  Each pair's
+    halves must be sorted (the contract real merge inputs satisfy).  One
+    packed-key sort (:func:`merge_tags`) yields the merge decisions, and
     :func:`tagged_merge_profile` folds all pointer-merge rounds into a
-    single stacked accounting pass.  Otherwise the original bisection +
-    sequential pointer loop runs — both paths give identical counters
-    per tile."""
+    single stacked accounting pass."""
     if read_policy not in ("bounded", "always"):
         raise ParameterError(f"unknown read_policy {read_policy!r}")
-    backing, n_a, total = _stack_pairs(pairs, E)
-    u = total // E
-    if u % w:
-        raise ParameterError(f"thread count {u} must be a multiple of w = {w}")
-    fused = _values_packable(backing) and _halves_sorted(backing, n_a)
-    _FUSION.note_profile("merges", fused)
-    if fused:
-        from_a, _ = merge_tags(backing, n_a)
-        return tagged_merge_profile(
-            from_a, n_a, E, w, read_policy=read_policy
-        ).to_counters()
-    diag = (np.arange(u, dtype=np.int64) * E)[None, :]
-    a_off = _batched_block_cuts(backing, n_a, E, u)
-    a_end = np.empty_like(a_off)
-    a_end[:, :-1] = a_off[:, 1:]
-    a_end[:, -1] = n_a
-    b_ptr = n_a[:, None] + (diag - a_off)
-    b_end = n_a[:, None] + (diag + E) - a_end
-    return batched_pointer_merge_profile(
-        backing, a_off, a_end, b_ptr, b_end, E, w, read_policy=read_policy
-    ).to_counters()
+    backing, n_a = _stack_pairs(pairs, E, "merges")
+    from_a, _ = merge_tags(backing, n_a)
+    return tagged_merge_profile(from_a, n_a, E, w, read_policy=read_policy).to_counters()
 
 
 def batched_search_profile(
@@ -1099,48 +995,14 @@ def batched_search_profile(
     plan, a position -> address table); the search trajectory itself
     reads plain values either way.
 
-    When the tiles' halves are sorted and values survive key packing,
-    the bisections are *replayed* instead of executed: the final cuts
-    come from one packed-key sort (:func:`merge_tags`), and
-    :func:`tagged_search_profile` reproduces every probe with no data
-    reads, folded into one stacked accounting pass."""
-    backing, n_a, total = _stack_pairs(pairs, E)
-    fused = _values_packable(backing) and _halves_sorted(backing, n_a)
-    _FUSION.note_profile("searches", fused)
-    if fused:
-        from_a, _ = merge_tags(backing, n_a)
-        return tagged_search_profile(from_a, n_a, E, w, mapped=mapped).to_counters()
-
-    T = backing.shape[0]
-    u = total // E
-    n_a_col = n_a[:, None]
-    n_b_col = total - n_a_col
-    acc = BatchCounters(T, u, w)
-    fwd = np.asarray(get_plan("rho", total, E, w)["fwd"]) if mapped else None
-    last = total - 1
-    diag = (np.arange(u, dtype=np.int64) * E)[None, :]
-    lo = np.maximum(0, np.broadcast_to(diag - n_b_col, (T, u))).astype(np.int64)
-    hi = np.minimum(np.broadcast_to(diag, (T, u)), n_a_col).astype(np.int64)
-    live = lo < hi
-    while live.any():
-        mid = (lo + hi) // 2
-        b_idx = np.minimum(np.maximum(diag - 1 - mid, 0), np.maximum(n_b_col - 1, 0))
-        if fwd is not None:
-            b_pos = np.minimum(np.maximum(diag - 1 - mid, 0), n_b_col - 1) % total
-            acc.round(fwd[np.minimum(mid, last)], live)
-            acc.round(fwd[total - 1 - b_pos], live)
-        else:
-            acc.round(mid, live)
-            acc.round(n_a_col + b_idx, live)
-        a_val = _take(
-            backing, np.minimum(np.maximum(mid, 0), np.maximum(n_a_col - 1, 0))
-        )
-        b_val = _take(backing, np.minimum(n_a_col + b_idx, last))
-        go_right = a_val <= b_val
-        lo = np.where(live & go_right, mid + 1, lo)
-        hi = np.where(live & ~go_right, mid, hi)
-        live = lo < hi
-    return acc.to_counters()
+    Each pair's halves must be sorted.  The bisections are *replayed*
+    instead of executed: the final cuts come from one packed-key sort
+    (:func:`merge_tags`), and :func:`tagged_search_profile` reproduces
+    every probe with no data reads, folded into one stacked accounting
+    pass."""
+    backing, n_a = _stack_pairs(pairs, E, "searches")
+    from_a, _ = merge_tags(backing, n_a)
+    return tagged_search_profile(from_a, n_a, E, w, mapped=mapped).to_counters()
 
 
 def _cf_merge_rounds(acc: BatchCounters, E: int) -> None:

@@ -48,7 +48,7 @@ Three layers, from kernel to driver:
   shipped before real k-way kernels existed: ``ceil(log2(k))`` levels
   of two-run merges.  It is **not** a k-way merge (each level is the
   binary kernel); the name now says so.  The historical ``merge_runs``
-  alias is gone — importing it raises with a pointer at the new name.
+  alias is gone.
 """
 
 from __future__ import annotations
@@ -763,18 +763,3 @@ def tournament_merge_runs(
         arrays = nxt
     return arrays[0], stats
 
-
-def __getattr__(name: str) -> object:
-    """Turn ``merge_runs`` lookups into an actionable error.
-
-    The deprecated compatibility wrapper is removed; a stale import
-    would otherwise fail with a bare ``AttributeError`` that names
-    neither the replacement nor the reason.
-    """
-    if name == "merge_runs":
-        raise AttributeError(
-            "merge_runs was removed: call tournament_merge_runs (identical "
-            "signature and semantics) or kway_sort/kway_merge_block for a "
-            "true k-way merge"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

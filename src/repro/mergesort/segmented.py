@@ -32,6 +32,7 @@ from repro.sim.counters import Counters
 __all__ = [
     "KEY_BITS",
     "KEY_LIMIT",
+    "offset_bounds",
     "segment_bounds",
     "segmented_sort",
     "unpack_segments",
@@ -44,14 +45,13 @@ KEY_BITS = 40
 KEY_LIMIT = 1 << (KEY_BITS - 1)
 
 
-def segment_bounds(
+def offset_bounds(
     data: npt.NDArray[np.int64], offsets: Sequence[int]
 ) -> list[int]:
-    """Validate a segmented batch; return its bounds ``offsets + [len(data)]``.
+    """Validate a segmented batch's offsets; return ``offsets + [len(data)]``.
 
-    ``data`` must be 1-D ``int64`` with packable keys, and ``offsets``
-    must start at 0 (when present), be non-decreasing, and stay within
-    ``data``.
+    ``data`` must be 1-D, and ``offsets`` must start at 0 (when present),
+    be non-decreasing, and stay within ``data``.
     """
     if data.ndim != 1:
         raise ParameterError("data must be one-dimensional")
@@ -60,9 +60,21 @@ def segment_bounds(
         raise ParameterError("the first segment offset must be 0")
     for prev, nxt in zip(bounds, bounds[1:]):
         if nxt < prev:
-            raise ParameterError("segment offsets must be non-decreasing")
-    if bounds[:-1] and bounds[-2] > len(data):
-        raise ParameterError("segment offsets exceed the data length")
+            raise ParameterError(
+                "segment offsets must be non-decreasing and at most len(data)"
+            )
+    return bounds
+
+
+def segment_bounds(
+    data: npt.NDArray[np.int64], offsets: Sequence[int]
+) -> list[int]:
+    """:func:`offset_bounds` for a batch whose keys get packed.
+
+    Keys must also fit in ``+-2^(KEY_BITS - 1)``, the packed word's key
+    field.
+    """
+    bounds = offset_bounds(data, offsets)
     if len(data) and (data.min() <= -KEY_LIMIT or data.max() >= KEY_LIMIT):
         raise ParameterError(f"keys must fit in +-2^{KEY_BITS - 1}")
     return bounds

@@ -19,9 +19,10 @@ by default:
     counters bit-identical to the lockstep simulator's blocksort; each
     segment longer than a tile runs through the batched pipeline.
 ``cf-cluster``
-    The batched engine lane sharded through the cluster worker pool
-    (:mod:`repro.cluster.service`): long segments (batched pipeline) and
-    packed tile rows execute as pool tasks over shared memory,
+    ``cf-batched`` run on the cluster worker pool
+    (:mod:`repro.cluster.service`): the batch is cut into at most one
+    segment range per pool process, where no packed tile straddles the
+    cut, and each range is one pool task over shared memory,
     byte-identical to ``cf-batched`` whether the pool runs inline or
     across processes.
 ``kway``
@@ -70,7 +71,7 @@ import numpy.typing as npt
 from repro.config import SortParams
 from repro.errors import ParameterError
 from repro.mergesort.pipeline import blocksort_segments
-from repro.mergesort.segmented import segmented_sort
+from repro.mergesort.segmented import offset_bounds, segmented_sort
 from repro.numtheory import coprime
 from repro.sim.counters import Counters
 
@@ -129,7 +130,7 @@ def _numpy_backend(
 ) -> BatchOutcome:
     """Sort each segment with ``numpy.sort`` (host reference, no counters)."""
     out = data.copy()
-    bounds = list(offsets) + [len(data)]
+    bounds = offset_bounds(data, offsets)
     for lo, hi in zip(bounds, bounds[1:]):
         out[lo:hi] = np.sort(data[lo:hi])
     return BatchOutcome(data=out, counters=Counters(), launches=0)
@@ -188,7 +189,7 @@ def _per_segment_backend(name: str, sort: SegmentSort) -> SortBackend:
         launches = 0
         pack = coprime(w, params.E)
         short: list[tuple[int, int]] = []
-        bounds = list(offsets) + [len(data)]
+        bounds = offset_bounds(data, offsets)
         for lo, hi in zip(bounds, bounds[1:]):
             if hi == lo:
                 continue

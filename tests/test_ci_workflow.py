@@ -273,8 +273,9 @@ def test_cluster_job_runs_the_benchmark_twice_and_diffs_reports(workflow):
 
 
 def test_cluster_job_serves_cf_cluster_on_worker_processes(workflow):
-    # cf-cluster splits its tile rows by pool width, so its batches must
-    # also run on worker processes: a self-verified serve smoke.
+    # cf-cluster cuts each batch into one segment range per pool process,
+    # so its batches must also run on worker processes: a self-verified
+    # serve smoke.
     job = workflow["jobs"]["cluster"]
     step = next(s for s in job["steps"] if "--workers-procs" in str(s.get("run", "")))
     run = str(step["run"])

@@ -20,6 +20,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     ClusterPool,
@@ -33,13 +35,14 @@ from repro.cluster import (
     external_sort,
     get_plan,
     merge_partition_cuts,
+    run_cluster_task,
     run_plan,
     stable_merge_slices,
     wfq_order,
 )
 from repro.cluster.service import cf_cluster_backend
 from repro.config import SortParams
-from repro.engine.backend import cf_batched_backend, pack_tiles
+from repro.engine.backend import cf_batched_backend
 from repro.errors import ParameterError
 
 E, U, W = 5, 32, 8
@@ -182,6 +185,25 @@ class TestExecutor:
         assert spans_with(0) == spans_with(2)
 
 
+#: Segment sizes around the tile edges, plus long and random short ones.
+_SEGMENT_SIZES = st.one_of(
+    st.sampled_from([0, 1, TILE - 1, TILE, TILE + 1, 2 * TILE + 9]),
+    st.integers(2, TILE - 2),
+)
+
+
+class _InlinePool:
+    """A pool of width ``procs`` that runs its tasks inline, counting them."""
+
+    def __init__(self, procs: int) -> None:
+        self.procs = procs
+        self.tasks = 0
+
+    def run(self, tasks):
+        self.tasks += len(tasks)
+        return [run_cluster_task(task) for task in tasks]
+
+
 class TestClusterBackend:
     def test_backend_identity_with_long_and_empty_segments(self):
         data = _workload(6, 2 * TILE + 70)
@@ -194,15 +216,13 @@ class TestClusterBackend:
         assert clustered.launches == batched.launches
 
     @pytest.mark.parametrize("procs", [0, 2])
-    def test_one_row_task_per_pool_process(self, procs):
-        # Ten short segments pack into ten tile rows; one long, one empty.
+    def test_one_range_task_per_pool_process(self, procs):
+        # Ten short segments, each too big to share a tile with the next,
+        # then one long and one empty: every boundary is a valid cut.
         sizes = [TILE - 3 * i for i in range(10)] + [2 * TILE + 50, 0]
         data = _workload(9, sum(sizes))
         offsets = np.cumsum([0] + sizes[:-1]).tolist()
         params = SortParams(E, U)
-        short = [(lo, lo + n) for lo, n in zip(offsets, sizes) if 0 < n <= TILE]
-        rows = len(pack_tiles(data, short, TILE)[0])
-        assert rows >= 9
         batched = cf_batched_backend(data, offsets, params, W)
         before = cluster_stats()["tasks_executed"]
         with ClusterPool(procs) as pool:
@@ -211,7 +231,28 @@ class TestClusterBackend:
         assert np.array_equal(clustered.data, batched.data)
         assert clustered.counters.as_dict() == batched.counters.as_dict()
         assert clustered.launches == batched.launches
-        assert tasks == 1 + min(max(procs, 1), rows)
+        assert tasks == max(procs, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(_SEGMENT_SIZES, min_size=1, max_size=10),
+        procs=st.integers(1, 5),
+        duplicates=st.booleans(),
+        seed=st.integers(0, 1 << 16),
+    )
+    def test_every_range_split_matches_cf_batched(self, sizes, procs, duplicates, seed):
+        rng = np.random.default_rng(seed)
+        high = 3 if duplicates else 1 << 30
+        data = rng.integers(-high, high, sum(sizes), dtype=np.int64)
+        offsets = np.cumsum([0] + sizes[:-1]).tolist()
+        params = SortParams(E, U)
+        batched = cf_batched_backend(data, offsets, params, W)
+        pool = _InlinePool(procs)
+        clustered = cf_cluster_backend(data, offsets, params, W, pool=pool)
+        assert np.array_equal(clustered.data, batched.data)
+        assert clustered.counters.as_dict() == batched.counters.as_dict()
+        assert clustered.launches == batched.launches
+        assert 1 <= pool.tasks <= procs
 
     def test_backend_validation_matches_batched(self):
         params = SortParams(6, 32)  # non-coprime with w=8

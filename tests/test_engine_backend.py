@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.config import SortParams
-from repro.engine.backend import cf_batched_backend, pack_tiles
+from repro.engine.backend import cf_batched_backend, pack_tiles, split_batch
 from repro.errors import ParameterError
 from repro.mergesort import blocksort_tile
 from repro.mergesort.segmented import KEY_BITS, KEY_LIMIT
@@ -138,6 +138,36 @@ class TestPackTiles:
     def test_segment_larger_than_tile_rejected(self):
         with pytest.raises(ParameterError):
             pack_tiles(np.arange(10, dtype=np.int64), [(0, 10)], 8)
+
+
+class TestSplitBatch:
+    @pytest.mark.parametrize("parts", [1, 2, 3, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ranges_cover_the_batch_and_no_tile_straddles_a_cut(self, parts, seed):
+        rng = np.random.default_rng(seed)
+        lengths = rng.choice([0, 1, 40, 100, 159, 160, 161, 400], 24).tolist()
+        data, offsets = _segments(lengths, seed)
+        bounds = offsets + [len(data)]
+        cuts = split_batch(bounds, 160, parts)
+        assert cuts[0] == 0 and cuts[-1] == len(offsets)
+        assert cuts == sorted(set(cuts)) and len(cuts) - 1 <= parts
+        index = {lo: i for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo}
+        short = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if 0 < hi - lo <= 160]
+        tiles, _ = pack_tiles(data, short, 160)
+        for members in tiles:
+            first, last = index[members[0][0]], index[members[-1][0]]
+            assert not [c for c in cuts if first < c <= last], members
+
+    def test_each_cut_is_the_valid_boundary_nearest_its_share(self):
+        # n = 1600 keys in whole tiles: shares 533.3 and 1066.7 keys.
+        bounds = list(range(0, 1601, 160))
+        assert split_batch(bounds, 160, 3) == [0, 3, 7, 10]
+        assert split_batch(bounds, 160, 1) == [0, 10]
+
+    def test_a_tile_around_a_long_or_empty_segment_is_no_cut(self):
+        # 40 + 40 keys share a tile across the long and the empty segment.
+        bounds = [0, 40, 440, 440, 480]
+        assert split_batch(bounds, 160, 4) == [0, 4]
 
 
 class TestServiceIntegration:

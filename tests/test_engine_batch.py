@@ -278,6 +278,38 @@ class TestMergeAndSearchCrossValidation:
             assert _shared(batched[k]) == _shared(sim.search)
 
 
+    @pytest.mark.parametrize("E,u,w", [(5, 32, 8), (15, 64, 32)])
+    def test_full_int64_pairs_match_simulator(self, E, u, w):
+        # Values past the 2v + tag packing range are ranked first, which
+        # keeps every comparison; each profile counts one fallback pass.
+        info = np.iinfo(np.int64)
+        rng = np.random.default_rng(E * u)
+        wide = rng.integers(info.min, info.max, u * E, dtype=np.int64)
+        wide[:4] = [info.min, info.max - 1, info.min, 7]  # below the sentinel, ties
+        wide = np.sort(wide)
+        mask = rng.random(u * E) < 0.5
+        a, b = wide[mask], wide[~mask]
+        before = fusion_stats()
+        (merge,) = batched_serial_merge_profile([(a, b)], E, w)
+        (search,) = batched_search_profile([(a, b)], E, w)
+        (mapped,) = batched_search_profile([(a, b)], E, w, mapped=True)
+        after = fusion_stats()
+        assert after["fallback_merges"] == before["fallback_merges"] + 1
+        assert after["fallback_searches"] == before["fallback_searches"] + 2
+        _, serial = serial_merge_block(a, b, E, w)
+        _, cf = cf_merge_block(a, b, E, w)
+        assert _shared(merge) == _shared(serial.merge)
+        assert _shared(search) == _shared(serial.search)
+        assert _shared(mapped) == _shared(cf.search)
+
+    def test_unsorted_halves_raise(self):
+        a, b = np.arange(80, dtype=np.int64), np.arange(80, dtype=np.int64)
+        b[[3, 4]] = b[[4, 3]]
+        for profile in (batched_serial_merge_profile, batched_search_profile):
+            with pytest.raises(ParameterError, match="sorted"):
+                profile([(a, b)], 5, 8)
+
+
 class TestRowPrimitives:
     def test_odd_even_sort_rows_sorts_and_counts(self):
         rng = np.random.default_rng(0)

@@ -19,6 +19,7 @@ from repro.service import (
     plan_batches,
     run_batch,
 )
+from repro.service.backends import get_backend
 from repro.service.jobs import service_batch_tile
 
 PARAMS = SortParams(E=5, u=8)  # tile = 40
@@ -153,6 +154,14 @@ class TestRunnerBridge:
         assert json.dumps(outcome.counters.as_dict())  # plain ints
         assert outcome.launches == cached.launches
         assert type(outcome.launches) is int
+
+    @pytest.mark.parametrize("backend", DEFAULT_BACKENDS)
+    @pytest.mark.parametrize("offsets", [[3], [0, 7, 4], [0, 11]])
+    def test_malformed_offsets_raise(self, backend, offsets):
+        # Ten keys: an offset past the start, a descent, one past the end.
+        data = np.arange(9, -1, -1, dtype=np.int64)
+        with pytest.raises(ParameterError):
+            get_backend(backend)(data, offsets, SortParams(5, 32), W)
 
     def test_identical_batches_share_a_cache_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
