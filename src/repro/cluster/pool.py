@@ -3,8 +3,10 @@
 Tasks are plain dictionaries (spawn-picklable by construction) naming a
 ``kind`` plus integer/string parameters; payload data travels through
 :mod:`repro.cluster.shm` blocks referenced by name, never through the
-pickle channel.  :func:`run_cluster_task` — a module-level function so
-the ``spawn`` start method can import it — executes one task and returns
+pickle channel.  An inline ``sort_range`` task, which never leaves the
+driver, carries the driver's input slice and output view instead.
+:func:`run_cluster_task` — a module-level function so the ``spawn``
+start method can import it — executes one task and returns
 a plain-dictionary result: simulator counters as plain dicts, launch
 counts, and *span records* ``(name, args)`` the driver replays into its
 tracer in deterministic task order (cross-process span propagation on
@@ -17,8 +19,10 @@ sorted runs, and ``sort_range`` sorts one segment range of a
 :class:`ClusterPool` runs a task list either **inline** (``procs=0``,
 a plain loop in the driver — the reference path) or across ``procs``
 spawn-started worker processes via ``ProcessPoolExecutor.map``, which
-preserves submission order.  Every task is a pure function of its
-dictionary plus shared-memory contents, and tasks in one batch write
+preserves submission order.  A worker process that dies breaks the
+executor; the pool then respawns its workers and reruns the batch once.
+Every task is a pure function of its dictionary plus shared-memory
+contents (or, inline, the driver's arrays), and tasks in one batch write
 disjoint output ranges, so both paths produce byte-identical results —
 the property the fuzz oracle and the CI double-run gate pin down.
 """
@@ -29,6 +33,7 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -63,23 +68,40 @@ def _sort_slice(
     offsets: list[int],
     span: tuple[str, dict[str, Any]],
 ) -> TaskDict:
-    """Sort ``[lo, hi)`` of the input block into the output block."""
+    """Sort ``[lo, hi)`` of the input block into the output block.
+
+    An inline task may carry the driver's own input slice and output
+    view (``data`` and ``out``) instead of shared-memory block names.
+    """
+    if "data" in task:
+        return _sort_into(task, sort, offsets, span, task["data"], task["out"])
     lo, hi = task["lo"], task["hi"]
     handle, data = attach_int64(task["shm"], task["n"])
     out_handle, out = attach_int64(task["out_shm"], task["n"])
     try:
-        params = SortParams(E=task["E"], u=task["u"])
-        outcome = sort(np.array(data[lo:hi]), offsets, params, task["w"])
-        out[lo:hi] = outcome.data
-        return {
-            "task_id": task["task_id"],
-            "counters": outcome.counters.as_dict(),
-            "launches": outcome.launches,
-            "spans": [span],
-        }
+        return _sort_into(task, sort, offsets, span, np.array(data[lo:hi]), out[lo:hi])
     finally:
         handle.close()
         out_handle.close()
+
+
+def _sort_into(
+    task: TaskDict,
+    sort: Callable[..., Any],
+    offsets: list[int],
+    span: tuple[str, dict[str, Any]],
+    data: IntArray,
+    out: IntArray,
+) -> TaskDict:
+    """Sort ``data`` through ``sort`` and write the result into ``out``."""
+    outcome = sort(data, offsets, SortParams(E=task["E"], u=task["u"]), task["w"])
+    out[:] = outcome.data
+    return {
+        "task_id": task["task_id"],
+        "counters": outcome.counters.as_dict(),
+        "launches": outcome.launches,
+        "spans": [span],
+    }
 
 
 def _sort_chunk(task: TaskDict) -> TaskDict:
@@ -219,9 +241,10 @@ class ClusterPool:
         """Execute ``tasks`` and return their results in submission order.
 
         When a chaos fault hook is installed (:func:`install_fault_hook`)
-        tasks take the slower crash-recoverable path; otherwise the
-        original inline/process fast paths run unchanged, which is what
-        keeps the byte-identity contract intact for normal traffic.
+        tasks take the slower one-at-a-time path that injects crashes;
+        otherwise the inline loop or one ``map`` over the workers runs.
+        Either way a crashed worker costs one restart and one exact
+        rerun, so results stay byte-identical to a fault-free run.
         """
         tasks = list(tasks)
         if not tasks:
@@ -233,12 +256,14 @@ class ClusterPool:
             results = [run_cluster_task(t) for t in tasks]
             record_tasks(len(tasks), inline=True)
             return results
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.procs,
-                mp_context=multiprocessing.get_context("spawn"),
-            )
-        results = list(self._executor.map(run_cluster_task, tasks))
+        try:
+            results = list(self._processes().map(run_cluster_task, tasks))
+        except BrokenProcessPool:
+            # A worker process died (killed, out of memory): respawn the
+            # workers and rerun the batch once.  Tasks are pure and write
+            # disjoint ranges, so the rerun is exact.
+            self._restart()
+            results = list(self._processes().map(run_cluster_task, tasks))
         record_tasks(len(tasks), inline=False)
         return results
 
@@ -259,10 +284,7 @@ class ClusterPool:
             try:
                 hook(task)
             except WorkerCrashed:
-                record_worker_restart()
-                if self._executor is not None:
-                    self._executor.shutdown(wait=True)
-                    self._executor = None
+                self._restart()
             results.append(self._dispatch_one(task))
         record_tasks(len(tasks), inline=self.procs == 0)
         return results
@@ -271,12 +293,21 @@ class ClusterPool:
         """Execute one task on the pool's current path (inline or process)."""
         if self.procs == 0:
             return run_cluster_task(task)
+        return self._processes().submit(run_cluster_task, task).result()
+
+    def _processes(self) -> ProcessPoolExecutor:
+        """The worker executor, spawned on first use."""
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.procs,
                 mp_context=multiprocessing.get_context("spawn"),
             )
-        return self._executor.submit(run_cluster_task, task).result()
+        return self._executor
+
+    def _restart(self) -> None:
+        """Record a worker crash and drop the executor (respawned on next use)."""
+        record_worker_restart()
+        self.close()
 
     def close(self) -> None:
         """Shut down the worker processes (no-op for the inline pool)."""

@@ -10,8 +10,10 @@ each range packs into exactly the tiles the whole batch packs into, and
 long segments sort alone either way.  Values, counters and launch
 counts therefore match ``cf-batched`` bit for bit, inline (one range)
 or across spawned processes — the identity the fuzz oracle checks on
-the full corpus.  Data travels through two shared-memory blocks, and
-ranges write disjoint slices of the output.
+the full corpus.  Ranges write disjoint slices of the output.  On a
+process pool data travels through two shared-memory blocks; the inline
+pool's task gets the input slice and an output view directly, so it
+stages nothing.
 """
 
 from __future__ import annotations
@@ -49,30 +51,36 @@ def cf_cluster_backend(
     if pool is None:
         pool = get_default_pool()
     cuts = split_batch(bounds, params.tile_elements, max(pool.procs, 1))
+    tasks: list[TaskDict] = []
+    for first, last in zip(cuts, cuts[1:]):
+        lo, hi = bounds[first], bounds[last]
+        tasks.append(
+            {
+                "task_id": f"range:{first}",
+                "kind": "sort_range",
+                "lo": lo,
+                "hi": hi,
+                "offsets": [b - lo for b in bounds[first:last]],
+                "E": params.E,
+                "u": params.u,
+                "w": w,
+            }
+        )
 
     n = len(data)
-    with SharedInt64(n) as shm_in, SharedInt64(n) as shm_out:
-        shm_in.fill_from(data)
-        tasks: list[TaskDict] = []
-        for first, last in zip(cuts, cuts[1:]):
-            lo, hi = bounds[first], bounds[last]
-            tasks.append(
-                {
-                    "task_id": f"range:{first}",
-                    "kind": "sort_range",
-                    "shm": shm_in.name,
-                    "out_shm": shm_out.name,
-                    "n": n,
-                    "lo": lo,
-                    "hi": hi,
-                    "offsets": [b - lo for b in bounds[first:last]],
-                    "E": params.E,
-                    "u": params.u,
-                    "w": w,
-                }
-            )
+    if not pool.procs:
+        out = np.empty(n, dtype=np.int64)
+        for task in tasks:
+            task["data"] = data[task["lo"] : task["hi"]]
+            task["out"] = out[task["lo"] : task["hi"]]
         results = pool.run(tasks)
-        out = shm_out.array.copy()
+    else:
+        with SharedInt64(n) as shm_in, SharedInt64(n) as shm_out:
+            shm_in.fill_from(data)
+            for task in tasks:
+                task.update(shm=shm_in.name, out_shm=shm_out.name, n=n)
+            results = pool.run(tasks)
+            out = shm_out.array.copy()
 
     total = Counters()
     for result in results:

@@ -93,7 +93,7 @@ def record_spill(
 
 
 def record_worker_restart() -> None:
-    """Note one pool worker crash/restart recovery (chaos campaigns)."""
+    """Note one pool worker crash/restart recovery (real or injected)."""
     with _LOCK:
         _STATE["worker_restarts"] += 1
 

@@ -18,11 +18,19 @@ shared-memory counters the lockstep simulator reports for that tile
 :func:`~repro.mergesort.blocksort.blocksort_tile`,
 :func:`~repro.mergesort.kway.kway_merge_block`; cross-validated in
 the test-suite, e.g. ``tests/test_engine_batch.py``).
-The accumulator makes warps globally distinct across tiles (warp slot =
-``tile * ceil(u/w) + tid // w``), so dedup/bincount statistics never mix
-tiles; data-dependent loops run while *any* tile is live — extra
-iterations contribute nothing to tiles that already converged, because
-every count is masked per lane.
+Every round is accounted warp row by warp row (row = round, tile,
+``tid // w``), so statistics never mix tiles or rounds; data-dependent
+loops run a fixed number of steps for every tile — steps past a lane's
+convergence contribute nothing, because every count is masked per lane.
+
+The accounting is lane-major.  NumPy runs a reduction or scan along a
+short trailing axis as one short inner loop per row, so the ``w``-wide
+warp axis is never the axis a loop runs along: each warp row's keys are
+sorted along the row, then transposed once to ``(w, rows)``, and every
+statistic — distinct addresses, occupied banks, the largest per-bank
+count (the round's cycles in the DMM model) — is ``w`` slab passes
+that each span every row of every stacked round.  The same holds for
+the ``E``-wide per-thread merge tags, which are kept step-major.
 
 Fixed cost per call is what the small sorts pay, so passes stack:
 independent rounds of several merge levels fold into shared accounting
@@ -45,7 +53,6 @@ pair whose halves are not two sorted runs raises
 from __future__ import annotations
 
 import threading
-from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -76,9 +83,6 @@ __all__ = [
     "fusion_stats",
     "reset_fusion_stats",
 ]
-
-#: Matches :data:`repro.mergesort.serial_merge.SENTINEL`.
-SENTINEL = np.iinfo(np.int64).max
 
 #: Keys packed as ``2*value + tag`` must stay inside int64: |value| < 2^62.
 _PACK_LIMIT = 1 << 62
@@ -183,8 +187,8 @@ def reset_fusion_stats() -> None:
 class BatchCounters:
     """Per-tile shared-memory counters, accumulated as arrays of length T.
 
-    One instance accounts every round of a batched profile; each
-    :meth:`round` charges every active warp what
+    One instance accounts every round of a batched profile; each round
+    charges every active warp what
     :meth:`repro.sim.banks.BankModel.round_cost` charges it (duplicate
     addresses broadcast, a round costs its largest bank multiplicity),
     applied per tile."""
@@ -201,102 +205,34 @@ class BatchCounters:
         #: != 0, possible in search profiles) still gets its own slot and
         #: never aliases the next tile's first warp.
         self._slots = -(-u // w)
-        zeros = lambda: np.zeros(tiles, dtype=np.int64)  # noqa: E731
-        self.shared_read_rounds = zeros()
-        self.shared_write_rounds = zeros()
-        self.shared_cycles = zeros()
-        self.shared_replays = zeros()
-        self.shared_excess = zeros()
-        self.broadcast_reads = zeros()
-        self.shared_requests = zeros()
-
-    @cached_property
-    def _lane_maps(self) -> tuple[IntArray, IntArray, IntArray]:
-        """Each flattened ``(tiles, u)`` lane's tile, warp row and column."""
-        lane = np.arange(self.tiles * self.u, dtype=np.int64)
-        tile_of = lane // self.u
-        warp_of = tile_of * self._slots + (lane % self.u) // self.w
-        return tile_of, warp_of, (lane % self.u) % self.w
+        #: One row per counter field; each field attribute is a row view.
+        self._counts = np.zeros((len(_SHARED_FIELDS), tiles), dtype=np.int64)
+        (
+            self.shared_read_rounds,
+            self.shared_write_rounds,
+            self.shared_cycles,
+            self.shared_replays,
+            self.shared_excess,
+            self.broadcast_reads,
+            self.shared_requests,
+        ) = self._counts
 
     def round(self, addresses: IntArray, active: BoolArray, kind: str = "read") -> None:
         """Account one warp-synchronous round across every tile at once.
 
         ``addresses`` is ``(tiles, u)`` (broadcastable); ``active`` masks
         lanes that access memory this round; warps with no active lane
-        are free.  Per-tile statistics equal accounting each tile's row
-        alone: duplicates can only occur *within* a warp (the warp slot
-        is part of the dedup key), and every warp is one fixed ``w``-wide
-        row — so the dedup is a per-row sort plus neighbor diff, never a
-        batch-wide hash.
+        are free.  The same accounting as a one-round :meth:`round_many`
+        (the fusion ledger counts it as a single round).
         """
         _FUSION.note_round()
         shape = (self.tiles, self.u)
-        act = np.broadcast_to(np.asarray(active, dtype=bool), shape)
-        T, w = self.tiles, self.w
-        n_rows = T * self._slots
-        if self.u % w == 0:
-            # Full warps: each warp row is a contiguous w-wide chunk of
-            # the address matrix, so inactive lanes become sentinels with
-            # one np.where — no scatter needed.
-            addr2 = np.broadcast_to(np.asarray(addresses, dtype=np.int64), shape)
-            if act.all():
-                mat = addr2.astype(np.int64).reshape(n_rows, w)
-                requests_t = np.full(T, self.u, dtype=np.int64)
-                mat.sort(axis=1)
-                fresh = np.empty((n_rows, w), dtype=bool)
-                fresh[:, 0] = True
-                np.not_equal(mat[:, 1:], mat[:, :-1], out=fresh[:, 1:])
-            else:
-                if not act.any():
-                    return
-                mat = np.where(act, addr2, SENTINEL).reshape(n_rows, w)
-                requests_t = act.sum(axis=1, dtype=np.int64)
-                mat.sort(axis=1)
-                fresh = mat != SENTINEL
-                fresh[:, 1:] &= mat[:, 1:] != mat[:, :-1]
-        else:
-            flat = act.ravel()
-            if not flat.any():
-                return
-            addr = (
-                np.broadcast_to(np.asarray(addresses), shape)
-                .ravel()[flat]
-                .astype(np.int64)
-            )
-            tile_of, warp_of, col_of = self._lane_maps
-            requests_t = np.bincount(tile_of[flat], minlength=T)
-            # Scatter active addresses into fixed (warp row, lane) cells;
-            # inactive cells (and padding slots of the partial trailing
-            # warp) hold a sentinel that sorts after every address.
-            mat = np.full((n_rows, w), SENTINEL, dtype=np.int64)
-            mat[warp_of[flat], col_of[flat]] = addr
-            mat.sort(axis=1)
-            fresh = mat != SENTINEL
-            fresh[:, 1:] &= mat[:, 1:] != mat[:, :-1]
-
-        # Distinct addresses per (warp row, bank): one flat bincount.
-        row_base = np.arange(n_rows, dtype=np.int64)[:, None] * w
-        counts = np.bincount(
-            (row_base + mat % w)[fresh], minlength=n_rows * w
-        ).reshape(n_rows, w)
-        per_warp_max = counts.max(axis=1)
-        per_warp_excess = np.maximum(counts - 1, 0).sum(axis=1)
-
-        uniq_rows = fresh.sum(axis=1)
-        n_warps_t = (uniq_rows > 0).reshape(T, self._slots).sum(axis=1)
-        cycles_t = per_warp_max.reshape(T, self._slots).sum(axis=1)
-        excess_t = per_warp_excess.reshape(T, self._slots).sum(axis=1)
-        uniq_t = uniq_rows.reshape(T, self._slots).sum(axis=1)
-
-        if kind == "read":
-            self.shared_read_rounds += n_warps_t
-            self.broadcast_reads += requests_t - uniq_t
-        else:
-            self.shared_write_rounds += n_warps_t
-        self.shared_requests += requests_t
-        self.shared_cycles += cycles_t
-        self.shared_replays += cycles_t - n_warps_t
-        self.shared_excess += excess_t
+        self._account(
+            np.broadcast_to(np.asarray(addresses), shape)[None],
+            np.broadcast_to(np.asarray(active, dtype=bool), shape)[None],
+            kind,
+            distinct=False,
+        )
 
     def round_many(
         self,
@@ -309,26 +245,25 @@ class BatchCounters:
         """Account ``R`` stacked warp-synchronous rounds in one pass.
 
         ``addresses`` is ``(R, tiles, u)`` (broadcastable); ``active``
-        masks lanes per round, or ``None`` for all-active rounds.  The
-        result is bit-identical to calling :meth:`round` on each leading
-        slice in order — every round's dedup/bank statistics are computed
-        in its own warp rows, and the final fold is an integer sum, which
-        commutes.  Rounds with no active lane contribute exact zeros.
-        All rounds of one call share ``kind``.
+        masks lanes per round, or ``None`` for all-active rounds.  Every
+        round's dedup and bank statistics stay in its own warp rows, and
+        the fold over rounds is an integer sum, which commutes — so the
+        result is bit-identical to accounting each round on its own.
+        Rounds with no active lane contribute exact zeros.  All rounds of
+        one call share ``kind``.
 
         ``assume_distinct=True`` asserts the caller's invariant that all
         active addresses within any warp and round are pairwise distinct
         (true for bounded pointer merges, whose per-thread windows are
-        disjoint): dedup collapses to a per-bank population count, so the
-        keys are bare bank ids.  Otherwise addresses are packed into
-        ``(bank, address)`` keys; either way one row-wise sort plus
-        run-length prefix arithmetic replaces per-round dedup + a flat
-        histogram, with the narrowest dtype the address span permits.
+        disjoint): the keys are then bare bank ids, with no address
+        dedup.  A partial trailing warp (``u % w != 0``) is padded to a
+        whole warp with inactive lanes.
 
-        The stacked scratch matrices come from the engine arena (checked
-        out per call, reused across batched passes); partial trailing
-        warps (``u % w != 0``) fall back to per-round :meth:`round`
-        scatter accounting.
+        The work is lane-major: each warp row's keys are sorted along the
+        row, then transposed once to ``(w, rows)``.  Every statistic —
+        distinct addresses, occupied banks, the largest per-bank count —
+        is then ``w`` slab passes that each span all rows of all rounds,
+        instead of one short NumPy loop per row.
         """
         addr = np.asarray(addresses)
         if addr.ndim != 3:
@@ -336,221 +271,205 @@ class BatchCounters:
         R = int(addr.shape[0])
         if R == 0:
             return
-        T, u, w = self.tiles, self.u, self.w
-        shape = (R, T, u)
-        if u % w:
-            addr64 = np.broadcast_to(addr.astype(np.int64, copy=False), shape)
-            if active is None:
-                ones = np.ones((T, u), dtype=bool)
-                for r in range(R):
-                    self.round(addr64[r], ones, kind=kind)
-            else:
-                act3 = np.broadcast_to(np.asarray(active, dtype=bool), shape)
-                for r in range(R):
-                    self.round(addr64[r], act3[r], kind=kind)
-            return
         _FUSION.note_round_many(R)
-        if active is None:
-            act3 = None
-            requests_t = np.full(T, R * u, dtype=np.int64)
-        else:
-            act3 = np.broadcast_to(np.asarray(active, dtype=bool), shape)
-            requests_t = act3.sum(axis=(0, 2), dtype=np.int64)
-            if not requests_t.any():
+        self._account(addr, active, kind, distinct=assume_distinct)
+
+    def _account(
+        self,
+        addresses: npt.NDArray[np.integer],
+        active: BoolArray | None,
+        kind: str,
+        distinct: bool,
+    ) -> None:
+        """Charge ``R`` stacked rounds: the body of :meth:`round_many`.
+
+        Each lane's key is ``bank << shift | low bits`` — distinct keys
+        are distinct addresses, and a sorted row groups each bank — or
+        the bare bank id when ``distinct``.  Inactive and padding lanes
+        get a key ``>= w << shift``, so they sort last in their row.
+        """
+        R = int(addresses.shape[0])
+        T, u, w, S = self.tiles, self.u, self.w, self._slots
+        shape = (R, T, u)
+        addr = _full(addresses, shape)
+        act = None
+        if active is not None:
+            act = _full(np.asarray(active, dtype=bool), shape)
+            if not act.any():
                 return
-        addr3 = np.broadcast_to(addr, shape)
-        if assume_distinct and w <= 127:
-            self._distinct_rounds(addr3, act3, requests_t, kind)
-            return
-        amin = int(addr3.min())
-        amax = int(addr3.max())
-        # Key layout: bank id in the high bits, (offset) address below —
-        # distinct keys == distinct addresses (the bank is a function of
-        # the address), and sorted keys group each bank contiguously.
-        shift = 0 if assume_distinct else max(amax - amin, 1).bit_length()
-        top = w << shift
-        # Raw addresses land in the key buffer before the offset/pack, so
-        # the dtype must hold both them and the packed keys.
-        if top < (1 << 31) and -(1 << 31) < amin and amax < (1 << 31):
+        # Two addresses of the span differ in their low ``shift`` bits.
+        shift = 0 if distinct else max(int(addr.max()) - int(addr.min()), 1).bit_length()
+        limit = w << shift
+        if limit < (1 << 31):
             dtype: type = np.int32
-        elif top < (1 << 63):
+        elif limit < (1 << 63):
             dtype = np.int64
         else:  # pragma: no cover - pathological address span
             raise ParameterError("round_many address span too wide to key")
-        sent = np.iinfo(dtype).max
-        n_rows = R * T * self._slots
-        grp = (R, T, self._slots)
-        with ENGINE_ARENA.lease((n_rows, w), dtype) as work, ENGINE_ARENA.lease(
-            (n_rows, w), dtype
-        ) as scratch:
-            k3 = work.reshape(shape)
-            np.copyto(k3, addr3)
-            bank_of = scratch
-            if assume_distinct:
-                # w <= 127 went through _distinct_rounds; this branch
-                # keys on bare bank ids with w as the inactive sentinel.
-                if w & (w - 1) == 0:
-                    np.bitwise_and(work, w - 1, out=work)
-                else:
-                    np.remainder(work, w, out=work)
-                sent = w
+        n = R * T * S
+        with ENGINE_ARENA.lease((n, w), dtype) as keys:
+            rows = keys.reshape(R, T, S * w)
+            key = rows[..., :u]
+            rows[..., u:] = limit
+            if distinct:
+                _bank_ids(addr, w, out=key)
+                if act is not None:
+                    _push_inactive(key, act, limit, np.empty_like(key))
+                keys.sort(axis=1)
+                # Bank ids and the inactive marks below 2w fit a byte.
+                lanes = np.empty((w, n), dtype=_count_dtype(2 * w))
+                _transpose_into(lanes, keys)
+                totals = _warp_row_totals(lanes, lanes, limit, True)
             else:
-                if w & (w - 1) == 0:
-                    np.bitwise_and(work, w - 1, out=bank_of)
-                else:
-                    np.remainder(work, w, out=bank_of)
-                np.left_shift(bank_of, shift, out=bank_of)
-                work -= amin
-                work += bank_of
-            if act3 is not None:
-                keys = np.where(act3, k3, dtype(sent)).reshape(n_rows, w)
-            else:
-                keys = work
-            keys.sort(axis=1)
-            valid = keys != sent
-            if assume_distinct:
-                bank_change = np.empty((n_rows, w), dtype=bool)
-                bank_change[:, 0] = True
-                np.not_equal(keys[:, 1:], keys[:, :-1], out=bank_change[:, 1:])
-                fresh = valid
-            else:
-                fresh = np.empty((n_rows, w), dtype=bool)
-                fresh[:, 0] = True
-                np.not_equal(keys[:, 1:], keys[:, :-1], out=fresh[:, 1:])
-                fresh &= valid
-                np.right_shift(keys, shift, out=bank_of)
-                bank_change = np.empty((n_rows, w), dtype=bool)
-                bank_change[:, 0] = True
-                np.not_equal(
-                    bank_of[:, 1:], bank_of[:, :-1], out=bank_change[:, 1:]
-                )
-            is_start = bank_change & valid
-            # Distinct-addresses-in-bank counts via one prefix pass: at
-            # any position, count = inclusive #fresh so far minus the
-            # #fresh before the current bank run began.  The run starts'
-            # exclusive counts are nondecreasing, so zeroing non-starts
-            # is a safe max-accumulate identity.
-            c = np.cumsum(fresh, axis=1, dtype=dtype)
-            uniq_rows = c[:, -1].copy()
-            ce = np.subtract(c, fresh)
-            np.multiply(ce, is_start, out=ce)
-            np.maximum.accumulate(ce, axis=1, out=ce)
-            np.subtract(c, ce, out=c)
-            np.multiply(c, valid, out=c)
-            per_warp_max = c.max(axis=1)
-            occupied = is_start.sum(axis=1, dtype=np.int64)
-        n_warps_t = (occupied > 0).reshape(grp).sum(axis=(0, 2), dtype=np.int64)
-        cycles_t = per_warp_max.reshape(grp).sum(axis=(0, 2), dtype=np.int64)
-        excess_t = (uniq_rows - occupied).reshape(grp).sum(
-            axis=(0, 2), dtype=np.int64
-        )
-        uniq_t = uniq_rows.reshape(grp).sum(axis=(0, 2), dtype=np.int64)
+                with ENGINE_ARENA.lease((n, w), dtype) as spare:
+                    banks = spare.reshape(w, n)
+                    scratch = spare.reshape(-1)[: R * T * u].reshape(shape)
+                    np.bitwise_and(
+                        addr, (1 << shift) - 1, out=key, dtype=dtype, casting="unsafe"
+                    )
+                    _bank_ids(addr, w, out=scratch)
+                    np.left_shift(scratch, shift, out=scratch)
+                    key |= scratch
+                    if act is not None:
+                        _push_inactive(key, act, limit, scratch)
+                    keys.sort(axis=1)
+                    lanes = np.empty((w, n), dtype=dtype)
+                    _transpose_into(lanes, keys)
+                    np.right_shift(lanes, shift, out=banks)
+                    totals = _warp_row_totals(lanes, banks, limit, False)
+        # Rows run (round, tile, slot): sum the rounds, then the slots.
+        per_slot = np.add.reduce(
+            totals.reshape(5, R, T * S), axis=1, dtype=_count_dtype(R * w + 1)
+        ).reshape(5, T, S)
+        per_tile = per_slot[..., 0].astype(np.int64)
+        for s in range(1, S):
+            per_tile += per_slot[..., s]
+        issued, requests, uniq, occupied, cycles = per_tile
         if kind == "read":
-            self.shared_read_rounds += n_warps_t
-            self.broadcast_reads += requests_t - uniq_t
+            self.shared_read_rounds += issued
+            self.broadcast_reads += requests - uniq
         else:
-            self.shared_write_rounds += n_warps_t
-        self.shared_requests += requests_t
-        self.shared_cycles += cycles_t
-        self.shared_replays += cycles_t - n_warps_t
-        self.shared_excess += excess_t
-
-    def _distinct_rounds(
-        self,
-        addr3: npt.NDArray[np.integer],
-        act3: BoolArray | None,
-        requests_t: IntArray,
-        kind: str,
-    ) -> None:
-        """:meth:`round_many` body for pairwise-distinct active addresses.
-
-        With no duplicates, per-bank *distinct* counts are plain run
-        lengths of the sorted bank ids: uniq == requests (broadcasts are
-        exactly zero), excess == active - occupied banks, and the max
-        count per warp is the longest bank run — all from one int8 row
-        sort plus index arithmetic, with no prefix sums or histograms.
-        """
-        R, T, u = addr3.shape
-        w = self.w
-        n_rows = R * T * self._slots
-        grp = (R, T, self._slots)
-        with ENGINE_ARENA.lease((n_rows, w), addr3.dtype) as scratch:
-            s3 = scratch.reshape(addr3.shape)
-            np.copyto(s3, addr3)
-            if w & (w - 1) == 0:
-                np.bitwise_and(scratch, w - 1, out=scratch)
-            else:
-                np.remainder(scratch, w, out=scratch)
-            banks = (
-                scratch if scratch.dtype == np.int32
-                else scratch.astype(np.int32)
-            )
-            if act3 is not None:
-                # w is the inactive sentinel (sorts after every bank).
-                keys = np.where(
-                    act3, banks.reshape(addr3.shape), np.int32(w)
-                ).reshape(n_rows, w)
-            else:
-                keys = banks
-            keys.sort(axis=1)
-            valid = keys < w
-            is_start = np.empty((n_rows, w), dtype=bool)
-            is_start[:, 0] = valid[:, 0]
-            np.not_equal(keys[:, 1:], keys[:, :-1], out=is_start[:, 1:])
-            is_start[:, 1:] &= valid[:, 1:]
-            # Longest bank run per row: position minus the position of
-            # the current run's start (max-accumulated), plus one.  Run
-            # starts are monotone, so a zero at non-starts is a safe
-            # accumulate identity.
-            idx = np.broadcast_to(
-                np.arange(w, dtype=np.int32)[None, :], (n_rows, w)
-            )
-            start = np.multiply(is_start, idx)
-            np.maximum.accumulate(start, axis=1, out=start)
-            np.subtract(idx, start, out=start)
-            start += np.int32(1)
-            np.multiply(start, valid, out=start)
-            per_warp_max = start.max(axis=1)
-            occupied = is_start.sum(axis=1, dtype=np.int64)
-        n_warps_t = (occupied > 0).reshape(grp).sum(axis=(0, 2), dtype=np.int64)
-        cycles_t = per_warp_max.reshape(grp).sum(axis=(0, 2), dtype=np.int64)
-        occupied_t = occupied.reshape(grp).sum(axis=(0, 2), dtype=np.int64)
-        if kind == "read":
-            self.shared_read_rounds += n_warps_t
-            # Distinct addresses: uniq == requests, zero broadcast reads.
-        else:
-            self.shared_write_rounds += n_warps_t
-        self.shared_requests += requests_t
-        self.shared_cycles += cycles_t
-        self.shared_replays += cycles_t - n_warps_t
-        self.shared_excess += requests_t - occupied_t
+            self.shared_write_rounds += issued
+        self.shared_requests += requests
+        self.shared_cycles += cycles
+        self.shared_replays += cycles - issued
+        self.shared_excess += uniq - occupied
 
     def total(self, rows: slice = slice(None)) -> Counters:
         """The counters of the tiles in ``rows`` (all by default), summed."""
-        return Counters(
-            shared_read_rounds=int(self.shared_read_rounds[rows].sum()),
-            shared_write_rounds=int(self.shared_write_rounds[rows].sum()),
-            shared_cycles=int(self.shared_cycles[rows].sum()),
-            shared_replays=int(self.shared_replays[rows].sum()),
-            shared_excess=int(self.shared_excess[rows].sum()),
-            broadcast_reads=int(self.broadcast_reads[rows].sum()),
-            shared_requests=int(self.shared_requests[rows].sum()),
-        )
+        sums = self._counts[:, rows].sum(axis=1).tolist()
+        return Counters(**dict(zip(_SHARED_FIELDS, sums)))
 
     def to_counters(self) -> list[Counters]:
         """Materialize one :class:`Counters` per tile."""
-        out = []
-        for t in range(self.tiles):
-            c = Counters()
-            c.shared_read_rounds = int(self.shared_read_rounds[t])
-            c.shared_write_rounds = int(self.shared_write_rounds[t])
-            c.shared_cycles = int(self.shared_cycles[t])
-            c.shared_replays = int(self.shared_replays[t])
-            c.shared_excess = int(self.shared_excess[t])
-            c.broadcast_reads = int(self.broadcast_reads[t])
-            c.shared_requests = int(self.shared_requests[t])
-            out.append(c)
-        return out
+        return [
+            Counters(**dict(zip(_SHARED_FIELDS, tile)))
+            for tile in self._counts.T.tolist()
+        ]
+
+
+#: The :class:`Counters` fields a :class:`BatchCounters` accumulates, in
+#: the order of its rows.
+_SHARED_FIELDS = (
+    "shared_read_rounds",
+    "shared_write_rounds",
+    "shared_cycles",
+    "shared_replays",
+    "shared_excess",
+    "broadcast_reads",
+    "shared_requests",
+)
+
+#: Lanes per block of the lane-major transpose: one strided copy of a
+#: large ``(rows, w)`` matrix thrashes the cache, blocks of this many
+#: lanes stay in it.
+_TRANSPOSE_LANES = 1 << 14
+
+
+def _full(array: npt.NDArray[Any], shape: tuple[int, ...]) -> npt.NDArray[Any]:
+    """``array`` broadcast to ``shape`` (skipping the cost when it already fits)."""
+    return array if array.shape == shape else np.broadcast_to(array, shape)
+
+
+def _count_dtype(limit: int) -> np.dtype[Any]:
+    """The narrowest unsigned dtype holding every value below ``limit``."""
+    return np.min_scalar_type(limit - 1)
+
+
+def _bank_ids(addr: npt.NDArray[np.integer], w: int, out: AnyIntArray) -> None:
+    """``out = addr % w`` (non-negative, as in :class:`~repro.sim.BankModel`)."""
+    if w & (w - 1) == 0:
+        np.bitwise_and(addr, w - 1, out=out, casting="unsafe")
+    else:
+        np.remainder(addr, w, out=out, casting="unsafe")
+
+
+def _push_inactive(
+    key: AnyIntArray, act: BoolArray, limit: int, scratch: AnyIntArray
+) -> None:
+    """Raise inactive lanes' keys to ``>= limit`` so they sort last.
+
+    ``key | limit`` keeps every bit below ``limit``'s top bit, so the
+    key stays inside its dtype.  ``scratch`` is a work array shaped and
+    typed like ``key``.
+    """
+    np.multiply(np.logical_not(act), key.dtype.type(limit), out=scratch)
+    key |= scratch
+
+
+def _transpose_into(lanes: npt.NDArray[Any], keys: npt.NDArray[Any]) -> None:
+    """``lanes[:, i] = keys[i]``, copied in blocks that stay in cache."""
+    n, w = keys.shape
+    step = max(1, _TRANSPOSE_LANES // w)
+    for lo in range(0, n, step):
+        np.copyto(lanes[:, lo : lo + step], keys[lo : lo + step].T, casting="unsafe")
+
+
+def _warp_row_totals(
+    lanes: npt.NDArray[Any], banks: npt.NDArray[Any], limit: int, distinct: bool
+) -> npt.NDArray[Any]:
+    """Per-warp-row statistics from lane-major sorted keys.
+
+    ``lanes`` is ``(w, rows)``: column ``i`` holds warp row ``i``'s keys
+    sorted, inactive lanes (``>= limit``) last; ``banks`` holds the
+    keys' bank ids (the keys themselves when ``distinct``).  Returns a
+    ``(5, rows)`` array: whether the warp issued the round, its
+    requests, its distinct addresses, its occupied banks and its cycles
+    (the largest per-bank distinct count).  Every pass spans all rows;
+    the loop runs over the ``w`` lanes only.
+    """
+    w, n = lanes.shape
+    valid = lanes < limit
+    if distinct:
+        fresh = valid
+    else:
+        fresh = np.empty_like(valid)
+        fresh[0] = valid[0]
+        np.not_equal(lanes[1:], lanes[:-1], out=fresh[1:])
+        fresh[1:] &= valid[1:]
+    start = np.empty_like(valid)
+    start[0] = valid[0]
+    np.not_equal(banks[1:], banks[:-1], out=start[1:])
+    start[1:] &= valid[1:]
+    cdt = _count_dtype(w + 1)
+    out = np.empty((5, n), dtype=cdt)
+    out[0] = valid[0]  # sorted rows: any active lane puts one in lane 0
+    np.add.reduce(valid.view(np.uint8), axis=0, dtype=cdt, out=out[1])
+    if distinct:
+        out[2] = out[1]
+    else:
+        np.add.reduce(fresh.view(np.uint8), axis=0, dtype=cdt, out=out[2])
+    np.add.reduce(start.view(np.uint8), axis=0, dtype=cdt, out=out[3])
+    # Distinct addresses so far in the current bank: a running count of
+    # fresh lanes that restarts at each bank's first lane.
+    run = fresh.astype(cdt)
+    keep = np.logical_not(start, out=start)
+    carry = np.empty(n, dtype=cdt)
+    for j in range(1, w):
+        np.multiply(run[j - 1], keep[j], out=carry)
+        run[j] += carry
+    np.maximum.reduce(run, axis=0, out=out[4])
+    return out
 
 
 def pad_and_stack(
@@ -686,9 +605,10 @@ def _fused_pointer_merge_rounds(
 
     The pointer arrays are ``(levels, tiles, u)``: each leading slice is
     one independent merge over the accumulator's tiles (a blocksort
-    level, say).  ``take_a`` is ``(levels, tiles, u, E)``: the merge
+    level, say).  ``take_a`` is ``(E, levels, tiles, u)``: the merge
     decision each thread makes at each of its ``E`` steps (known up
-    front from the packed-sort tags).  Pointer trajectories then
+    front from the packed-sort tags), step-major so that every step is
+    one contiguous slab.  Pointer trajectories then
     collapse to cumulative sums — after step ``j`` a thread has consumed
     ``csum[j]`` A elements and ``j + 1 - csum[j]`` B elements — so every
     round's addresses and active masks are closed-form, and every
@@ -707,15 +627,12 @@ def _fused_pointer_merge_rounds(
     b_ptr_n = b_ptr.astype(dt)
     a_end_n = a_end.astype(dt)
     b_end_n = b_end.astype(dt)
-    # Round-major layout keeps every pass below contiguous: step j of
-    # all lanes of all levels lives in one (levels, T, u) slab.
-    take_aE = np.ascontiguousarray(np.moveaxis(take_a, -1, 0))
     # Slab-wise running sum: ~13x faster than np.cumsum(axis=0) with its
     # per-element bool->int cast.
     csum = np.empty((E, G, T, u), dtype=dt)
-    np.copyto(csum[0], take_aE[0])
+    np.copyto(csum[0], take_a[0])
     for j in range(1, E):
-        np.add(csum[j - 1], take_aE[j], out=csum[j])
+        np.add(csum[j - 1], take_a[j], out=csum[j])
     pa = a_ptr_n[None] + csum
     # Reuse csum's buffer for pb = b_ptr + (step - csum).
     np.subtract(np.arange(1, E + 1, dtype=dt)[:, None, None, None], csum, out=csum)
@@ -730,19 +647,19 @@ def _fused_pointer_merge_rounds(
         np.copyto(lives[1], b_ptr_n < b_end_n)
         if read_policy == "always":
             np.copyto(rounds[2:], pb)
-            np.copyto(rounds[2:], pa, where=take_aE)
+            np.copyto(rounds[2:], pa, where=take_a)
             np.less(pb, b_end_n[None], out=lives[2:])
             in_a_range = pa < a_end_n[None]
-            np.copyto(lives[2:], in_a_range, where=take_aE)
+            np.copyto(lives[2:], in_a_range, where=take_a)
             np.copyto(
                 rounds[2:],
                 np.maximum(b_end_n - 1, 0)[None],
-                where=~(lives[2:] | take_aE),
+                where=~(lives[2:] | take_a),
             )
             np.copyto(
                 rounds[2:],
                 np.maximum(a_end_n - 1, 0)[None],
-                where=take_aE & ~in_a_range,
+                where=take_a & ~in_a_range,
             )
             lives[2:] = True
             acc.round_many(
@@ -754,10 +671,10 @@ def _fused_pointer_merge_rounds(
             in_a = pa < a_end_n[None]
             in_b = pb < b_end_n[None]
             np.logical_xor(in_a, in_b, out=in_a)
-            np.logical_and(in_a, take_aE, out=in_a)
+            np.logical_and(in_a, take_a, out=in_a)
             np.logical_xor(in_b, in_a, out=lives[2:])
             np.subtract(pa, pb, out=pa)
-            np.multiply(pa, take_aE, out=pa)
+            np.multiply(pa, take_a, out=pa)
             np.add(pb, pa, out=rounds[2:])
             acc.round_many(
                 rounds.reshape(-1, T, u),
@@ -776,60 +693,67 @@ def _replay_searches(
 ) -> None:
     """Replay stacked merge-path bisections from their final cuts.
 
-    ``lo``, ``hi`` and ``cuts`` are ``(levels, tiles, u)``: each leading
-    slice is one independent set of per-thread searches over the
-    accumulator's tiles.  Along the real probe path the branch taken at
-    ``mid`` is exactly ``cut > mid`` (each branch keeps
-    ``lo <= cut <= hi``), so the probe addresses ``probe(mid) -> (a
-    address, b address)`` and the live masks reproduce with no data
-    reads.  All levels step together and every probe folds into one
-    :meth:`BatchCounters.round_many` call.  A level whose searches have
-    all converged adds no more slabs, so each level folds exactly the
-    rounds its own bisection loop would run.
+    ``lo``, ``hi`` and ``cuts`` are ``(levels, tiles, u)`` (``lo`` and
+    ``hi`` broadcastable): each leading slice is one independent set of
+    per-thread searches over the accumulator's tiles.  Along the real
+    probe path the branch taken at ``mid`` is exactly ``cut > mid``
+    (each branch keeps ``lo <= cut <= hi``), so the probes reproduce
+    with no data reads.  The loop runs a fixed number of steps with no
+    live masks — a converged search has ``lo == hi == cut`` and stays
+    put — and ``probe(mid) -> (a address, b address)`` runs once on the
+    stacked mids.  Only the ``(step, level)`` slabs with a live lane go
+    to the one :meth:`BatchCounters.round_many` call, so each level
+    folds exactly the rounds its own bisection loop would run.
     """
-    G = lo.shape[0]
-    live = lo < hi
     # A bisection over an interval of s candidates ends within
     # s.bit_length() steps of two reads each.
     steps = int((hi - lo).max(initial=0)).bit_length()
-    if not steps or not live.any():
+    if not steps:
         return
-    probes = np.empty((2 * G * steps,) + lo.shape[1:], dtype=np.int32)
-    probe_live = np.empty(probes.shape, dtype=bool)
-    n = 0
-    while True:
-        level_live = live.any(axis=(1, 2))
-        k = int(np.count_nonzero(level_live))
-        if not k:
-            break
-        mid = (lo + hi) >> 1
-        a_addr, b_addr = probe(mid)
-        now = live
-        if k < G:
-            a_addr, b_addr, now = (
-                a_addr[level_live], b_addr[level_live], live[level_live]
-            )
-        probes[n : n + k] = a_addr
-        probes[n + k : n + 2 * k] = b_addr
-        probe_live[n : n + k] = now
-        probe_live[n + k : n + 2 * k] = now
-        n += 2 * k
-        go_right = cuts > mid
-        lo = np.where(live & go_right, mid + 1, lo)
-        hi = np.where(live & ~go_right, mid, hi)
-        live = lo < hi
-    acc.round_many(probes[:n], probe_live[:n], kind="read")
+    G, T, u = cuts.shape
+    mids = np.empty((steps, G, T, u), dtype=np.int32)
+    live = np.empty((steps, G, T, u), dtype=bool)
+    lo = _full(lo, cuts.shape).astype(np.int32, copy=False)
+    hi = _full(hi, cuts.shape).astype(np.int32, copy=False)
+    for step in range(steps):
+        mid = mids[step]
+        np.less(lo, hi, out=live[step])
+        np.add(lo, hi, out=mid)
+        mid >>= 1
+        right = cuts > mid
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    kept = np.flatnonzero(live.reshape(steps * G, T * u).any(axis=1))
+    K = len(kept)
+    if not K:
+        return
+    probes = np.empty((2 * K, T, u), dtype=np.int32)
+    for half, addr in zip((probes[:K], probes[K:]), probe(mids)):
+        np.take(_full(addr, mids.shape).reshape(-1, T, u), kept, axis=0, out=half)
+    now = np.empty((2 * K, T, u), dtype=bool)
+    np.take(live.reshape(-1, T, u), kept, axis=0, out=now[:K])
+    now[K:] = now[:K]
+    # The step stacks are dead: free them before the accounting scratch.
+    del mids, live
+    acc.round_many(probes, now, kind="read")
 
 
-def _thread_cuts(from_a: BoolArray, E: int) -> AnyIntArray:
-    """Per-thread merge-path cuts from the merged rows' source tags.
-
-    ``from_a`` is ``(rows, total)``: whether each merged output came from
-    the A half.  The cut at diagonal ``i*E`` is the number of A outputs
-    before it, so whole-row prefix sums collapse to per-thread counts.
-    """
+def _step_major(from_a: BoolArray, E: int) -> BoolArray:
+    """``(rows, u*E)`` merge tags as a contiguous ``(E, rows, u)`` stack."""
     rows, total = from_a.shape
-    cnt = from_a.reshape(rows, total // E, E).sum(axis=2, dtype=np.int32)
+    return np.ascontiguousarray(from_a.reshape(rows, total // E, E).transpose(2, 0, 1))
+
+
+def _thread_cuts(take_a: BoolArray) -> AnyIntArray:
+    """Per-thread merge-path cuts from step-major merge tags.
+
+    ``take_a`` is ``(E, rows, u)``: whether thread ``i``'s ``j``-th
+    output came from the A half.  The cut at diagonal ``i*E`` is the
+    number of A outputs before it: per-thread counts (a sum over the
+    ``E`` slabs), then an exclusive prefix along the threads.
+    """
+    E = take_a.shape[0]
+    cnt = np.add.reduce(take_a.view(np.uint8), axis=0, dtype=_count_dtype(E + 1))
     return np.cumsum(cnt, axis=1, dtype=np.int32) - cnt
 
 
@@ -879,7 +803,7 @@ def tagged_search_profile(
     last = total - 1
     acc = BatchCounters(rows, u, w)
     if mapped:
-        fwd = np.asarray(get_plan("rho", total, E, w)["fwd"])
+        fwd = np.asarray(get_plan("rho", total, E, w)["fwd"]).astype(np.int32)
 
         def probe(mid: AnyIntArray) -> tuple[AnyIntArray, AnyIntArray]:
             # rho(pi(clip(b_idx, 0, n_b-1) % total)); the ``% total``
@@ -897,9 +821,8 @@ def tagged_search_profile(
 
     lo = np.maximum(0, diag - n_b_col)
     hi = np.minimum(diag, n_a_col)
-    _replay_searches(
-        acc, lo[None], hi[None], _thread_cuts(from_a, E)[None], probe
-    )
+    cuts = _thread_cuts(_step_major(from_a, E))
+    _replay_searches(acc, lo[None], hi[None], cuts[None], probe)
     return acc
 
 
@@ -935,7 +858,8 @@ def tagged_merge_profile(
         return acc
     n_a_col = np.asarray(n_a, dtype=np.int64)[:, None]
     diag = (np.arange(u, dtype=np.int64) * E)[None, :]
-    a_off = _thread_cuts(from_a, E).astype(np.int64)
+    take_a = _step_major(from_a, E)
+    a_off = _thread_cuts(take_a).astype(np.int64)
     # a_end[i] = next thread's cut; the last thread ends at |A|.
     a_end = np.empty_like(a_off)
     a_end[:, :-1] = a_off[:, 1:]
@@ -944,7 +868,7 @@ def tagged_merge_profile(
     b_end = n_a_col + (diag + E) - a_end
     _fused_pointer_merge_rounds(
         acc,
-        from_a.reshape(1, rows, u, E),
+        take_a[:, None],
         a_off[None],
         a_end[None],
         b_ptr[None],
@@ -1038,33 +962,27 @@ def batched_cf_merge_profile(tiles: int, total: int, E: int, w: int) -> list[Cou
 def _batched_stage_rounds(acc: BatchCounters, u: int, E: int, kind: str) -> None:
     """Count the thread-contiguous staging rounds (round m -> {iE + m}).
 
-    With full warps the whole pass folds to one closed-form update from
-    the ``fused_stage`` plan: staging round ``m`` reads ``i*E + m``, a
-    cyclic bank rotation of round 0, so all ``E`` rounds share round 0's
-    cycle/excess profile, every address is distinct (zero broadcasts),
-    and the fold is exact — bit-identical to ``E`` :meth:`~BatchCounters
-    .round` calls (asserted in ``tests/test_engine_batch.py``).
+    The whole pass folds to one closed-form update from the
+    ``fused_stage`` plan (the blocksort runs whole warps only): staging
+    round ``m`` reads ``i*E + m``, a cyclic bank rotation of round 0, so
+    all ``E`` rounds share round 0's cycle/excess profile, every address
+    is distinct (zero broadcasts), and the fold is exact — bit-identical
+    to ``E`` :meth:`~BatchCounters.round` calls.
     """
-    if u % acc.w == 0:
-        plan = get_plan("fused_stage", u, E, acc.w)
-        n_warps = int(np.asarray(plan["n_warps"])[0])
-        cycles = int(np.asarray(plan["cycles"])[0])
-        excess = int(np.asarray(plan["excess"])[0])
-        if kind == "read":
-            acc.shared_read_rounds += E * n_warps
-            # Every staged address is distinct: no broadcast reads.
-        else:
-            acc.shared_write_rounds += E * n_warps
-        acc.shared_requests += E * u
-        acc.shared_cycles += E * cycles
-        acc.shared_replays += E * (cycles - n_warps)
-        acc.shared_excess += E * excess
-        _FUSION.note_stage(E)
-        return
-    base = np.asarray(get_plan("stage", u, E, acc.w)["base"])
-    ones = np.ones((1, u), dtype=bool)
-    for m in range(E):
-        acc.round((base + m)[None, :], ones, kind=kind)
+    plan = get_plan("fused_stage", u, E, acc.w)
+    n_warps = int(np.asarray(plan["n_warps"])[0])
+    cycles = int(np.asarray(plan["cycles"])[0])
+    excess = int(np.asarray(plan["excess"])[0])
+    if kind == "read":
+        acc.shared_read_rounds += E * n_warps
+        # Every staged address is distinct: no broadcast reads.
+    else:
+        acc.shared_write_rounds += E * n_warps
+    acc.shared_requests += E * u
+    acc.shared_cycles += E * cycles
+    acc.shared_replays += E * (cycles - n_warps)
+    acc.shared_excess += E * excess
+    _FUSION.note_stage(E)
 
 
 def batched_blocksort_profile(
@@ -1207,7 +1125,7 @@ def _fused_blocksort_rounds(
         pbase, diag, lo, hi = stacked("pbase"), stacked("diag"), stacked("lo"), stacked("hi")
         half = (E << np.arange(first, first + G, dtype=np.int32))[:, None, None]
         cuts = np.empty((G, T, u), dtype=np.int32)
-        take_a = np.empty((G, T, u, E), dtype=bool)
+        take_a = np.empty((E, G, T, u), dtype=bool)
         for j, plan in enumerate(plans):
             # Staging writes (same residue rounds for both variants).
             _batched_stage_rounds(stage, u, E, kind="write")
@@ -1217,12 +1135,11 @@ def _fused_blocksort_rounds(
             region = 2 * int(half[j, 0, 0])
             packed += np.asarray(plan["tag"]).astype(pack_dtype)[None, :]
             packed.reshape(T, L // region, region).sort(axis=2)
-            np.equal(packed.reshape(T, u, E) & 1, 0, out=take_a[j])
+            low = packed.reshape(T, u, E) & 1
+            np.equal(low.transpose(2, 0, 1), 0, out=take_a[:, j])
             # pbase + diag == tid*E, and the cut is the count of A-half
-            # outputs between the pair's base and the thread's diagonal;
-            # per-thread counts + a (T, u) prefix replace a (T, L) one.
-            cnt = take_a[j].sum(axis=2, dtype=np.int32)
-            excl = np.cumsum(cnt, axis=1, dtype=np.int32) - cnt
+            # outputs between the pair's base and the thread's diagonal.
+            excl = _thread_cuts(take_a[:, j])
             cuts[j] = excl - excl[:, np.asarray(plan["pbase"]) // E]
             np.bitwise_and(packed, -2, out=packed)
 
@@ -1240,13 +1157,7 @@ def _fused_blocksort_rounds(
                 return pbase + mid, b_base - b_idx
             return pbase + mid, b_base + b_idx
 
-        _replay_searches(
-            search,
-            np.broadcast_to(lo, (G, T, u)),
-            np.broadcast_to(hi, (G, T, u)),
-            cuts,
-            probe,
-        )
+        _replay_searches(search, lo, hi, cuts, probe)
 
         # Merges.
         if variant == "thrust":

@@ -16,7 +16,10 @@ The package's load-bearing contracts, each pinned directly:
 from __future__ import annotations
 
 import json
+import os
+import signal
 import time
+from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
@@ -40,6 +43,8 @@ from repro.cluster import (
     stable_merge_slices,
     wfq_order,
 )
+import repro.cluster.service as cluster_service
+from repro.cluster.pool import clear_fault_hook, install_fault_hook
 from repro.cluster.service import cf_cluster_backend
 from repro.config import SortParams
 from repro.engine.backend import cf_batched_backend
@@ -253,6 +258,64 @@ class TestClusterBackend:
         assert clustered.counters.as_dict() == batched.counters.as_dict()
         assert clustered.launches == batched.launches
         assert 1 <= pool.tasks <= procs
+
+    def test_inline_call_stages_no_shared_memory(self, monkeypatch):
+        class Spy(SharedInt64):
+            built = 0
+
+            def __init__(self, n: int) -> None:
+                Spy.built += 1
+                super().__init__(n)
+
+        monkeypatch.setattr(cluster_service, "SharedInt64", Spy)
+        data = _workload(4, 3 * TILE + 11)
+        offsets = [0, 70, TILE + 70]
+        params = SortParams(E, U)
+        seen = []
+        before = cluster_stats()
+        install_fault_hook(seen.append)
+        try:
+            with ClusterPool(0) as pool:
+                clustered = cf_cluster_backend(data, offsets, params, W, pool=pool)
+        finally:
+            clear_fault_hook()
+        after = cluster_stats()
+        batched = cf_batched_backend(data, offsets, params, W)
+        assert Spy.built == 0
+        assert [task["kind"] for task in seen] == ["sort_range"]
+        assert np.array_equal(clustered.data, batched.data)
+        assert clustered.counters.as_dict() == batched.counters.as_dict()
+        assert clustered.launches == batched.launches
+        assert set(after) == set(before)
+        assert after["shm_bytes_shared"] == before["shm_bytes_shared"]
+        assert after["tasks_inline"] == before["tasks_inline"] + 1
+        # A process pool still stages through shared memory.
+        with ClusterPool(1) as pool:
+            cf_cluster_backend(data, offsets, params, W, pool=pool)
+        assert Spy.built == 2
+
+    def test_pool_recovers_after_a_worker_process_is_killed(self):
+        sizes = [TILE - 3 * i for i in range(6)] + [2 * TILE + 50]
+        data = _workload(12, sum(sizes))
+        offsets = np.cumsum([0] + sizes[:-1]).tolist()
+        params = SortParams(E, U)
+        batched = cf_batched_backend(data, offsets, params, W)
+        with ClusterPool(2) as pool:
+            cf_cluster_backend(data, offsets, params, W, pool=pool)
+            executor = pool._executor
+            victim = next(iter(executor._processes.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            assert wait([victim.sentinel], timeout=30), "worker survived SIGKILL"
+            deadline = time.monotonic() + 30
+            while not executor._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            before = cluster_stats()["worker_restarts"]
+            clustered = cf_cluster_backend(data, offsets, params, W, pool=pool)
+            restarts = cluster_stats()["worker_restarts"] - before
+        assert np.array_equal(clustered.data, batched.data)
+        assert clustered.counters.as_dict() == batched.counters.as_dict()
+        assert clustered.launches == batched.launches
+        assert restarts == 1
 
     def test_backend_validation_matches_batched(self):
         params = SortParams(6, 32)  # non-coprime with w=8

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.engine.batch as batch
 from repro.engine.batch import (
@@ -355,7 +357,12 @@ class TestLaneGrouping:
 
 
 class TestRoundManyEquality:
-    """round_many must be bit-identical to per-round round() accounting."""
+    """round_many must be bit-identical to per-round round() accounting.
+
+    Both run the same lane-major body, so these pin the stacking (rounds
+    fold by an integer sum); TestRoundManyAgainstBankModel is the
+    independent oracle.
+    """
 
     def _pair(self, tiles, u, w):
         return (
@@ -420,7 +427,8 @@ class TestRoundManyEquality:
             assert got.as_dict() == want.as_dict()
 
     def test_assume_distinct_wide_warp_keyed_branch(self):
-        # w > 127 skips the run-length fast path and keys on bank ids.
+        # w = 128: the widest warp whose bank ids and inactive marks
+        # (below 2w) still fit the byte-wide lane-major copy.
         rng = np.random.default_rng(23)
         tiles, u, w, R = 1, 256, 128, 3
         addr = np.stack([
@@ -437,7 +445,7 @@ class TestRoundManyEquality:
 
     def test_partial_warp_falls_back_to_sequential(self):
         rng = np.random.default_rng(13)
-        tiles, u, w, R = 2, 20, 8, 5  # u % w != 0
+        tiles, u, w, R = 2, 20, 8, 5  # u % w != 0: inactive padding lanes
         addr = rng.integers(0, 64, (R, tiles, u))
         act = rng.random((R, tiles, u)) < 0.7
         many, single = self._pair(tiles, u, w)
@@ -461,6 +469,122 @@ class TestRoundManyEquality:
         bc = BatchCounters(2, 16, 8)
         with pytest.raises(ParameterError):
             bc.round_many(np.zeros((2, 16), dtype=np.int64), None)
+
+
+def _warp_distinct_addresses(rng, R, T, u, w, wide):
+    """Addresses whose lanes are pairwise distinct within every warp."""
+    addr = np.empty((R, T, u), dtype=np.int64)
+    for r in range(R):
+        for t in range(T):
+            for s in range(0, u, w):
+                n = min(w, u - s)
+                stride = int(rng.integers(1, 4))
+                base = int(rng.integers(-(1 << 50), 1 << 50)) if wide else 0
+                addr[r, t, s : s + n] = base + stride * rng.permutation(2 * w)[:n]
+    return addr
+
+
+class TestRoundManyAgainstBankModel:
+    """round_many against per-warp BankModel.round_cost, warp by warp.
+
+    The oracle shares nothing with the lane: it slices each tile's round
+    into w-wide warps and prices each through the simulator's bank model.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        w=st.sampled_from([1, 3, 4, 8, 12, 32, 128]),
+        slots=st.integers(1, 3),
+        pad=st.integers(0, 127),
+        tiles=st.integers(1, 3),
+        rounds=st.integers(1, 4),
+        spread=st.sampled_from(["duplicates", "narrow", "wide", "negative"]),
+        mask=st.sampled_from(["none", "random", "some rounds idle", "all idle"]),
+        distinct=st.booleans(),
+        seed=st.integers(0, 1 << 16),
+    )
+    def test_matches_bank_model(
+        self, w, slots, pad, tiles, rounds, spread, mask, distinct, seed
+    ):
+        rng = np.random.default_rng(seed)
+        u = max(1, slots * w - pad % w)  # u % w != 0 whenever pad % w != 0
+        shape = (rounds, tiles, u)
+        if distinct:
+            addr = _warp_distinct_addresses(rng, *shape, w, spread == "wide")
+        elif spread == "duplicates":
+            addr = rng.integers(0, 3, shape) * rng.integers(1, 2 * w + 1)
+        elif spread == "narrow":
+            addr = rng.integers(0, 4 * w, shape)
+        else:
+            # Spans past 2^31 force int64 keys; keep w << span < 2^63.
+            bits = int(rng.integers(31, 62 - w.bit_length()))
+            low = -(1 << 61) if spread == "negative" else 0
+            addr = rng.integers(low, low + (1 << bits), shape)
+        if mask == "none":
+            active = None
+        elif mask == "all idle":
+            active = np.zeros(shape, dtype=bool)
+        else:
+            active = rng.random(shape) < rng.random()
+            if mask == "some rounds idle":
+                active[rng.random(rounds) < 0.5] = False
+        got = BatchCounters(tiles, u, w)
+        got.round_many(addr, active, assume_distinct=distinct)
+        act = np.ones(shape, dtype=bool) if active is None else active
+        want = [Counters() for _ in range(tiles)]
+        for r in range(rounds):
+            for t in range(tiles):
+                _bank_model_round(addr[r, t], act[r, t], w, want[t])
+        for t, (g, expect) in enumerate(zip(got.to_counters(), want)):
+            assert g.as_dict() == expect.as_dict(), f"tile {t}"
+
+
+class TestReplaySearches:
+    """_replay_searches against a literal per-level, per-step bisection."""
+
+    def test_matches_literal_bisection(self):
+        rng = np.random.default_rng(11)
+        G, T, u, w = 4, 3, 16, 8
+        # Levels with different interval widths converge at different
+        # steps; the last level is converged from the start.
+        widths = np.array([3, 40, 9, 0])[:, None, None]
+        lo = rng.integers(0, 50, (G, T, u))
+        hi = lo + rng.integers(0, widths + 1, (G, T, u))
+        hi[0, 0, :5] = lo[0, 0, :5]  # lanes that never search
+        cuts = lo + (rng.random((G, T, u)) * (hi - lo + 1)).astype(np.int64)
+        cuts = np.minimum(cuts, hi)
+        offset_a = rng.integers(0, 1000, (G, T, u))
+        offset_b = rng.integers(0, 1000, (G, T, u))
+
+        def probe(mid):
+            return mid + offset_a, 3 * mid + offset_b
+
+        got = BatchCounters(T, u, w)
+        before = fusion_stats()
+        batch._replay_searches(
+            got, lo.astype(np.int32), hi.astype(np.int32), cuts.astype(np.int32), probe
+        )
+        folded = fusion_stats()["rounds_folded"] - before["rounds_folded"]
+
+        want = [Counters() for _ in range(T)]
+        want_folded = 0
+        for g in range(G):
+            low, high, cut = lo[g].copy(), hi[g].copy(), cuts[g]
+            while (low < high).any():
+                live = low < high
+                mid = (low + high) // 2
+                a_addr, b_addr = probe(np.broadcast_to(mid, (G, T, u)))
+                for addr in (a_addr[g], b_addr[g]):
+                    for t in range(T):
+                        _bank_model_round(addr[t], live[t], w, want[t])
+                want_folded += 2
+                right = cut > mid
+                low = np.where(live & right, mid + 1, low)
+                high = np.where(live & ~right, mid, high)
+            assert np.array_equal(low, cut), f"level {g} bisection missed its cut"
+        assert folded == want_folded
+        for t, (g, expect) in enumerate(zip(got.to_counters(), want)):
+            assert g.as_dict() == expect.as_dict(), f"tile {t}"
 
 
 class TestLaneFusionArenaStats:
