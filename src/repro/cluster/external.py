@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import numpy.typing as npt
 
-from repro.cluster.stats import record_spill
+from repro.cluster.stats import CLUSTER
 from repro.errors import ParameterError
 from repro.telemetry.spans import NULL_TRACER, Tracer
 
@@ -187,7 +187,7 @@ def external_sort(
                     if not len(buffers[r]):
                         refill(r)
 
-    record_spill(
+    CLUSTER.add(
         runs_written=stats.runs_written,
         keys_spilled=stats.keys_spilled,
         bytes_spilled=stats.bytes_spilled,

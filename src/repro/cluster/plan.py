@@ -27,7 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.cluster.partition import chunk_bounds
-from repro.cluster.stats import record_plan
+from repro.cluster.stats import CLUSTER
 from repro.errors import ParameterError
 
 __all__ = ["ClusterTask", "ClusterPlan", "build_plan", "get_plan", "MERGE_MODES"]
@@ -183,9 +183,10 @@ def get_plan(
         cached = _CACHE.get(key)
         if cached is not None:
             _CACHE.move_to_end(key)
-    record_plan(cache_hit=cached is not None)
     if cached is not None:
+        CLUSTER.add(plan_cache_hits=1)
         return cached
+    CLUSTER.add(plans_built=1)
     plan = build_plan(n, chunk, parts, backend, merge, E, u, w)
     with _CACHE_LOCK:
         _CACHE[key] = plan

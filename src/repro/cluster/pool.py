@@ -41,7 +41,7 @@ import numpy.typing as npt
 
 from repro.cluster.partition import stable_merge_slices
 from repro.cluster.shm import attach_int64
-from repro.cluster.stats import record_tasks, record_worker_restart
+from repro.cluster.stats import CLUSTER
 from repro.config import SortParams
 from repro.errors import ParameterError, WorkerCrashed
 
@@ -175,9 +175,9 @@ _TASK_KINDS = {
 }
 
 
-#: Driver-side fault hook (chaos testing): called once per task before it
-#: is dispatched; raising :class:`~repro.errors.WorkerCrashed` simulates a
-#: worker process dying, exercising the pool's restart-and-retry path.
+#: Driver-side fault hook (chaos testing): called once per task before the
+#: batch runs; raising :class:`~repro.errors.WorkerCrashed` simulates a
+#: worker process dying, exercising the pool's restart path.
 _FAULT_LOCK = threading.Lock()
 _FAULT_HOOK: Callable[[TaskDict], None] | None = None
 
@@ -185,12 +185,12 @@ _FAULT_HOOK: Callable[[TaskDict], None] | None = None
 def install_fault_hook(hook: Callable[[TaskDict], None]) -> None:
     """Install a driver-side per-task fault hook (chaos campaigns).
 
-    The hook runs in the driver process immediately before each task is
-    dispatched; raising :class:`~repro.errors.WorkerCrashed` from it
-    makes :meth:`ClusterPool.run` tear down its worker executor, record
-    a restart, and retry the task once on the rebuilt pool.  Exactly one
-    hook can be active at a time; always pair with
-    :func:`clear_fault_hook` (``try``/``finally``).
+    The hook runs in the driver process on each task of a batch before
+    the batch runs; raising :class:`~repro.errors.WorkerCrashed` from it
+    makes :meth:`ClusterPool.run` record a restart and tear down its
+    worker executor, which the batch then respawns.  Exactly one hook
+    can be active at a time; always pair with :func:`clear_fault_hook`
+    (``try``/``finally``).
     """
     global _FAULT_HOOK
     with _FAULT_LOCK:
@@ -198,7 +198,7 @@ def install_fault_hook(hook: Callable[[TaskDict], None]) -> None:
 
 
 def clear_fault_hook() -> None:
-    """Remove any installed fault hook (restores the fast pool path)."""
+    """Remove any installed fault hook."""
     global _FAULT_HOOK
     with _FAULT_LOCK:
         _FAULT_HOOK = None
@@ -240,21 +240,26 @@ class ClusterPool:
     def run(self, tasks: Sequence[TaskDict]) -> list[TaskDict]:
         """Execute ``tasks`` and return their results in submission order.
 
-        When a chaos fault hook is installed (:func:`install_fault_hook`)
-        tasks take the slower one-at-a-time path that injects crashes;
-        otherwise the inline loop or one ``map`` over the workers runs.
-        Either way a crashed worker costs one restart and one exact
-        rerun, so results stay byte-identical to a fault-free run.
+        An installed chaos fault hook (:func:`install_fault_hook`) sees
+        every task first, and each crash it injects costs one restart.
+        Then the inline loop or one ``map`` over the workers runs the
+        batch.  A worker process that really dies costs one restart and
+        one exact rerun, so results stay byte-identical to a fault-free
+        run either way.
         """
         tasks = list(tasks)
         if not tasks:
             return []
         hook = _fault_hook()
         if hook is not None:
-            return self._run_with_faults(tasks, hook)
+            for task in tasks:
+                try:
+                    hook(task)
+                except WorkerCrashed:
+                    self._restart()
         if self.procs == 0:
             results = [run_cluster_task(t) for t in tasks]
-            record_tasks(len(tasks), inline=True)
+            CLUSTER.add(tasks_executed=len(tasks), tasks_inline=len(tasks))
             return results
         try:
             results = list(self._processes().map(run_cluster_task, tasks))
@@ -264,36 +269,8 @@ class ClusterPool:
             # disjoint ranges, so the rerun is exact.
             self._restart()
             results = list(self._processes().map(run_cluster_task, tasks))
-        record_tasks(len(tasks), inline=False)
+        CLUSTER.add(tasks_executed=len(tasks), tasks_process=len(tasks))
         return results
-
-    def _run_with_faults(
-        self, tasks: list[TaskDict], hook: Callable[[TaskDict], None]
-    ) -> list[TaskDict]:
-        """Crash-recoverable task loop: one dispatch at a time, retry once.
-
-        The hook fires before each task; a :class:`WorkerCrashed` from it
-        simulates the worker executing that task dying.  Recovery tears
-        down the process executor (the next dispatch lazily respawns it),
-        records the restart, and re-dispatches the same task — tasks are
-        pure functions of (dictionary, shared memory), so the retry is
-        exact and results stay byte-identical to a fault-free run.
-        """
-        results: list[TaskDict] = []
-        for task in tasks:
-            try:
-                hook(task)
-            except WorkerCrashed:
-                self._restart()
-            results.append(self._dispatch_one(task))
-        record_tasks(len(tasks), inline=self.procs == 0)
-        return results
-
-    def _dispatch_one(self, task: TaskDict) -> TaskDict:
-        """Execute one task on the pool's current path (inline or process)."""
-        if self.procs == 0:
-            return run_cluster_task(task)
-        return self._processes().submit(run_cluster_task, task).result()
 
     def _processes(self) -> ProcessPoolExecutor:
         """The worker executor, spawned on first use."""
@@ -306,7 +283,7 @@ class ClusterPool:
 
     def _restart(self) -> None:
         """Record a worker crash and drop the executor (respawned on next use)."""
-        record_worker_restart()
+        CLUSTER.add(worker_restarts=1)
         self.close()
 
     def close(self) -> None:

@@ -26,7 +26,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import numpy.typing as npt
 
-from repro.cluster.stats import record_shared_bytes
+from repro.cluster.stats import CLUSTER
 from repro.errors import ParameterError
 
 __all__ = ["SharedInt64", "attach_int64"]
@@ -46,7 +46,7 @@ class SharedInt64:
         self._shm = shared_memory.SharedMemory(
             create=True, size=max(n, 1) * _ITEMSIZE
         )
-        record_shared_bytes(self._shm.size)
+        CLUSTER.add(shm_bytes_shared=self._shm.size)
 
     @property
     def name(self) -> str:

@@ -60,6 +60,9 @@ class BufferArena:
     a burst of odd shapes cannot pin the pool's high-water mark forever.
     """
 
+    #: The :meth:`stats` keys that only grow (Prometheus counters).
+    COUNTERS = ("checkouts", "reuse_hits", "releases", "discards")
+
     def __init__(self, capacity_bytes: int = 256 << 20) -> None:
         if capacity_bytes < 0:
             raise ParameterError(

@@ -52,7 +52,6 @@ pair whose halves are not two sorted runs raises
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -63,6 +62,7 @@ from repro.engine.plans import get_plan
 from repro.errors import ParameterError
 from repro.numtheory import coprime
 from repro.sim.counters import Counters
+from repro.telemetry.stats import CounterSet
 
 __all__ = [
     "BatchCounters",
@@ -80,6 +80,7 @@ __all__ = [
     "kway_gather_addresses",
     "batched_kway_merge_profile",
     "batched_kway_search_profile",
+    "FUSION",
     "fusion_stats",
     "reset_fusion_stats",
 ]
@@ -99,89 +100,33 @@ BoolArray = npt.NDArray[np.bool_]
 AnyIntArray = npt.NDArray[np.integer[Any]]
 
 
-class _FusionStats:
-    """Process-global fusion accounting: how much round traffic was folded.
-
-    Every counter is a pure call count (no wall-clock, no warm-state), so
-    deltas are deterministic for a given profile call — the runner's
-    engine tiles report them into BASELINE-gated metrics.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.round_calls = 0
-        self.round_many_calls = 0
-        self.rounds_folded = 0
-        self.stage_passes = 0
-        self.stage_rounds_folded = 0
-        self.fused_blocksorts = 0
-        self.fallback_blocksorts = 0
-        self.fused_merges = 0
-        self.fallback_merges = 0
-        self.fused_searches = 0
-        self.fallback_searches = 0
-
-    def note_round(self) -> None:
-        with self._lock:
-            self.round_calls += 1
-
-    def note_round_many(self, rounds: int) -> None:
-        with self._lock:
-            self.round_many_calls += 1
-            self.rounds_folded += rounds
-
-    def note_stage(self, rounds: int) -> None:
-        with self._lock:
-            self.stage_passes += 1
-            self.stage_rounds_folded += rounds
-
-    def note_profile(self, name: str, fused: bool) -> None:
-        attr = ("fused_" if fused else "fallback_") + name
-        with self._lock:
-            setattr(self, attr, getattr(self, attr) + 1)
-
-    def snapshot(self) -> dict[str, float]:
-        with self._lock:
-            return {
-                "round_calls": float(self.round_calls),
-                "round_many_calls": float(self.round_many_calls),
-                "rounds_folded": float(self.rounds_folded),
-                "stage_passes": float(self.stage_passes),
-                "stage_rounds_folded": float(self.stage_rounds_folded),
-                "fused_blocksorts": float(self.fused_blocksorts),
-                "fallback_blocksorts": float(self.fallback_blocksorts),
-                "fused_merges": float(self.fused_merges),
-                "fallback_merges": float(self.fallback_merges),
-                "fused_searches": float(self.fused_searches),
-                "fallback_searches": float(self.fallback_searches),
-            }
-
-    def reset(self) -> None:
-        with self._lock:
-            self.round_calls = 0
-            self.round_many_calls = 0
-            self.rounds_folded = 0
-            self.stage_passes = 0
-            self.stage_rounds_folded = 0
-            self.fused_blocksorts = 0
-            self.fallback_blocksorts = 0
-            self.fused_merges = 0
-            self.fallback_merges = 0
-            self.fused_searches = 0
-            self.fallback_searches = 0
-
-
-_FUSION = _FusionStats()
+#: Process-global fusion accounting: how much round traffic was folded.
+#: Every counter is a pure call count (no wall-clock, no warm-state), so
+#: deltas are deterministic for a given profile call — the runner's
+#: engine tiles report them into BASELINE-gated metrics.
+FUSION = CounterSet(
+    "round_calls",
+    "round_many_calls",
+    "rounds_folded",
+    "stage_passes",
+    "stage_rounds_folded",
+    "fused_blocksorts",
+    "fallback_blocksorts",
+    "fused_merges",
+    "fallback_merges",
+    "fused_searches",
+    "fallback_searches",
+)
 
 
 def fusion_stats() -> dict[str, float]:
     """Process-global fused-pass counters (for telemetry exports)."""
-    return _FUSION.snapshot()
+    return {name: float(value) for name, value in FUSION.snapshot().items()}
 
 
 def reset_fusion_stats() -> None:
     """Reset :func:`fusion_stats` counters (tests and profiling runs)."""
-    _FUSION.reset()
+    FUSION.reset()
 
 
 class BatchCounters:
@@ -225,7 +170,7 @@ class BatchCounters:
         are free.  The same accounting as a one-round :meth:`round_many`
         (the fusion ledger counts it as a single round).
         """
-        _FUSION.note_round()
+        FUSION.add(round_calls=1)
         shape = (self.tiles, self.u)
         self._account(
             np.broadcast_to(np.asarray(addresses), shape)[None],
@@ -271,7 +216,7 @@ class BatchCounters:
         R = int(addr.shape[0])
         if R == 0:
             return
-        _FUSION.note_round_many(R)
+        FUSION.add(round_many_calls=1, rounds_folded=R)
         self._account(addr, active, kind, distinct=assume_distinct)
 
     def _account(
@@ -551,7 +496,7 @@ def _stack_pairs(
     if not _halves_sorted(backing, n_a):
         raise ParameterError("every (A, B) pair must hold two sorted runs")
     packable = _pack_dtype(backing) is not None
-    _FUSION.note_profile(profile, packable)
+    FUSION.add(**{("fused_" if packable else "fallback_") + profile: 1})
     if not packable:
         backing = np.unique(backing, return_inverse=True)[1].reshape(backing.shape)
     return backing, n_a
@@ -982,7 +927,7 @@ def _batched_stage_rounds(acc: BatchCounters, u: int, E: int, kind: str) -> None
     acc.shared_cycles += E * cycles
     acc.shared_replays += E * (cycles - n_warps)
     acc.shared_excess += E * excess
-    _FUSION.note_stage(E)
+    FUSION.add(stage_passes=1, stage_rounds_folded=E)
 
 
 def batched_blocksort_profile(
@@ -1064,7 +1009,7 @@ def _blocksort_input(
         raise ParameterError("cf blocksort profile requires coprime w, E")
 
     pack_dtype = _pack_dtype(tiles)
-    _FUSION.note_profile("blocksorts", pack_dtype is not None)
+    FUSION.add(**{("fused_" if pack_dtype is not None else "fallback_") + "blocksorts": 1})
     if pack_dtype is None:
         # Dense ranks keep every comparison (order and ties), hence every
         # counter, and always fit the packing.

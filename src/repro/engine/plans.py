@@ -400,12 +400,17 @@ class PlanCache:
     evicted when the cache is full.
     """
 
+    #: The :meth:`stats` keys that only grow (Prometheus counters).
+    COUNTERS = ("hits", "misses", "evictions")
+
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ParameterError(f"plan cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._plans: OrderedDict[PlanKey, Plan] = OrderedDict()
+        #: Keyed on ``(kind, n, E, w, k, level)``: ``d`` follows from
+        #: ``w`` and ``E``, so a hit never builds a :class:`PlanKey`.
+        self._plans: OrderedDict[tuple[str, int, int, int, int, int], Plan] = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -420,7 +425,7 @@ class PlanCache:
             raise ParameterError(
                 f"unknown plan kind {kind!r} (known: {', '.join(PLAN_KINDS)})"
             )
-        key = PlanKey(n=n, E=E, w=w, d=gcd(w, E), kind=kind, k=k, level=level)
+        key = (kind, n, E, w, k, level)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -430,7 +435,8 @@ class PlanCache:
             self._misses += 1
         # Build outside the lock: builders are pure, so a racing double
         # build is wasted work, never an inconsistency.
-        plan = Plan(key=key, arrays=builder(n, E, w, k, level))
+        plan_key = PlanKey(n=n, E=E, w=w, d=gcd(w, E), kind=kind, k=k, level=level)
+        plan = Plan(key=plan_key, arrays=builder(n, E, w, k, level))
         with self._lock:
             existing = self._plans.get(key)
             if existing is not None:

@@ -28,7 +28,7 @@ from repro.errors import ChaosFailureError, ParameterError
 from repro.replay.chaos import FAULT_KINDS, FaultInjector, FaultSpec, default_fault_plan
 from repro.replay.log import TrafficLog
 from repro.replay.replayer import ReplayConfig, replay_log
-from repro.replay.stats import record_campaign
+from repro.replay.stats import REPLAY
 from repro.runner.cache import ResultCache
 
 __all__ = [
@@ -124,7 +124,7 @@ def run_campaign(
         verdicts.append(_fault_verdict(kind, injector, report, fault_control, restarts))
     survived = [v["kind"] for v in verdicts if v["survived"]]
     failed = [v["kind"] for v in verdicts if not v["survived"]]
-    record_campaign(failed=bool(failed))
+    REPLAY.add(campaigns_run=1, campaigns_failed=int(bool(failed)))
     body = {
         "format": CHAOS_REPORT_FORMAT_VERSION,
         "kind": _REPORT_KIND,

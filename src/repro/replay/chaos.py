@@ -32,7 +32,7 @@ from typing import Any, Sequence
 
 from repro.cluster.pool import TaskDict, clear_fault_hook, install_fault_hook
 from repro.errors import ParameterError, WorkerCrashed
-from repro.replay.stats import record_faults
+from repro.replay.stats import REPLAY
 
 __all__ = ["FAULT_KINDS", "FaultSpec", "FaultInjector", "default_fault_plan"]
 
@@ -211,9 +211,7 @@ class FaultInjector:
         """
         if any(f.kind == "worker_crash" for f in self.faults):
             clear_fault_hook()
-        total = self.injected_total()
-        if total:
-            record_faults(total)
+        REPLAY.add(faults_injected=self.injected_total())
 
 
 def default_fault_plan(kind: str) -> tuple[FaultSpec, ...]:

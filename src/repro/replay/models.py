@@ -30,7 +30,7 @@ from typing import Callable
 from repro.errors import ParameterError
 from repro.fuzz.corpus import Geometry
 from repro.replay.log import TrafficEvent, TrafficLog, make_log
-from repro.replay.stats import record_log
+from repro.replay.stats import REPLAY
 from repro.workloads.generators import derive_stream_seed
 
 __all__ = ["LOAD_MODELS", "build_load", "diurnal_wave", "bursty_tenants", "adversarial_mix"]
@@ -76,7 +76,7 @@ def diurnal_wave(count: int, seed: int, geometry: Geometry) -> TrafficLog:
             )
         tick += 1
     log = make_log(geometry, "diurnal_wave", seed, events)
-    record_log(len(events))
+    REPLAY.add(logs_recorded=1, events_recorded=len(events))
     return log
 
 
@@ -125,7 +125,7 @@ def bursty_tenants(count: int, seed: int, geometry: Geometry) -> TrafficLog:
             )
         tick += 1
     log = make_log(geometry, "bursty_tenants", seed, events)
-    record_log(len(events))
+    REPLAY.add(logs_recorded=1, events_recorded=len(events))
     return log
 
 
@@ -167,7 +167,7 @@ def adversarial_mix(count: int, seed: int, geometry: Geometry) -> TrafficLog:
                 )
             )
     log = make_log(geometry, "adversarial_mix", seed, events)
-    record_log(len(events))
+    REPLAY.add(logs_recorded=1, events_recorded=len(events))
     return log
 
 

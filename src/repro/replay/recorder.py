@@ -21,7 +21,7 @@ import threading
 
 from repro.fuzz.corpus import Geometry
 from repro.replay.log import TrafficEvent, TrafficLog, make_log
-from repro.replay.stats import record_log
+from repro.replay.stats import REPLAY
 from repro.service.request import SortRequest
 
 __all__ = ["TICKS_PER_SECOND", "TrafficRecorder"]
@@ -78,5 +78,5 @@ class TrafficRecorder:
         with self._lock:
             events = tuple(self._events)
         log = make_log(self.geometry, model, seed, events)
-        record_log(len(events))
+        REPLAY.add(logs_recorded=1, events_recorded=len(events))
         return log

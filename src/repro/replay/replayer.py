@@ -35,7 +35,7 @@ from repro.fuzz.corpus import Geometry
 from repro.fuzz.oracles import baseline_excess_bound
 from repro.mergesort.pipeline import gpu_mergesort
 from repro.replay.log import TrafficLog, materialize
-from repro.replay.stats import record_checks, record_replay, record_responses
+from repro.replay.stats import REPLAY
 from repro.runner.cache import ResultCache
 from repro.service.backends import available_backends, get_backend
 from repro.service.batching import BatchPolicy, plan_batches
@@ -481,9 +481,15 @@ def _replay_loop(
                     n_ok += 1
 
     oracle_failures.sort()
-    record_replay(len(events))
-    record_responses(n_ok, n_shed, n_expired)
-    record_checks(total_checks, len(oracle_failures))
+    REPLAY.add(
+        replays_run=1,
+        requests_replayed=len(events),
+        responses_ok=n_ok,
+        responses_shed=n_shed,
+        responses_expired=n_expired,
+        oracle_checks=total_checks,
+        oracle_failures=len(oracle_failures),
+    )
     return {
         "format": REPORT_FORMAT_VERSION,
         "kind": _REPORT_KIND,

@@ -4,106 +4,39 @@ Like the cluster and plan-cache layers, record/replay work happens
 outside any single :class:`~repro.service.metrics.ServiceMetrics`
 instance — the recorder hooks a live service, the replayer runs its own
 logical clock — so the subsystem aggregates into one module-level
-thread-safe accumulator that the service metrics snapshot (schema 4)
-and the Prometheus exposition read via :func:`replay_stats`.
+:class:`CounterSet` that the service metrics snapshot (schema 4) and the
+Prometheus exposition read via :func:`replay_stats`.
 """
 
 from __future__ import annotations
 
-import threading
+from repro.telemetry.stats import CounterSet
 
-__all__ = [
-    "replay_stats",
-    "record_log",
-    "record_events",
-    "record_replay",
-    "record_responses",
-    "record_checks",
-    "record_faults",
-    "record_campaign",
-    "reset_replay_stats",
-]
+__all__ = ["REPLAY", "replay_stats", "reset_replay_stats"]
 
-_LOCK = threading.Lock()
-
-
-def _zero() -> dict[str, int]:
-    return {
-        "logs_recorded": 0,
-        "events_recorded": 0,
-        "replays_run": 0,
-        "requests_replayed": 0,
-        "responses_ok": 0,
-        "responses_shed": 0,
-        "responses_expired": 0,
-        "oracle_checks": 0,
-        "oracle_failures": 0,
-        "faults_injected": 0,
-        "campaigns_run": 0,
-        "campaigns_failed": 0,
-    }
-
-
-_STATE: dict[str, int] = _zero()
-
-
-def record_log(events: int) -> None:
-    """Note one traffic log finalized with ``events`` recorded events."""
-    with _LOCK:
-        _STATE["logs_recorded"] += 1
-        _STATE["events_recorded"] += events
-
-
-def record_events(count: int) -> None:
-    """Fold ``count`` individually recorded traffic events into the totals."""
-    with _LOCK:
-        _STATE["events_recorded"] += count
-
-
-def record_replay(requests: int) -> None:
-    """Note one replay run over ``requests`` replayed requests."""
-    with _LOCK:
-        _STATE["replays_run"] += 1
-        _STATE["requests_replayed"] += requests
-
-
-def record_responses(ok: int, shed: int, expired: int) -> None:
-    """Fold one replay's response statuses into the totals."""
-    with _LOCK:
-        _STATE["responses_ok"] += ok
-        _STATE["responses_shed"] += shed
-        _STATE["responses_expired"] += expired
-
-
-def record_checks(checks: int, failures: int) -> None:
-    """Fold per-response oracle check counts (and failures) into the totals."""
-    with _LOCK:
-        _STATE["oracle_checks"] += checks
-        _STATE["oracle_failures"] += failures
-
-
-def record_faults(injected: int) -> None:
-    """Fold ``injected`` chaos fault activations into the totals."""
-    with _LOCK:
-        _STATE["faults_injected"] += injected
-
-
-def record_campaign(failed: bool) -> None:
-    """Note one chaos campaign completion (``failed`` = unrecovered faults)."""
-    with _LOCK:
-        _STATE["campaigns_run"] += 1
-        if failed:
-            _STATE["campaigns_failed"] += 1
+#: Logs finalized, replays run, response statuses, oracle checks,
+#: injected faults and chaos campaigns.
+REPLAY = CounterSet(
+    "logs_recorded",
+    "events_recorded",
+    "replays_run",
+    "requests_replayed",
+    "responses_ok",
+    "responses_shed",
+    "responses_expired",
+    "oracle_checks",
+    "oracle_failures",
+    "faults_injected",
+    "campaigns_run",
+    "campaigns_failed",
+)
 
 
 def replay_stats() -> dict[str, int]:
     """A copy of the process-wide replay counters (JSON-serializable)."""
-    with _LOCK:
-        return dict(_STATE)
+    return REPLAY.snapshot()
 
 
 def reset_replay_stats() -> None:
     """Zero every counter (test isolation hook)."""
-    with _LOCK:
-        _STATE.clear()
-        _STATE.update(_zero())
+    REPLAY.reset()

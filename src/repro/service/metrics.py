@@ -15,10 +15,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Mapping
 
 from repro.config import RTX_2080_TI, DeviceSpec, SortParams
-from repro.engine.plans import plan_cache_stats
+from repro.engine.plans import PlanCache, plan_cache_stats
 from repro.perf.cost_model import CostModel
 from repro.runner.cache import code_version
 from repro.runner.executor import ExecutionStats
@@ -27,13 +27,52 @@ from repro.service.request import SortResult
 from repro.sim.counters import Counters
 from repro.telemetry.stats import flatten_numeric, percentile
 
-__all__ = ["BatchRecord", "ServiceMetrics", "METRICS_SCHEMA"]
+__all__ = ["BatchRecord", "ServiceMetrics", "METRICS_SCHEMA", "counter_paths"]
 
 #: Versioned so dashboards can evolve with the snapshot shape.
 #: 2 added the ``engine.plan_cache`` section; 3 added ``cluster``;
 #: 4 added ``replay``; 5 added ``engine.arena`` and ``engine.fusion``;
 #: 6 added ``requests.failed``.
 METRICS_SCHEMA = 6
+
+#: A process-wide stats section of the snapshot: its dotted path, the
+#: view that reads it, and which of its keys are counters.
+_StatsSection = tuple[str, Callable[[], Mapping[str, float]], tuple[str, ...]]
+
+
+def _stats_sections() -> tuple[_StatsSection, ...]:
+    """The snapshot's process-wide stats sections, in snapshot order.
+
+    Imported here, not at module level: repro.cluster's fairness layer
+    imports the service, so a module-level import would be a cycle (and
+    repro.replay replays *through* the service).
+    """
+    from repro.cluster.stats import CLUSTER, cluster_stats
+    from repro.engine.arena import BufferArena, arena_stats
+    from repro.engine.batch import FUSION, fusion_stats
+    from repro.replay.stats import REPLAY, replay_stats
+
+    return (
+        ("engine.plan_cache", plan_cache_stats, PlanCache.COUNTERS),
+        ("engine.arena", arena_stats, BufferArena.COUNTERS),
+        ("engine.fusion", fusion_stats, FUSION.counters),
+        ("cluster", cluster_stats, CLUSTER.counters),
+        ("replay", replay_stats, REPLAY.counters),
+    )
+
+
+def counter_paths() -> frozenset[str]:
+    """Every snapshot path that only grows: the Prometheus counters.
+
+    The service's own counts (:attr:`ServiceMetrics.COUNTERS`), every
+    simulator counter under ``counters.``, and the declared counters of
+    each process-wide stats section; every other leaf is a gauge.
+    """
+    paths = set(ServiceMetrics.COUNTERS)
+    paths.update(f"counters.{name}" for name in Counters().as_dict())
+    for section, _, counters in _stats_sections():
+        paths.update(f"{section}.{name}" for name in counters)
+    return frozenset(paths)
 
 
 @dataclass(frozen=True)
@@ -62,6 +101,19 @@ class BatchRecord:
 class ServiceMetrics:
     """Thread-safe accumulator for everything the service measures."""
 
+    #: The service's own snapshot paths that only grow.
+    COUNTERS = (
+        "requests.submitted",
+        "requests.completed",
+        "requests.shed",
+        "requests.expired",
+        "requests.failed",
+        "batches.count",
+        "batches.elements",
+        "batches.padded_elements",
+        "batches.cache_hits",
+    )
+
     def __init__(
         self,
         params: SortParams,
@@ -80,7 +132,14 @@ class ServiceMetrics:
         self._latencies: list[float] = []
         self._wait_total = 0.0
         self._service_total = 0.0
-        self._batches: list[BatchRecord] = []
+        #: Running batch totals: the snapshot reads these, never a
+        #: per-batch list, so memory stays flat however long it serves.
+        self._batch_count = 0
+        self._batch_elements = 0
+        self._batch_padded = 0
+        self._batch_cache_hits = 0
+        self._fill_total = 0.0
+        self._fill_min = 0.0
         self._counters = Counters()
         self._submitted = 0
         self._shed = 0
@@ -122,7 +181,13 @@ class ServiceMetrics:
     def record_batch(self, record: BatchRecord, counters: Counters) -> None:
         """Note one executed micro-batch and fold in its counters."""
         with self._lock:
-            self._batches.append(record)
+            fill = record.fill_ratio
+            self._fill_min = min(self._fill_min, fill) if self._batch_count else fill
+            self._fill_total += fill
+            self._batch_count += 1
+            self._batch_elements += record.elements
+            self._batch_padded += record.padded_elements
+            self._batch_cache_hits += record.cache_hits
             self._counters.merge(counters)
 
     @property
@@ -135,24 +200,23 @@ class ServiceMetrics:
 
     def snapshot(self) -> dict[str, Any]:
         """The full metrics state as one JSON-serializable dictionary."""
-        # Lazy: repro.cluster's fairness layer imports the service, so a
-        # module-level import here would be a cycle (and repro.replay
-        # replays *through* the service).
-        from repro.cluster.stats import cluster_stats
-        from repro.engine.arena import arena_stats
-        from repro.engine.batch import fusion_stats
-        from repro.replay.stats import replay_stats
-
+        stats: dict[str, Any] = {}
+        for path, view, _ in _stats_sections():
+            *parents, leaf = path.split(".")
+            node = stats
+            for parent in parents:
+                node = node.setdefault(parent, {})
+            node[leaf] = view()
         with self._lock:
             latencies = sorted(self._latencies)
-            elements = sum(b.elements for b in self._batches)
-            padded = sum(b.padded_elements for b in self._batches)
-            fill_ratios = [b.fill_ratio for b in self._batches]
+            n_batches = self._batch_count
+            elements = self._batch_elements
+            padded = self._batch_padded
             wall_s = max(time.monotonic() - self._started_at, 1e-9)
             model = CostModel(self._device)
             breakdown = model.estimate(
                 self._counters,
-                kernel_launches=max(len(self._batches), 1),
+                kernel_launches=max(n_batches, 1),
             )
             n_completed = len(latencies)
             return {
@@ -176,18 +240,18 @@ class ServiceMetrics:
                     ),
                 },
                 "batches": {
-                    "count": len(self._batches),
+                    "count": n_batches,
                     "elements": elements,
                     "padded_elements": padded,
                     "fill_ratio_mean": (
-                        sum(fill_ratios) / len(fill_ratios) if fill_ratios else 0.0
+                        self._fill_total / n_batches if n_batches else 0.0
                     ),
-                    "fill_ratio_min": min(fill_ratios) if fill_ratios else 0.0,
+                    "fill_ratio_min": self._fill_min,
                     "padding_fraction": 1.0 - (elements / padded) if padded else 0.0,
                     "requests_per_batch_mean": (
-                        n_completed / len(self._batches) if self._batches else 0.0
+                        n_completed / n_batches if n_batches else 0.0
                     ),
-                    "cache_hits": sum(b.cache_hits for b in self._batches),
+                    "cache_hits": self._batch_cache_hits,
                 },
                 "queue": {
                     "capacity": self._queue_capacity,
@@ -199,13 +263,7 @@ class ServiceMetrics:
                     ),
                 },
                 "counters": self._counters.as_dict(),
-                "engine": {
-                    "plan_cache": plan_cache_stats(),
-                    "arena": arena_stats(),
-                    "fusion": fusion_stats(),
-                },
-                "cluster": cluster_stats(),
-                "replay": replay_stats(),
+                **stats,
                 "modeled": {
                     "total_us": breakdown.total_us,
                     "us_per_request": breakdown.total_us / max(n_completed, 1),
@@ -231,9 +289,9 @@ class ServiceMetrics:
         flatten_numeric("", snap, derived)
         with self._lock:
             stats = ExecutionStats(
-                total=len(self._batches),
-                hits=sum(b.cache_hits for b in self._batches),
-                misses=len(self._batches) - sum(b.cache_hits for b in self._batches),
+                total=self._batch_count,
+                hits=self._batch_cache_hits,
+                misses=self._batch_count - self._batch_cache_hits,
                 wall_s=time.monotonic() - self._started_at,
                 workers=1,
             )

@@ -4,16 +4,20 @@
 into the Prometheus text exposition format (``# HELP`` / ``# TYPE`` /
 sample lines); :func:`service_exposition` applies it to a
 :class:`~repro.service.metrics.ServiceMetrics` snapshot (every numeric
-leaf becomes one ``repro_``-prefixed sample).  :class:`SnapshotWriter`
-writes numbered ``.prom`` snapshot files so a scrape-less deployment (or
-a CI run) still leaves a metrics trail on disk.
+leaf becomes one ``repro_``-prefixed sample).  Which paths are counters
+is declared, not guessed: :func:`render_exposition` takes them as an
+argument, and :func:`service_exposition` reads
+:func:`repro.service.metrics.counter_paths`; every other path is a
+gauge.  :class:`SnapshotWriter` writes numbered ``.prom`` snapshot files
+so a scrape-less deployment (or a CI run) still leaves a metrics trail
+on disk.
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Any, Mapping
+from typing import AbstractSet, Any, Mapping
 
 from repro.telemetry.stats import flatten_numeric
 
@@ -26,65 +30,6 @@ __all__ = [
 
 _INVALID = re.compile(r"[^a-zA-Z0-9_:]")
 
-#: Dotted-path prefixes whose metrics are monotonically increasing and
-#: therefore exposed with ``# TYPE ... counter``; everything else is a
-#: gauge.
-COUNTER_PREFIXES = (
-    "counters.",
-    "requests.submitted",
-    "requests.completed",
-    "requests.shed",
-    "requests.expired",
-    "requests.failed",
-    "batches.count",
-    "batches.elements",
-    "batches.padded_elements",
-    "batches.cache_hits",
-    "engine.plan_cache.hits",
-    "engine.plan_cache.misses",
-    "engine.plan_cache.evictions",
-    "engine.arena.checkouts",
-    "engine.arena.reuse_hits",
-    "engine.arena.releases",
-    "engine.arena.discards",
-    "engine.fusion.round_calls",
-    "engine.fusion.round_many_calls",
-    "engine.fusion.rounds_folded",
-    "engine.fusion.stage_passes",
-    "engine.fusion.stage_rounds_folded",
-    "engine.fusion.fused_blocksorts",
-    "engine.fusion.fallback_blocksorts",
-    "engine.fusion.fused_merges",
-    "engine.fusion.fallback_merges",
-    "engine.fusion.fused_searches",
-    "engine.fusion.fallback_searches",
-    "cluster.tasks_executed",
-    "cluster.tasks_inline",
-    "cluster.tasks_process",
-    "cluster.shm_bytes_shared",
-    "cluster.plans_built",
-    "cluster.plan_cache_hits",
-    "cluster.runs_written",
-    "cluster.keys_spilled",
-    "cluster.bytes_spilled",
-    "cluster.keys_read_back",
-    "cluster.bytes_read_back",
-    "cluster.merge_rounds",
-    "cluster.worker_restarts",
-    "replay.logs_recorded",
-    "replay.events_recorded",
-    "replay.replays_run",
-    "replay.requests_replayed",
-    "replay.responses_ok",
-    "replay.responses_shed",
-    "replay.responses_expired",
-    "replay.oracle_checks",
-    "replay.oracle_failures",
-    "replay.faults_injected",
-    "replay.campaigns_run",
-    "replay.campaigns_failed",
-)
-
 
 def sanitize_metric_name(name: str, prefix: str = "repro") -> str:
     """Map a dotted metric path onto a valid Prometheus metric name."""
@@ -95,14 +40,6 @@ def sanitize_metric_name(name: str, prefix: str = "repro") -> str:
     if flat[0].isdigit():
         flat = f"_{flat}"
     return f"{prefix}_{flat}" if prefix else flat
-
-
-def _metric_type(path: str) -> str:
-    return (
-        "counter"
-        if any(path.startswith(p) for p in COUNTER_PREFIXES)
-        else "gauge"
-    )
 
 
 def _format_value(value: float) -> str:
@@ -117,12 +54,14 @@ def render_exposition(
     metrics: Mapping[str, float],
     prefix: str = "repro",
     help_text: Mapping[str, str] | None = None,
+    counters: AbstractSet[str] = frozenset(),
 ) -> str:
     """Render ``metrics`` in the Prometheus text exposition format.
 
     Metric names are sanitized dotted paths; each sample is preceded by
-    its ``# HELP`` and ``# TYPE`` lines.  Output order is sorted by the
-    original path, so expositions are deterministic artifacts.
+    its ``# HELP`` and ``# TYPE`` lines, typed ``counter`` when its path
+    is in ``counters`` and ``gauge`` otherwise.  Output order is sorted
+    by the original path, so expositions are deterministic artifacts.
     """
     helps = dict(help_text or {})
     lines: list[str] = []
@@ -130,7 +69,7 @@ def render_exposition(
         name = sanitize_metric_name(path, prefix=prefix)
         doc = helps.get(path, f"repro metric {path}")
         lines.append(f"# HELP {name} {doc}")
-        lines.append(f"# TYPE {name} {_metric_type(path)}")
+        lines.append(f"# TYPE {name} {'counter' if path in counters else 'gauge'}")
         lines.append(f"{name} {_format_value(float(metrics[path]))}")
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -140,11 +79,16 @@ def service_exposition(snapshot: Mapping[str, Any], prefix: str = "repro") -> st
 
     Flattens the snapshot's numeric leaves with the same helper the
     RunReport export uses, so dashboard names match artifact names
-    (``requests.latency_s.p95`` -> ``repro_requests_latency_s_p95``).
+    (``requests.latency_s.p95`` -> ``repro_requests_latency_s_p95``),
+    and types the :func:`repro.service.metrics.counter_paths` leaves
+    as counters.
     """
+    # Imported here: repro.service.metrics imports repro.telemetry.
+    from repro.service.metrics import counter_paths
+
     flat: dict[str, float] = {}
     flatten_numeric("", dict(snapshot), flat)
-    return render_exposition(flat, prefix=prefix)
+    return render_exposition(flat, prefix=prefix, counters=counter_paths())
 
 
 class SnapshotWriter:

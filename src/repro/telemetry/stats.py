@@ -1,4 +1,4 @@
-"""Shared summary statistics for metrics snapshots and trace summaries.
+"""Shared summary statistics and counters for metrics snapshots.
 
 One definition of the percentile (exact nearest-rank on the *sorted*
 sample) serves every layer: :mod:`repro.service.metrics` latency
@@ -6,13 +6,61 @@ summaries, the conflict profiler's round-depth summaries, and any future
 dashboard math.  Keeping the definition in one place means a p95 in a
 service snapshot and a p95 in a trace summary are always the same
 quantity.
+
+:class:`CounterSet` is the one shape every process-wide stats ledger
+takes (the engine's fusion ledger, the cluster and replay counters):
+names declared once, in snapshot order, next to the code that updates
+them, so the Prometheus exposition reads which leaves are counters from
+the declaration instead of a hand-kept list.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Mapping, Sequence
 
-__all__ = ["percentile", "summarize", "flatten_numeric"]
+__all__ = ["CounterSet", "percentile", "summarize", "flatten_numeric"]
+
+
+class CounterSet:
+    """Thread-safe integer counters and peak gauges behind one lock.
+
+    ``names`` are every value in snapshot order; the ones also listed
+    in ``peaks`` are high-water gauges, the rest are monotonic counters,
+    named by :attr:`counters`.  Updating an undeclared name raises
+    :class:`KeyError`.
+    """
+
+    def __init__(self, *names: str, peaks: Sequence[str] = ()) -> None:
+        #: The monotonic names, in declaration order.
+        self.counters: tuple[str, ...] = tuple(n for n in names if n not in peaks)
+        self._peaks = frozenset(peaks)
+        self._lock = threading.Lock()
+        self._values = dict.fromkeys(names, 0)
+
+    def add(self, **values: int) -> None:
+        """Fold each ``name=value`` in, all under one lock hold.
+
+        A counter grows by ``value``; a peak gauge rises to ``value``
+        if that is higher.
+        """
+        with self._lock:
+            for name, value in values.items():
+                if name in self._peaks:
+                    self._values[name] = max(self._values[name], value)
+                else:
+                    self._values[name] += value
+
+    def snapshot(self) -> dict[str, int]:
+        """A copy of every value, in declaration order."""
+        with self._lock:
+            return dict(self._values)
+
+    def reset(self) -> None:
+        """Zero every value (test isolation and profiling runs)."""
+        with self._lock:
+            for name in self._values:
+                self._values[name] = 0
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:

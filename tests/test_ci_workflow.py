@@ -206,6 +206,21 @@ def test_engine_job_runs_the_benchmark_twice_and_diffs_reports(workflow):
     assert bench["env"] == {"PYTHONPATH": "src"}
 
 
+def test_engine_job_profiles_twice_and_diffs_artifacts(workflow):
+    # ``repro profile engine`` writes only call counts and byte totals,
+    # so two runs must leave byte-identical fusion/arena artifacts.
+    job = workflow["jobs"]["engine"]
+    profile = next(s for s in job["steps"] if "profile engine" in str(s.get("run", "")))
+    run = profile["run"]
+    assert "repro profile engine --out engine-artifacts\n" in run
+    assert "repro profile engine --out engine-artifacts-again\n" in run
+    assert (
+        "cmp engine-artifacts/profile-engine.json "
+        "engine-artifacts-again/profile-engine.json" in run
+    )
+    assert profile["env"] == {"PYTHONPATH": "src"}
+
+
 def test_engine_job_uploads_its_reports(workflow):
     job = workflow["jobs"]["engine"]
     upload = next(s for s in job["steps"] if "upload-artifact" in str(s.get("uses", "")))

@@ -294,24 +294,33 @@ class TestClusterBackend:
             cf_cluster_backend(data, offsets, params, W, pool=pool)
         assert Spy.built == 2
 
-    def test_pool_recovers_after_a_worker_process_is_killed(self):
+    @pytest.mark.parametrize(
+        "hook", [None, lambda task: None], ids=["no-hook", "noop-hook"]
+    )
+    def test_pool_recovers_after_a_worker_process_is_killed(self, hook):
+        # A chaos hook must not take the pool off its crash-recovery path.
         sizes = [TILE - 3 * i for i in range(6)] + [2 * TILE + 50]
         data = _workload(12, sum(sizes))
         offsets = np.cumsum([0] + sizes[:-1]).tolist()
         params = SortParams(E, U)
         batched = cf_batched_backend(data, offsets, params, W)
-        with ClusterPool(2) as pool:
-            cf_cluster_backend(data, offsets, params, W, pool=pool)
-            executor = pool._executor
-            victim = next(iter(executor._processes.values()))
-            os.kill(victim.pid, signal.SIGKILL)
-            assert wait([victim.sentinel], timeout=30), "worker survived SIGKILL"
-            deadline = time.monotonic() + 30
-            while not executor._broken and time.monotonic() < deadline:
-                time.sleep(0.01)
-            before = cluster_stats()["worker_restarts"]
-            clustered = cf_cluster_backend(data, offsets, params, W, pool=pool)
-            restarts = cluster_stats()["worker_restarts"] - before
+        if hook is not None:
+            install_fault_hook(hook)
+        try:
+            with ClusterPool(2) as pool:
+                cf_cluster_backend(data, offsets, params, W, pool=pool)
+                executor = pool._executor
+                victim = next(iter(executor._processes.values()))
+                os.kill(victim.pid, signal.SIGKILL)
+                assert wait([victim.sentinel], timeout=30), "worker survived SIGKILL"
+                deadline = time.monotonic() + 30
+                while not executor._broken and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                before = cluster_stats()["worker_restarts"]
+                clustered = cf_cluster_backend(data, offsets, params, W, pool=pool)
+                restarts = cluster_stats()["worker_restarts"] - before
+        finally:
+            clear_fault_hook()
         assert np.array_equal(clustered.data, batched.data)
         assert clustered.counters.as_dict() == batched.counters.as_dict()
         assert clustered.launches == batched.launches
@@ -442,9 +451,11 @@ class TestMetricsIntegration:
         json.dumps(snap)  # snapshot stays JSON-serializable
 
     def test_prometheus_types_cluster_counters(self):
+        from repro.service.metrics import counter_paths
         from repro.telemetry.prometheus import render_exposition
 
         text = render_exposition({"cluster.tasks_executed": 3.0,
-                                  "cluster.peak_resident_keys": 5.0})
+                                  "cluster.peak_resident_keys": 5.0},
+                                 counters=counter_paths())
         assert "# TYPE repro_cluster_tasks_executed counter" in text
         assert "# TYPE repro_cluster_peak_resident_keys gauge" in text

@@ -98,6 +98,14 @@ class TestPlanCacheBehavior:
     def test_same_key_returns_the_same_object(self):
         cache = PlanCache()
         assert cache.get("rho", 160, 5, 8) is cache.get("rho", 160, 5, 8)
+        assert (cache.stats()["hits"], cache.stats()["misses"]) == (1, 1)
+
+    def test_unknown_kind_counts_no_miss(self):
+        cache = PlanCache()
+        with pytest.raises(ParameterError):
+            cache.get("nonesuch", 8, 5, 8)
+        assert cache.stats()["misses"] == 0
+        assert len(cache) == 0
 
     def test_lru_eviction_order(self):
         cache = PlanCache(capacity=2)
@@ -131,6 +139,8 @@ class TestPlanCacheBehavior:
         assert plan.key == PlanKey(
             n=2 * partition_size(32, 16), E=16, w=32, d=gcd(32, 16), kind="rho"
         )
+        hit = cache.get("rho", 2 * partition_size(32, 16), 16, 32)
+        assert hit.key.d == gcd(32, 16)
 
     def test_global_cache_stats_shape(self):
         get_plan("tids", 4, 0, 1)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import gc
+import random
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -26,7 +28,9 @@ from repro.service import (
     register_backend,
 )
 from repro.service import jobs
+from repro.service.metrics import BatchRecord
 from repro.service.service import DEFAULT_PARAMS, DEFAULT_W
+from repro.sim.counters import Counters
 from repro.service.synthetic import synth_payloads
 
 
@@ -405,6 +409,61 @@ class TestMetrics:
         requests = metrics.snapshot()["requests"]
         assert requests["completed"] == 1
         assert requests["latency_s"]["max"] == requests["service_s_mean"] == 0.002
+
+    @staticmethod
+    def _batch(rng: random.Random, batch_id: int) -> BatchRecord:
+        elements = rng.randint(0, 700)
+        return BatchRecord(
+            batch_id=batch_id,
+            backend="cf",
+            shard=0,
+            requests=rng.randint(1, 12),
+            elements=elements,
+            padded_elements=-(-elements // 160) * 160,
+            service_s=0.001,
+            replays=rng.randint(0, 9),
+            cache_hits=rng.randint(0, 1),
+        )
+
+    def test_batch_totals_match_a_list_reference(self):
+        rng = random.Random(7)
+        metrics = ServiceMetrics(DEFAULT_PARAMS, DEFAULT_W, queue_capacity=4)
+        assert metrics.snapshot()["batches"]["fill_ratio_min"] == 0.0
+        records = [self._batch(rng, i) for i in range(5000)]
+        for record in records:
+            metrics.record_batch(record, Counters())
+        batches = metrics.snapshot()["batches"]
+        fills = [r.fill_ratio for r in records]
+        # A plain left-to-right float sum: Python 3.12's sum() compensates.
+        fill_total = 0.0
+        for fill in fills:
+            fill_total += fill
+        hits = sum(r.cache_hits for r in records)
+        assert batches["count"] == len(records)
+        assert batches["elements"] == sum(r.elements for r in records)
+        assert batches["padded_elements"] == sum(r.padded_elements for r in records)
+        assert batches["cache_hits"] == hits
+        assert batches["fill_ratio_mean"] == fill_total / len(fills)
+        assert batches["fill_ratio_min"] == min(fills)
+        stats = metrics.to_run_report().stats
+        assert (stats.total, stats.hits, stats.misses) == (5000, hits, 5000 - hits)
+
+    def test_batch_recording_keeps_memory_flat(self):
+        metrics = ServiceMetrics(DEFAULT_PARAMS, DEFAULT_W, queue_capacity=4)
+        record = self._batch(random.Random(3), 0)
+        counters = Counters()
+        for _ in range(100):
+            metrics.record_batch(record, counters)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(100_000):
+                metrics.record_batch(record, counters)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 16 << 10, f"{grown} B kept by 10^5 batches"
+        assert metrics.snapshot()["batches"]["count"] == 100_100
 
     def test_thread_safe_recording(self):
         metrics = ServiceMetrics(DEFAULT_PARAMS, DEFAULT_W, queue_capacity=16)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from repro.config import SortParams
-from repro.service.metrics import ServiceMetrics
+from repro.service import DEFAULT_BACKENDS, SortService
+from repro.service.metrics import ServiceMetrics, counter_paths
 from repro.service.request import SortResult
 from repro.telemetry.prometheus import (
     SnapshotWriter,
@@ -13,6 +16,39 @@ from repro.telemetry.prometheus import (
     sanitize_metric_name,
     service_exposition,
 )
+from repro.telemetry.stats import flatten_numeric
+
+_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
+
+
+def _parse_exposition(text: str) -> dict[str, tuple[str, float]]:
+    """Strictly parse a text exposition into ``name -> (type, value)``.
+
+    Every sample must follow exactly one ``# HELP`` and then one
+    ``# TYPE`` line for its own name; names are valid and unique.
+    """
+    assert text.endswith("\n")
+    samples: dict[str, tuple[str, float]] = {}
+    helped: str | None = None
+    typed: tuple[str, str] | None = None
+    for line in text.splitlines():
+        if line.startswith("# HELP "):
+            assert helped is None and typed is None, line
+            helped = line.split(" ", 3)[2]
+        elif line.startswith("# TYPE "):
+            _, _, name, kind = line.split(" ")
+            assert helped == name and typed is None, line
+            assert kind in ("counter", "gauge"), line
+            typed = (name, kind)
+        else:
+            name, value = line.split(" ")
+            assert typed is not None and typed[0] == name, line
+            assert _NAME.fullmatch(name), name
+            assert name not in samples, name
+            samples[name] = (typed[1], float(value))
+            helped, typed = None, None
+    assert helped is None and typed is None
+    return samples
 
 
 class TestSanitize:
@@ -44,7 +80,8 @@ class TestRenderExposition:
 
     def test_counter_prefixes_are_typed_counter(self):
         text = render_exposition(
-            {"counters.shared_replays": 12.0, "queue.max_depth": 3.0}
+            {"counters.shared_replays": 12.0, "queue.max_depth": 3.0},
+            counters=counter_paths(),
         )
         assert "# TYPE repro_counters_shared_replays counter" in text
         assert "# TYPE repro_queue_max_depth gauge" in text
@@ -79,6 +116,8 @@ class TestServiceExposition:
 
     def test_snapshot_leaves_become_samples(self):
         text = service_exposition(self._metrics().snapshot())
+        assert "# TYPE repro_requests_submitted counter" in text
+        assert "# TYPE repro_queue_capacity gauge" in text
         assert "repro_requests_submitted 1" in text
         assert "repro_requests_completed 1" in text
         assert "repro_queue_capacity 16" in text
@@ -99,6 +138,26 @@ class TestServiceExposition:
         assert names(metrics.prometheus()) == names(
             service_exposition(metrics.snapshot())
         )
+
+
+class TestStrictExposition:
+    def test_served_exposition_parses_and_types_declared_counters(self):
+        rng = np.random.default_rng(0)
+        with SortService() as service:
+            for backend in DEFAULT_BACKENDS:
+                ticket = service.submit(rng.integers(0, 1000, 150), backend=backend)
+                assert ticket.result(timeout=60).ok, backend
+            text = service.metrics.prometheus()
+            snap = service.metrics.snapshot()
+        samples = _parse_exposition(text)
+        flat: dict[str, float] = {}
+        flatten_numeric("", snap, flat)
+        declared = counter_paths()
+        assert declared <= set(flat)
+        assert set(samples) == {sanitize_metric_name(path) for path in flat}
+        assert {name for name, (kind, _) in samples.items() if kind == "counter"} == {
+            sanitize_metric_name(path) for path in declared
+        }
 
 
 class TestSnapshotWriter:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
-from repro.telemetry.stats import flatten_numeric, percentile, summarize
+from repro.telemetry.stats import CounterSet, flatten_numeric, percentile, summarize
 
 
 class TestPercentile:
@@ -69,3 +72,58 @@ class TestFlattenNumeric:
         out: dict[str, float] = {}
         flatten_numeric("root", {"leaf": 1}, out)
         assert out == {"root.leaf": 1.0}
+
+
+class TestCounterSet:
+    def _set(self) -> CounterSet:
+        return CounterSet("zeta", "alpha", "high", "mid", peaks=("high",))
+
+    def test_snapshot_keeps_declared_order(self):
+        counters = self._set()
+        counters.add(mid=2, zeta=1)
+        assert list(counters.snapshot()) == ["zeta", "alpha", "high", "mid"]
+        assert counters.snapshot() == {"zeta": 1, "alpha": 0, "high": 0, "mid": 2}
+
+    def test_counters_name_the_monotonic_values(self):
+        assert self._set().counters == ("zeta", "alpha", "mid")
+
+    def test_undeclared_name_raises_key_error(self):
+        counters = self._set()
+        with pytest.raises(KeyError):
+            counters.add(beta=1)
+
+    def test_peak_keeps_the_maximum(self):
+        counters = self._set()
+        for value in (3, 7, 5):
+            counters.add(high=value, mid=1)
+        assert counters.snapshot()["high"] == 7
+        assert counters.snapshot()["mid"] == 3
+
+    def test_reset_zeroes_every_value(self):
+        counters = self._set()
+        counters.add(zeta=4, alpha=1, mid=9, high=6)
+        counters.reset()
+        assert set(counters.snapshot().values()) == {0}
+
+    def test_concurrent_adds_sum_exactly(self):
+        counters = self._set()
+        threads, calls = 8, 10_000
+
+        def work() -> None:
+            for _ in range(calls):
+                counters.add(zeta=1, mid=2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        snap = counters.snapshot()
+        assert snap["zeta"] == threads * calls
+        assert snap["mid"] == 2 * threads * calls
