@@ -35,13 +35,15 @@ the ``E``-wide per-thread merge tags, which are kept step-major.
 Fixed cost per call is what the small sorts pay, so passes stack:
 independent rounds of several merge levels fold into shared accounting
 passes.  The blocksort replays every level's bisections in one stacked
-``(levels, tiles, u)`` loop and accounts all search probes in one
+``(levels, tiles, u)`` loop, reading the levels' geometry as slices of
+one cached ``fused_levels`` plan, and accounts all search probes in one
 :meth:`BatchCounters.round_many` call and all pointer-merge rounds in
-one more; :func:`merge_tags`, :func:`tagged_search_profile` and
+one more; its staging rounds are one closed-form update.
+:func:`merge_tags`, :func:`tagged_search_profile` and
 :func:`tagged_merge_profile` let a caller profile the blocks of many
 merge levels at once, each row one block.  A stacked pass holds whole
-levels of at most :data:`STACK_ROWS` tile rows, so large batches keep
-one pass per level and bounded scratch.
+levels of at most :data:`STACK_LANES` thread lanes (rows times ``u``),
+so large batches keep one pass per level and bounded scratch.
 
 The blocksort, merge and search profiles each have one fused path.
 Values past the ``2*v + tag`` packing range are replaced by their dense
@@ -88,11 +90,13 @@ __all__ = [
 #: Keys packed as ``2*value + tag`` must stay inside int64: |value| < 2^62.
 _PACK_LIMIT = 1 << 62
 
-#: Tile rows one stacked accounting pass holds.  A pass takes whole
-#: levels while their rows fit (a level wider than this runs alone), so
-#: small sorts fold every level into one pass while large ones keep one
-#: pass per level and their scratch stays bounded.
-STACK_ROWS = 64
+#: Thread lanes (tile rows times ``u``) one stacked accounting pass
+#: holds: 64 rows of the paper's ``u = 512``.  A pass takes whole levels
+#: while their lanes fit (a level wider than this runs alone), so small
+#: sorts fold every level into one pass while large ones keep one pass
+#: per level, and scratch, which grows with lanes, stays bounded at every
+#: ``u``.
+STACK_LANES = 64 * 512
 
 IntArray = npt.NDArray[np.int64]
 BoolArray = npt.NDArray[np.bool_]
@@ -904,30 +908,31 @@ def batched_cf_merge_profile(tiles: int, total: int, E: int, w: int) -> list[Cou
     return acc.to_counters()
 
 
-def _batched_stage_rounds(acc: BatchCounters, u: int, E: int, kind: str) -> None:
-    """Count the thread-contiguous staging rounds (round m -> {iE + m}).
+def _batched_stage_rounds(acc: BatchCounters, u: int, E: int, levels: int) -> None:
+    """Count a blocksort's thread-contiguous staging rounds (round m -> {iE + m}).
 
-    The whole pass folds to one closed-form update from the
-    ``fused_stage`` plan (the blocksort runs whole warps only): staging
-    round ``m`` reads ``i*E + m``, a cyclic bank rotation of round 0, so
-    all ``E`` rounds share round 0's cycle/excess profile, every address
-    is distinct (zero broadcasts), and the fold is exact — bit-identical
-    to ``E`` :meth:`~BatchCounters.round` calls.
+    A blocksort stages ``levels + 2`` times: the load reads, then each
+    merge level and the final stage write.  Every staging pass folds to
+    the same closed form from the ``fused_stage`` plan (the blocksort
+    runs whole warps only): staging round ``m`` touches ``i*E + m``, a
+    cyclic bank rotation of round 0, so all ``E`` rounds share round 0's
+    cycle/excess profile, every address is distinct (zero broadcasts),
+    and the fold is exact — bit-identical to ``E`` per-pass
+    :meth:`~BatchCounters.round` calls.  So the whole blocksort's staging
+    is one update.
     """
     plan = get_plan("fused_stage", u, E, acc.w)
     n_warps = int(np.asarray(plan["n_warps"])[0])
     cycles = int(np.asarray(plan["cycles"])[0])
     excess = int(np.asarray(plan["excess"])[0])
-    if kind == "read":
-        acc.shared_read_rounds += E * n_warps
-        # Every staged address is distinct: no broadcast reads.
-    else:
-        acc.shared_write_rounds += E * n_warps
-    acc.shared_requests += E * u
-    acc.shared_cycles += E * cycles
-    acc.shared_replays += E * (cycles - n_warps)
-    acc.shared_excess += E * excess
-    FUSION.add(stage_passes=1, stage_rounds_folded=E)
+    passes = levels + 2
+    acc.shared_read_rounds += E * n_warps
+    acc.shared_write_rounds += (passes - 1) * E * n_warps
+    acc.shared_requests += passes * E * u
+    acc.shared_cycles += passes * E * cycles
+    acc.shared_replays += passes * E * (cycles - n_warps)
+    acc.shared_excess += passes * E * excess
+    FUSION.add(stage_passes=passes, stage_rounds_folded=passes * E)
 
 
 def batched_blocksort_profile(
@@ -1035,57 +1040,54 @@ def _fused_blocksort_rounds(
     Staging, search and merge rounds land in the ``stage``, ``search``
     and ``merge`` accumulators; passing one accumulator three times
     counts the whole tile in it.  The levels run in stacked passes of at
-    most :data:`STACK_ROWS` tile rows (whole levels; a level wider than
-    that runs alone): each level's packed sort advances the data, then
-    one bisection replay over the pass's ``(levels, tiles, u)`` cuts and
-    one pointer-merge replay account every level of the pass.
+    most :data:`STACK_LANES` thread lanes (whole levels of ``T`` rows of
+    ``u`` lanes; a level wider than that runs alone), each reading its
+    levels' geometry as slices of the cached ``fused_levels`` plan: each
+    level's packed sort advances the data, then one bisection replay
+    over the pass's ``(levels, tiles, u)`` cuts and one pointer-merge
+    replay account every level of the pass.
     """
     T, L = tiles.shape
+    n_levels = u.bit_length() - 1
 
-    # Phase 1: load E contiguous words per thread, sort in registers.
-    _batched_stage_rounds(stage, u, E, kind="read")
-    # The packed keys persist across levels: each level adds its own B
-    # tags to the (tag-cleared) keys, sorts pair regions in place, and
-    # clears the tag bit again — ``2 * merged`` is exactly the sorted
-    # keys with the low bit dropped, so no unpack/repack pass is needed.
-    # ``pack_dtype`` narrows to int32 whenever the value range allows,
-    # roughly tripling sort throughput.
+    # The load, every level's staging writes and the final stage.
+    _batched_stage_rounds(stage, u, E, n_levels)
+    # Load E contiguous words per thread, sort in registers.  The packed
+    # keys persist across levels: each level adds its own B tags to the
+    # (tag-cleared) keys, sorts pair regions in place, and clears the tag
+    # bit again — ``2 * merged`` is exactly the sorted keys with the low
+    # bit dropped, so no unpack/repack pass is needed.  ``pack_dtype``
+    # narrows to int32 whenever the value range allows, roughly tripling
+    # sort throughput.
     packed = np.sort(
         tiles.astype(pack_dtype, copy=False).reshape(T, u, E), axis=2
     ).reshape(T, L)
     packed *= 2
 
-    n_levels = u.bit_length() - 1
-    per_pass = max(1, STACK_ROWS // T)
+    per_pass = max(1, STACK_LANES // (T * u))
     for first in range(0, n_levels, per_pass):
-        levels = range(first, min(first + per_pass, n_levels))
-        G = len(levels)
-        plans = [get_plan("fused_level", u, E, w, level=level) for level in levels]
-
-        def stacked(key: str) -> AnyIntArray:
-            """The pass's ``key`` plan rows as one ``(levels, 1, u)`` int32 array."""
-            rows = np.stack([np.asarray(plan[key]) for plan in plans])
-            return rows[:, None, :].astype(np.int32)
-
-        pbase, diag, lo, hi = stacked("pbase"), stacked("diag"), stacked("lo"), stacked("hi")
-        half = (E << np.arange(first, first + G, dtype=np.int32))[:, None, None]
+        last = min(first + per_pass, n_levels)
+        G = last - first
+        plan = get_plan("fused_levels", u, E, w)
+        pbase, diag, lo, hi, half = (
+            np.asarray(plan[key])[first:last] for key in ("pbase", "diag", "lo", "hi", "half")
+        )
+        tag, pair_first = np.asarray(plan["tag"]), np.asarray(plan["pair_first"])
         cuts = np.empty((G, T, u), dtype=np.int32)
         take_a = np.empty((E, G, T, u), dtype=bool)
-        for j, plan in enumerate(plans):
-            # Staging writes (same residue rounds for both variants).
-            _batched_stage_rounds(stage, u, E, kind="write")
+        for j, level in enumerate(range(first, last)):
             # One packed sort per level: merge decisions from the low bit
             # (stable, ties to A), and (via per-thread tag counts) every
             # thread's merge-path cut.
             region = 2 * int(half[j, 0, 0])
-            packed += np.asarray(plan["tag"]).astype(pack_dtype)[None, :]
+            packed += tag[level]
             packed.reshape(T, L // region, region).sort(axis=2)
             low = packed.reshape(T, u, E) & 1
             np.equal(low.transpose(2, 0, 1), 0, out=take_a[:, j])
             # pbase + diag == tid*E, and the cut is the count of A-half
             # outputs between the pair's base and the thread's diagonal.
             excl = _thread_cuts(take_a[:, j])
-            cuts[j] = excl - excl[:, np.asarray(plan["pbase"]) // E]
+            cuts[j] = excl - excl[:, pair_first[level]]
             np.bitwise_and(packed, -2, out=packed)
 
         # Every level's bisections in one replay (no data reads: the
@@ -1109,7 +1111,7 @@ def _fused_blocksort_rounds(
             a_end = np.empty_like(cuts)
             a_end[..., :-1] = cuts[..., 1:]
             a_end[..., -1] = 0
-            a_end = np.where(stacked("pair_last") != 0, half, a_end)
+            a_end = np.where(np.asarray(plan["pair_last"])[first:last], half, a_end)
             b_ptr = pbase + half + (diag - cuts)
             _fused_pointer_merge_rounds(
                 merge,
@@ -1128,9 +1130,6 @@ def _fused_blocksort_rounds(
             merge.shared_read_rounds += G * E * n_warps
             merge.shared_cycles += G * E * n_warps
             merge.shared_requests += G * E * u
-
-    # Final staging pass.
-    _batched_stage_rounds(stage, u, E, kind="write")
 
 
 # --------------------------------------------------------------- k-way merge

@@ -34,7 +34,8 @@ execution *is* applying a precomputed permutation):
 - ``fused_level`` precomputes one blocksort merge level's entire
   per-thread geometry (pair bases, diagonals, bisection bounds, B-half
   tags) so the batched engine replays a level without per-round index
-  recomputation.
+  recomputation; ``fused_levels`` stacks every level's geometry of one
+  thread count, so a stacked blocksort pass reads its levels as slices.
 
 Plans are immutable by contract: every array is stored with its NumPy
 write flag cleared, so an accidental in-place mutation raises instead of
@@ -46,7 +47,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 import numpy.typing as npt
@@ -64,8 +65,9 @@ __all__ = [
     "PLAN_KINDS",
 ]
 
-#: Cached plan arrays are index/mask vectors; int64 except boolean masks.
-PlanArray = npt.NDArray[np.int64] | npt.NDArray[np.bool_]
+#: Cached plan arrays are index/mask vectors: int64, int32 (the stacked
+#: blocksort geometry the lane computes in) or boolean masks.
+PlanArray = npt.NDArray[np.int64] | npt.NDArray[np.int32] | npt.NDArray[np.bool_]
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ class Plan:
         return sum(int(arr.nbytes) for arr in self.arrays.values())
 
 
-def _frozen(arr: npt.NDArray[np.int64] | npt.NDArray[np.bool_]) -> PlanArray:
+def _frozen(arr: PlanArray) -> PlanArray:
     """Return ``arr`` contiguous and write-protected (plan invariant)."""
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
@@ -371,6 +373,36 @@ def _build_fused_level(
     }
 
 
+def _build_fused_levels(
+    n: int, E: int, w: int, k: int, level: int
+) -> dict[str, PlanArray]:
+    """Every blocksort merge level's geometry for ``n = u`` threads, stacked.
+
+    Row ``l`` of each array is level ``l``'s :func:`_build_fused_level`
+    geometry, shaped to broadcast against the lane's ``(levels, tiles,
+    u)`` stacks, so a stacked pass over levels ``[first, last)`` reads
+    slices and stacks nothing: ``pbase``, ``diag``, ``lo`` and ``hi``
+    are ``(levels, 1, u)`` int32, ``pair_last`` the matching mask,
+    ``half`` (the B half's offset ``g*E``) ``(levels, 1, 1)`` int32,
+    ``pair_first`` ``(levels, u)`` (the first thread of each thread's
+    pair) and ``tag`` the ``(levels, u*E)`` B-half mask.
+    """
+    if n < 2 or n & (n - 1):
+        raise ParameterError(f"fused_levels needs a power-of-two u >= 2, got u={n}")
+    levels = [_build_fused_level(n, E, w, k, lv) for lv in range(n.bit_length() - 1)]
+
+    def rows(key: str, dtype: type) -> npt.NDArray[Any]:
+        """Level ``l``'s ``key`` array as row ``l``."""
+        return np.stack([np.asarray(lv[key]) for lv in levels]).astype(dtype)
+
+    out = {key: rows(key, np.int32)[:, None, :] for key in ("pbase", "diag", "lo", "hi")}
+    out["pair_last"] = rows("pair_last", np.bool_)[:, None, :]
+    out["half"] = (E << np.arange(len(levels), dtype=np.int32))[:, None, None]
+    out["pair_first"] = rows("pbase", np.int64) // E
+    out["tag"] = rows("tag", np.bool_)
+    return {key: _frozen(arr) for key, arr in out.items()}
+
+
 #: kind -> builder.  Builders are pure functions of the key.
 _BUILDERS: dict[str, Callable[[int, int, int, int], dict[str, PlanArray]]] = {
     "tids": _build_tids,
@@ -385,6 +417,7 @@ _BUILDERS: dict[str, Callable[[int, int, int, int], dict[str, PlanArray]]] = {
     "fused_take": _build_fused_take,
     "fused_stage": _build_fused_stage,
     "fused_level": _build_fused_level,
+    "fused_levels": _build_fused_levels,
 }
 
 #: The plan kinds the cache can build.

@@ -538,9 +538,10 @@ def _kway_sort(
     n_tiles = (n + tile - 1) // tile
     padded = np.full(n_tiles * tile, pad, dtype=np.int64)
     padded[:n] = values
-    runs, result.blocksort_stats = blocksort(padded.reshape(n_tiles, tile))
+    tiles, result.blocksort_stats = blocksort(padded.reshape(n_tiles, tile))
     _charge_tiles(result.global_stats, n_tiles, tile)
 
+    runs = list(tiles)
     while len(runs) > 1:
         groups = [runs[g : g + k] for g in range(0, len(runs), k)]
         carried = groups.pop() if len(groups[-1]) == 1 else []

@@ -55,18 +55,6 @@ def merge_path_search(a, b, diagonal: int) -> tuple[int, int]:
     return lo, diagonal - lo
 
 
-def merge_path_search_steps(n_a: int, n_b: int, diagonal: int) -> int:
-    """Upper bound on the binary-search iterations for a diagonal search.
-
-    Used by the cost model: the search range is
-    ``[max(0, diag-|B|), min(diag, |A|)]``.
-    """
-    lo = max(0, diagonal - n_b)
-    hi = min(diagonal, n_a)
-    span = max(hi - lo, 1)
-    return int(np.ceil(np.log2(span + 1)))
-
-
 def merge_path_partition(a, b, chunk: int) -> list[tuple[int, int]]:
     """Return cut points at diagonals ``0, chunk, 2*chunk, ..., |A|+|B|``.
 

@@ -2,21 +2,30 @@
 
 Orchestrates blocksort over tiles of ``u*E`` elements followed by pairwise
 merge levels, each output tile produced by one simulated thread block.
-Global-memory traffic (coalesced tile loads/stores and the per-block
-merge-path partition searches in global memory) is accounted analytically
-— exactly, from the actual offsets.  Two entry points share that skeleton
-and differ only in the kernels that count shared-memory traffic:
+A level is cut and merged at once: the merge kernel takes the level's
+run pairs and returns the merged runs plus each ``u*E``-word output
+block's A-count.  The blocks of one stable merge of a run pair are
+exactly the blocks its merge-path cuts delimit (Green et al., *Merge
+Path*), so those counts are the cuts.  Global-memory traffic — the
+coalesced tile loads and stores, the per-block merge-path searches in
+global memory, and each block's coalesced reads on both sides of its
+cuts — follows in closed form from them.  Two entry points share that
+skeleton and differ only in the kernels that count shared-memory
+traffic:
 
-* :func:`gpu_mergesort` runs every shared-memory round through the
-  lockstep simulator, one tile or block per kernel call — the oracle;
+* :func:`gpu_mergesort` cuts every run pair block by block with
+  :func:`~repro.mergesort.merge_path.merge_path_search` and runs every
+  shared-memory round through the lockstep simulator, one tile or block
+  per kernel call — the oracle;
 * :func:`batched_mergesort` runs on the batched engine lane
   (:mod:`repro.engine.batch`).  Blocksort stacks its levels into shared
-  accounting passes; each merge level's blocks are merged at once by one
-  packed-key sort, and their profiling is deferred, so the blocks of
+  accounting passes.  A merge level is one packed-key sort of all its
+  equal-length run pairs, plus one for a shorter last pair; their merge
+  tags, reshaped into one row per block, are queued, so the blocks of
   every level go through one search pass and one merge pass (a stacked
-  pass holds whole levels of at most ``STACK_ROWS`` blocks, so large
-  sorts keep one pass per level).  Per-level counters are row-range sums
-  of those passes; compute ops follow in closed form.  Its result equals
+  pass holds at most ``STACK_LANES`` thread lanes, so large sorts keep
+  one pass per level).  Per-level counters are row-range sums of those
+  passes; compute ops follow in closed form.  Its result equals
   :func:`gpu_mergesort`'s on every field; CF at non-coprime ``(w, E)``
   (no exact lane profile there) is delegated to :func:`gpu_mergesort`.
 
@@ -39,7 +48,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.engine.batch import (
-    STACK_ROWS,
+    STACK_LANES,
     batched_blocksort_phases,
     merge_tags,
     tagged_merge_profile,
@@ -48,7 +57,7 @@ from repro.engine.batch import (
 from repro.errors import ParameterError
 from repro.mergesort.blocksort import BlocksortStats, blocksort_tile
 from repro.mergesort.cf import cf_merge_block
-from repro.mergesort.merge_path import merge_path_search, merge_path_search_steps
+from repro.mergesort.merge_path import merge_path_search
 from repro.mergesort.register_merge import compare_exchange_count_odd_even
 from repro.mergesort.serial_merge import SENTINEL, serial_merge_block
 from repro.mergesort.stats import MergePhaseStats
@@ -58,16 +67,21 @@ from repro.sim.counters import Counters
 __all__ = ["gpu_mergesort", "batched_mergesort", "blocksort_segments", "MergesortResult"]
 
 IntArray = npt.NDArray[np.int64]
-Block = tuple[IntArray, IntArray]
 #: Sorts a ``(tiles, u*E)`` matrix: ``-> (sorted rows, blocksort stats)``.
-BlocksortKernel = Callable[[IntArray], tuple[list[IntArray], BlocksortStats]]
+BlocksortKernel = Callable[[IntArray], tuple[IntArray, BlocksortStats]]
 
 
 class MergeKernel(Protocol):
-    """Merges one level's ``(A, B)`` blocks per call, in level order."""
+    """Merges one level's run pairs per call, in level order."""
 
-    def __call__(self, blocks: list[Block]) -> list[IntArray]:
-        """The merged blocks, in order."""
+    def __call__(self, runs: IntArray, run: int) -> tuple[IntArray, IntArray]:
+        """Merge each pair of consecutive ``run``-word runs of ``runs``.
+
+        Every run is ``run`` words long but the last, which may be
+        shorter; every length is a whole number of tiles.  Returns the
+        merged pairs, back to back, and each ``u*E``-word output block's
+        A-count, in order.
+        """
 
     def finish(self) -> list[MergePhaseStats]:
         """Every merged level's counters, in level order."""
@@ -85,6 +99,39 @@ def _segments(lo: int, hi: int, seg: int = 32) -> int:
     if hi <= lo:
         return 0
     return (hi - 1) // seg - lo // seg + 1
+
+
+def _charge_level(
+    counters: Counters, a_counts: IntArray, run: int, paired: int, tile: int
+) -> None:
+    """Charge one merge level's global traffic from its blocks' A-counts.
+
+    The level pairs ``paired`` words into runs of ``run`` words, the
+    last pair's B possibly shorter.  Each block reads the coalesced
+    segments its A and B ranges touch and writes one tile.  A block but
+    a pair's last ends at a merge-path search in global memory over
+    ``s`` candidate cuts: ``ceil(log2(s + 1))`` bisection steps (the bit
+    length of ``s``), each reading one word of A and one of B.  At a
+    pair's end no candidate is left (``s = 0``), so no search.  Plain
+    integers: a level has a few blocks per pair, where NumPy's per-call
+    cost would dominate.
+    """
+    counts = a_counts.tolist()
+    per_pair = 2 * run // tile
+    steps = coalesced = 0
+    for first in range(0, len(counts), per_pair):
+        n_b = min(paired - first * tile, 2 * run) - run
+        cut_a = cut_b = 0
+        for k, count in enumerate(counts[first : first + per_pair], 1):
+            diag = k * tile
+            lo_a, lo_b = cut_a, cut_b
+            cut_a += count
+            cut_b = diag - cut_a
+            coalesced += _segments(lo_a, cut_a) + _segments(lo_b, cut_b)
+            steps += (min(diag, run) - max(diag - n_b, 0)).bit_length()
+    counters.global_read_transactions += 2 * steps + coalesced
+    counters.global_read_requests += 2 * steps
+    counters.global_write_transactions += len(counts) * (tile // 32)
 
 
 @dataclass
@@ -169,9 +216,10 @@ def _mergesort(
     """The skeleton: pad, blocksort, then merge pairwise level by level.
 
     ``pad`` fills the last tile; it must sort after every value of
-    ``data``.  Each level cuts every pair of runs into ``u*E``-element
-    blocks along the merge path and hands all blocks to one ``merge``
-    call; the levels' counters come from ``merge.finish()``.
+    ``data``.  Each level hands every pair of runs to one ``merge``
+    call (an odd last run waits for the next level) and charges the
+    level's global traffic from the returned A-counts; the levels'
+    counters come from ``merge.finish()``.
     """
     n = len(data)
     result = MergesortResult(
@@ -185,50 +233,25 @@ def _mergesort(
     padded = np.full(n_tiles * tile, pad, dtype=np.int64)
     padded[:n] = data
 
-    runs, result.blocksort_stats = blocksort(padded.reshape(n_tiles, tile))
+    sorted_tiles, result.blocksort_stats = blocksort(padded.reshape(n_tiles, tile))
     _charge_tiles(result.global_stats, n_tiles, tile)
+    keys = sorted_tiles.reshape(-1)
 
-    while len(runs) > 1:
-        blocks: list[Block] = []
-        pair_blocks: list[int] = []
-        for pair_start in range(0, len(runs) - 1, 2):
-            a_run, b_run = runs[pair_start], runs[pair_start + 1]
-            n_blocks = (len(a_run) + len(b_run)) // tile
-            pair_blocks.append(n_blocks)
-            prev_cut = (0, 0)
-            for k in range(1, n_blocks + 1):
-                diag = k * tile
-                if k < n_blocks:
-                    cut = merge_path_search(a_run, b_run, diag)
-                    steps = merge_path_search_steps(len(a_run), len(b_run), diag)
-                    # Each global search step reads one word of A and one of B.
-                    result.global_stats.global_read_transactions += 2 * steps
-                    result.global_stats.global_read_requests += 2 * steps
-                else:
-                    cut = (len(a_run), len(b_run))
-                blocks.append(
-                    (a_run[prev_cut[0] : cut[0]], b_run[prev_cut[1] : cut[1]])
-                )
-                result.global_stats.global_read_transactions += _segments(
-                    prev_cut[0], cut[0]
-                ) + _segments(prev_cut[1], cut[1])
-                result.global_stats.global_write_transactions += tile // 32
-                prev_cut = cut
-        merged = merge(blocks)
-        next_runs: list[IntArray] = []
-        first = 0
-        for count in pair_blocks:
-            next_runs.append(np.concatenate(merged[first : first + count]))
-            first += count
-        if len(runs) % 2:
-            next_runs.append(runs[-1])
-        runs = next_runs
+    run = tile
+    while run < len(keys):
+        # An odd run count leaves a last run of at most ``run`` words.
+        rest = len(keys) % (2 * run)
+        paired = len(keys) - rest if rest <= run else len(keys)
+        # The merged pairs are copied back in place; no copy outlives the level.
+        keys[:paired], a_counts = merge(keys[:paired], run)
+        _charge_level(result.global_stats, a_counts, run, paired, tile)
         result.merge_level_count += 1
+        run *= 2
 
     result.per_level = merge.finish()
     for level_stats in result.per_level:
         result.merge_stats.merge_into(level_stats)
-    result.data = runs[0][:n]
+    result.data = keys[:n]
     return result
 
 
@@ -239,50 +262,57 @@ def _mergesort(
 
 def _lockstep_blocksort(
     tiles: IntArray, E: int, w: int, variant: str, read_policy: str
-) -> tuple[list[IntArray], BlocksortStats]:
+) -> tuple[IntArray, BlocksortStats]:
     """One simulated thread block per tile."""
     stats = BlocksortStats()
-    runs = []
-    for chunk in tiles:
-        sorted_tile, tile_stats = blocksort_tile(
-            chunk, E, w, variant, read_policy=read_policy
-        )
+    runs = np.empty_like(tiles)
+    for run, chunk in zip(runs, tiles):
+        run[:], tile_stats = blocksort_tile(chunk, E, w, variant, read_policy=read_policy)
         stats.search.merge(tile_stats.search)
         stats.merge.merge(tile_stats.merge)
         stats.stage.merge(tile_stats.stage)
-        runs.append(sorted_tile)
     return runs, stats
 
 
 class _LockstepMerge:
-    """One simulated thread block per merge block, counted as it merges."""
+    """One simulated thread block per merge block, cut by merge-path searches."""
 
     def __init__(
-        self, E: int, w: int, variant: str, read_policy: str, simulate_search: bool
+        self, E: int, u: int, w: int, variant: str, read_policy: str, simulate_search: bool
     ) -> None:
-        self.E, self.w, self.variant = E, w, variant
+        self.E, self.u, self.w, self.variant = E, u, w, variant
         self.read_policy, self.simulate_search = read_policy, simulate_search
         self.per_level: list[MergePhaseStats] = []
 
-    def __call__(self, blocks: list[Block]) -> list[IntArray]:
+    def __call__(self, runs: IntArray, run: int) -> tuple[IntArray, IntArray]:
+        tile = self.u * self.E
         level_stats = MergePhaseStats()
-        merged = []
-        for a_blk, b_blk in blocks:
-            if self.variant == "thrust":
-                merged_blk, stats = serial_merge_block(
-                    a_blk, b_blk, self.E, self.w,
-                    simulate_search=self.simulate_search,
-                    read_policy=self.read_policy,
-                )
-            else:
-                merged_blk, stats = cf_merge_block(
-                    a_blk, b_blk, self.E, self.w,
-                    simulate_search=self.simulate_search,
-                )
-            level_stats.merge_into(stats)
-            merged.append(merged_blk)
+        merged = np.empty_like(runs)
+        a_counts = []
+        for start in range(0, len(runs), 2 * run):
+            a_run = runs[start : start + run]
+            b_run = runs[start + run : start + 2 * run]
+            prev_a = prev_b = 0
+            for diag in range(tile, len(a_run) + len(b_run) + 1, tile):
+                cut_a, cut_b = merge_path_search(a_run, b_run, diag)
+                a_blk, b_blk = a_run[prev_a:cut_a], b_run[prev_b:cut_b]
+                if self.variant == "thrust":
+                    merged_blk, stats = serial_merge_block(
+                        a_blk, b_blk, self.E, self.w,
+                        simulate_search=self.simulate_search,
+                        read_policy=self.read_policy,
+                    )
+                else:
+                    merged_blk, stats = cf_merge_block(
+                        a_blk, b_blk, self.E, self.w,
+                        simulate_search=self.simulate_search,
+                    )
+                level_stats.merge_into(stats)
+                merged[start + diag - tile : start + diag] = merged_blk
+                a_counts.append(cut_a - prev_a)
+                prev_a, prev_b = cut_a, cut_b
         self.per_level.append(level_stats)
-        return merged
+        return merged, np.array(a_counts, dtype=np.int64)
 
     def finish(self) -> list[MergePhaseStats]:
         return self.per_level
@@ -298,7 +328,7 @@ class _LockstepMerge:
 
 def _batched_blocksort(
     tiles: IntArray, E: int, w: int, variant: str
-) -> tuple[list[IntArray], BlocksortStats]:
+) -> tuple[IntArray, BlocksortStats]:
     """Every tile in one fused lane pass, counters split by phase."""
     n_tiles, tile = tiles.shape
     u = tile // E
@@ -316,42 +346,58 @@ def _batched_blocksort(
     # or one per gathered word plus the register network.
     per_level = u * E if variant == "thrust" else u * E + ops * u
     stats.merge.compute_ops = n_tiles * (ops * u + levels * per_level)
-    return list(np.sort(tiles, axis=1)), stats
+    return np.sort(tiles, axis=1), stats
+
+
+def _joined(parts: list[npt.NDArray[Any]]) -> npt.NDArray[Any]:
+    """``parts`` end to end; a single part (no shorter last pair) is not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class _LaneMerge:
     """Merges each level at once; profiles queued levels in stacked passes.
 
-    A call merges a level's blocks with one packed-key sort
-    (:func:`~repro.engine.batch.merge_tags`) and queues their merge tags.
-    Queued levels are profiled together — one search pass and one merge
-    pass over every queued block, per-level counters summed from row
-    ranges — when the next level would take the queue past
-    :data:`~repro.engine.batch.STACK_ROWS` blocks, and at :meth:`finish`.
+    A call merges all equal-length run pairs of a level with one
+    packed-key sort (:func:`~repro.engine.batch.merge_tags`), and a
+    shorter last pair with one more.  The merge tags, reshaped into one
+    ``u*E``-word row per block, give each block's A-count and are
+    queued.  Queued levels are profiled together — one search pass and
+    one merge pass over every queued block, per-level counters summed
+    from row ranges — when the next level would take the queue past
+    :data:`~repro.engine.batch.STACK_LANES` thread lanes, and at
+    :meth:`finish`.
     """
 
-    def __init__(self, E: int, w: int, variant: str) -> None:
-        self.E, self.w, self.variant = E, w, variant
+    def __init__(self, E: int, u: int, w: int, variant: str) -> None:
+        self.E, self.u, self.w, self.variant = E, u, w, variant
         self.per_level: list[MergePhaseStats] = []
         self._tags: list[npt.NDArray[np.bool_]] = []
         self._n_a: list[IntArray] = []
 
-    def __call__(self, blocks: list[Block]) -> list[IntArray]:
-        n_a = np.array([len(a_blk) for a_blk, _ in blocks], dtype=np.int64)
-        from_a, merged = merge_tags(
-            np.stack([np.concatenate(blk) for blk in blocks]), n_a
-        )
-        if self._tags and sum(map(len, self._tags)) + len(blocks) > STACK_ROWS:
+    def __call__(self, runs: IntArray, run: int) -> tuple[IntArray, IntArray]:
+        tile = self.u * self.E
+        queued = sum(map(len, self._tags))
+        if queued and (queued + len(runs) // tile) * self.u > STACK_LANES:
             self._profile()
-        self._tags.append(from_a)
+        equal = len(runs) - len(runs) % (2 * run)
+        tags, merged = [], []
+        for lo, hi in ((0, equal), (equal, len(runs))):
+            if hi > lo:
+                pairs = runs[lo:hi].reshape(-1, min(2 * run, hi - lo))
+                # Every pair's A is a whole run.
+                from_a, merged_pairs = merge_tags(pairs, np.array([run]))
+                tags.append(from_a.reshape(-1, tile))
+                merged.append(merged_pairs.reshape(-1))
+        blocks, out = _joined(tags), _joined(merged)
+        n_a = np.count_nonzero(blocks, axis=1)
+        self._tags.append(blocks)
         self._n_a.append(n_a)
-        return list(merged)
+        return out, n_a
 
     def _profile(self) -> None:
-        E, w, variant = self.E, self.w, self.variant
+        E, u, w, variant = self.E, self.u, self.w, self.variant
         from_a = np.concatenate(self._tags)
         n_a = np.concatenate(self._n_a)
-        u = from_a.shape[1] // E
         search = tagged_search_profile(from_a, n_a, E, w, mapped=variant == "cf")
         merge = tagged_merge_profile(from_a, n_a, E, w, variant)
         # Two ops per bisection step (two reads per step), or four with
@@ -449,7 +495,7 @@ def gpu_mergesort(
     return _mergesort(
         data, SENTINEL, E, u, w, variant,
         partial(_lockstep_blocksort, E=E, w=w, variant=variant, read_policy=read_policy),
-        _LockstepMerge(E, w, variant, read_policy, simulate_search),
+        _LockstepMerge(E, u, w, variant, read_policy, simulate_search),
     )
 
 
@@ -473,7 +519,7 @@ def batched_mergesort(
     result = _mergesort(
         ranks.astype(np.int64, copy=False), len(values), E, u, w, variant,
         partial(_batched_blocksort, E=E, w=w, variant=variant),
-        _LaneMerge(E, w, variant),
+        _LaneMerge(E, u, w, variant),
     )
     result.data = values[result.data]
     return result

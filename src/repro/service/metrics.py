@@ -207,74 +207,76 @@ class ServiceMetrics:
             for parent in parents:
                 node = node.setdefault(parent, {})
             node[leaf] = view()
+        # Copy under the lock, compute outside it: every shard's
+        # record_result and record_batch wait on this lock.
         with self._lock:
-            latencies = sorted(self._latencies)
+            latencies = list(self._latencies)
+            counters = Counters()
+            counters.merge(self._counters)
             n_batches = self._batch_count
             elements = self._batch_elements
             padded = self._batch_padded
+            cache_hits = self._batch_cache_hits
+            fill_total, fill_min = self._fill_total, self._fill_min
+            wait_total, service_total = self._wait_total, self._service_total
+            submitted, shed = self._submitted, self._shed
+            expired, failed = self._expired, self._failed
+            max_depth = self._max_queue_depth
+            depth_samples, depth_total = self._depth_samples, self._depth_total
             wall_s = max(time.monotonic() - self._started_at, 1e-9)
-            model = CostModel(self._device)
-            breakdown = model.estimate(
-                self._counters,
-                kernel_launches=max(n_batches, 1),
-            )
-            n_completed = len(latencies)
-            return {
-                "schema": METRICS_SCHEMA,
-                "params": {"E": self._params.E, "u": self._params.u, "w": self._w},
-                "requests": {
-                    "submitted": self._submitted,
-                    "completed": n_completed,
-                    "shed": self._shed,
-                    "expired": self._expired,
-                    "failed": self._failed,
-                    "latency_s": {
-                        "mean": sum(latencies) / n_completed if n_completed else 0.0,
-                        "p50": percentile(latencies, 0.50),
-                        "p95": percentile(latencies, 0.95),
-                        "max": latencies[-1] if latencies else 0.0,
-                    },
-                    "wait_s_mean": self._wait_total / n_completed if n_completed else 0.0,
-                    "service_s_mean": (
-                        self._service_total / n_completed if n_completed else 0.0
-                    ),
+        latencies.sort()
+        breakdown = CostModel(self._device).estimate(
+            counters, kernel_launches=max(n_batches, 1)
+        )
+        n_completed = len(latencies)
+        return {
+            "schema": METRICS_SCHEMA,
+            "params": {"E": self._params.E, "u": self._params.u, "w": self._w},
+            "requests": {
+                "submitted": submitted,
+                "completed": n_completed,
+                "shed": shed,
+                "expired": expired,
+                "failed": failed,
+                "latency_s": {
+                    "mean": sum(latencies) / n_completed if n_completed else 0.0,
+                    "p50": percentile(latencies, 0.50),
+                    "p95": percentile(latencies, 0.95),
+                    "max": latencies[-1] if latencies else 0.0,
                 },
-                "batches": {
-                    "count": n_batches,
-                    "elements": elements,
-                    "padded_elements": padded,
-                    "fill_ratio_mean": (
-                        self._fill_total / n_batches if n_batches else 0.0
-                    ),
-                    "fill_ratio_min": self._fill_min,
-                    "padding_fraction": 1.0 - (elements / padded) if padded else 0.0,
-                    "requests_per_batch_mean": (
-                        n_completed / n_batches if n_batches else 0.0
-                    ),
-                    "cache_hits": self._batch_cache_hits,
-                },
-                "queue": {
-                    "capacity": self._queue_capacity,
-                    "max_depth": self._max_queue_depth,
-                    "mean_depth": (
-                        self._depth_total / self._depth_samples
-                        if self._depth_samples
-                        else 0.0
-                    ),
-                },
-                "counters": self._counters.as_dict(),
-                **stats,
-                "modeled": {
-                    "total_us": breakdown.total_us,
-                    "us_per_request": breakdown.total_us / max(n_completed, 1),
-                    "us_per_element": breakdown.total_us / max(elements, 1),
-                },
-                "throughput": {
-                    "wall_s": wall_s,
-                    "requests_per_s": n_completed / wall_s,
-                    "elements_per_s": elements / wall_s,
-                },
-            }
+                "wait_s_mean": wait_total / n_completed if n_completed else 0.0,
+                "service_s_mean": service_total / n_completed if n_completed else 0.0,
+            },
+            "batches": {
+                "count": n_batches,
+                "elements": elements,
+                "padded_elements": padded,
+                "fill_ratio_mean": fill_total / n_batches if n_batches else 0.0,
+                "fill_ratio_min": fill_min,
+                "padding_fraction": 1.0 - (elements / padded) if padded else 0.0,
+                "requests_per_batch_mean": (
+                    n_completed / n_batches if n_batches else 0.0
+                ),
+                "cache_hits": cache_hits,
+            },
+            "queue": {
+                "capacity": self._queue_capacity,
+                "max_depth": max_depth,
+                "mean_depth": depth_total / depth_samples if depth_samples else 0.0,
+            },
+            "counters": counters.as_dict(),
+            **stats,
+            "modeled": {
+                "total_us": breakdown.total_us,
+                "us_per_request": breakdown.total_us / max(n_completed, 1),
+                "us_per_element": breakdown.total_us / max(elements, 1),
+            },
+            "throughput": {
+                "wall_s": wall_s,
+                "requests_per_s": n_completed / wall_s,
+                "elements_per_s": elements / wall_s,
+            },
+        }
 
     def to_run_report(self, name: str = "service-metrics") -> RunReport:
         """Export the snapshot as a RunReport-compatible artifact.

@@ -221,6 +221,20 @@ def test_engine_job_profiles_twice_and_diffs_artifacts(workflow):
     assert profile["env"] == {"PYTHONPATH": "src"}
 
 
+def test_engine_job_checks_paper_geometry_parity(workflow):
+    # E=15, u=512, w=32 at 16 tiles, where the stacked-pass budget binds:
+    # the lane must equal the lockstep oracle on every result field.
+    job = workflow["jobs"]["engine"]
+    step = next(s for s in job["steps"] if "gpu_mergesort" in str(s.get("run", "")))
+    run = step["run"]
+    assert "16 * 15 * 512" in run
+    assert 'for variant in ("cf", "thrust"):' in run
+    assert "got = batched_mergesort(data, 15, 512, 32, variant)" in run
+    assert "want = gpu_mergesort(data, 15, 512, 32, variant)" in run
+    assert "assert got.as_dict() == want.as_dict(), variant" in run
+    assert step["env"] == {"PYTHONPATH": "src"}
+
+
 def test_engine_job_uploads_its_reports(workflow):
     job = workflow["jobs"]["engine"]
     upload = next(s for s in job["steps"] if "upload-artifact" in str(s.get("uses", "")))

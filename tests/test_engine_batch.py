@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import repro.engine.batch as batch
 from repro.engine.batch import (
-    STACK_ROWS,
+    STACK_LANES,
     BatchCounters,
     batched_blocksort_phases,
     batched_blocksort_profile,
@@ -130,9 +130,10 @@ class TestBlocksortCrossValidation:
 
     @pytest.mark.parametrize(
         "n_tiles",
-        # E=3, u=16: four levels.  One pass holds them all; one tile more
-        # splits them; past STACK_ROWS tiles every level runs alone.
-        [STACK_ROWS // 4, STACK_ROWS // 4 + 1, STACK_ROWS + 1],
+        # E=3, u=16: four levels.  Under a budget of 64 rows of 16 lanes
+        # one pass holds them all; one tile more splits them; past 64
+        # tiles every level runs alone.
+        [64 // 4, 64 // 4 + 1, 64 + 1],
         ids=["one-pass", "split-levels", "level-per-pass"],
     )
     @pytest.mark.parametrize(
@@ -140,9 +141,11 @@ class TestBlocksortCrossValidation:
         [("thrust", "bounded"), ("thrust", "always"), ("cf", "bounded")],
     )
     def test_every_tile_matches_the_simulator_across_the_stack_budget(
-        self, n_tiles, variant, read_policy
+        self, n_tiles, variant, read_policy, monkeypatch
     ):
         E, u, w = 3, 16, 4
+        # The real budget splits at 512 tiles: too many to simulate.
+        monkeypatch.setattr(batch, "STACK_LANES", 64 * u)
         rng = np.random.default_rng(n_tiles)
         rows = rng.integers(0, 60, (n_tiles, u * E))
         batched = batched_blocksort_profile(
@@ -176,21 +179,23 @@ class TestBlocksortCrossValidation:
             assert _shared(batched[k]) == _shared(sim.total), f"tile {k}"
 
 
+#: One search round_many per pass; the CF merge is analytic, the pointer
+#: merge folds into one more.
+PER_PASS = [("cf", "bounded", 1), ("thrust", "bounded", 2), ("thrust", "always", 2)]
+
+
 class TestStackedPasses:
     @pytest.mark.parametrize(
         "n_tiles,passes",
-        # E=5, u=32: five levels; a pass holds STACK_ROWS // n_tiles of them.
-        [(1, 1), (STACK_ROWS // 5, 1), (STACK_ROWS // 5 + 1, 2), (STACK_ROWS + 1, 5)],
+        # E=5, u=32: five levels; under a budget of 64 rows of 32 lanes a
+        # pass holds 64 // n_tiles of them.
+        [(1, 1), (64 // 5, 1), (64 // 5 + 1, 2), (64 + 1, 5)],
     )
-    @pytest.mark.parametrize(
-        "variant,read_policy,per_pass",
-        # One search round_many; the CF merge is analytic, the pointer
-        # merge folds into one more.
-        [("cf", "bounded", 1), ("thrust", "bounded", 2), ("thrust", "always", 2)],
-    )
+    @pytest.mark.parametrize("variant,read_policy,per_pass", PER_PASS)
     def test_each_pass_folds_into_one_round_many_per_phase(
-        self, n_tiles, passes, variant, read_policy, per_pass
+        self, n_tiles, passes, variant, read_policy, per_pass, monkeypatch
     ):
+        monkeypatch.setattr(batch, "STACK_LANES", 64 * 32)
         rows = np.random.default_rng(n_tiles).integers(0, 1 << 20, (n_tiles, 160))
         before = fusion_stats()
         batched_blocksort_profile(rows, 5, 8, variant, read_policy=read_policy)
@@ -199,6 +204,28 @@ class TestStackedPasses:
         assert delta["round_many_calls"] == passes * per_pass
         assert delta["round_calls"] == 0
         assert delta["fused_blocksorts"] == 1
+
+    @pytest.mark.parametrize(
+        "E,u,w,n_tiles,passes",
+        [
+            # u=32 (five levels): 1,024 rows per pass, so up to 204 tiles
+            # fold every level into one pass.
+            (5, 32, 8, STACK_LANES // (5 * 32), 1),
+            (5, 32, 8, STACK_LANES // (5 * 32) + 1, 2),
+            # The paper's u=512 (nine levels) keeps 64 rows per pass.
+            (3, 512, 32, 32, 5),
+            (3, 512, 32, 33, 9),
+        ],
+    )
+    @pytest.mark.parametrize("variant,read_policy,per_pass", PER_PASS)
+    def test_the_budget_counts_lanes(
+        self, E, u, w, n_tiles, passes, variant, read_policy, per_pass
+    ):
+        assert STACK_LANES == 64 * 512
+        rows = np.random.default_rng(n_tiles).integers(0, 1 << 20, (n_tiles, u * E))
+        before = fusion_stats()["round_many_calls"]
+        batched_blocksort_profile(rows, E, w, variant, read_policy=read_policy)
+        assert fusion_stats()["round_many_calls"] - before == passes * per_pass
 
     @pytest.mark.parametrize("variant", ["thrust", "cf"])
     def test_stacking_folds_the_rounds_of_one_pass_per_level(self, variant, monkeypatch):
@@ -209,8 +236,8 @@ class TestStackedPasses:
         rows = np.vstack([adversarial(2, 5, 32, 8).reshape(2, 160),
                           rng.integers(0, 1 << 20, (2, 160))])
         runs = []
-        for budget in (batch.STACK_ROWS, 1):
-            monkeypatch.setattr(batch, "STACK_ROWS", budget)
+        for budget in (batch.STACK_LANES, 32):  # every level, one level per pass
+            monkeypatch.setattr(batch, "STACK_LANES", budget)
             before = fusion_stats()
             counters = batched_blocksort_profile(rows, 5, 8, variant)
             after = fusion_stats()

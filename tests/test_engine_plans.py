@@ -169,7 +169,7 @@ class TestPlanCacheBehavior:
             "tids", "stage", "rho", "scatter", "oddeven",
             "kway_rounds", "sample_splitters",
             "key_pack", "payload_gather",
-            "fused_take", "fused_stage", "fused_level",
+            "fused_take", "fused_stage", "fused_level", "fused_levels",
         }
 
 
@@ -236,6 +236,24 @@ class TestFusedPlans:
         with pytest.raises(ParameterError):
             get_plan("fused_level", 16, 5, 8, level=4)  # g = 16 == u
 
+    def test_fused_levels_stack_every_level(self):
+        u, E, w = 16, 5, 8
+        plan = get_plan("fused_levels", u, E, w)
+        assert plan["tag"].shape == (4, u * E)
+        for level in range(4):
+            one = get_plan("fused_level", u, E, w, level=level)
+            for key in ("pbase", "diag", "lo", "hi", "pair_last"):
+                assert plan[key].shape == (4, 1, u)
+                assert np.array_equal(plan[key][level, 0], one[key]), key
+            assert plan["pbase"].dtype == np.int32
+            assert plan["half"][level, 0, 0] == E << level
+            assert np.array_equal(plan["pair_first"][level], np.asarray(one["pbase"]) // E)
+            assert np.array_equal(plan["tag"][level], np.asarray(one["tag"]) == 1)
+
+    def test_fused_levels_validates_thread_count(self):
+        with pytest.raises(ParameterError):
+            get_plan("fused_levels", 24, 5, 8)
+
 
 class TestImmutability:
     @pytest.mark.parametrize("kind,n,E,w", [
@@ -247,6 +265,7 @@ class TestImmutability:
         ("fused_take", 160, 16, 8),
         ("fused_stage", 8, 5, 8),
         ("fused_level", 8, 5, 8),
+        ("fused_levels", 8, 5, 8),
     ])
     def test_every_plan_array_is_write_protected(self, kind, n, E, w):
         plan = get_plan(kind, n, E, w)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine.batch as batch
 import repro.mergesort.pipeline as pipeline
 import repro.mergesort.segmented as segmented
 from repro.cluster.pool import ClusterPool
@@ -25,9 +26,11 @@ from repro.config import SortParams
 from repro.engine.backend import cf_batched_backend
 from repro.errors import ParameterError
 from repro.mergesort import batched_mergesort, blocksort_tile, gpu_mergesort
+from repro.mergesort.merge_path import merge_path_search
 from repro.mergesort.segmented import KEY_BITS, KEY_LIMIT
 from repro.mergesort.serial_merge import SENTINEL
 from repro.service.backends import get_backend
+from repro.sim.counters import Counters
 from repro.worstcase import worstcase_full_input
 
 VARIANTS = ["thrust", "cf"]
@@ -68,9 +71,13 @@ class TestGeometries:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("n_tiles", [33, 65])
-    def test_both_sides_of_the_stack_budget(self, n_tiles, variant):
-        # E=3, u=8: 33 tiles stack two 32-block levels per pass, and its
-        # 33-block last level runs alone; at 65 tiles every level does.
+    def test_both_sides_of_the_stack_budget(self, n_tiles, variant, monkeypatch):
+        # E=3, u=8 under a budget of 64 rows of 8 lanes: 33 tiles stack two
+        # 32-block levels per pass, and its 33-block last level runs alone;
+        # at 65 tiles every level does.  (The real budget splits only past
+        # 4,096 rows: too many to simulate.)
+        for module in (batch, pipeline):
+            monkeypatch.setattr(module, "STACK_LANES", 64 * 8)
         rng = np.random.default_rng(n_tiles)
         data = rng.integers(-1000, 1000, n_tiles * 24 - 1)
         assert_matches_the_simulator(data, 3, 8, 4, variant)
@@ -90,13 +97,9 @@ class TestGeometries:
         batched_mergesort(data, 8, 16, 8, "thrust")
         assert len(calls) == 1  # thrust runs the lane at any geometry
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("n_tiles,passes", [(2, 1), (16, 1), (17, 2)])
-    def test_merge_levels_share_one_search_and_one_merge_pass(
-        self, n_tiles, passes, variant, monkeypatch
-    ):
-        # Up to 16 tiles every merge level fits one stacked pass of
-        # STACK_ROWS blocks; 17 tiles need a second.
+    @staticmethod
+    def _merge_passes(monkeypatch, data, E, u, w, variant):
+        """Search and merge profile calls of one ``batched_mergesort``."""
         calls = {"search": 0, "merge": 0}
         for name, key in (("tagged_search_profile", "search"),
                           ("tagged_merge_profile", "merge")):
@@ -107,16 +110,46 @@ class TestGeometries:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(pipeline, name, spy)
-        data = np.random.default_rng(n_tiles).integers(0, 1000, n_tiles * 160)
-        result = batched_mergesort(data, 5, 32, 8, variant)
+        result = batched_mergesort(data, E, u, w, variant)
         assert np.array_equal(result.data, np.sort(data))
+        return calls
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n_tiles,passes", [(2, 1), (16, 1), (17, 2)])
+    def test_merge_levels_share_one_search_and_one_merge_pass(
+        self, n_tiles, passes, variant, monkeypatch
+    ):
+        # Under a budget of 64 rows of 32 lanes, up to 16 tiles every merge
+        # level (one row per block) fits one stacked pass; 17 tiles need a
+        # second.
+        monkeypatch.setattr(pipeline, "STACK_LANES", 64 * 32)
+        data = np.random.default_rng(n_tiles).integers(0, 1000, n_tiles * 160)
+        calls = self._merge_passes(monkeypatch, data, 5, 32, 8, variant)
+        assert calls == {"search": passes, "merge": passes}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize(
+        "u,n_tiles,passes",
+        # u=32: 1,024 rows per pass, so 128 tiles (7 levels of 128 blocks)
+        # fit one; at 129 the last level's 129 blocks need a second.  The
+        # paper's u=512 keeps 64 rows: 32 tiles stack two levels per pass.
+        [(32, 128, 1), (32, 129, 2), (512, 32, 3)],
+    )
+    def test_the_merge_budget_counts_lanes(self, u, n_tiles, passes, variant, monkeypatch):
+        E, w = (5, 8) if u == 32 else (3, 32)
+        data = np.random.default_rng(n_tiles).integers(0, 1 << 30, n_tiles * u * E)
+        calls = self._merge_passes(monkeypatch, data, E, u, w, variant)
         assert calls == {"search": passes, "merge": passes}
 
     def test_lane_path_never_runs_the_simulator(self, monkeypatch):
+        # Nor a scalar merge-path search: a level's cuts come from its one
+        # stable merge.
         def forbidden(*args, **kwargs):
             raise AssertionError("lockstep kernel called")
 
-        for name in ("blocksort_tile", "serial_merge_block", "cf_merge_block"):
+        for name in (
+            "blocksort_tile", "serial_merge_block", "cf_merge_block", "merge_path_search"
+        ):
             monkeypatch.setattr(pipeline, name, forbidden)
         data = np.random.default_rng(0).integers(0, 1000, 5 * 160 + 3)
         for variant in ("thrust", "cf"):
@@ -169,6 +202,116 @@ class TestInputs:
     def test_property_matches_the_simulator(self, values, variant):
         data = np.array(values, dtype=np.int64)
         assert_matches_the_simulator(data, 3, 8, 4, variant)
+
+
+def _search_steps(n_a: int, n_b: int, diagonal: int) -> int:
+    """The step count the per-block loop charged for one global search."""
+    lo = max(0, diagonal - n_b)
+    hi = min(diagonal, n_a)
+    span = max(hi - lo, 1)
+    return int(np.ceil(np.log2(span + 1)))
+
+
+def _segments(lo: int, hi: int, seg: int = 32) -> int:
+    """Coalesced segments touched by the word range ``[lo, hi)``."""
+    return 0 if hi <= lo else (hi - 1) // seg - lo // seg + 1
+
+
+def _per_block_traffic(pairs, tile: int) -> tuple[Counters, list[int]]:
+    """One level's global traffic, charged block by block.
+
+    The reference for the skeleton's closed form: every interior cut is
+    a scalar merge-path search.  Returns the counters and each block's
+    A-count, in order.
+    """
+    counters = Counters()
+    a_counts = []
+    for a_run, b_run in pairs:
+        n_blocks = (len(a_run) + len(b_run)) // tile
+        prev = (0, 0)
+        for k in range(1, n_blocks + 1):
+            diag = k * tile
+            if k < n_blocks:
+                cut = merge_path_search(a_run, b_run, diag)
+                steps = _search_steps(len(a_run), len(b_run), diag)
+                # Each global search step reads one word of A and one of B.
+                counters.global_read_transactions += 2 * steps
+                counters.global_read_requests += 2 * steps
+            else:
+                cut = (len(a_run), len(b_run))
+            counters.global_read_transactions += _segments(prev[0], cut[0]) + _segments(
+                prev[1], cut[1]
+            )
+            counters.global_write_transactions += tile // 32
+            a_counts.append(cut[0] - prev[0])
+            prev = cut
+    return counters, a_counts
+
+
+class TestLevelTraffic:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        geometry=st.sampled_from([(8, 1), (8, 3), (8, 5), (32, 3), (32, 5)]),
+        log_run=st.integers(0, 3),
+        n_runs=st.integers(2, 9),
+        short=st.integers(1, 8),
+        spread=st.integers(1, 4),
+        shift=st.sampled_from([-1, 0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_equals_the_per_block_loop(
+        self, geometry, log_run, n_runs, short, spread, shift, seed
+    ):
+        # Random (|A|, |B|) cut patterns: ties, interleaved and disjoint
+        # runs, a shorter last run that ends the last pair (even run
+        # count) or waits for the next level (odd).
+        u, E = geometry
+        tile = u * E
+        run = tile << log_run
+        lengths = [run] * (n_runs - 1) + [tile * min(short, 1 << log_run)]
+        rng = np.random.default_rng(seed)
+        runs = [
+            np.sort(rng.integers(0, spread * n, n)) + (k % 2) * shift * 8 * n
+            for k, n in enumerate(lengths)
+        ]
+        pairs = list(zip(runs[0::2], runs[1::2]))
+        paired = sum(len(a) + len(b) for a, b in pairs)
+        want, a_counts = _per_block_traffic(pairs, tile)
+        got = Counters()
+        pipeline._charge_level(got, np.array(a_counts), run, paired, tile)
+        assert got.as_dict() == want.as_dict()
+        # The lane's one stable merge per level yields the same A-counts.
+        merged, lane_counts = pipeline._LaneMerge(E, u, 8, "thrust")(
+            np.concatenate(runs)[:paired], run
+        )
+        assert lane_counts.tolist() == a_counts
+        assert np.array_equal(
+            merged, np.concatenate([np.sort(np.concatenate(p), kind="stable") for p in pairs])
+        )
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_whole_sort_charges_what_the_per_block_loop_charged(self, variant):
+        # Every level of 1-9 tiles (a partial last tile too): odd run
+        # counts carry their last run, shorter last runs end a pair.
+        E, u, w = 3, 8, 4
+        tile = u * E
+        rng = np.random.default_rng(4)
+        for n in [1, tile, 2 * tile + 1, 3 * tile, 5 * tile - 7, 6 * tile, 9 * tile - 1]:
+            data = rng.integers(0, 50, n)
+            want = Counters()
+            n_tiles = -(-n // tile)
+            want.global_read_transactions = want.global_write_transactions = n_tiles * (
+                tile // 32 + 1
+            )
+            padded = np.append(data, [SENTINEL] * (n_tiles * tile - n))
+            runs = list(np.sort(padded.reshape(n_tiles, tile), axis=1))
+            while len(runs) > 1:
+                pairs = list(zip(runs[0::2], runs[1::2]))
+                want.merge(_per_block_traffic(pairs, tile)[0])
+                carried = runs[-1:] if len(runs) % 2 else []
+                runs = [np.sort(np.concatenate(p)) for p in pairs] + carried
+            got = batched_mergesort(data, E, u, w, variant)
+            assert got.global_stats.as_dict() == want.as_dict(), n
 
 
 class TestReadPolicyValidation:

@@ -28,6 +28,7 @@ from repro.service import (
     register_backend,
 )
 from repro.service import jobs
+from repro.service import metrics as metrics_module
 from repro.service.metrics import BatchRecord
 from repro.service.service import DEFAULT_PARAMS, DEFAULT_W
 from repro.sim.counters import Counters
@@ -409,6 +410,28 @@ class TestMetrics:
         requests = metrics.snapshot()["requests"]
         assert requests["completed"] == 1
         assert requests["latency_s"]["max"] == requests["service_s_mean"] == 0.002
+
+    def test_snapshot_computes_outside_the_lock(self, monkeypatch):
+        # Sorting the latencies, the percentiles and the cost model run on
+        # copies, so a scrape never holds up a shard's record_result.
+        metrics = ServiceMetrics(DEFAULT_PARAMS, DEFAULT_W, queue_capacity=4)
+        for i in range(5):
+            metrics.record_result(
+                SortResult(request_id=i, backend="cf", service_s=0.001 * (5 - i))
+            )
+        real = metrics_module.percentile
+        seen = []
+
+        def unlocked(values, q):
+            assert not metrics._lock.locked()
+            seen.append(q)
+            return real(values, q)
+
+        monkeypatch.setattr(metrics_module, "percentile", unlocked)
+        latency = metrics.snapshot()["requests"]["latency_s"]
+        assert seen == [0.50, 0.95]
+        assert latency["p50"] == real([0.001, 0.002, 0.003, 0.004, 0.005], 0.50)
+        assert latency["max"] == 0.005
 
     @staticmethod
     def _batch(rng: random.Random, batch_id: int) -> BatchRecord:
