@@ -42,7 +42,7 @@ from conftest import attach
 import repro.engine.batch as batch
 from repro.config import SortParams
 from repro.engine.arena import arena_stats
-from repro.engine.batch import BatchCounters, batched_blocksort_profile, fusion_stats
+from repro.engine.batch import batched_blocksort_profile, fusion_stats
 from repro.engine.plans import plan_cache_stats
 from repro.mergesort.kway import batched_kway_sort, kway_sort
 from repro.mergesort.pipeline import batched_mergesort, gpu_mergesort
@@ -231,19 +231,23 @@ def test_lane_ledger_rejects_a_per_tile_loop(fallback, monkeypatch):
             for k in range(len(rows)):
                 batched_blocksort_profile(rows[k : k + 1], E, W, VARIANT)
     else:
-        real = batch._fused_blocksort_rounds
+        real = batch.LevelStack.blocksort
 
-        def per_tile(stage, search, merge, tiles, *args):
+        def per_tile(stack, tiles):
+            # One level stack per tile: every row's counters are right, but
+            # each tile pays its own passes.
+            out = np.empty_like(tiles)
             for k in range(tiles.shape[0]):
-                accs = [BatchCounters(1, acc.u, acc.w) for acc in (stage, search, merge)]
-                real(*accs, tiles[k : k + 1], *args)
-                for acc, one in zip((stage, search, merge), accs):
-                    for name in ("shared_read_rounds", "shared_write_rounds",
-                                 "shared_cycles", "shared_replays", "shared_excess",
-                                 "broadcast_reads", "shared_requests"):
-                        getattr(acc, name)[k] += getattr(one, name)[0]
+                one = batch.LevelStack(
+                    1, stack.u, stack.E, stack.w, stack.variant, stack.search.shape[1],
+                    read_policy=stack.read_policy,
+                )
+                out[k] = real(one, tiles[k : k + 1])[0]
+                one.flush()
+                stack.per_row._counts[:, k] += one.per_row._counts[:, 0]
+            return out
 
-        monkeypatch.setattr(batch, "_fused_blocksort_rounds", per_tile)
+        monkeypatch.setattr(batch.LevelStack, "blocksort", per_tile)
 
         def run():
             return batched_blocksort_profile(rows, E, W, VARIANT)

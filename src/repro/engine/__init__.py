@@ -20,7 +20,6 @@ default ``perf.throughput`` sampling executor are built on both.
 
 from repro.engine.batch import (
     BatchCounters,
-    batched_blocksort_phases,
     batched_blocksort_profile,
     batched_cf_merge_profile,
     batched_kway_merge_profile,
@@ -52,7 +51,6 @@ from repro.engine.plans import (
 
 __all__ = [
     "BatchCounters",
-    "batched_blocksort_phases",
     "batched_blocksort_profile",
     "batched_cf_merge_profile",
     "batched_kway_merge_profile",

@@ -32,24 +32,29 @@ count (the round's cycles in the DMM model) — is ``w`` slab passes
 that each span every row of every stacked round.  The same holds for
 the ``E``-wide per-thread merge tags, which are kept step-major.
 
-Fixed cost per call is what the small sorts pay, so passes stack:
-independent rounds of several merge levels fold into shared accounting
-passes.  The blocksort replays every level's bisections in one stacked
-``(levels, tiles, u)`` loop, reading the levels' geometry as slices of
-one cached ``fused_levels`` plan, and accounts all search probes in one
-:meth:`BatchCounters.round_many` call and all pointer-merge rounds in
-one more; its staging rounds are one closed-form update.
-:func:`merge_tags`, :func:`tagged_search_profile` and
-:func:`tagged_merge_profile` let a caller profile the blocks of many
-merge levels at once, each row one block.  A stacked pass holds whole
-levels of at most :data:`STACK_LANES` thread lanes (rows times ``u``),
-so large batches keep one pass per level and bounded scratch.
+Fixed cost per call is what the small sorts pay, so a lane sort is one
+stack of levels (:class:`LevelStack`).  After the Merge Path cuts (Green
+et al.) a blocksort level and a merge level do the same work — ``u``
+threads per tile-sized row, each bisecting for its cut and then merging
+``E`` words — so both become ``(tiles, u)`` slabs of one ``(levels,
+tiles, u)`` stack with per-row geometry (A base, ``|A|``, ``|B|``, each
+thread's diagonal, a last-thread-of-pair mask).  A merge level with
+fewer blocks than tiles is padded with rows that are dead in both the
+search and the pointer rounds.  Every queued level's bisections replay
+in one loop accounted in one :meth:`BatchCounters.round_many` call, and
+for ``thrust`` every level's pointer-merge rounds in one more; each pass
+folds its per-round sums into per-level totals (for the pipeline) and
+per-row totals (for :func:`batched_blocksort_profile`).  A pass holds
+whole levels of at most :data:`STACK_LANES` thread lanes (rows times
+``u``), so large batches keep one pass per level and bounded scratch.
+The blocksort's staging rounds are one closed-form update.
 
-The blocksort, merge and search profiles each have one fused path.
-Values past the ``2*v + tag`` packing range are replaced by their dense
-ranks first (same comparisons, same counters), and a merge or search
-pair whose halves are not two sorted runs raises
-:class:`~repro.errors.ParameterError`.
+There is one bisection replay (:func:`_search_pass`) and one
+pointer-merge replay (:func:`_merge_pass`); the pair profiles run them
+on one level whose rows are the pairs.  Values past the ``2*v + tag``
+packing range are replaced by their dense ranks first (same
+comparisons, same counters), and a merge or search pair whose halves
+are not two sorted runs raises :class:`~repro.errors.ParameterError`.
 """
 
 from __future__ import annotations
@@ -73,11 +78,9 @@ __all__ = [
     "batched_serial_merge_profile",
     "batched_search_profile",
     "merge_tags",
-    "tagged_search_profile",
-    "tagged_merge_profile",
+    "LevelStack",
     "batched_cf_merge_profile",
     "batched_blocksort_profile",
-    "batched_blocksort_phases",
     "kway_thread_cuts",
     "kway_gather_addresses",
     "batched_kway_merge_profile",
@@ -190,7 +193,7 @@ class BatchCounters:
         kind: str = "read",
         *,
         assume_distinct: bool = False,
-    ) -> None:
+    ) -> IntArray:
         """Account ``R`` stacked warp-synchronous rounds in one pass.
 
         ``addresses`` is ``(R, tiles, u)`` (broadcastable); ``active``
@@ -199,7 +202,10 @@ class BatchCounters:
         the fold over rounds is an integer sum, which commutes — so the
         result is bit-identical to accounting each round on its own.
         Rounds with no active lane contribute exact zeros.  All rounds of
-        one call share ``kind``.
+        one call share ``kind``.  Returns the ``(5, R)`` per-round sums
+        over every tile (warps issued, requests, distinct addresses,
+        occupied banks, cycles), which :func:`_charge` turns into counter
+        rows — so a caller can fold rounds per level as well as per tile.
 
         ``assume_distinct=True`` asserts the caller's invariant that all
         active addresses within any warp and round are pairwise distinct
@@ -219,9 +225,9 @@ class BatchCounters:
             raise ParameterError("round_many expects (rounds, tiles, u) addresses")
         R = int(addr.shape[0])
         if R == 0:
-            return
+            return np.zeros((5, 0), dtype=np.int64)
         FUSION.add(round_many_calls=1, rounds_folded=R)
-        self._account(addr, active, kind, distinct=assume_distinct)
+        return self._account(addr, active, kind, distinct=assume_distinct)
 
     def _account(
         self,
@@ -229,7 +235,7 @@ class BatchCounters:
         active: BoolArray | None,
         kind: str,
         distinct: bool,
-    ) -> None:
+    ) -> IntArray:
         """Charge ``R`` stacked rounds: the body of :meth:`round_many`.
 
         Each lane's key is ``bank << shift | low bits`` — distinct keys
@@ -245,7 +251,7 @@ class BatchCounters:
         if active is not None:
             act = _full(np.asarray(active, dtype=bool), shape)
             if not act.any():
-                return
+                return np.zeros((5, R), dtype=np.int64)
         # Two addresses of the span differ in their low ``shift`` bits.
         shift = 0 if distinct else max(int(addr.max()) - int(addr.min()), 1).bit_length()
         limit = w << shift
@@ -286,23 +292,17 @@ class BatchCounters:
                     _transpose_into(lanes, keys)
                     np.right_shift(lanes, shift, out=banks)
                     totals = _warp_row_totals(lanes, banks, limit, False)
-        # Rows run (round, tile, slot): sum the rounds, then the slots.
+        # Rows run (round, tile, slot): per tile, sum the rounds, then the
+        # slots; per round, sum each round's contiguous rows.
+        by_round = totals.reshape(5, R, T * S)
         per_slot = np.add.reduce(
-            totals.reshape(5, R, T * S), axis=1, dtype=_count_dtype(R * w + 1)
+            by_round, axis=1, dtype=_count_dtype(R * w + 1)
         ).reshape(5, T, S)
         per_tile = per_slot[..., 0].astype(np.int64)
         for s in range(1, S):
             per_tile += per_slot[..., s]
-        issued, requests, uniq, occupied, cycles = per_tile
-        if kind == "read":
-            self.shared_read_rounds += issued
-            self.broadcast_reads += requests - uniq
-        else:
-            self.shared_write_rounds += issued
-        self.shared_requests += requests
-        self.shared_cycles += cycles
-        self.shared_replays += cycles - issued
-        self.shared_excess += uniq - occupied
+        _charge(self._counts, per_tile, kind)
+        return np.add.reduce(by_round, axis=2, dtype=np.int64)
 
     def total(self, rows: slice = slice(None)) -> Counters:
         """The counters of the tiles in ``rows`` (all by default), summed."""
@@ -328,6 +328,32 @@ _SHARED_FIELDS = (
     "broadcast_reads",
     "shared_requests",
 )
+
+
+#: Counter rows (:data:`_SHARED_FIELDS` order) as sums of the five
+#: per-round statistics :meth:`BatchCounters.round_many` returns: warps
+#: issued, requests, distinct addresses, occupied banks, cycles.
+_CHARGE = {
+    kind: np.array(
+        [
+            [read, 0, 0, 0, 0],  # shared_read_rounds: warps issued
+            [1 - read, 0, 0, 0, 0],  # shared_write_rounds: warps issued
+            [0, 0, 0, 0, 1],  # shared_cycles
+            [-1, 0, 0, 0, 1],  # shared_replays: cycles beyond the first
+            [0, 0, 1, -1, 0],  # shared_excess: distinct less occupied
+            [0, read, -read, 0, 0],  # broadcast_reads: requests less distinct
+            [0, 1, 0, 0, 0],  # shared_requests
+        ],
+        dtype=np.int64,
+    )
+    for kind, read in (("read", 1), ("write", 0))
+}
+
+
+def _charge(counts: IntArray, stats: npt.NDArray[np.integer], kind: str) -> None:
+    """Add ``(5, X)`` round statistics to ``(7, X)`` counter rows."""
+    counts += _CHARGE[kind] @ stats
+
 
 #: Lanes per block of the lane-major transpose: one strided copy of a
 #: large ``(rows, w)`` matrix thrashes the cache, blocks of this many
@@ -545,7 +571,7 @@ def _fused_pointer_merge_rounds(
     E: int,
     length: int,
     read_policy: str,
-) -> None:
+) -> IntArray:
     """Replay the serial merge's pointer rounds in closed form.
 
     The rounds are those of
@@ -564,6 +590,7 @@ def _fused_pointer_merge_rounds(
     level's merge (initial key loads plus ``E`` advance rounds) folds
     into one :meth:`BatchCounters.round_many` call, bit-identical to
     running the rounds one by one.  Every address stays below ``length``.
+    Returns the ``(5, levels)`` per-level sums of the rounds' statistics.
 
     Under ``bounded`` reads each active lane's address sits inside its
     own thread's A or B window; windows are pairwise disjoint within a
@@ -572,10 +599,10 @@ def _fused_pointer_merge_rounds(
     """
     G, T, u = a_ptr.shape
     dt: type = np.int32 if length < (1 << 31) else np.int64
-    a_ptr_n = a_ptr.astype(dt)
-    b_ptr_n = b_ptr.astype(dt)
-    a_end_n = a_end.astype(dt)
-    b_end_n = b_end.astype(dt)
+    a_ptr_n = a_ptr.astype(dt, copy=False)
+    b_ptr_n = b_ptr.astype(dt, copy=False)
+    a_end_n = a_end.astype(dt, copy=False)
+    b_end_n = b_end.astype(dt, copy=False)
     # Slab-wise running sum: ~13x faster than np.cumsum(axis=0) with its
     # per-element bool->int cast.
     csum = np.empty((E, G, T, u), dtype=dt)
@@ -611,7 +638,7 @@ def _fused_pointer_merge_rounds(
                 where=take_a & ~in_a_range,
             )
             lives[2:] = True
-            acc.round_many(
+            per_round = acc.round_many(
                 rounds.reshape(-1, T, u), lives.reshape(-1, T, u), kind="read"
             )
         else:
@@ -625,12 +652,21 @@ def _fused_pointer_merge_rounds(
             np.subtract(pa, pb, out=pa)
             np.multiply(pa, take_a, out=pa)
             np.add(pb, pa, out=rounds[2:])
-            acc.round_many(
+            per_round = acc.round_many(
                 rounds.reshape(-1, T, u),
                 lives.reshape(-1, T, u),
                 kind="read",
                 assume_distinct=True,
             )
+    # Rounds run (round, level): sum each level's rounds.
+    return per_round.reshape(5, E + 2, G).sum(axis=1)
+
+
+#: Computes a replay's probe addresses in place: ``probe(out, levels)``
+#: gets the ``(K, tiles, u)`` stacked mids in ``out[0]`` (slab ``k`` from
+#: level ``levels[k]``) and writes their A and B addresses into ``out[0]``
+#: and ``out[1]``.
+Probe = Callable[[AnyIntArray, AnyIntArray], None]
 
 
 def _replay_searches(
@@ -638,8 +674,8 @@ def _replay_searches(
     lo: AnyIntArray,
     hi: AnyIntArray,
     cuts: AnyIntArray,
-    probe: Callable[[AnyIntArray], tuple[AnyIntArray, AnyIntArray]],
-) -> None:
+    probe: Probe,
+) -> IntArray:
     """Replay stacked merge-path bisections from their final cuts.
 
     ``lo``, ``hi`` and ``cuts`` are ``(levels, tiles, u)`` (``lo`` and
@@ -649,21 +685,27 @@ def _replay_searches(
     (each branch keeps ``lo <= cut <= hi``), so the probes reproduce
     with no data reads.  The loop runs a fixed number of steps with no
     live masks — a converged search has ``lo == hi == cut`` and stays
-    put — and ``probe(mid) -> (a address, b address)`` runs once on the
-    stacked mids.  Only the ``(step, level)`` slabs with a live lane go
-    to the one :meth:`BatchCounters.round_many` call, so each level
-    folds exactly the rounds its own bisection loop would run.
+    put, and a lane with ``lo > hi`` never searches.  Only the
+    ``(step, level)`` slabs with a live lane are kept, ``probe`` runs on
+    those alone, and they go to one :meth:`BatchCounters.round_many`
+    call, so each level folds exactly the rounds its own bisection loop
+    would run.  Returns the ``(5, levels)`` per-level sums.
+
+    The steps and probes run in the dtype of ``lo``, ``hi`` and
+    ``cuts``, which must hold ``lo + hi`` and every probe address.
     """
+    G, T, u = cuts.shape
+    per_level = np.zeros((5, G), dtype=np.int64)
     # A bisection over an interval of s candidates ends within
     # s.bit_length() steps of two reads each.
     steps = int((hi - lo).max(initial=0)).bit_length()
     if not steps:
-        return
-    G, T, u = cuts.shape
-    mids = np.empty((steps, G, T, u), dtype=np.int32)
+        return per_level
+    dt = lo.dtype
+    mids = np.empty((steps, G, T, u), dtype=dt)
     live = np.empty((steps, G, T, u), dtype=bool)
-    lo = _full(lo, cuts.shape).astype(np.int32, copy=False)
-    hi = _full(hi, cuts.shape).astype(np.int32, copy=False)
+    lo = _full(lo, cuts.shape)
+    hi = _full(hi, cuts.shape)
     for step in range(steps):
         mid = mids[step]
         np.less(lo, hi, out=live[step])
@@ -675,16 +717,110 @@ def _replay_searches(
     kept = np.flatnonzero(live.reshape(steps * G, T * u).any(axis=1))
     K = len(kept)
     if not K:
-        return
-    probes = np.empty((2 * K, T, u), dtype=np.int32)
-    for half, addr in zip((probes[:K], probes[K:]), probe(mids)):
-        np.take(_full(addr, mids.shape).reshape(-1, T, u), kept, axis=0, out=half)
-    now = np.empty((2 * K, T, u), dtype=bool)
-    np.take(live.reshape(-1, T, u), kept, axis=0, out=now[:K])
-    now[K:] = now[:K]
+        return per_level
+    probes = np.empty((2, K, T, u), dtype=dt)
+    np.take(mids.reshape(-1, T, u), kept, axis=0, out=probes[0])
+    probe(probes, kept % G)
+    now = np.empty((2, K, T, u), dtype=bool)
+    np.take(live.reshape(-1, T, u), kept, axis=0, out=now[0])
+    now[1] = now[0]
     # The step stacks are dead: free them before the accounting scratch.
     del mids, live
-    acc.round_many(probes, now, kind="read")
+    per_round = acc.round_many(
+        probes.reshape(2 * K, T, u), now.reshape(2 * K, T, u), kind="read"
+    )
+    # Rounds run (A probes, B probes) x kept slab; slabs run (step, level).
+    per_slab = np.zeros((5, steps * G), dtype=np.int64)
+    per_slab[:, kept] = per_round[:, :K] + per_round[:, K:]
+    return per_slab.reshape(5, steps, G).sum(axis=1)
+
+
+def _search_pass(
+    acc: BatchCounters,
+    cuts: AnyIntArray,
+    a_base: AnyIntArray,
+    diag: AnyIntArray,
+    n_a: AnyIntArray,
+    n_b: AnyIntArray,
+    span: int,
+    reverse: bool,
+    fwd: AnyIntArray | None = None,
+) -> IntArray:
+    """Every thread's merge-path search of stacked levels, replayed.
+
+    Each level is ``(tiles, u)`` threads: ``cuts`` is ``(levels, tiles,
+    u)``, ``a_base`` (the A half's first address) and ``diag`` (each
+    thread's diagonal inside its pair) are ``(levels, 1, u)``, and
+    ``n_a`` and ``n_b`` (the pair's ``|A|`` and ``|B|``) are ``(levels,
+    tiles, 1)``.  B follows A; ``reverse`` lays it out backwards from
+    the pair's last word, as CF-Merge's ``pi`` does, and ``fwd`` (the
+    ``rho`` position -> address table, ``None`` where it is the
+    identity) maps every probe.  A row with ``|A| = |B| = 0`` never
+    searches.  Every address lies below ``span``; below ``2^14`` the
+    replay runs in int16 (``lo + hi`` still fits), which halves its
+    memory traffic and its scratch at paper geometry.  Returns the
+    ``(5, levels)`` per-level sums.
+    """
+    # Cast the geometry once, so every pass over the stacks runs one dtype.
+    dt = np.int16 if span < (1 << 14) else np.int32
+    a_base, diag, n_a, n_b = (np.asarray(x, dtype=dt) for x in (a_base, diag, n_a, n_b))
+    lo = np.subtract(diag, n_b)
+    np.maximum(lo, 0, out=lo)
+    hi = np.minimum(diag, n_a)
+    diag_less_1 = diag - 1
+    b_top = np.maximum(n_b - 1, 0)
+    b_base = n_a + (n_b - 1) if reverse else n_a
+
+    def probe(out: AnyIntArray, level: AnyIntArray) -> None:
+        mid, b_idx = out
+        base = a_base[level]
+        np.subtract(diag_less_1[level], mid, out=b_idx)
+        mid += base
+        np.maximum(b_idx, 0, out=b_idx)
+        np.minimum(b_idx, b_top[level], out=b_idx)
+        if reverse:
+            np.negative(b_idx, out=b_idx)
+        b_idx += b_base[level]
+        b_idx += base
+        if fwd is not None:
+            np.take(fwd, out, out=out)
+
+    return _replay_searches(acc, lo, hi, cuts.astype(dt), probe)
+
+
+def _merge_pass(
+    acc: BatchCounters,
+    take_a: BoolArray,
+    cuts: AnyIntArray,
+    a_base: AnyIntArray,
+    diag: AnyIntArray,
+    n_a: AnyIntArray,
+    n_b: AnyIntArray,
+    last: BoolArray,
+    E: int,
+    read_policy: str,
+) -> IntArray:
+    """Every thread's serial-merge pointer rounds of stacked levels.
+
+    The geometry is :func:`_search_pass`'s (B follows A), plus ``last``,
+    ``(levels, 1, u)``: whether a thread is its pair's last.  A thread's
+    A window ends at the next thread's cut, or at ``|A|`` for a pair's
+    last; its B window holds the rest of its ``E`` outputs, capped at the
+    pair's end — which a row with ``|A| = |B| = 0`` puts at its base, so
+    it never reads.  ``take_a`` is the ``(E, levels, tiles, u)``
+    step-major merge tags.  Returns the ``(5, levels)`` per-level sums.
+    """
+    nxt = np.empty_like(cuts)
+    nxt[..., :-1] = cuts[..., 1:]
+    nxt[..., -1] = 0  # every row's last thread ends a pair
+    a_end = np.where(last, n_a, nxt)
+    b_ptr = a_base + n_a + diag - cuts
+    b_end = np.minimum(b_ptr + (E - (a_end - cuts)), a_base + n_a + n_b)
+    a_end += a_base
+    return _fused_pointer_merge_rounds(
+        acc, take_a, a_base + cuts, a_end, b_ptr, b_end, E, cuts.shape[2] * E,
+        read_policy,
+    )
 
 
 def _step_major(from_a: BoolArray, E: int) -> BoolArray:
@@ -696,14 +832,24 @@ def _step_major(from_a: BoolArray, E: int) -> BoolArray:
 def _thread_cuts(take_a: BoolArray) -> AnyIntArray:
     """Per-thread merge-path cuts from step-major merge tags.
 
-    ``take_a`` is ``(E, rows, u)``: whether thread ``i``'s ``j``-th
+    ``take_a`` is ``(E, ..., u)``: whether thread ``i``'s ``j``-th
     output came from the A half.  The cut at diagonal ``i*E`` is the
     number of A outputs before it: per-thread counts (a sum over the
     ``E`` slabs), then an exclusive prefix along the threads.
     """
     E = take_a.shape[0]
     cnt = np.add.reduce(take_a.view(np.uint8), axis=0, dtype=_count_dtype(E + 1))
-    return np.cumsum(cnt, axis=1, dtype=np.int32) - cnt
+    return np.cumsum(cnt, axis=-1, dtype=np.int32) - cnt
+
+
+def _block_geometry(u: int, E: int) -> tuple[AnyIntArray, AnyIntArray, BoolArray]:
+    """``(a_base, diag, last)`` of a merge block row, each ``(1, 1, u)``.
+
+    A merge block is one pair: A starts at 0, thread ``i``'s diagonal is
+    ``i*E`` and the last thread ends the pair.
+    """
+    tid = np.arange(u, dtype=np.int32)[None, None, :]
+    return np.zeros_like(tid), tid * E, tid == u - 1
 
 
 def merge_tags(backing: IntArray, n_a: IntArray) -> tuple[BoolArray, IntArray]:
@@ -716,9 +862,9 @@ def merge_tags(backing: IntArray, n_a: IntArray) -> tuple[BoolArray, IntArray]:
     low bit of the sorted keys says which half each merged output came
     from, and an arithmetic shift recovers the sorted values exactly
     (``2v + tag`` is monotone in ``v``; ``>> 1`` floors back for
-    negatives too).  Returns ``(from_a, merged)``: the tags
-    :func:`tagged_search_profile` and :func:`tagged_merge_profile`
-    replay the rounds from, and the merged rows.
+    negatives too).  Returns ``(from_a, merged)``: the tags the search
+    and merge rounds replay from (:meth:`LevelStack.push_merge`), and
+    the merged rows.
     """
     rows, total = backing.shape
     dtype = _pack_dtype(backing)
@@ -732,101 +878,20 @@ def merge_tags(backing: IntArray, n_a: IntArray) -> tuple[BoolArray, IntArray]:
     return from_a, packed.astype(np.int64, copy=False)
 
 
-def tagged_search_profile(
-    from_a: BoolArray, n_a: IntArray, E: int, w: int, *, mapped: bool = False
-) -> BatchCounters:
-    """Merge-path search counters of every row, from its merge tags.
+def _pair_tags(
+    pairs: Sequence[tuple[npt.ArrayLike, npt.ArrayLike]], E: int, profile: str
+) -> tuple[BoolArray, AnyIntArray, AnyIntArray, AnyIntArray]:
+    """One merge level of (A, B) pairs: ``(take_a, cuts, n_a, n_b)``.
 
-    ``from_a`` is the ``(rows, total)`` tag matrix :func:`merge_tags`
-    returns and ``n_a`` each row's ``|A|``.  Per row, bit-identical to
-    :func:`batched_search_profile` on the row's (A, B) pair, in one
-    stacked replay: rows may come from different merge levels, and a
-    row range of the returned accumulator sums to that range's counters
-    (:meth:`BatchCounters.total`).
+    Step-major tags ``(E, 1, rows, u)``, cuts ``(1, rows, u)`` and the
+    ``(1, rows, 1)`` half sizes, as :func:`_search_pass` and
+    :func:`_merge_pass` take them.
     """
-    rows, total = from_a.shape
-    u = total // E
-    n_a_col = np.asarray(n_a, dtype=np.int32)[:, None]
-    n_b_col = total - n_a_col
-    diag = np.arange(u, dtype=np.int32)[None, :] * E
-    last = total - 1
-    acc = BatchCounters(rows, u, w)
-    if mapped:
-        fwd = np.asarray(get_plan("rho", total, E, w)["fwd"]).astype(np.int32)
-
-        def probe(mid: AnyIntArray) -> tuple[AnyIntArray, AnyIntArray]:
-            # rho(pi(clip(b_idx, 0, n_b-1) % total)); the ``% total``
-            # folds the n_b == 0 clip artifact (-1) into a valid address.
-            b_pos = np.minimum(np.maximum(diag - 1 - mid, 0), n_b_col - 1) % total
-            return fwd[np.minimum(mid, last)], fwd[last - b_pos]
-
-    else:
-
-        def probe(mid: AnyIntArray) -> tuple[AnyIntArray, AnyIntArray]:
-            b_idx = np.minimum(
-                np.maximum(diag - 1 - mid, 0), np.maximum(n_b_col - 1, 0)
-            )
-            return mid, n_a_col + b_idx
-
-    lo = np.maximum(0, diag - n_b_col)
-    hi = np.minimum(diag, n_a_col)
-    cuts = _thread_cuts(_step_major(from_a, E))
-    _replay_searches(acc, lo[None], hi[None], cuts[None], probe)
-    return acc
-
-
-def tagged_merge_profile(
-    from_a: BoolArray,
-    n_a: IntArray,
-    E: int,
-    w: int,
-    variant: str = "thrust",
-    *,
-    read_policy: str = "bounded",
-) -> BatchCounters:
-    """Merge-phase counters of every row, from its merge tags.
-
-    The ``variant="thrust"`` counters equal
-    :func:`batched_serial_merge_profile`'s on each row's (A, B) pair,
-    every pointer-merge round folded into one stacked accounting pass;
-    the ``"cf"`` ones are :func:`batched_cf_merge_profile`'s analytic
-    gather and scatter rounds.  Like :func:`tagged_search_profile`, rows
-    may come from different merge levels.
-    """
-    if variant not in ("thrust", "cf"):
-        raise ParameterError(f"unknown variant {variant!r}")
-    if read_policy not in ("bounded", "always"):
-        raise ParameterError(f"unknown read_policy {read_policy!r}")
-    rows, total = from_a.shape
-    u = total // E
-    if u % w:
-        raise ParameterError(f"thread count {u} must be a multiple of w = {w}")
-    acc = BatchCounters(rows, u, w)
-    if variant == "cf":
-        _cf_merge_rounds(acc, E)
-        return acc
-    n_a_col = np.asarray(n_a, dtype=np.int64)[:, None]
-    diag = (np.arange(u, dtype=np.int64) * E)[None, :]
+    backing, n_a = _stack_pairs(pairs, E, profile)
+    from_a, _ = merge_tags(backing, n_a)
     take_a = _step_major(from_a, E)
-    a_off = _thread_cuts(take_a).astype(np.int64)
-    # a_end[i] = next thread's cut; the last thread ends at |A|.
-    a_end = np.empty_like(a_off)
-    a_end[:, :-1] = a_off[:, 1:]
-    a_end[:, -1:] = n_a_col
-    b_ptr = n_a_col + (diag - a_off)
-    b_end = n_a_col + (diag + E) - a_end
-    _fused_pointer_merge_rounds(
-        acc,
-        take_a[:, None],
-        a_off[None],
-        a_end[None],
-        b_ptr[None],
-        b_end[None],
-        E,
-        total,
-        read_policy,
-    )
-    return acc
+    n_a_col = n_a.astype(np.int32)[None, :, None]
+    return take_a[:, None], _thread_cuts(take_a)[None], n_a_col, backing.shape[1] - n_a_col
 
 
 def batched_serial_merge_profile(
@@ -843,13 +908,18 @@ def batched_serial_merge_profile(
     ops excepted), for every pair in one vectorized pass.  Each pair's
     halves must be sorted (the contract real merge inputs satisfy).  One
     packed-key sort (:func:`merge_tags`) yields the merge decisions, and
-    :func:`tagged_merge_profile` folds all pointer-merge rounds into a
-    single stacked accounting pass."""
+    every pointer-merge round folds into a single stacked accounting
+    pass — the merge rounds :class:`LevelStack` runs, on one level."""
     if read_policy not in ("bounded", "always"):
         raise ParameterError(f"unknown read_policy {read_policy!r}")
-    backing, n_a = _stack_pairs(pairs, E, "merges")
-    from_a, _ = merge_tags(backing, n_a)
-    return tagged_merge_profile(from_a, n_a, E, w, read_policy=read_policy).to_counters()
+    take_a, cuts, n_a, n_b = _pair_tags(pairs, E, "merges")
+    u = cuts.shape[2]
+    if u % w:
+        raise ParameterError(f"thread count {u} must be a multiple of w = {w}")
+    acc = BatchCounters(cuts.shape[1], u, w)
+    a_base, diag, last = _block_geometry(u, E)
+    _merge_pass(acc, take_a, cuts, a_base, diag, n_a, n_b, last, E, read_policy)
+    return acc.to_counters()
 
 
 def batched_search_profile(
@@ -864,28 +934,39 @@ def batched_search_profile(
     Per pair, bit-identical to the ``stats.search`` counters of
     :func:`repro.mergesort.serial_merge.serial_merge_block`, or — with
     ``mapped=True`` — of :func:`repro.mergesort.cf.cf_merge_block`,
-    whose search addresses go through the CF layout (the cached ``rho``
-    plan, a position -> address table); the search trajectory itself
-    reads plain values either way.
+    whose search addresses go through the CF layout (B reversed, and the
+    cached ``rho`` plan, a position -> address table, where ``gcd(w, E)
+    > 1``); the search trajectory itself reads plain values either way.
 
     Each pair's halves must be sorted.  The bisections are *replayed*
     instead of executed: the final cuts come from one packed-key sort
-    (:func:`merge_tags`), and :func:`tagged_search_profile` reproduces
-    every probe with no data reads, folded into one stacked accounting
-    pass."""
-    backing, n_a = _stack_pairs(pairs, E, "searches")
-    from_a, _ = merge_tags(backing, n_a)
-    return tagged_search_profile(from_a, n_a, E, w, mapped=mapped).to_counters()
+    (:func:`merge_tags`), and the replay :class:`LevelStack` runs
+    reproduces every probe with no data reads, folded into one stacked
+    accounting pass."""
+    take_a, cuts, n_a, n_b = _pair_tags(pairs, E, "searches")
+    _, rows, u = cuts.shape
+    total = u * E
+    fwd: AnyIntArray | None = None
+    if mapped and not coprime(w, E):
+        fwd = np.asarray(get_plan("rho", total, E, w)["fwd"]).astype(np.int32)
+    acc = BatchCounters(rows, u, w)
+    a_base, diag, _ = _block_geometry(u, E)
+    _search_pass(acc, cuts, a_base, diag, n_a, n_b, total, mapped, fwd)
+    return acc.to_counters()
 
 
-def _cf_merge_rounds(acc: BatchCounters, E: int) -> None:
-    """Charge every tile one CF-Merge gather and scatter: ``E`` read and
-    ``E`` write rounds per warp, one cycle each."""
-    n_warps = acc.u // acc.w
-    acc.shared_read_rounds += E * n_warps
-    acc.shared_write_rounds += E * n_warps
-    acc.shared_cycles += 2 * E * n_warps
-    acc.shared_requests += 2 * E * acc.u
+def _cf_rounds(E: int, u: int, w: int, scatter: bool) -> IntArray:
+    """One row's CF-Merge rounds, as counter rows (:data:`_SHARED_FIELDS`).
+
+    ``E`` conflict-free gather rounds per warp, one cycle each, and as
+    many scatter rounds in a merge block (a blocksort level stages its
+    merged words instead).
+    """
+    rounds = E * (u // w)
+    passes = 1 + scatter
+    return np.array(
+        [rounds, rounds * scatter, rounds * passes, 0, 0, 0, E * u * passes], dtype=np.int64
+    )
 
 
 def batched_cf_merge_profile(tiles: int, total: int, E: int, w: int) -> list[Counters]:
@@ -904,12 +985,12 @@ def batched_cf_merge_profile(tiles: int, total: int, E: int, w: int) -> list[Cou
     if not tiles:
         return []
     acc = BatchCounters(tiles, u, w)
-    _cf_merge_rounds(acc, E)
+    acc._counts += _cf_rounds(E, u, w, scatter=True)[:, None]
     return acc.to_counters()
 
 
-def _batched_stage_rounds(acc: BatchCounters, u: int, E: int, levels: int) -> None:
-    """Count a blocksort's thread-contiguous staging rounds (round m -> {iE + m}).
+def _stage_counts(u: int, E: int, w: int, levels: int) -> IntArray:
+    """One tile's thread-contiguous staging counters (round m -> {iE + m}).
 
     A blocksort stages ``levels + 2`` times: the load reads, then each
     merge level and the final stage write.  Every staging pass folds to
@@ -918,21 +999,215 @@ def _batched_stage_rounds(acc: BatchCounters, u: int, E: int, levels: int) -> No
     cyclic bank rotation of round 0, so all ``E`` rounds share round 0's
     cycle/excess profile, every address is distinct (zero broadcasts),
     and the fold is exact — bit-identical to ``E`` per-pass
-    :meth:`~BatchCounters.round` calls.  So the whole blocksort's staging
-    is one update.
+    :meth:`~BatchCounters.round` calls.  Returns the counter rows
+    (:data:`_SHARED_FIELDS` order) as one vector.
     """
-    plan = get_plan("fused_stage", u, E, acc.w)
+    plan = get_plan("fused_stage", u, E, w)
     n_warps = int(np.asarray(plan["n_warps"])[0])
     cycles = int(np.asarray(plan["cycles"])[0])
     excess = int(np.asarray(plan["excess"])[0])
     passes = levels + 2
-    acc.shared_read_rounds += E * n_warps
-    acc.shared_write_rounds += (passes - 1) * E * n_warps
-    acc.shared_requests += passes * E * u
-    acc.shared_cycles += passes * E * cycles
-    acc.shared_replays += passes * E * (cycles - n_warps)
-    acc.shared_excess += passes * E * excess
     FUSION.add(stage_passes=passes, stage_rounds_folded=passes * E)
+    return np.array(
+        [
+            E * n_warps,  # the load's read rounds
+            (passes - 1) * E * n_warps,  # write rounds
+            passes * E * cycles,
+            passes * E * (cycles - n_warps),  # replays
+            passes * E * excess,
+            0,  # no broadcasts: every address is distinct
+            passes * E * u,  # requests
+        ],
+        dtype=np.int64,
+    )
+
+
+class LevelStack:
+    """The levels of one lane sort, profiled as one stack.
+
+    Every level is ``rows`` tile rows of ``u`` threads that each bisect
+    for their merge-path cut and then merge ``E`` words: the tiles of a
+    blocksort level (:meth:`blocksort`), or the ``u*E``-word blocks of a
+    merge level (:meth:`push_merge`; a level with fewer blocks than
+    rows — an odd run waiting — is padded with rows of ``|A| = |B| =
+    0``, dead in the search and in the pointer rounds).  A queued level
+    keeps its step-major merge tags and its per-row geometry: the A
+    base, ``|A|``, ``|B|``, each thread's diagonal and the
+    last-thread-of-pair mask (the thread geometry is a row of one cached
+    table, so a level stores only its row index and its sizes).
+
+    A pass (:meth:`flush`) profiles every queued level at once: every
+    thread's cut from one prefix sum over the tags, one bisection replay
+    accounted in one keyed :meth:`BatchCounters.round_many` call, and
+    for ``thrust`` one pointer-merge replay accounted in one distinct
+    call (CF-Merge's gather and scatter are analytic, charged as levels
+    queue).  A pass holds whole levels up to :data:`STACK_LANES` thread
+    lanes (a level wider than that runs alone), so small sorts fold
+    every level into one pass and large ones keep one pass per level.
+    Each pass folds its per-round sums into per-level totals
+    (:attr:`search`, :attr:`merge`) and per-row totals (:attr:`per_row`).
+    """
+
+    def __init__(
+        self,
+        rows: int,
+        u: int,
+        E: int,
+        w: int,
+        variant: str,
+        levels: int,
+        *,
+        read_policy: str = "bounded",
+    ) -> None:
+        if variant not in ("thrust", "cf"):
+            raise ParameterError(f"unknown variant {variant!r}")
+        if read_policy not in ("bounded", "always"):
+            raise ParameterError(f"unknown read_policy {read_policy!r}")
+        self.rows, self.u, self.E, self.w = rows, u, E, w
+        self.variant, self.read_policy = variant, read_policy
+        #: Every level's counters, per row (a tile of a blocksort level).
+        self.per_row = BatchCounters(rows, u, w)
+        if u % w or u & (u - 1):
+            raise ParameterError(f"thread count {u} must be a power-of-two multiple of w")
+        #: The blocksort's staging counters, summed over the rows.
+        self.stage = np.zeros(len(_SHARED_FIELDS), dtype=np.int64)
+        #: Per-level search and merge counter rows, in queue order.
+        self.search = np.zeros((len(_SHARED_FIELDS), levels), dtype=np.int64)
+        self.merge = np.zeros((len(_SHARED_FIELDS), levels), dtype=np.int64)
+        slots = max(1, min(levels, STACK_LANES // (rows * u)))
+        self._take_a = np.empty((E, slots, rows, u), dtype=bool)
+        #: ``|A|`` and ``|B|`` of every queued level's rows.
+        self._sizes = np.empty((slots, 2, rows, 1), dtype=np.int32)
+        #: Every queued level's row of the thread-geometry table: row
+        #: ``l < log2(u)`` is blocksort level ``l``, the last a merge block
+        #: (one thread when ``u = 1``).
+        self._kind = np.empty(slots, dtype=np.intp)
+        if u > 1:
+            plan = get_plan("fused_levels", u, E, w)
+            self._tag, self._table = np.asarray(plan["tag"]), np.asarray(plan["table"])
+        else:
+            self._table = np.array([0, 0, 1], dtype=np.int32).reshape(1, 3, 1, 1)
+        self._queued = 0
+        self._done = 0
+
+    def make_room(self) -> None:
+        """Profile the queued levels if the pass has no slot left."""
+        if self._queued == len(self._kind):
+            self.flush()
+
+    def _slot(self, kind: int) -> int:
+        self.make_room()
+        j = self._queued
+        self._kind[j] = kind
+        self._queued += 1
+        return j
+
+    def blocksort(self, tiles: IntArray) -> IntArray:
+        """Queue every blocksort level of the ``(rows, u*E)`` tiles.
+
+        Each level is one packed-key sort: it advances the data, and its
+        low bits (stable, ties to A) are every merge decision, from which
+        the pass takes every thread's cut.  The packed keys persist
+        across levels: each level adds its own B tags to the
+        (tag-cleared) keys, sorts pair regions in place, and clears the
+        tag bit again.  Returns the sorted tiles, the last level's keys
+        shifted back.  Staging is one closed-form update.
+        """
+        tiles, pack_dtype, values = _blocksort_input(
+            tiles, self.E, self.w, self.variant, self.read_policy
+        )
+        T, L = tiles.shape
+        E, u = self.E, self.u
+        n_levels = u.bit_length() - 1
+        stage = _stage_counts(u, E, self.w, n_levels)
+        self.per_row._counts += stage[:, None]
+        self.stage += T * stage
+        if self.variant == "cf":
+            gather = _cf_rounds(E, u, self.w, scatter=False)
+            first = self._done + self._queued
+            self.merge[:, first : first + n_levels] += T * gather[:, None]
+            self.per_row._counts += n_levels * gather[:, None]
+        # Load E contiguous words per thread, sort in registers.
+        # ``pack_dtype`` narrows to int32 whenever the value range allows,
+        # roughly tripling sort throughput.
+        packed = np.sort(
+            tiles.astype(pack_dtype, copy=False).reshape(T, u, E), axis=2
+        ).reshape(T, L)
+        packed *= 2
+        for level in range(n_levels):
+            j = self._slot(level)
+            region = 2 * (E << level)
+            packed += self._tag[level]
+            packed.reshape(T, L // region, region).sort(axis=2)
+            np.equal(packed.reshape(T, u, E).transpose(2, 0, 1) & 1, 0, out=self._take_a[:, j])
+            np.bitwise_and(packed, -2, out=packed)
+            self._sizes[j] = E << level  # |A| = |B| = half a pair
+        packed >>= 1
+        return packed.astype(np.int64, copy=False) if values is None else values[packed]
+
+    def push_merge(self, from_a: BoolArray) -> IntArray:
+        """Queue one merge level; return each block's A-count.
+
+        ``from_a`` holds one ``u*E``-word row of merge tags per block
+        (:func:`merge_tags`), at most :attr:`rows` of them; the rest of
+        the level is padding.  Call :meth:`make_room` before the level's
+        sort to profile a full pass while the sort's data is not yet
+        alive.
+        """
+        if self.read_policy != "bounded":
+            raise ParameterError("merge levels run bounded reads")
+        blocks = len(from_a)
+        u, E = self.u, self.E
+        j = self._slot(len(self._table) - 1)
+        take = self._take_a[:, j]
+        take[:, :blocks] = from_a.reshape(blocks, u, E).transpose(2, 0, 1)
+        n_a = np.count_nonzero(from_a, axis=1)
+        sizes = self._sizes[j, :, :, 0]
+        sizes[0, :blocks] = n_a
+        np.subtract(u * E, n_a, out=sizes[1, :blocks], casting="unsafe")
+        if blocks < self.rows:
+            take[:, blocks:] = False
+            sizes[:, blocks:] = 0
+        if self.variant == "cf":
+            both = _cf_rounds(E, u, self.w, scatter=True)
+            self.merge[:, self._done + j] += blocks * both
+            self.per_row._counts[:, :blocks] += both[:, None]
+        return n_a
+
+    def flush(self) -> None:
+        """Profile every queued level in one pass (see the class docstring)."""
+        G = self._queued
+        if not G:
+            return
+        levels = slice(self._done, self._done + G)
+        geometry = self._table[self._kind[:G]]
+        a_base, diag, last = geometry[:, 0], geometry[:, 1], geometry[:, 2]
+        n_a, n_b = self._sizes[:G, 0], self._sizes[:G, 1]
+        take_a = self._take_a[:, :G]
+        # Cuts count the A outputs before each thread's diagonal, from its
+        # pair's first thread (a merge block's is thread 0, cut 0).
+        cuts = _thread_cuts(take_a)
+        cuts -= np.take_along_axis(cuts, a_base // self.E, axis=2)
+        cf = self.variant == "cf"
+        search = _search_pass(
+            self.per_row, cuts, a_base, diag, n_a, n_b, self.u * self.E, reverse=cf
+        )
+        _charge(self.search[:, levels], search, "read")
+        if not cf:
+            merge = _merge_pass(
+                self.per_row, take_a, cuts, a_base, diag, n_a, n_b, last,
+                self.E, self.read_policy,
+            )
+            _charge(self.merge[:, levels], merge, "read")
+        self._done += G
+        self._queued = 0
+
+    def total(self, phase: str, levels: slice = slice(None)) -> Counters:
+        """The ``"search"`` or ``"merge"`` counters of ``levels``, summed,
+        or the blocksort's ``"stage"`` counters."""
+        rows = {"stage": self.stage[:, None], "search": self.search, "merge": self.merge}
+        sums = rows[phase][:, levels].sum(axis=1).tolist()
+        return Counters(**dict(zip(_SHARED_FIELDS, sums)))
 
 
 def batched_blocksort_profile(
@@ -952,50 +1227,36 @@ def batched_blocksort_profile(
     conflict free by theorem there; the simulator remains the reference
     elsewhere).
 
-    Each merge level runs *fused*: one packed-key sort per level
-    advances the data **and** yields every thread's merge-path cut (a
-    prefix sum over source tags) and merge decisions.  The per-pair
-    bisections are then replayed without data reads (branch outcome
-    ``== cut > mid`` along the real probe path) and folded — with the
-    closed-form pointer-merge rounds — into stacked accounting passes;
-    staging rounds fold analytically.  Tiles holding values past the
-    ``2*v + tag`` packing range (|v| >= 2^62) are first replaced by
-    their ranks, which keep every comparison (order and ties) and hence
-    every counter; :func:`fusion_stats` counts such passes as
-    ``fallback_blocksorts``."""
-    tiles, u, pack_dtype = _blocksort_input(tiles, E, w, variant, read_policy)
-    acc = BatchCounters(tiles.shape[0], u, w)
-    _fused_blocksort_rounds(
-        acc, acc, acc, tiles, E, w, u, variant, read_policy, pack_dtype
+    The tiles' levels run on one :class:`LevelStack`: one packed-key
+    sort per level advances the data **and** yields every thread's
+    merge-path cut and merge decisions; the bisections are then replayed
+    without data reads (branch outcome ``== cut > mid`` along the real
+    probe path) and folded — with the closed-form pointer-merge rounds —
+    into stacked accounting passes; staging rounds fold analytically.
+    Tiles holding values past the ``2*v + tag`` packing range (|v| >=
+    2^62) are first replaced by their ranks, which keep every comparison
+    (order and ties) and hence every counter; :func:`fusion_stats` counts
+    such passes as ``fallback_blocksorts``."""
+    tiles = np.asarray(tiles, dtype=np.int64)
+    if tiles.ndim != 2:
+        raise ParameterError("batched blocksort expects a (tiles, u*E) array")
+    u = tiles.shape[1] // E
+    stack = LevelStack(
+        tiles.shape[0], u, E, w, variant, u.bit_length() - 1, read_policy=read_policy
     )
-    return acc.to_counters()
-
-
-def batched_blocksort_phases(
-    tiles: IntArray, E: int, w: int, variant: str = "thrust"
-) -> tuple[Counters, Counters, Counters]:
-    """Blocksort ``(stage, search, merge)`` counters, summed over the rows.
-
-    The same pass as :func:`batched_blocksort_profile` (bounded read
-    policy), accounted per phase: each sum is bit-identical to the
-    matching :class:`~repro.mergesort.blocksort.BlocksortStats` field of
-    :func:`~repro.mergesort.blocksort.blocksort_tile` summed over the
-    tiles (shared memory only; compute ops excepted)."""
-    tiles, u, pack_dtype = _blocksort_input(tiles, E, w, variant, "bounded")
-    T = tiles.shape[0]
-    stage, search, merge = (BatchCounters(T, u, w) for _ in range(3))
-    _fused_blocksort_rounds(
-        stage, search, merge, tiles, E, w, u, variant, "bounded", pack_dtype
-    )
-    return stage.total(), search.total(), merge.total()
+    stack.blocksort(tiles)
+    stack.flush()
+    return stack.per_row.to_counters()
 
 
 def _blocksort_input(
     tiles: IntArray, E: int, w: int, variant: str, read_policy: str
-) -> tuple[IntArray, int, type]:
-    """Validate a blocksort batch; return ``(tiles, u, pack dtype)``.
+) -> tuple[IntArray, type, IntArray | None]:
+    """Validate a blocksort batch; return ``(tiles, pack dtype, values)``.
 
-    Rows holding values past the packing range come back as dense ranks.
+    Rows holding values past the packing range come back as dense ranks,
+    with ``values`` the sorted distinct values they index (``None``
+    otherwise).
     """
     tiles = np.asarray(tiles, dtype=np.int64)
     if tiles.ndim != 2:
@@ -1003,133 +1264,18 @@ def _blocksort_input(
     T, L = tiles.shape
     if L % E:
         raise ParameterError(f"tile length {L} not a multiple of E={E}")
-    u = L // E
-    if u % w or u & (u - 1):
-        raise ParameterError(f"thread count {u} must be a power-of-two multiple of w")
-    if variant not in ("thrust", "cf"):
-        raise ParameterError(f"unknown variant {variant!r}")
-    if read_policy not in ("bounded", "always"):
-        raise ParameterError(f"unknown read_policy {read_policy!r}")
     if variant == "cf" and not coprime(w, E):
         raise ParameterError("cf blocksort profile requires coprime w, E")
 
     pack_dtype = _pack_dtype(tiles)
     FUSION.add(**{("fused_" if pack_dtype is not None else "fallback_") + "blocksorts": 1})
-    if pack_dtype is None:
-        # Dense ranks keep every comparison (order and ties), hence every
-        # counter, and always fit the packing.
-        tiles = np.unique(tiles, return_inverse=True)[1].reshape(T, L)
-        pack_dtype = np.int32 if tiles.size <= (1 << 30) else np.int64
-    return tiles, u, pack_dtype
-
-
-def _fused_blocksort_rounds(
-    stage: BatchCounters,
-    search: BatchCounters,
-    merge: BatchCounters,
-    tiles: IntArray,
-    E: int,
-    w: int,
-    u: int,
-    variant: str,
-    read_policy: str,
-    pack_dtype: type,
-) -> None:
-    """All blocksort rounds via per-level packed sorts + stacked accounting.
-
-    Staging, search and merge rounds land in the ``stage``, ``search``
-    and ``merge`` accumulators; passing one accumulator three times
-    counts the whole tile in it.  The levels run in stacked passes of at
-    most :data:`STACK_LANES` thread lanes (whole levels of ``T`` rows of
-    ``u`` lanes; a level wider than that runs alone), each reading its
-    levels' geometry as slices of the cached ``fused_levels`` plan: each
-    level's packed sort advances the data, then one bisection replay
-    over the pass's ``(levels, tiles, u)`` cuts and one pointer-merge
-    replay account every level of the pass.
-    """
-    T, L = tiles.shape
-    n_levels = u.bit_length() - 1
-
-    # The load, every level's staging writes and the final stage.
-    _batched_stage_rounds(stage, u, E, n_levels)
-    # Load E contiguous words per thread, sort in registers.  The packed
-    # keys persist across levels: each level adds its own B tags to the
-    # (tag-cleared) keys, sorts pair regions in place, and clears the tag
-    # bit again — ``2 * merged`` is exactly the sorted keys with the low
-    # bit dropped, so no unpack/repack pass is needed.  ``pack_dtype``
-    # narrows to int32 whenever the value range allows, roughly tripling
-    # sort throughput.
-    packed = np.sort(
-        tiles.astype(pack_dtype, copy=False).reshape(T, u, E), axis=2
-    ).reshape(T, L)
-    packed *= 2
-
-    per_pass = max(1, STACK_LANES // (T * u))
-    for first in range(0, n_levels, per_pass):
-        last = min(first + per_pass, n_levels)
-        G = last - first
-        plan = get_plan("fused_levels", u, E, w)
-        pbase, diag, lo, hi, half = (
-            np.asarray(plan[key])[first:last] for key in ("pbase", "diag", "lo", "hi", "half")
-        )
-        tag, pair_first = np.asarray(plan["tag"]), np.asarray(plan["pair_first"])
-        cuts = np.empty((G, T, u), dtype=np.int32)
-        take_a = np.empty((E, G, T, u), dtype=bool)
-        for j, level in enumerate(range(first, last)):
-            # One packed sort per level: merge decisions from the low bit
-            # (stable, ties to A), and (via per-thread tag counts) every
-            # thread's merge-path cut.
-            region = 2 * int(half[j, 0, 0])
-            packed += tag[level]
-            packed.reshape(T, L // region, region).sort(axis=2)
-            low = packed.reshape(T, u, E) & 1
-            np.equal(low.transpose(2, 0, 1), 0, out=take_a[:, j])
-            # pbase + diag == tid*E, and the cut is the count of A-half
-            # outputs between the pair's base and the thread's diagonal.
-            excl = _thread_cuts(take_a[:, j])
-            cuts[j] = excl - excl[:, pair_first[level]]
-            np.bitwise_and(packed, -2, out=packed)
-
-        # Every level's bisections in one replay (no data reads: the
-        # branch at ``mid`` is ``cut > mid``); addresses are int32,
-        # below L < 2^31 by packing.
-        if variant == "cf":
-            b_base = pbase + 2 * half - 1
-        else:
-            b_base = pbase + half
-
-        def probe(mid: AnyIntArray) -> tuple[AnyIntArray, AnyIntArray]:
-            b_idx = np.clip(diag - 1 - mid, 0, half - 1)
-            if variant == "cf":
-                return pbase + mid, b_base - b_idx
-            return pbase + mid, b_base + b_idx
-
-        _replay_searches(search, lo, hi, cuts, probe)
-
-        # Merges.
-        if variant == "thrust":
-            a_end = np.empty_like(cuts)
-            a_end[..., :-1] = cuts[..., 1:]
-            a_end[..., -1] = 0
-            a_end = np.where(np.asarray(plan["pair_last"])[first:last], half, a_end)
-            b_ptr = pbase + half + (diag - cuts)
-            _fused_pointer_merge_rounds(
-                merge,
-                take_a,
-                pbase + cuts,
-                pbase + a_end,
-                b_ptr,
-                b_ptr + (E - (a_end - cuts)),
-                E,
-                L,
-                read_policy,
-            )
-        else:
-            # CF gather: E conflict-free read rounds per warp, per tile.
-            n_warps = u // w
-            merge.shared_read_rounds += G * E * n_warps
-            merge.shared_cycles += G * E * n_warps
-            merge.shared_requests += G * E * u
+    if pack_dtype is not None:
+        return tiles, pack_dtype, None
+    # Dense ranks keep every comparison (order and ties), hence every
+    # counter, and always fit the packing.
+    values, ranks = np.unique(tiles, return_inverse=True)
+    pack_dtype = np.int32 if tiles.size <= (1 << 30) else np.int64
+    return ranks.reshape(T, L), pack_dtype, values
 
 
 # --------------------------------------------------------------- k-way merge

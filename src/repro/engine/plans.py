@@ -34,8 +34,9 @@ execution *is* applying a precomputed permutation):
 - ``fused_level`` precomputes one blocksort merge level's entire
   per-thread geometry (pair bases, diagonals, bisection bounds, B-half
   tags) so the batched engine replays a level without per-round index
-  recomputation; ``fused_levels`` stacks every level's geometry of one
-  thread count, so a stacked blocksort pass reads its levels as slices.
+  recomputation; ``fused_levels`` stacks every level's B-half tags and
+  thread geometry of one thread count (plus a merge block's), so the
+  lane's level stack reads any mix of levels by row index.
 
 Plans are immutable by contract: every array is stored with its NumPy
 write flag cleared, so an accidental in-place mutation raises instead of
@@ -47,7 +48,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 import numpy.typing as npt
@@ -376,31 +377,25 @@ def _build_fused_level(
 def _build_fused_levels(
     n: int, E: int, w: int, k: int, level: int
 ) -> dict[str, PlanArray]:
-    """Every blocksort merge level's geometry for ``n = u`` threads, stacked.
+    """Every blocksort merge level of ``n = u`` threads, for the lane's level stack.
 
-    Row ``l`` of each array is level ``l``'s :func:`_build_fused_level`
-    geometry, shaped to broadcast against the lane's ``(levels, tiles,
-    u)`` stacks, so a stacked pass over levels ``[first, last)`` reads
-    slices and stacks nothing: ``pbase``, ``diag``, ``lo`` and ``hi``
-    are ``(levels, 1, u)`` int32, ``pair_last`` the matching mask,
-    ``half`` (the B half's offset ``g*E``) ``(levels, 1, 1)`` int32,
-    ``pair_first`` ``(levels, u)`` (the first thread of each thread's
-    pair) and ``tag`` the ``(levels, u*E)`` B-half mask.
+    ``tag`` is the ``(levels, u*E)`` B-half mask of each level's packed
+    sort (:func:`_build_fused_level`'s ``tag``).  ``table`` is each
+    level's thread geometry, ``(levels + 1, 3, 1, u)`` int32: per level
+    its ``pbase``, ``diag`` and ``pair_last`` rows, then one more row for
+    a merge block (one pair: base 0, diagonal ``tid*E``, the last thread
+    ends it), so a stacked pass reads any mix of levels by row index.
     """
     if n < 2 or n & (n - 1):
         raise ParameterError(f"fused_levels needs a power-of-two u >= 2, got u={n}")
     levels = [_build_fused_level(n, E, w, k, lv) for lv in range(n.bit_length() - 1)]
-
-    def rows(key: str, dtype: type) -> npt.NDArray[Any]:
-        """Level ``l``'s ``key`` array as row ``l``."""
-        return np.stack([np.asarray(lv[key]) for lv in levels]).astype(dtype)
-
-    out = {key: rows(key, np.int32)[:, None, :] for key in ("pbase", "diag", "lo", "hi")}
-    out["pair_last"] = rows("pair_last", np.bool_)[:, None, :]
-    out["half"] = (E << np.arange(len(levels), dtype=np.int32))[:, None, None]
-    out["pair_first"] = rows("pbase", np.int64) // E
-    out["tag"] = rows("tag", np.bool_)
-    return {key: _frozen(arr) for key, arr in out.items()}
+    tid = np.arange(n, dtype=np.int64)
+    block = [np.zeros_like(tid), tid * E, tid == n - 1]
+    rows = [[lv["pbase"], lv["diag"], lv["pair_last"]] for lv in levels] + [block]
+    return {
+        "tag": _frozen(np.stack([np.asarray(lv["tag"]) == 1 for lv in levels])),
+        "table": _frozen(np.array(rows, dtype=np.int32)[:, :, None, :]),
+    }
 
 
 #: kind -> builder.  Builders are pure functions of the key.

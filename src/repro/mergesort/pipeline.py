@@ -18,14 +18,17 @@ traffic:
   shared-memory round through the lockstep simulator, one tile or block
   per kernel call — the oracle;
 * :func:`batched_mergesort` runs on the batched engine lane
-  (:mod:`repro.engine.batch`).  Blocksort stacks its levels into shared
-  accounting passes.  A merge level is one packed-key sort of all its
-  equal-length run pairs, plus one for a shorter last pair; their merge
-  tags, reshaped into one row per block, are queued, so the blocks of
-  every level go through one search pass and one merge pass (a stacked
+  (:mod:`repro.engine.batch`) as one stack of levels
+  (:class:`~repro.engine.batch.LevelStack`): the blocksort levels and
+  every merge level are ``(tiles, u)`` slabs of one stack.  A merge
+  level is one packed-key sort of all its equal-length run pairs, plus
+  one for a shorter last pair; their merge tags, reshaped into one row
+  per block (padded with dead rows while an odd run waits), are queued
+  behind the blocksort's.  Every queued level's searches replay in one
+  pass and, for Thrust, every level's pointer merges in one more (a
   pass holds at most ``STACK_LANES`` thread lanes, so large sorts keep
-  one pass per level).  Per-level counters are row-range sums of those
-  passes; compute ops follow in closed form.  Its result equals
+  one pass per level).  Per-level counters are the stack's per-level
+  totals; compute ops follow in closed form.  Its result equals
   :func:`gpu_mergesort`'s on every field; CF at non-coprime ``(w, E)``
   (no exact lane profile there) is delegated to :func:`gpu_mergesort`.
 
@@ -41,19 +44,12 @@ output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Protocol, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.engine.batch import (
-    STACK_LANES,
-    batched_blocksort_phases,
-    merge_tags,
-    tagged_merge_profile,
-    tagged_search_profile,
-)
+from repro.engine.batch import LevelStack, merge_tags
 from repro.errors import ParameterError
 from repro.mergesort.blocksort import BlocksortStats, blocksort_tile
 from repro.mergesort.cf import cf_merge_block
@@ -71,10 +67,13 @@ IntArray = npt.NDArray[np.int64]
 BlocksortKernel = Callable[[IntArray], tuple[IntArray, BlocksortStats]]
 
 
-class MergeKernel(Protocol):
-    """Merges one level's run pairs per call, in level order."""
+class SortKernels(Protocol):
+    """A sort's blocksort and merge kernels, called in level order."""
 
-    def __call__(self, runs: IntArray, run: int) -> tuple[IntArray, IntArray]:
+    def blocksort(self, tiles: IntArray) -> IntArray:
+        """Sort every row of the ``(tiles, u*E)`` matrix."""
+
+    def merge(self, runs: IntArray, run: int) -> tuple[IntArray, IntArray]:
         """Merge each pair of consecutive ``run``-word runs of ``runs``.
 
         Every run is ``run`` words long but the last, which may be
@@ -83,8 +82,8 @@ class MergeKernel(Protocol):
         A-count, in order.
         """
 
-    def finish(self) -> list[MergePhaseStats]:
-        """Every merged level's counters, in level order."""
+    def finish(self) -> tuple[BlocksortStats, list[MergePhaseStats]]:
+        """The blocksort's counters and every merged level's, in level order."""
 
 
 def _charge_tiles(counters: Counters, n_tiles: int, tile: int) -> None:
@@ -210,16 +209,15 @@ def _mergesort(
     u: int,
     w: int,
     variant: str,
-    blocksort: BlocksortKernel,
-    merge: MergeKernel,
+    kernels: SortKernels,
 ) -> MergesortResult:
     """The skeleton: pad, blocksort, then merge pairwise level by level.
 
     ``pad`` fills the last tile; it must sort after every value of
-    ``data``.  Each level hands every pair of runs to one ``merge``
-    call (an odd last run waits for the next level) and charges the
-    level's global traffic from the returned A-counts; the levels'
-    counters come from ``merge.finish()``.
+    ``data``.  Each level hands every pair of runs to one
+    ``kernels.merge`` call (an odd last run waits for the next level)
+    and charges the level's global traffic from the returned A-counts;
+    the counters come from ``kernels.finish()``.
     """
     n = len(data)
     result = MergesortResult(
@@ -233,9 +231,8 @@ def _mergesort(
     padded = np.full(n_tiles * tile, pad, dtype=np.int64)
     padded[:n] = data
 
-    sorted_tiles, result.blocksort_stats = blocksort(padded.reshape(n_tiles, tile))
+    keys = kernels.blocksort(padded.reshape(n_tiles, tile)).reshape(-1)
     _charge_tiles(result.global_stats, n_tiles, tile)
-    keys = sorted_tiles.reshape(-1)
 
     run = tile
     while run < len(keys):
@@ -243,12 +240,12 @@ def _mergesort(
         rest = len(keys) % (2 * run)
         paired = len(keys) - rest if rest <= run else len(keys)
         # The merged pairs are copied back in place; no copy outlives the level.
-        keys[:paired], a_counts = merge(keys[:paired], run)
+        keys[:paired], a_counts = kernels.merge(keys[:paired], run)
         _charge_level(result.global_stats, a_counts, run, paired, tile)
         result.merge_level_count += 1
         run *= 2
 
-    result.per_level = merge.finish()
+    result.blocksort_stats, result.per_level = kernels.finish()
     for level_stats in result.per_level:
         result.merge_stats.merge_into(level_stats)
     result.data = keys[:n]
@@ -274,17 +271,25 @@ def _lockstep_blocksort(
     return runs, stats
 
 
-class _LockstepMerge:
-    """One simulated thread block per merge block, cut by merge-path searches."""
+class _Lockstep:
+    """One simulated thread block per tile, and per merge block cut by
+    merge-path searches."""
 
     def __init__(
         self, E: int, u: int, w: int, variant: str, read_policy: str, simulate_search: bool
     ) -> None:
         self.E, self.u, self.w, self.variant = E, u, w, variant
         self.read_policy, self.simulate_search = read_policy, simulate_search
+        self.blocksort_stats = BlocksortStats()
         self.per_level: list[MergePhaseStats] = []
 
-    def __call__(self, runs: IntArray, run: int) -> tuple[IntArray, IntArray]:
+    def blocksort(self, tiles: IntArray) -> IntArray:
+        runs, self.blocksort_stats = _lockstep_blocksort(
+            tiles, self.E, self.w, self.variant, self.read_policy
+        )
+        return runs
+
+    def merge(self, runs: IntArray, run: int) -> tuple[IntArray, IntArray]:
         tile = self.u * self.E
         level_stats = MergePhaseStats()
         merged = np.empty_like(runs)
@@ -314,8 +319,8 @@ class _LockstepMerge:
         self.per_level.append(level_stats)
         return merged, np.array(a_counts, dtype=np.int64)
 
-    def finish(self) -> list[MergePhaseStats]:
-        return self.per_level
+    def finish(self) -> tuple[BlocksortStats, list[MergePhaseStats]]:
+        return self.blocksort_stats, self.per_level
 
 
 # -------------------------------------------------------- batched kernels
@@ -326,59 +331,42 @@ class _LockstepMerge:
 # simulated: the oracle's defaults.
 
 
-def _batched_blocksort(
-    tiles: IntArray, E: int, w: int, variant: str
-) -> tuple[IntArray, BlocksortStats]:
-    """Every tile in one fused lane pass, counters split by phase."""
-    n_tiles, tile = tiles.shape
-    u = tile // E
-    levels = u.bit_length() - 1
-    ops = compare_exchange_count_odd_even(E)
-    stats = BlocksortStats()
-    stats.stage, stats.search, stats.merge = batched_blocksort_phases(
-        tiles, E, w, variant
-    )
-    # One Compute per staged word: the load, one stage per level, the final stage.
-    stats.stage.compute_ops = n_tiles * u * E * (levels + 2)
-    # Three ops per bisection step (two reads per step).
-    stats.search.compute_ops = 3 * stats.search.shared_requests // 2
-    # Register sort, then per level one op per serial-merge output step,
-    # or one per gathered word plus the register network.
-    per_level = u * E if variant == "thrust" else u * E + ops * u
-    stats.merge.compute_ops = n_tiles * (ops * u + levels * per_level)
-    return np.sort(tiles, axis=1), stats
-
-
 def _joined(parts: list[npt.NDArray[Any]]) -> npt.NDArray[Any]:
     """``parts`` end to end; a single part (no shorter last pair) is not copied."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-class _LaneMerge:
-    """Merges each level at once; profiles queued levels in stacked passes.
+class _Lane:
+    """A lane sort: its blocksort and merge levels on one level stack.
 
-    A call merges all equal-length run pairs of a level with one
-    packed-key sort (:func:`~repro.engine.batch.merge_tags`), and a
-    shorter last pair with one more.  The merge tags, reshaped into one
-    ``u*E``-word row per block, give each block's A-count and are
-    queued.  Queued levels are profiled together — one search pass and
-    one merge pass over every queued block, per-level counters summed
-    from row ranges — when the next level would take the queue past
-    :data:`~repro.engine.batch.STACK_LANES` thread lanes, and at
-    :meth:`finish`.
+    :meth:`blocksort` queues the tiles' levels on a
+    :class:`~repro.engine.batch.LevelStack`.  :meth:`merge` merges all
+    equal-length run pairs of a level with one packed-key sort
+    (:func:`~repro.engine.batch.merge_tags`) and a shorter last pair
+    with one more, and queues the merge tags, reshaped into one
+    ``u*E``-word row per block; a block's A-count is its row's sum.  The
+    stack profiles a full pass before the next level's sort, so no
+    level's sort data is alive during a pass, and the rest at
+    :meth:`finish`, which reads each level's counters from the stack and
+    adds the compute ops in closed form.
     """
 
     def __init__(self, E: int, u: int, w: int, variant: str) -> None:
         self.E, self.u, self.w, self.variant = E, u, w, variant
-        self.per_level: list[MergePhaseStats] = []
-        self._tags: list[npt.NDArray[np.bool_]] = []
-        self._n_a: list[IntArray] = []
+        self.stack: LevelStack | None = None
+        #: Blocks per merge level, in level order.
+        self.blocks: list[int] = []
 
-    def __call__(self, runs: IntArray, run: int) -> tuple[IntArray, IntArray]:
+    def blocksort(self, tiles: IntArray) -> IntArray:
+        # The blocksort's levels, then one merge level per doubling of the runs.
+        levels = self.u.bit_length() - 1 + (len(tiles) - 1).bit_length()
+        self.stack = LevelStack(len(tiles), self.u, self.E, self.w, self.variant, levels)
+        return self.stack.blocksort(tiles)
+
+    def merge(self, runs: IntArray, run: int) -> tuple[IntArray, IntArray]:
+        assert self.stack is not None, "blocksort runs first"
+        self.stack.make_room()
         tile = self.u * self.E
-        queued = sum(map(len, self._tags))
-        if queued and (queued + len(runs) // tile) * self.u > STACK_LANES:
-            self._profile()
         equal = len(runs) - len(runs) % (2 * run)
         tags, merged = [], []
         for lo, hi in ((0, equal), (equal, len(runs))):
@@ -388,42 +376,57 @@ class _LaneMerge:
                 from_a, merged_pairs = merge_tags(pairs, np.array([run]))
                 tags.append(from_a.reshape(-1, tile))
                 merged.append(merged_pairs.reshape(-1))
-        blocks, out = _joined(tags), _joined(merged)
-        n_a = np.count_nonzero(blocks, axis=1)
-        self._tags.append(blocks)
-        self._n_a.append(n_a)
-        return out, n_a
+        n_a = self.stack.push_merge(_joined(tags))
+        self.blocks.append(len(n_a))
+        return _joined(merged), n_a
 
-    def _profile(self) -> None:
-        E, u, w, variant = self.E, self.u, self.w, self.variant
-        from_a = np.concatenate(self._tags)
-        n_a = np.concatenate(self._n_a)
-        search = tagged_search_profile(from_a, n_a, E, w, mapped=variant == "cf")
-        merge = tagged_merge_profile(from_a, n_a, E, w, variant)
-        # Two ops per bisection step (two reads per step), or four with
-        # CF's position -> address mapping.
-        per_step = 2 if variant == "thrust" else 4
-        # One op per output step, or one per gathered and per scattered
-        # word plus the network.
-        if variant == "thrust":
-            per_block = u * E
-        else:
-            per_block = 2 * u * E + compare_exchange_count_odd_even(E) * u
-        first = 0
-        for tags in self._tags:
-            rows = slice(first, first + len(tags))
-            first += len(tags)
-            stats = MergePhaseStats(search.total(rows), merge.total(rows))
+    def finish(self) -> tuple[BlocksortStats, list[MergePhaseStats]]:
+        # The lane counts shared-memory traffic only; compute ops follow
+        # in closed form from the kernels' instruction streams (``ops`` =
+        # compare-exchanges of the E-wide odd-even network, ``L =
+        # log2(u)`` blocksort levels).  The baseline runs the default
+        # ``"bounded"`` read policy and every search is simulated: the
+        # oracle's defaults.
+        stack = self.stack
+        assert stack is not None, "blocksort runs first"
+        stack.flush()
+        E, u, cf = self.E, self.u, self.variant == "cf"
+        levels = u.bit_length() - 1
+        ops = compare_exchange_count_odd_even(E)
+        blocksort = BlocksortStats()
+        blocksort.stage = stack.total("stage")
+        blocksort.search = stack.total("search", slice(0, levels))
+        blocksort.merge = stack.total("merge", slice(0, levels))
+        # One Compute per staged word: the load, one stage per level, the final stage.
+        blocksort.stage.compute_ops = stack.rows * u * E * (levels + 2)
+        # Three ops per bisection step (two reads per step).
+        blocksort.search.compute_ops = 3 * blocksort.search.shared_requests // 2
+        # Register sort, then per level one op per serial-merge output step,
+        # or one per gathered word plus the register network.
+        per_level = u * E + ops * u if cf else u * E
+        blocksort.merge.compute_ops = stack.rows * (ops * u + levels * per_level)
+        # Merge levels: two ops per bisection step (two reads per step), or
+        # four with CF's position -> address mapping; one op per output
+        # step, or one per gathered and per scattered word plus the network.
+        per_step = 4 if cf else 2
+        per_block = 2 * u * E + ops * u if cf else u * E
+        merged = []
+        for level, blocks in enumerate(self.blocks, levels):
+            rows = slice(level, level + 1)
+            stats = MergePhaseStats(stack.total("search", rows), stack.total("merge", rows))
             stats.search.compute_ops = per_step * stats.search.shared_requests // 2
-            stats.merge.compute_ops = len(tags) * per_block
-            self.per_level.append(stats)
-        self._tags.clear()
-        self._n_a.clear()
+            stats.merge.compute_ops = blocks * per_block
+            merged.append(stats)
+        return blocksort, merged
 
-    def finish(self) -> list[MergePhaseStats]:
-        if self._tags:
-            self._profile()
-        return self.per_level
+
+def _batched_blocksort(
+    tiles: IntArray, E: int, w: int, variant: str
+) -> tuple[IntArray, BlocksortStats]:
+    """Every tile on one lane level stack, counters split by phase."""
+    lane = _Lane(E, tiles.shape[1] // E, w, variant)
+    runs = lane.blocksort(tiles)
+    return runs, lane.finish()[0]
 
 
 def blocksort_segments(
@@ -494,8 +497,7 @@ def gpu_mergesort(
     data = _checked_input(data, variant)
     return _mergesort(
         data, SENTINEL, E, u, w, variant,
-        partial(_lockstep_blocksort, E=E, w=w, variant=variant, read_policy=read_policy),
-        _LockstepMerge(E, u, w, variant, read_policy, simulate_search),
+        _Lockstep(E, u, w, variant, read_policy, simulate_search),
     )
 
 
@@ -518,8 +520,7 @@ def batched_mergesort(
     values, ranks = np.unique(data, return_inverse=True)
     result = _mergesort(
         ranks.astype(np.int64, copy=False), len(values), E, u, w, variant,
-        partial(_batched_blocksort, E=E, w=w, variant=variant),
-        _LaneMerge(E, u, w, variant),
+        _Lane(E, u, w, variant),
     )
     result.data = values[result.data]
     return result

@@ -1,4 +1,4 @@
-"""Fixtures shared by the service test modules."""
+"""Fixtures shared by the test modules."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+import repro.engine.batch as batch
 from repro.service import backends
 from repro.service.backends import get_backend, register_backend
 
@@ -32,3 +33,17 @@ def gated_backend(isolated_registry):
     register_backend("gated", gated)
     yield "gated", gate
     gate.set()
+
+
+@pytest.fixture
+def stack_passes(monkeypatch):
+    """How many levels each pass of a lane level stack profiles, in order."""
+    levels: list[int] = []
+    real = batch._search_pass
+
+    def spy(acc, cuts, *args, **kwargs):
+        levels.append(cuts.shape[0])
+        return real(acc, cuts, *args, **kwargs)
+
+    monkeypatch.setattr(batch, "_search_pass", spy)
+    return levels

@@ -235,6 +235,22 @@ def test_engine_job_checks_paper_geometry_parity(workflow):
     assert step["env"] == {"PYTHONPATH": "src"}
 
 
+def test_engine_job_checks_paper_geometry_parity_at_six_tiles(workflow):
+    # Six tiles at E=15, u=512, w=32: merge levels of 6, 4 and 6 blocks, so
+    # one level is padded, and one stacked pass holds blocksort and merge
+    # levels.  Both variants must equal the oracle and take two passes.
+    job = workflow["jobs"]["engine"]
+    step = next(s for s in job["steps"] if "gpu_mergesort" in str(s.get("run", "")))
+    run = step["run"]
+    assert "6 * 15 * 512" in run
+    six = run[run.index("6 * 15 * 512"):]
+    assert 'for variant in ("cf", "thrust"):' in six
+    assert "got = batched_mergesort(data, 15, 512, 32, variant)" in six
+    assert "want = gpu_mergesort(data, 15, 512, 32, variant)" in six
+    assert 'assert got.as_dict() == want.as_dict(), ("6 tiles", variant)' in six
+    assert 'assert calls == (2 if variant == "cf" else 4)' in six
+
+
 def test_engine_job_uploads_its_reports(workflow):
     job = workflow["jobs"]["engine"]
     upload = next(s for s in job["steps"] if "upload-artifact" in str(s.get("uses", "")))

@@ -21,7 +21,6 @@ import repro.engine.batch as batch
 from repro.engine.batch import (
     STACK_LANES,
     BatchCounters,
-    batched_blocksort_phases,
     batched_blocksort_profile,
     batched_search_profile,
     batched_serial_merge_profile,
@@ -32,6 +31,7 @@ from repro.engine.batch import (
 from repro.engine.lane import EngineStats, profile_blocksorts, profile_searches
 from repro.errors import ParameterError
 from repro.mergesort import blocksort_tile, cf_merge_block, serial_merge_block
+from repro.mergesort.pipeline import _batched_blocksort
 from repro.sim import BankModel
 from repro.sim.counters import Counters
 from repro.workloads.generators import WORKLOADS, adversarial
@@ -184,7 +184,15 @@ class TestBlocksortCrossValidation:
 PER_PASS = [("cf", "bounded", 1), ("thrust", "bounded", 2), ("thrust", "always", 2)]
 
 
+def _whole_levels(levels: int, per_pass: int) -> list[int]:
+    """Whole levels per pass when each pass holds at most ``per_pass``."""
+    return [per_pass] * (levels // per_pass) + [levels % per_pass] * (levels % per_pass > 0)
+
+
 class TestStackedPasses:
+    """A blocksort is a stack of ``log2(u)`` levels of ``tiles x u`` lanes;
+    each pass holds whole levels up to ``STACK_LANES`` lanes."""
+
     @pytest.mark.parametrize(
         "n_tiles,passes",
         # E=5, u=32: five levels; under a budget of 64 rows of 32 lanes a
@@ -193,7 +201,7 @@ class TestStackedPasses:
     )
     @pytest.mark.parametrize("variant,read_policy,per_pass", PER_PASS)
     def test_each_pass_folds_into_one_round_many_per_phase(
-        self, n_tiles, passes, variant, read_policy, per_pass, monkeypatch
+        self, n_tiles, passes, variant, read_policy, per_pass, monkeypatch, stack_passes
     ):
         monkeypatch.setattr(batch, "STACK_LANES", 64 * 32)
         rows = np.random.default_rng(n_tiles).integers(0, 1 << 20, (n_tiles, 160))
@@ -201,6 +209,8 @@ class TestStackedPasses:
         batched_blocksort_profile(rows, 5, 8, variant, read_policy=read_policy)
         after = fusion_stats()
         delta = {k: after[k] - before[k] for k in after}
+        assert stack_passes == _whole_levels(5, max(1, 64 // n_tiles))
+        assert len(stack_passes) == passes
         assert delta["round_many_calls"] == passes * per_pass
         assert delta["round_calls"] == 0
         assert delta["fused_blocksorts"] == 1
@@ -219,13 +229,15 @@ class TestStackedPasses:
     )
     @pytest.mark.parametrize("variant,read_policy,per_pass", PER_PASS)
     def test_the_budget_counts_lanes(
-        self, E, u, w, n_tiles, passes, variant, read_policy, per_pass
+        self, E, u, w, n_tiles, passes, variant, read_policy, per_pass, stack_passes
     ):
         assert STACK_LANES == 64 * 512
         rows = np.random.default_rng(n_tiles).integers(0, 1 << 20, (n_tiles, u * E))
         before = fusion_stats()["round_many_calls"]
         batched_blocksort_profile(rows, E, w, variant, read_policy=read_policy)
         assert fusion_stats()["round_many_calls"] - before == passes * per_pass
+        n_levels = u.bit_length() - 1
+        assert stack_passes == _whole_levels(n_levels, max(1, STACK_LANES // (n_tiles * u)))
 
     @pytest.mark.parametrize("variant", ["thrust", "cf"])
     def test_stacking_folds_the_rounds_of_one_pass_per_level(self, variant, monkeypatch):
@@ -236,7 +248,8 @@ class TestStackedPasses:
         rows = np.vstack([adversarial(2, 5, 32, 8).reshape(2, 160),
                           rng.integers(0, 1 << 20, (2, 160))])
         runs = []
-        for budget in (batch.STACK_LANES, 32):  # every level, one level per pass
+        # Every level in one pass of the stack, then one level per pass.
+        for budget in (batch.STACK_LANES, 32):
             monkeypatch.setattr(batch, "STACK_LANES", budget)
             before = fusion_stats()
             counters = batched_blocksort_profile(rows, 5, 8, variant)
@@ -260,27 +273,33 @@ class TestStackedPasses:
 
 
 class TestBlocksortPhases:
+    """The lane blocksort's per-phase sums, read from its level stack."""
+
     @pytest.mark.parametrize("E,u,w,variant", [
         (5, 32, 8, "thrust"), (5, 32, 8, "cf"), (6, 16, 8, "thrust"),  # last non-coprime
     ])
     def test_each_phase_sums_the_simulator_phase(self, E, u, w, variant):
         rng = np.random.default_rng(E * u)
         rows = np.stack([rng.integers(0, 40, u * E) for _ in range(3)])
-        phases = batched_blocksort_phases(rows, E, w, variant)
+        runs, stats = _batched_blocksort(rows, E, w, variant)
+        assert np.array_equal(runs, np.sort(rows, axis=1))
         want = [Counters(), Counters(), Counters()]
         for row in rows:
             _, sim = blocksort_tile(row.copy(), E, w, variant)
             for acc, part in zip(want, (sim.stage, sim.search, sim.merge)):
                 acc.merge(part)
+        phases = (stats.stage, stats.search, stats.merge)
         for name, got, expect in zip(("stage", "search", "merge"), phases, want):
             assert _shared(got) == _shared(expect), name
 
     def test_phases_add_up_to_the_profile(self):
+        # Per-level sums and per-tile sums of one stack are two folds of the
+        # same rounds.
         rows = adversarial(2, 5, 32, 8).reshape(2, 160)
         for variant in ("thrust", "cf"):
-            stage, search, merge = batched_blocksort_phases(rows, 5, 8, variant)
+            _, stats = _batched_blocksort(rows, 5, 8, variant)
             total = sum(batched_blocksort_profile(rows, 5, 8, variant), Counters())
-            assert (stage + search + merge).as_dict() == total.as_dict()
+            assert _shared(stats.stage + stats.search + stats.merge) == _shared(total)
 
 
 class TestMergeAndSearchCrossValidation:
@@ -330,6 +349,17 @@ class TestMergeAndSearchCrossValidation:
         assert _shared(merge) == _shared(serial.merge)
         assert _shared(search) == _shared(serial.search)
         assert _shared(mapped) == _shared(cf.search)
+
+    def test_searches_past_the_int16_span_match_the_simulator(self):
+        # A pair of 33,280 words: probe addresses and lo + hi pass int16,
+        # so the replay must run in int32.
+        rng = np.random.default_rng(5)
+        vals = np.sort(rng.integers(0, 1 << 30, 5 * 6656))
+        mask = rng.random(len(vals)) < 0.5
+        a, b = vals[mask], vals[~mask]
+        (got,) = batched_search_profile([(a, b)], 5, 8)
+        _, sim = serial_merge_block(a, b, 5, 8)
+        assert _shared(got) == _shared(sim.search)
 
     def test_unsorted_halves_raise(self):
         a, b = np.arange(80, dtype=np.int64), np.arange(80, dtype=np.int64)
@@ -570,40 +600,54 @@ class TestReplaySearches:
     """_replay_searches against a literal per-level, per-step bisection."""
 
     def test_matches_literal_bisection(self):
+        self._check(np.int16, lo_base=0, offset=1000)
+
+    def test_wide_spans_replay_in_int32(self):
+        # Intervals and probe addresses past int16 replay in int32.
+        self._check(np.int32, lo_base=20_000, offset=1 << 20)
+
+    def _check(self, dtype, lo_base, offset):
         rng = np.random.default_rng(11)
         G, T, u, w = 4, 3, 16, 8
         # Levels with different interval widths converge at different
         # steps; the last level is converged from the start.
         widths = np.array([3, 40, 9, 0])[:, None, None]
-        lo = rng.integers(0, 50, (G, T, u))
+        lo = lo_base + rng.integers(0, 50, (G, T, u))
         hi = lo + rng.integers(0, widths + 1, (G, T, u))
         hi[0, 0, :5] = lo[0, 0, :5]  # lanes that never search
         cuts = lo + (rng.random((G, T, u)) * (hi - lo + 1)).astype(np.int64)
         cuts = np.minimum(cuts, hi)
-        offset_a = rng.integers(0, 1000, (G, T, u))
-        offset_b = rng.integers(0, 1000, (G, T, u))
+        offset_a = rng.integers(0, offset, (G, T, u))
+        offset_b = rng.integers(0, offset, (G, T, u))
 
-        def probe(mid):
-            return mid + offset_a, 3 * mid + offset_b
+        def probe(out, level):
+            # ``out[0]`` holds the kept (step, level) slabs' mids; ``level``
+            # their levels.
+            mid = out[0].copy()
+            out[0] = mid + offset_a[level]
+            out[1] = 3 * mid + offset_b[level]
 
         got = BatchCounters(T, u, w)
         before = fusion_stats()
-        batch._replay_searches(
-            got, lo.astype(np.int32), hi.astype(np.int32), cuts.astype(np.int32), probe
+        per_level = batch._replay_searches(
+            got, lo.astype(dtype), hi.astype(dtype), cuts.astype(dtype), probe
         )
         folded = fusion_stats()["rounds_folded"] - before["rounds_folded"]
 
         want = [Counters() for _ in range(T)]
+        want_levels = [Counters() for _ in range(G)]
         want_folded = 0
         for g in range(G):
             low, high, cut = lo[g].copy(), hi[g].copy(), cuts[g]
             while (low < high).any():
                 live = low < high
                 mid = (low + high) // 2
-                a_addr, b_addr = probe(np.broadcast_to(mid, (G, T, u)))
-                for addr in (a_addr[g], b_addr[g]):
+                for addr in (mid + offset_a[g], 3 * mid + offset_b[g]):
                     for t in range(T):
-                        _bank_model_round(addr[t], live[t], w, want[t])
+                        one = Counters()
+                        _bank_model_round(addr[t], live[t], w, one)
+                        want[t].merge(one)
+                        want_levels[g].merge(one)
                 want_folded += 2
                 right = cut > mid
                 low = np.where(live & right, mid + 1, low)
@@ -612,6 +656,11 @@ class TestReplaySearches:
         assert folded == want_folded
         for t, (g, expect) in enumerate(zip(got.to_counters(), want)):
             assert g.as_dict() == expect.as_dict(), f"tile {t}"
+        # The same rounds, folded per level.
+        rows = np.zeros((len(batch._SHARED_FIELDS), G), dtype=np.int64)
+        batch._charge(rows, per_level, "read")
+        for g, expect in enumerate(want_levels):
+            assert dict(zip(batch._SHARED_FIELDS, rows[:, g].tolist())) == _shared(expect)
 
 
 class TestLaneFusionArenaStats:

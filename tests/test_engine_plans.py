@@ -240,15 +240,17 @@ class TestFusedPlans:
         u, E, w = 16, 5, 8
         plan = get_plan("fused_levels", u, E, w)
         assert plan["tag"].shape == (4, u * E)
+        assert plan["table"].shape == (5, 3, 1, u)
+        assert plan["table"].dtype == np.int32
         for level in range(4):
             one = get_plan("fused_level", u, E, w, level=level)
-            for key in ("pbase", "diag", "lo", "hi", "pair_last"):
-                assert plan[key].shape == (4, 1, u)
-                assert np.array_equal(plan[key][level, 0], one[key]), key
-            assert plan["pbase"].dtype == np.int32
-            assert plan["half"][level, 0, 0] == E << level
-            assert np.array_equal(plan["pair_first"][level], np.asarray(one["pbase"]) // E)
+            for row, key in enumerate(("pbase", "diag", "pair_last")):
+                assert np.array_equal(plan["table"][level, row, 0], one[key]), key
             assert np.array_equal(plan["tag"][level], np.asarray(one["tag"]) == 1)
+        # The last row is a merge block: one pair, thread i at diagonal i*E.
+        tid = np.arange(u)
+        block = np.stack([0 * tid, tid * E, tid == u - 1])
+        assert np.array_equal(plan["table"][4, :, 0], block)
 
     def test_fused_levels_validates_thread_count(self):
         with pytest.raises(ParameterError):

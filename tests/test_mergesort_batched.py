@@ -24,8 +24,11 @@ from repro.cluster.pool import ClusterPool
 from repro.cluster.service import cf_cluster_backend
 from repro.config import SortParams
 from repro.engine.backend import cf_batched_backend
+from repro.engine.batch import fusion_stats
+from repro.engine.plans import get_plan
 from repro.errors import ParameterError
 from repro.mergesort import batched_mergesort, blocksort_tile, gpu_mergesort
+from repro.mergesort.blocksort import BlocksortStats
 from repro.mergesort.merge_path import merge_path_search
 from repro.mergesort.segmented import KEY_BITS, KEY_LIMIT
 from repro.mergesort.serial_merge import SENTINEL
@@ -41,6 +44,21 @@ NON_COPRIME = [(8, 16, 8), (6, 16, 4)]
 def _lengths(tile: int) -> list[int]:
     """0, 1, tile-1, tile, tile+1, then 3, 5 and 7 tiles (odd runs carry)."""
     return [0, 1, tile - 1, tile, tile + 1, 3 * tile, 5 * tile, 7 * tile]
+
+
+class _MergeLevelsOnly(pipeline._Lane):
+    """The lane's merge levels on a level stack of their own (NumPy sorts
+    the tiles), so a test can count the passes the merge levels take."""
+
+    def blocksort(self, tiles):
+        self.stack = batch.LevelStack(
+            len(tiles), self.u, self.E, self.w, self.variant, (len(tiles) - 1).bit_length()
+        )
+        return np.sort(tiles, axis=1)
+
+    def finish(self):
+        self.stack.flush()
+        return BlocksortStats(), []
 
 
 def assert_matches_the_simulator(data, E, u, w, variant):
@@ -71,16 +89,18 @@ class TestGeometries:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("n_tiles", [33, 65])
-    def test_both_sides_of_the_stack_budget(self, n_tiles, variant, monkeypatch):
-        # E=3, u=8 under a budget of 64 rows of 8 lanes: 33 tiles stack two
-        # 32-block levels per pass, and its 33-block last level runs alone;
-        # at 65 tiles every level does.  (The real budget splits only past
-        # 4,096 rows: too many to simulate.)
-        for module in (batch, pipeline):
-            monkeypatch.setattr(module, "STACK_LANES", 64 * 8)
+    def test_both_sides_of_the_stack_budget(self, n_tiles, variant, monkeypatch, stack_passes):
+        # E=3, u=8 under a budget of 66 rows of 8 lanes: every level of 33
+        # tiles (blocksort and merge alike, 33 rows each) stacks two per
+        # pass; at 65 tiles every level runs alone.  (The real budget
+        # splits only past 4,096 rows: too many to simulate.)
+        monkeypatch.setattr(batch, "STACK_LANES", 66 * 8)
         rng = np.random.default_rng(n_tiles)
         data = rng.integers(-1000, 1000, n_tiles * 24 - 1)
-        assert_matches_the_simulator(data, 3, 8, 4, variant)
+        got = assert_matches_the_simulator(data, 3, 8, 4, variant)
+        levels = 3 + got.merge_level_count
+        want = [2] * (levels // 2) + [1] * (levels % 2) if n_tiles == 33 else [1] * levels
+        assert stack_passes == want
 
     def test_non_coprime_cf_delegates_to_the_simulator(self, monkeypatch):
         calls = []
@@ -97,49 +117,54 @@ class TestGeometries:
         batched_mergesort(data, 8, 16, 8, "thrust")
         assert len(calls) == 1  # thrust runs the lane at any geometry
 
-    @staticmethod
-    def _merge_passes(monkeypatch, data, E, u, w, variant):
-        """Search and merge profile calls of one ``batched_mergesort``."""
-        calls = {"search": 0, "merge": 0}
-        for name, key in (("tagged_search_profile", "search"),
-                          ("tagged_merge_profile", "merge")):
-            real = getattr(pipeline, name)
-
-            def spy(*args, _real=real, _key=key, **kwargs):
-                calls[_key] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(pipeline, name, spy)
-        result = batched_mergesort(data, E, u, w, variant)
-        assert np.array_equal(result.data, np.sort(data))
-        return calls
-
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("n_tiles,passes", [(2, 1), (16, 1), (17, 2)])
     def test_merge_levels_share_one_search_and_one_merge_pass(
         self, n_tiles, passes, variant, monkeypatch
     ):
-        # Under a budget of 64 rows of 32 lanes, up to 16 tiles every merge
-        # level (one row per block) fits one stacked pass; 17 tiles need a
-        # second.
-        monkeypatch.setattr(pipeline, "STACK_LANES", 64 * 32)
+        # The blocksort and merge levels are one stack: under a budget of
+        # 4,608 lanes, 16 tiles' nine levels (five blocksort, four merge,
+        # 16 rows of 32 lanes each) fill one pass exactly; 17 tiles' ten
+        # levels need a second.  Each pass is one search round_many, plus
+        # one pointer-merge round_many for thrust.
+        monkeypatch.setattr(batch, "STACK_LANES", 9 * 16 * 32)
         data = np.random.default_rng(n_tiles).integers(0, 1000, n_tiles * 160)
-        calls = self._merge_passes(monkeypatch, data, 5, 32, 8, variant)
-        assert calls == {"search": passes, "merge": passes}
+        before = fusion_stats()
+        result = batched_mergesort(data, 5, 32, 8, variant)
+        after = fusion_stats()
+        assert np.array_equal(result.data, np.sort(data))
+        per_pass = 1 if variant == "cf" else 2
+        assert after["round_many_calls"] - before["round_many_calls"] == passes * per_pass
+        assert after["round_calls"] == before["round_calls"]
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize(
         "u,n_tiles,passes",
-        # u=32: 1,024 rows per pass, so 128 tiles (7 levels of 128 blocks)
-        # fit one; at 129 the last level's 129 blocks need a second.  The
-        # paper's u=512 keeps 64 rows: 32 tiles stack two levels per pass.
+        # The budget counts lanes, and a merge level is n_tiles rows however
+        # many blocks it has.  u=32: eight levels of 128 rows fit a pass,
+        # so 128 tiles' seven merge levels take one; 129 tiles fit seven,
+        # so their eight take two.  The paper's u=512 fits two levels of
+        # 32 rows: five merge levels take three.
         [(32, 128, 1), (32, 129, 2), (512, 32, 3)],
     )
-    def test_the_merge_budget_counts_lanes(self, u, n_tiles, passes, variant, monkeypatch):
+    def test_the_merge_budget_counts_lanes(self, u, n_tiles, passes, variant, stack_passes):
         E, w = (5, 8) if u == 32 else (3, 32)
         data = np.random.default_rng(n_tiles).integers(0, 1 << 30, n_tiles * u * E)
-        calls = self._merge_passes(monkeypatch, data, E, u, w, variant)
-        assert calls == {"search": passes, "merge": passes}
+        want = batched_mergesort(data, E, u, w, variant)
+        # The same merge levels queued on a stack of their own.
+        stack_passes.clear()
+        lane = _MergeLevelsOnly(E, u, w, variant)
+        got = pipeline._mergesort(data, 1 << 40, E, u, w, variant, lane)
+        assert np.array_equal(got.data, want.data)
+        per_pass = batch.STACK_LANES // (n_tiles * u)
+        rest = got.merge_level_count - per_pass * (passes - 1)
+        assert stack_passes == [per_pass] * (passes - 1) + [rest]
+        for k, stats in enumerate(want.per_level):
+            for phase, rows in (("search", lane.stack.search), ("merge", lane.stack.merge)):
+                expect = getattr(stats, phase).as_dict()
+                assert dict(zip(batch._SHARED_FIELDS, rows[:, k].tolist())) == {
+                    name: expect[name] for name in batch._SHARED_FIELDS
+                }, (k, phase)
 
     def test_lane_path_never_runs_the_simulator(self, monkeypatch):
         # Nor a scalar merge-path search: a level's cuts come from its one
@@ -155,6 +180,81 @@ class TestGeometries:
         for variant in ("thrust", "cf"):
             result = batched_mergesort(data, 5, 32, 8, variant)
             assert np.array_equal(result.data, np.sort(data))
+
+
+#: Tile counts where a merge level has fewer blocks than tiles (an odd
+#: run waits), so the level stack pads that level with dead rows.
+PADDED_TILE_COUNTS = [3, 5, 6, 7, 11]
+
+
+def _stack_input(kind: str, n_tiles: int, partial: bool, E: int, u: int, w: int):
+    """``n_tiles`` tiles of one input kind, the last one partial if asked."""
+    tile = u * E
+    n = n_tiles * tile - (tile // 2 if partial else 0)
+    rng = np.random.default_rng(n_tiles * 1000 + E * 10 + u + partial)
+    # Section 4's construction needs u/w even: the two geometries
+    # without it take random input in that slot.
+    if kind == "section4" and (u // w) % 2 == 0:
+        return worstcase_full_input(1 << (n_tiles - 1).bit_length(), E, u, w)[:n]
+    if kind == "few_distinct":
+        return rng.integers(0, 4, n)
+    return rng.integers(-(10**6), 10**6, n)
+
+
+class TestLevelStack:
+    """``batched_mergesort`` as one stack of blocksort and merge levels."""
+
+    @pytest.mark.parametrize("n_tiles", PADDED_TILE_COUNTS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("E,u,w", COPRIME)
+    def test_padded_levels_match_the_simulator(self, E, u, w, variant, n_tiles):
+        # Each tile count whole and with a partial last tile; the input
+        # kinds rotate over the counts, so every geometry sees each kind.
+        kinds = ("random", "few_distinct", "section4")
+        for partial in (False, True):
+            kind = kinds[(n_tiles + partial) % 3]
+            data = _stack_input(kind, n_tiles, partial, E, u, w)
+            assert_matches_the_simulator(data, E, u, w, variant)
+
+    @pytest.mark.parametrize("variant,calls", [("cf", 1), ("thrust", 2)])
+    def test_one_call_is_one_accounting_pass_under_the_budget(self, variant, calls):
+        # 16 tiles at u=32: nine levels of 512 lanes, well under the
+        # budget, so every level's searches are one round_many, and
+        # thrust's pointer merges one more.
+        data = worstcase_full_input(16, 5, 32, 8)
+        before = fusion_stats()
+        batched_mergesort(data, 5, 32, 8, variant)
+        after = fusion_stats()
+        delta = {key: after[key] - before[key] for key in after}
+        assert delta["round_many_calls"] == calls
+        assert delta["round_calls"] == 0
+        assert delta["fused_blocksorts"] == 1
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_passes_split_at_whole_levels(self, variant, monkeypatch, stack_passes):
+        # E=3, u=8, six tiles: three blocksort levels, then merge levels of
+        # 6, 4 (two padding rows) and 6 blocks, each level 6 x 8 lanes.
+        data = np.random.default_rng(6).integers(-50, 50, 6 * 24 - 7)
+        folded = set()
+        for budget, passes in ((4 * 48, [4, 2]), (48, [1] * 6), (47, [1] * 6), (6 * 48, [6])):
+            # A four-level pass holds all three blocksort levels and the
+            # first merge level.
+            monkeypatch.setattr(batch, "STACK_LANES", budget)
+            stack_passes.clear()
+            before = fusion_stats()["rounds_folded"]
+            assert_matches_the_simulator(data, 3, 8, 4, variant)
+            assert stack_passes == passes, budget
+            folded.add(fusion_stats()["rounds_folded"] - before)
+        # Dead slabs are dropped however the levels are grouped.
+        assert len(folded) == 1
+
+    @pytest.mark.parametrize("E,u,w", COPRIME + [(15, 512, 32), (17, 256, 32)])
+    def test_rho_is_the_identity_at_every_lane_geometry(self, E, u, w):
+        # The lane runs CF only at coprime (w, E), where the rho layout maps
+        # every position of a block to itself, so its merge-level CF
+        # search probes read no plan.
+        fwd = np.asarray(get_plan("rho", u * E, E, w)["fwd"])
+        assert np.array_equal(fwd, np.arange(u * E))
 
 
 class TestInputs:
@@ -281,9 +381,9 @@ class TestLevelTraffic:
         pipeline._charge_level(got, np.array(a_counts), run, paired, tile)
         assert got.as_dict() == want.as_dict()
         # The lane's one stable merge per level yields the same A-counts.
-        merged, lane_counts = pipeline._LaneMerge(E, u, 8, "thrust")(
-            np.concatenate(runs)[:paired], run
-        )
+        lane = pipeline._Lane(E, u, 8, "thrust")
+        lane.blocksort(np.zeros((paired // tile, tile), dtype=np.int64))
+        merged, lane_counts = lane.merge(np.concatenate(runs)[:paired], run)
         assert lane_counts.tolist() == a_counts
         assert np.array_equal(
             merged, np.concatenate([np.sort(np.concatenate(p), kind="stable") for p in pairs])
