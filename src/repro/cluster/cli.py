@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.cluster.executor import cluster_sort
 from repro.cluster.external import external_sort
-from repro.cluster.plan import MERGE_MODES
 from repro.cluster.pool import ClusterPool
 from repro.cluster.stats import cluster_stats
 from repro.errors import ParameterError
@@ -63,14 +62,13 @@ def run_cluster_sort(args: argparse.Namespace) -> int:
             chunk=args.chunk_keys,
             parts=args.parts,
             backend=args.cluster_backend,
-            merge=args.merge_mode,
             pool=pool,
         )
     ok = bool(np.array_equal(result.data, np.sort(data)))
     stats = cluster_stats()
     print(
         f"cluster-sort: n={len(data)} chunk={args.chunk_keys} parts={args.parts} "
-        f"backend={args.cluster_backend} merge={args.merge_mode} procs={args.procs}"
+        f"backend={args.cluster_backend} procs={args.procs}"
     )
     print(
         f"plan {result.plan.key[:12]}…: {len(result.plan.sort_tasks)} sort + "
@@ -109,10 +107,6 @@ def add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--cluster-backend", default="cf-batched", dest="cluster_backend",
         help="(cluster-sort) per-chunk sort backend (default cf-batched)",
-    )
-    group.add_argument(
-        "--merge-mode", choices=MERGE_MODES, default="numpy", dest="merge_mode",
-        help="(cluster-sort) run-merge kernel (default numpy)",
     )
     group.add_argument(
         "--external", action="store_true",

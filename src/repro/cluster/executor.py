@@ -147,10 +147,6 @@ def run_plan(
                     "cuts_hi": cuts[part + 1],
                     "out_lo": (part * n) // plan.parts,
                     "out_hi": ((part + 1) * n) // plan.parts,
-                    "merge": plan.merge,
-                    "E": plan.E,
-                    "u": plan.u,
-                    "w": plan.w,
                 }
             )
         for result in pool.run(merge_tasks):
@@ -171,7 +167,6 @@ def cluster_sort(
     chunk: int,
     parts: int,
     backend: str = "cf-batched",
-    merge: str = "numpy",
     E: int = 5,
     u: int = 32,
     w: int = 8,
@@ -184,5 +179,5 @@ def cluster_sort(
     data = np.asarray(data, dtype=np.int64)
     if data.ndim != 1:
         raise ParameterError("data must be one-dimensional")
-    plan = get_plan(len(data), chunk, parts, backend, merge, E, u, w)
+    plan = get_plan(len(data), chunk, parts, backend, E, u, w)
     return run_plan(data, plan, pool=pool, tracer=tracer)

@@ -28,14 +28,8 @@ from dataclasses import dataclass
 
 from repro.cluster.partition import chunk_bounds
 from repro.cluster.stats import CLUSTER
-from repro.errors import ParameterError
 
-__all__ = ["ClusterTask", "ClusterPlan", "build_plan", "get_plan", "MERGE_MODES"]
-
-#: How a merge_slice task reduces its run slices: ``numpy`` (host stable
-#: sort, no simulated counters) or ``tournament`` (the pairwise CF
-#: tournament kernel, counters included).
-MERGE_MODES = ("numpy", "tournament")
+__all__ = ["ClusterTask", "ClusterPlan", "build_plan", "get_plan"]
 
 
 @dataclass(frozen=True)
@@ -64,7 +58,6 @@ class ClusterPlan:
     chunk: int
     parts: int
     backend: str
-    merge: str
     E: int
     u: int
     w: int
@@ -84,15 +77,17 @@ class ClusterPlan:
         return tuple(t for t in self.tasks if t.kind == "merge_slice")
 
 
-def plan_key(
-    n: int, chunk: int, parts: int, backend: str, merge: str, E: int, u: int, w: int
-) -> str:
-    """The content key equal parameter sets share, across processes."""
+def plan_key(n: int, chunk: int, parts: int, backend: str, E: int, u: int, w: int) -> str:
+    """The content key equal parameter sets share, across processes.
+
+    The key still names the one merge mode, ``"numpy"``, so keys match
+    those recorded in ``benchmarks/BASELINE.json``.
+    """
     blob = json.dumps(
         {
             "backend": backend,
             "chunk": chunk,
-            "merge": merge,
+            "merge": "numpy",
             "n": n,
             "parts": parts,
             "E": E,
@@ -109,7 +104,6 @@ def build_plan(
     chunk: int,
     parts: int,
     backend: str = "cf-batched",
-    merge: str = "numpy",
     E: int = 5,
     u: int = 32,
     w: int = 8,
@@ -122,8 +116,6 @@ def build_plan(
     the single run *is* the output and stage 2 degenerates to one
     pass-through slice, kept for uniformity.
     """
-    if merge not in MERGE_MODES:
-        raise ParameterError(f"unknown merge mode {merge!r} (one of {MERGE_MODES})")
     bounds = chunk_bounds(n, chunk)
     tasks: list[ClusterTask] = []
     sort_ids: list[str] = []
@@ -153,12 +145,11 @@ def build_plan(
         chunk=chunk,
         parts=parts,
         backend=backend,
-        merge=merge,
         E=E,
         u=u,
         w=w,
         tasks=tuple(tasks),
-        key=plan_key(n, chunk, parts, backend, merge, E, u, w),
+        key=plan_key(n, chunk, parts, backend, E, u, w),
     )
 
 
@@ -172,13 +163,12 @@ def get_plan(
     chunk: int,
     parts: int,
     backend: str = "cf-batched",
-    merge: str = "numpy",
     E: int = 5,
     u: int = 32,
     w: int = 8,
 ) -> ClusterPlan:
     """The LRU-cached :func:`build_plan` (plans are immutable, sharing is safe)."""
-    key = plan_key(n, chunk, parts, backend, merge, E, u, w)
+    key = plan_key(n, chunk, parts, backend, E, u, w)
     with _CACHE_LOCK:
         cached = _CACHE.get(key)
         if cached is not None:
@@ -187,7 +177,7 @@ def get_plan(
         CLUSTER.add(plan_cache_hits=1)
         return cached
     CLUSTER.add(plans_built=1)
-    plan = build_plan(n, chunk, parts, backend, merge, E, u, w)
+    plan = build_plan(n, chunk, parts, backend, E, u, w)
     with _CACHE_LOCK:
         _CACHE[key] = plan
         _CACHE.move_to_end(key)

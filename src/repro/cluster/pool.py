@@ -138,24 +138,12 @@ def _merge_slice(task: TaskDict) -> TaskDict:
             task["run_bounds"], task["cuts_lo"], task["cuts_hi"]
         ):
             slices.append(np.array(runs_buf[run_lo + cut_lo : run_lo + cut_hi]))
-        counters: dict[str, int] | None = None
-        launches = 0
-        if task["merge"] == "tournament":
-            from repro.mergesort.kway import tournament_merge_runs
-
-            merged, stats = tournament_merge_runs(
-                slices, task["E"], task["u"], task["w"], variant="cf"
-            )
-            counters = stats.total.as_dict()
-            launches = 1
-        else:
-            merged = stable_merge_slices(slices)
         out_lo, out_hi = task["out_lo"], task["out_hi"]
-        out[out_lo:out_hi] = merged
+        out[out_lo:out_hi] = stable_merge_slices(slices)
         return {
             "task_id": task["task_id"],
-            "counters": counters,
-            "launches": launches,
+            "counters": None,
+            "launches": 0,
             "spans": [
                 (
                     "cluster.merge_slice",

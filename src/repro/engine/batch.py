@@ -55,6 +55,10 @@ on one level whose rows are the pairs.  Values past the ``2*v + tag``
 packing range are replaced by their dense ranks first (same
 comparisons, same counters), and a merge or search pair whose halves
 are not two sorted runs raises :class:`~repro.errors.ParameterError`.
+A k-way merge level (:func:`kway_level_profile`) is one packed ``(value,
+run)`` sort per group shape with its blocks as rows; its search shares
+the bisection (:func:`_bisect`) but places reads by ordinal, since one
+lockstep round there mixes probes of different runs.
 """
 
 from __future__ import annotations
@@ -83,15 +87,15 @@ __all__ = [
     "batched_blocksort_profile",
     "kway_thread_cuts",
     "kway_gather_addresses",
+    "kway_merge_tags",
+    "kway_level_profile",
+    "kway_compute_ops",
     "batched_kway_merge_profile",
     "batched_kway_search_profile",
     "FUSION",
     "fusion_stats",
     "reset_fusion_stats",
 ]
-
-#: Keys packed as ``2*value + tag`` must stay inside int64: |value| < 2^62.
-_PACK_LIMIT = 1 << 62
 
 #: Thread lanes (tile rows times ``u``) one stacked accounting pass
 #: holds: 64 rows of the paper's ``u = 512``.  A pass takes whole levels
@@ -498,67 +502,53 @@ def odd_even_sort_rows(rows: npt.ArrayLike) -> tuple[IntArray, int]:
     return out, int(len(lo))
 
 
-def _stack_pairs(
-    pairs: Sequence[tuple[npt.ArrayLike, npt.ArrayLike]], E: int, profile: str
-) -> tuple[IntArray, IntArray]:
-    """Stack sorted (A, B) pairs into one backing matrix + per-tile ``|A|``.
+def _stack_runs(
+    groups: Sequence[Sequence[npt.ArrayLike]], E: int, profile: str | None = None
+) -> tuple[IntArray, IntArray, IntArray]:
+    """Stack same-shape groups of sorted runs: ``(backing, lens, runs)``.
 
-    Values past the ``2*v + tag`` packing range come back as dense
+    Row ``t`` of ``backing`` holds group ``t``'s runs back to back,
+    ``lens`` is ``(groups, k)`` and ``runs`` is every word's run index.
+    Values past the ``v << bits | run`` packing range come back as dense
     ranks, which keep every comparison (order and ties) and hence every
-    counter; :func:`fusion_stats` counts such passes as
-    ``fallback_<profile>`` (``fallback_merges``, ``fallback_searches``).
+    counter; given a ``profile``, :func:`fusion_stats` counts the pass as
+    ``fused_<profile>`` or ``fallback_<profile>`` (``fallback_merges``,
+    ``fallback_searches``).
     """
-    if not pairs:
-        raise ParameterError("batched profile needs at least one (a, b) pair")
-    rows = [
-        np.concatenate(
-            [np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)]
-        )
-        for a, b in pairs
-    ]
-    total = len(rows[0])
-    if any(len(r) != total for r in rows):
-        raise ParameterError("batched tiles must share one |A|+|B| size")
+    if not groups:
+        raise ParameterError("batched profile needs at least one group of runs")
+    k = len(groups[0])
+    if any(len(runs) != k for runs in groups):
+        raise ParameterError(f"every group must have the same k = {k}")
+    arrays = [np.asarray(run, dtype=np.int64) for runs in groups for run in runs]
+    lens = np.array([len(a) for a in arrays], dtype=np.int64).reshape(len(groups), k)
+    total = int(lens[0].sum())
+    if np.any(lens.sum(axis=1) != total):
+        raise ParameterError("every group must have the same total length")
     if total == 0 or total % E:
-        raise ParameterError(f"|A|+|B| = {total} must be a positive multiple of E = {E}")
-    backing = np.stack(rows)
-    n_a = np.asarray([len(np.asarray(a)) for a, _ in pairs], dtype=np.int64)
-    if not _halves_sorted(backing, n_a):
-        raise ParameterError("every (A, B) pair must hold two sorted runs")
-    packable = _pack_dtype(backing) is not None
-    FUSION.add(**{("fused_" if packable else "fallback_") + profile: 1})
+        raise ParameterError(f"group length {total} must be a positive multiple of E = {E}")
+    backing = np.concatenate(arrays).reshape(len(groups), total)
+    runs = np.repeat(np.tile(np.arange(k), len(groups)), lens.ravel()).reshape(backing.shape)
+    # A descent is allowed only where one run ends and the next begins.
+    if not np.all((backing[:, 1:] >= backing[:, :-1]) | (runs[:, 1:] != runs[:, :-1])):
+        raise ParameterError("every run must be sorted")
+    packable = _pack_dtype(backing, (k - 1).bit_length()) is not None
+    if profile is not None:
+        FUSION.add(**{("fused_" if packable else "fallback_") + profile: 1})
     if not packable:
         backing = np.unique(backing, return_inverse=True)[1].reshape(backing.shape)
-    return backing, n_a
+    return backing, lens, runs
 
 
-def _pack_dtype(backing: IntArray) -> type | None:
-    """Narrowest dtype holding ``2*v + tag``, or ``None`` past int64."""
+def _pack_dtype(backing: IntArray, bits: int = 1) -> type | None:
+    """Narrowest dtype holding ``v << bits | tag``, or ``None`` past int64."""
     if backing.size == 0:
         return np.int32
     lo, hi = int(backing.min()), int(backing.max())
-    if -(1 << 30) <= lo and hi < (1 << 30):
-        return np.int32
-    if -_PACK_LIMIT <= lo and hi < _PACK_LIMIT:
-        return np.int64
+    for dtype, width in ((np.int32, 31), (np.int64, 63)):
+        if -(1 << (width - bits)) <= lo and hi < (1 << (width - bits)):
+            return dtype
     return None
-
-
-def _halves_sorted(backing: IntArray, n_a: IntArray) -> bool:
-    """True when every tile's A half and B half are each sorted ascending.
-
-    One descent is allowed per row, exactly at the A/B boundary
-    ``n_a - 1`` (and only when both halves are non-empty) — the single
-    vectorized check the merge and search profiles require.
-    """
-    total = backing.shape[1]
-    if total < 2:
-        return True
-    ascending = backing[:, 1:] >= backing[:, :-1]
-    at_boundary = (
-        np.arange(total - 1, dtype=np.int64)[None, :] == (n_a[:, None] - 1)
-    )
-    return bool(np.all(ascending | at_boundary))
 
 
 def _fused_pointer_merge_rounds(
@@ -662,6 +652,31 @@ def _fused_pointer_merge_rounds(
     return per_round.reshape(5, E + 2, G).sum(axis=1)
 
 
+def _bisect(
+    lo: AnyIntArray, hi: AnyIntArray, cuts: AnyIntArray, steps: int
+) -> tuple[AnyIntArray, BoolArray]:
+    """``steps`` bisection steps of every lane, replayed from its cut.
+
+    Along the real probe path the branch at ``mid`` is ``cut > mid``, so
+    no data is read.  A converged lane (``lo == hi == cut``) stays put,
+    so a lane's live steps are a prefix.  Returns the probes and live
+    masks, ``(steps, *cuts.shape)``, in ``lo``'s dtype (it holds ``lo + hi``).
+    """
+    mids = np.empty((steps,) + cuts.shape, dtype=lo.dtype)
+    live = np.empty((steps,) + cuts.shape, dtype=bool)
+    lo = _full(lo, cuts.shape)
+    hi = _full(hi, cuts.shape)
+    for step in range(steps):
+        mid = mids[step]
+        np.less(lo, hi, out=live[step])
+        np.add(lo, hi, out=mid)
+        mid >>= 1
+        right = cuts > mid
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return mids, live
+
+
 #: Computes a replay's probe addresses in place: ``probe(out, levels)``
 #: gets the ``(K, tiles, u)`` stacked mids in ``out[0]`` (slab ``k`` from
 #: level ``levels[k]``) and writes their A and B addresses into ``out[0]``
@@ -680,12 +695,8 @@ def _replay_searches(
 
     ``lo``, ``hi`` and ``cuts`` are ``(levels, tiles, u)`` (``lo`` and
     ``hi`` broadcastable): each leading slice is one independent set of
-    per-thread searches over the accumulator's tiles.  Along the real
-    probe path the branch taken at ``mid`` is exactly ``cut > mid``
-    (each branch keeps ``lo <= cut <= hi``), so the probes reproduce
-    with no data reads.  The loop runs a fixed number of steps with no
-    live masks — a converged search has ``lo == hi == cut`` and stays
-    put, and a lane with ``lo > hi`` never searches.  Only the
+    per-thread searches over the accumulator's tiles, replayed with no
+    data reads for a fixed number of steps (:func:`_bisect`).  Only the
     ``(step, level)`` slabs with a live lane are kept, ``probe`` runs on
     those alone, and they go to one :meth:`BatchCounters.round_many`
     call, so each level folds exactly the rounds its own bisection loop
@@ -702,18 +713,7 @@ def _replay_searches(
     if not steps:
         return per_level
     dt = lo.dtype
-    mids = np.empty((steps, G, T, u), dtype=dt)
-    live = np.empty((steps, G, T, u), dtype=bool)
-    lo = _full(lo, cuts.shape)
-    hi = _full(hi, cuts.shape)
-    for step in range(steps):
-        mid = mids[step]
-        np.less(lo, hi, out=live[step])
-        np.add(lo, hi, out=mid)
-        mid >>= 1
-        right = cuts > mid
-        lo = np.where(right, mid + 1, lo)
-        hi = np.where(right, hi, mid)
+    mids, live = _bisect(lo, hi, cuts, steps)
     kept = np.flatnonzero(live.reshape(steps * G, T * u).any(axis=1))
     K = len(kept)
     if not K:
@@ -856,23 +856,17 @@ def merge_tags(backing: IntArray, n_a: IntArray) -> tuple[BoolArray, IntArray]:
     """Stable ties-to-A merge of each row's sorted A and B halves.
 
     ``backing`` is ``(rows, total)``, row ``t`` holding A in its first
-    ``n_a[t]`` words and B after; values must survive the ``2*v + tag``
-    packing (:data:`_PACK_LIMIT`), ``tag`` 1 on every B position.
-    Sorting the packed keys orders by value with A before B on ties; the
-    low bit of the sorted keys says which half each merged output came
-    from, and an arithmetic shift recovers the sorted values exactly
+    ``n_a[t]`` words and B after: the two-run case of
+    :func:`kway_merge_tags`, run 1 on every B position (``|v| < 2^62``).
+    The low bit of the sorted keys says which half each merged output
+    came from, and an arithmetic shift recovers the sorted values exactly
     (``2v + tag`` is monotone in ``v``; ``>> 1`` floors back for
     negatives too).  Returns ``(from_a, merged)``: the tags the search
     and merge rounds replay from (:meth:`LevelStack.push_merge`), and
     the merged rows.
     """
-    rows, total = backing.shape
-    dtype = _pack_dtype(backing)
-    if dtype is None:
-        raise ParameterError("merge_tags values must satisfy |v| < 2^62")
-    packed = backing.astype(dtype) * 2
-    packed += np.arange(total, dtype=dtype)[None, :] >= np.asarray(n_a)[:, None]
-    packed.sort(axis=1)
+    in_b = np.arange(backing.shape[1])[None, :] >= np.asarray(n_a)[:, None]
+    packed = kway_merge_tags(backing, in_b, 2)
     from_a = (packed & 1) == 0
     packed >>= 1
     return from_a, packed.astype(np.int64, copy=False)
@@ -887,7 +881,8 @@ def _pair_tags(
     ``(1, rows, 1)`` half sizes, as :func:`_search_pass` and
     :func:`_merge_pass` take them.
     """
-    backing, n_a = _stack_pairs(pairs, E, profile)
+    backing, lens, _ = _stack_runs(pairs, E, profile)
+    n_a = lens[:, 0]
     from_a, _ = merge_tags(backing, n_a)
     take_a = _step_major(from_a, E)
     n_a_col = n_a.astype(np.int32)[None, :, None]
@@ -1327,9 +1322,9 @@ def kway_gather_addresses(
     lens: IntArray,
     E: int,
     w: int,
-    rho_fwd: IntArray,
+    rho_fwd: IntArray | None,
     schedule: str = "staged",
-) -> tuple[IntArray, BoolArray]:
+) -> tuple[AnyIntArray, BoolArray]:
     """The k-way gather address matrix for one block, ``(u, slots)``.
 
     ``schedule="staged"`` runs ``k*E`` sub-rounds (the ``kway_rounds``
@@ -1337,7 +1332,9 @@ def kway_gather_addresses(
     layout residue ``j`` mod ``E``, if its fragment holds one.  Every
     slot's active addresses are a subset of a stride-``E`` arithmetic
     progression, so the schedule is conflict free whenever
-    ``GCD(E, w) == 1`` — for *any* ``k``.
+    ``GCD(E, w) == 1`` — for *any* ``k``.  The staged schedule also
+    takes leading block axes (``cuts`` ``(..., u + 1, k)``, ``bases``
+    ``(..., k)``), and ``rho_fwd=None`` for the identity layout.
 
     ``schedule="fused"`` generalizes the paper's dual subsequence gather:
     odd-indexed runs are reversed in the layout (``pi``), and each thread
@@ -1346,20 +1343,24 @@ def kway_gather_addresses(
     Lemma) and the schedule *is* Algorithm 1; for ``k > 2`` residues can
     repeat within a thread, so conflicts reappear and are measured.
     """
-    u = int(cuts.shape[0]) - 1
-    k = int(cuts.shape[1])
+    u = int(cuts.shape[-2]) - 1
+    k = int(cuts.shape[-1])
     if schedule == "staged":
         plan = get_plan("kway_rounds", k * E, E, w, k)
         run = np.asarray(plan["run"])
         resid = np.asarray(plan["resid"])
-        start = bases[None, :] + cuts[:-1, :]  # (u, k)
-        end = bases[None, :] + cuts[1:, :]
-        s_start = start[:, run]  # (u, k*E)
-        p = s_start + ((resid[None, :] - s_start) % E)
-        active = p < end[:, run]
+        start = bases[..., None, :] + cuts[..., :-1, :]  # (..., u, k)
+        end = bases[..., None, :] + cuts[..., 1:, :]
+        s_start = start[..., run]  # (..., u, k*E)
+        p = s_start + ((resid - s_start) % E)
+        active = p < end[..., run]
+        if rho_fwd is None:
+            return p, active
         addr = np.asarray(rho_fwd)[np.where(active, p, 0)]
         return addr.astype(np.int64), active
     if schedule == "fused":
+        if rho_fwd is None:
+            raise ParameterError("the fused k-way schedule needs the rho table")
         pos_parts = []
         thr_parts = []
         for r in range(k):
@@ -1377,154 +1378,159 @@ def kway_gather_addresses(
     raise ParameterError(f"unknown k-way schedule {schedule!r}")
 
 
-def batched_kway_merge_profile(
-    groups: Sequence[Sequence[npt.ArrayLike]],
-    E: int,
-    w: int,
-    *,
-    schedule: str = "staged",
-) -> list[Counters]:
-    """CF k-way merge counters for same-shape groups, one vectorized pass.
+def kway_merge_tags(rows: IntArray, runs: AnyIntArray, k: int) -> AnyIntArray:
+    """The stable k-way merge of each row's sorted runs, as packed keys.
 
-    Per group, bit-identical to the *merge*-phase counters of
-    :func:`repro.mergesort.kway.kway_merge_block` with
-    ``variant="cf"``, ``simulate_search=False`` on the same runs
-    (cross-validated in ``tests/test_engine_kway.py`` and
-    ``benchmarks/bench_kway.py``): the gather rounds replay the exact
-    slot schedule, the scatter rounds replay the cached scatter plan,
-    and the register network's compare-exchanges are charged from the
-    ``oddeven`` plan.
+    ``runs`` (broadcast over ``rows``) is each word's run, below ``k``.  A
+    word packs as ``v << bits | run``, ``bits = (k - 1).bit_length()``, in
+    int32 wherever the values allow: sorted keys order by value, then run.
     """
-    if not groups:
-        raise ParameterError("batched_kway_merge_profile needs >= 1 group")
-    k = len(groups[0])
-    addr_mats = []
-    active_mats = []
-    total = -1
-    for runs in groups:
-        if len(runs) != k:
-            raise ParameterError(
-                f"every group must have the same k; got {len(runs)} and {k}"
-            )
-        cuts, bases, _ = kway_thread_cuts(runs, E)
-        lens = np.asarray(cuts[-1])
-        group_total = int(lens.sum())
-        if total < 0:
-            total = group_total
-            if total == 0:
-                raise ParameterError("k-way groups must be non-empty")
-            u = total // E
-            if u % w:
-                raise ParameterError(
-                    f"block width u={u} must be a multiple of w={w}"
-                )
-            rho_fwd = np.asarray(get_plan("rho", total, E, w)["fwd"])
-        elif group_total != total:
-            raise ParameterError("every group must have the same total length")
-        addr, active = kway_gather_addresses(
-            cuts, bases, lens, E, w, rho_fwd, schedule
-        )
-        addr_mats.append(addr)
-        active_mats.append(active)
+    bits = (k - 1).bit_length()
+    dtype = _pack_dtype(rows, bits)
+    if dtype is None:
+        raise ParameterError(f"kway_merge_tags values must satisfy |v| < 2^{63 - bits}")
+    packed = rows.astype(dtype) << bits
+    packed |= runs
+    packed.sort(axis=1)
+    return packed
 
-    stacked_addr = np.stack(addr_mats)  # (T, u, slots)
-    stacked_active = np.stack(active_mats)
-    T = len(groups)
-    acc = BatchCounters(T, u, w)
-    # Every gather slot and every scatter round folds into one stacked
-    # accounting pass each (bit-identical: the per-round fold commutes).
-    acc.round_many(
-        stacked_addr.transpose(2, 0, 1), stacked_active.transpose(2, 0, 1), "read"
-    )
-    scatter = np.asarray(get_plan("scatter", total, E, w)["addr"])  # (E, u)
-    acc.round_many(np.broadcast_to(scatter[:, None, :], (E, T, u)), None, "write")
-    ops_per_row = int(np.asarray(get_plan("oddeven", E, 0, 1)["lo"]).shape[0])
+
+def kway_level_profile(
+    packed: AnyIntArray, k: int, E: int, w: int, fwd: AnyIntArray | None = None, *,
+    search: BatchCounters | None = None, merge: BatchCounters | None = None,
+) -> IntArray:
+    """One k-way merge level of CF blocks (staged schedule), one per row.
+
+    Row ``b`` holds block ``b``'s :func:`kway_merge_tags` keys; the words
+    tagged ``r`` are run ``r``'s fragment, staged in run order (through
+    ``fwd`` where ``rho`` is not the identity).  Adds the blocks' counters
+    of :func:`~repro.mergesort.kway.kway_merge_block`, less the compute
+    ops (:func:`kway_compute_ops`), to ``search`` and ``merge``, running
+    only the phases given; returns their ``(blocks, k)`` fragment lengths.
+    A pass of at most :data:`STACK_LANES` lanes makes one
+    :meth:`BatchCounters.round_many` call per phase.
+    """
+    B, total = packed.shape
+    u = total // E
+    lens = np.empty((B, k), dtype=np.int64)
+    step = max(1, STACK_LANES // u)
+    for lo in range(0, B, step):
+        rows = slice(lo, lo + step)
+        counts = (None if acc is None else acc._counts[:, rows] for acc in (search, merge))
+        lens[rows] = _kway_pass(packed[rows], k, E, w, fwd, *counts).T
+    return lens
+
+
+def kway_compute_ops(E: int, u: int) -> tuple[int, int]:
+    """Compute ops of a k-way merge block: ``(per search read, per block)``.
+    A search read is one ``Compute(2)``; a block adds one per gathered and
+    scattered word to every thread's ``E``-wide odd-even network."""
+    network = int(np.asarray(get_plan("oddeven", E, 0, 1)["lo"]).shape[0])
+    return 2, (2 * E + network) * u
+
+
+def _kway_pass(
+    packed: AnyIntArray, k: int, E: int, w: int, fwd: AnyIntArray | None,
+    search: IntArray | None, merge: IntArray | None,
+) -> AnyIntArray:
+    """Add one chunk's search and gather counters to its ``(7, blocks)``
+    rows, where given; return its ``(k, blocks)`` fragment lengths."""
+    T, total = packed.shape
+    u = total // E
+    bits = (k - 1).bit_length()
+    # Positions and counts, and sums of two, fit int16 below 2^14 words.
+    dt = np.int16 if total < (1 << 14) else np.int32
+    tags = packed & ((1 << bits) - 1)
+    # before[r, t, p]: the words of run r among row t's first p.
+    before = np.zeros((k, T, total + 1), dtype=dt)
+    for r in range(k):
+        np.cumsum(tags == r, axis=1, dtype=dt, out=before[r, :, 1:])
+    lens = before[:, :, -1]
+    bases = (np.cumsum(lens, axis=0, dtype=dt) - lens)[:, :, None]
+    if merge is not None:
+        cuts = before[:, :, ::E]  # each thread's cut: the words before i*E
+        addr, live = kway_gather_addresses(
+            np.moveaxis(cuts, 0, -1), bases[:, :, 0].T, lens, E, w, fwd
+        )
+        acc = BatchCounters(T, u, w)
+        # A slot's live addresses lie in disjoint per-thread windows.
+        acc.round_many(
+            addr.transpose(2, 0, 1), live.transpose(2, 0, 1), "read", assume_distinct=True
+        )
+        # The scatter is closed form: E conflict-free write rounds per warp.
+        rounds = E * (u // w)
+        merge += acc._counts + np.array([0, rounds, rounds, 0, 0, 0, E * u])[:, None]
+    if search is not None:
+        # Thread i's pivot is word max(i*E - 1, 0); its lower bound in run r
+        # counts the run's words before the pivot value's first occurrence.
+        values = packed >> bits
+        fresh = np.ones((T, total), dtype=bool)
+        np.not_equal(values[:, 1:], values[:, :-1], out=fresh[:, 1:])
+        first = np.where(fresh, np.arange(total, dtype=dt), dt(0))
+        np.maximum.accumulate(first, axis=1, out=first)
+        pivot = np.maximum(np.arange(u) * E - 1, 0)
+        lower = before[:, np.arange(T)[:, None], first[:, pivot]]
+
+        # A thread bisects its runs back to back, one read per Compute(2): its
+        # j-th read is lockstep round j.  Live steps are a prefix, so step s
+        # of run r is read (reads of runs < r) + s; dead steps go to a spare
+        # round past the last.
+        steps = int(lens.max()).bit_length()
+        mids, live = _bisect(np.zeros_like(lower), lens[:, :, None], lower, steps)
+        reads = np.add.reduce(live, axis=0, dtype=dt)
+        done = np.cumsum(reads, axis=0, dtype=dt)
+        R = int(done[-1].max())
+        slot = (done - reads) + np.arange(steps, dtype=dt)[:, None, None, None]
+        slot[~live] = R
+        lane = np.multiply(slot, T * u, dtype=np.intp)
+        lane += np.arange(T * u).reshape(T, u)
+        mids += bases
+        rounds = np.zeros((R + 1, T, u), dtype=mids.dtype)
+        rounds.reshape(-1)[lane] = mids
+        # Only live probes go through fwd: a dead one of the last run may
+        # point one past the table.
+        addr = rounds[:R] if fwd is None else fwd[rounds[:R]]
+        acc = BatchCounters(T, u, w)
+        acc.round_many(addr, np.arange(R, dtype=dt)[:, None, None] < done[-1], "read")
+        search += acc._counts
+    return lens
+
+
+def _kway_group_profile(
+    groups: Sequence[Sequence[npt.ArrayLike]], E: int, w: int, phase: str
+) -> list[Counters]:
+    """One k-way level whose blocks are ``groups``: each group's ``phase``
+    counters, compute ops included."""
+    backing, lens, runs = _stack_runs(groups, E)
+    k, total = lens.shape[1], backing.shape[1]
+    u = total // E
+    if u % w:
+        raise ParameterError(f"block width u={u} must be a multiple of w={w}")
+    fwd = None if coprime(w, E) else np.asarray(get_plan("rho", total, E, w)["fwd"])
+    acc = BatchCounters(len(groups), u, w)
+    kway_level_profile(kway_merge_tags(backing, runs, k), k, E, w, fwd, **{phase: acc})
     out = acc.to_counters()
+    per_read, per_block = kway_compute_ops(E, u)
     for c in out:
-        c.compute_ops = 2 * u * E + ops_per_row * u
+        c.compute_ops = per_read * c.shared_requests if phase == "search" else per_block
     return out
+
+
+def batched_kway_merge_profile(
+    groups: Sequence[Sequence[npt.ArrayLike]], E: int, w: int
+) -> list[Counters]:
+    """CF k-way merge counters for same-shape groups, one per group.
+
+    Those of :func:`repro.mergesort.kway.kway_merge_block` (``variant="cf"``,
+    ``simulate_search=False``), bit for bit: one :func:`kway_level_profile` block each."""
+    return _kway_group_profile(groups, E, w, "merge")
 
 
 def batched_kway_search_profile(
     groups: Sequence[Sequence[npt.ArrayLike]], E: int, w: int
 ) -> list[Counters]:
-    """CF k-way search counters for same-shape groups, one stacked pass.
+    """CF k-way search counters for same-shape groups, one per group.
 
-    Per group, bit-identical to the *search*-phase counters of
-    :func:`repro.mergesort.kway.kway_merge_block` with ``variant="cf"``
-    and the ``"staged"`` schedule, compute ops included.  Each thread
-    runs one lower-bound bisection per run against its pivot (the merged
-    value just before its diagonal), reading the ``rho``-mapped staged
-    layout.  Along the real probe path the branch at ``mid`` is
-    ``mid < lb`` (``lb`` the pivot's lower bound in that run), so every
-    trajectory replays without data reads.  Every read follows exactly
-    one ``Compute(2)``, so a thread's ``j``-th read falls in lockstep
-    round ``j``, across run boundaries too: the reads are stacked by
-    that ordinal into one accounting pass.
-    """
-    if not groups:
-        raise ParameterError("batched_kway_search_profile needs >= 1 group")
-    k = len(groups[0])
-    T = len(groups)
-    lens = np.empty((T, k), dtype=np.int64)
-    lower: list[IntArray] = []
-    total = -1
-    for t, runs in enumerate(groups):
-        arrays = [np.asarray(r, dtype=np.int64) for r in runs]
-        if len(arrays) != k:
-            raise ParameterError(
-                f"every group must have the same k; got {len(arrays)} and {k}"
-            )
-        lens[t] = [len(a) for a in arrays]
-        if total < 0:
-            total = int(lens[t].sum())
-            if total == 0 or total % E:
-                raise ParameterError(
-                    f"group length {total} must be a positive multiple of E={E}"
-                )
-            u = total // E
-            if u % w:
-                raise ParameterError(f"block width u={u} must be a multiple of w={w}")
-            diagonals = np.maximum(np.arange(u, dtype=np.int64) * E - 1, 0)
-        elif int(lens[t].sum()) != total:
-            raise ParameterError("every group must have the same total length")
-        pivots = np.sort(np.concatenate(arrays))[diagonals]
-        lower.append(
-            np.stack([np.searchsorted(a, pivots, side="left") for a in arrays], axis=1)
-        )
-
-    lb = np.stack(lower)  # (T, u, k)
-    bases = (np.cumsum(lens, axis=1) - lens)[:, None, :]
-    rho_fwd = np.asarray(get_plan("rho", total, E, w)["fwd"])
-    lo = np.zeros((T, u, k), dtype=np.int64)
-    hi = np.broadcast_to(lens[:, None, :], (T, u, k)).copy()
-    live = lo < hi
-    step_addr: list[IntArray] = []
-    step_live: list[BoolArray] = []
-    while live.any():
-        mid = (lo + hi) // 2
-        step_addr.append(rho_fwd[np.where(live, bases + mid, 0)])
-        step_live.append(live)
-        go_right = mid < lb
-        lo = np.where(live & go_right, mid + 1, lo)
-        hi = np.where(live & ~go_right, mid, hi)
-        live = lo < hi
-
-    # A thread's reads of run r follow all its reads of runs < r; within
-    # a run the live steps are a prefix, so step s is read number first + s.
-    alive = np.stack(step_live)  # (steps, T, u, k)
-    per_run = alive.sum(axis=0)
-    first = np.cumsum(per_run, axis=2) - per_run
-    s, t_idx, i_idx, r_idx = np.nonzero(alive)
-    ordinal = first[t_idx, i_idx, r_idx] + s
-    rounds = int(per_run.sum(axis=2).max())
-    round_addr = np.zeros((rounds, T, u), dtype=np.int64)
-    round_live = np.zeros((rounds, T, u), dtype=bool)
-    round_addr[ordinal, t_idx, i_idx] = np.stack(step_addr)[s, t_idx, i_idx, r_idx]
-    round_live[ordinal, t_idx, i_idx] = True
-    acc = BatchCounters(T, u, w)
-    acc.round_many(round_addr, round_live, "read")
-    out = acc.to_counters()
-    for c in out:
-        c.compute_ops = 2 * c.shared_requests
-    return out
+    Those of :func:`repro.mergesort.kway.kway_merge_block` (``variant="cf"``,
+    staged schedule), bit for bit: one :func:`kway_level_profile` block each."""
+    return _kway_group_profile(groups, E, w, "search")

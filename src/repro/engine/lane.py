@@ -191,15 +191,15 @@ def profile_kway_merges(
     E: int,
     w: int,
     *,
-    schedule: str = "staged",
     tracer: "Tracer | None" = None,
     stats: EngineStats | None = None,
 ) -> list[Counters]:
-    """Batched k-way CF merge profiles, one per run group, input order.
+    """Batched k-way CF merge profiles (staged gather), one per run
+    group, input order.
 
-    Groups are batched by ``(k, total)`` — the batched kernel stacks the
-    per-thread gather schedules, so every group in one pass must share
-    the fan-in and the merged length.
+    Groups are batched by ``(k, total)``: one pass is one k-way level
+    whose blocks are the groups, so they share the fan-in and the
+    merged length.
     """
     out: list[Counters] = [Counters() for _ in groups]
     shapes: "OrderedDict[tuple[int, int], list[int]]" = OrderedDict()
@@ -211,11 +211,9 @@ def profile_kway_merges(
     for (k, total), idxs in shapes.items():
         with _span(
             tracer, f"engine.kway-merge x{len(idxs)}",
-            {"tiles": len(idxs), "k": k, "total": total, "schedule": schedule},
+            {"tiles": len(idxs), "k": k, "total": total, "schedule": "staged"},
         ), _stats_scope(stats, len(idxs)):
-            results = batched_kway_merge_profile(
-                [groups[i] for i in idxs], E, w, schedule=schedule
-            )
+            results = batched_kway_merge_profile([groups[i] for i in idxs], E, w)
         for i, c in zip(idxs, results):
             out[i] = c
     return out

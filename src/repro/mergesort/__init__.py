@@ -55,8 +55,6 @@ from repro.mergesort.kway import (
     kway_merge_block,
     kway_merge_path_search,
     kway_sort,
-    merge_two_runs,
-    tournament_merge_runs,
 )
 from repro.mergesort.samplesort import SampleSortResult, batched_sample_sort, sample_sort
 
@@ -79,8 +77,6 @@ __all__ = [
     "kway_sort",
     "batched_kway_sort",
     "KwaySortResult",
-    "tournament_merge_runs",
-    "merge_two_runs",
     "sample_sort",
     "batched_sample_sort",
     "SampleSortResult",

@@ -1,6 +1,6 @@
-"""True k-way merging: block kernel, sort pipeline, pairwise tournament.
+"""True k-way merging: block kernel and sort pipeline.
 
-Three layers, from kernel to driver:
+Two layers, from the block kernel up:
 
 * :func:`kway_merge_block` — one thread block merges ``k`` sorted runs
   whose lengths sum to ``u*E``: a host-assisted k-way merge-path
@@ -35,20 +35,16 @@ Three layers, from kernel to driver:
   then ``ceil(log_k(n_tiles))`` k-way merge levels (vs. the pairwise
   pipeline's ``ceil(log2)``), with the same analytic global-memory
   accounting as :func:`repro.mergesort.pipeline.gpu_mergesort`.  As in
-  that module, one host skeleton (padding, k-way cuts, global traffic)
-  takes injected kernels: :func:`kway_sort` runs every block on the
-  lockstep simulator and is the oracle; :func:`batched_kway_sort` runs
-  each level's blocks in batched engine-lane passes
-  (:func:`~repro.engine.batch.batched_kway_search_profile`,
-  :func:`~repro.engine.batch.batched_kway_merge_profile`) and returns
-  the same result on every field, for ``variant="cf"`` and the staged
+  that module, one host skeleton (padding, levels, global traffic from
+  each block's fragment lengths) takes injected kernels:
+  :func:`kway_sort` cuts every group block by block and runs each block
+  on the lockstep simulator, and is the oracle;
+  :func:`batched_kway_sort` merges each level's groups with one
+  packed-key sort (plus one for a short last group) and profiles all
+  of the level's blocks at once
+  (:func:`~repro.engine.batch.kway_level_profile`).  It returns the
+  same result on every field, for ``variant="cf"`` and the staged
   schedule (the ``kway`` service backend's configuration).
-
-* :func:`tournament_merge_runs` — the *pairwise tournament* this module
-  shipped before real k-way kernels existed: ``ceil(log2(k))`` levels
-  of two-run merges.  It is **not** a k-way merge (each level is the
-  binary kernel); the name now says so.  The historical ``merge_runs``
-  alias is gone.
 """
 
 from __future__ import annotations
@@ -62,25 +58,26 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.engine.batch import (
-    batched_kway_merge_profile,
-    batched_kway_search_profile,
+    BatchCounters,
+    kway_compute_ops,
     kway_gather_addresses,
+    kway_level_profile,
+    kway_merge_tags,
     kway_thread_cuts,
     odd_even_sort_rows,
 )
 from repro.engine.plans import get_plan
 from repro.errors import ParameterError
 from repro.mergesort.blocksort import BlocksortStats
-from repro.mergesort.cf import cf_merge_block
 from repro.mergesort.pipeline import (
     BlocksortKernel,
     _batched_blocksort,
     _charge_tiles,
     _checked_input,
+    _joined,
     _lockstep_blocksort,
-    _segments,
 )
-from repro.mergesort.serial_merge import SENTINEL, serial_merge_block
+from repro.mergesort.serial_merge import SENTINEL
 from repro.mergesort.stats import MergePhaseStats
 from repro.numtheory import coprime
 from repro.sim.block import ThreadBlock
@@ -95,8 +92,6 @@ __all__ = [
     "batched_kway_sort",
     "KwaySortResult",
     "kway_level_count",
-    "tournament_merge_runs",
-    "merge_two_runs",
 ]
 
 IntArray = npt.NDArray[np.int64]
@@ -150,11 +145,6 @@ def kway_merge_path_search(
         cuts.append(lo + take)
         need -= take
     return tuple(cuts)
-
-
-def _kway_search_steps(lengths: Sequence[int]) -> int:
-    """Binary-search steps of one k-way partition: one search per run."""
-    return sum(int(length).bit_length() for length in lengths)
 
 
 def kway_level_count(n_runs: int, k: int) -> int:
@@ -487,11 +477,11 @@ class KwaySortResult:
         return out
 
 
-# Kernels a level hands its blocks to: each block is ``k`` run fragments
-# totalling one tile, merged into one ``u*E`` row.
-KwayMergeKernel = Callable[
-    [list[list[IntArray]]], tuple[list[IntArray], MergePhaseStats]
-]
+# Kernels a level hands its runs to: ``merge(runs, run)`` merges each
+# group of ``k`` ``run``-word runs (the last may hold fewer words) and
+# returns the merged groups, each ``u*E``-word block's fragment length
+# in each run of its group (``(blocks, k)``) and the level's counters.
+KwayMergeKernel = Callable[[IntArray, int], tuple[IntArray, IntArray, MergePhaseStats]]
 
 
 def _checked_args(
@@ -507,24 +497,37 @@ def _checked_args(
     return _checked_input(data, variant)
 
 
+def _charge_kway_level(counters: Counters, counts: IntArray, run: int, tile: int) -> None:
+    """Charge one merge level's global traffic from its blocks' fragments.
+
+    Groups are back to back in ``counts``, ``k*run // tile`` blocks to a
+    full one.  Each block reads the coalesced segments of its fragments
+    (offsets within their runs) and writes one tile.  Each cut inside a
+    group is one bisection per run in global memory, of the bit length
+    of the run's length in steps, each reading one word.
+    """
+    per_group = counts.shape[1] * run // tile
+    steps = coalesced = 0
+    for first in range(0, len(counts), per_group):
+        hi = np.cumsum(counts[first : first + per_group], axis=0)
+        lo = hi - counts[first : first + per_group]
+        coalesced += int(np.where(hi > lo, (hi - 1) // 32 - lo // 32 + 1, 0).sum())
+        steps += (len(hi) - 1) * sum(int(n).bit_length() for n in hi[-1])
+    counters.global_read_transactions += steps + coalesced
+    counters.global_read_requests += steps
+    counters.global_write_transactions += len(counts) * (tile // 32)
+
+
 def _kway_sort(
-    values: IntArray,
-    pad: int,
-    k: int,
-    E: int,
-    u: int,
-    w: int,
-    variant: str,
-    schedule: str,
-    blocksort: BlocksortKernel,
-    merge: KwayMergeKernel,
+    values: IntArray, pad: int, k: int, E: int, u: int, w: int, variant: str,
+    schedule: str, blocksort: BlocksortKernel, merge: KwayMergeKernel,
 ) -> KwaySortResult:
     """The skeleton: pad, blocksort, then merge ``k`` runs per group.
 
     ``pad`` fills the last tile; it must sort after every value.  Each
-    level cuts every group of up to ``k`` runs into ``u*E``-element
-    blocks along the stable k-way merge path and hands all blocks to one
-    ``merge`` call; a lone trailing run is carried to the next level.
+    level hands every group of up to ``k`` runs to one ``merge`` call (a
+    last group of one run waits for the next level) and charges the
+    level's global traffic from the returned fragment lengths.
     """
     n = len(values)
     result = KwaySortResult(
@@ -538,82 +541,74 @@ def _kway_sort(
     n_tiles = (n + tile - 1) // tile
     padded = np.full(n_tiles * tile, pad, dtype=np.int64)
     padded[:n] = values
-    tiles, result.blocksort_stats = blocksort(padded.reshape(n_tiles, tile))
+    keys, result.blocksort_stats = blocksort(padded.reshape(n_tiles, tile))
+    keys = keys.reshape(-1)
     _charge_tiles(result.global_stats, n_tiles, tile)
 
-    runs = list(tiles)
-    while len(runs) > 1:
-        groups = [runs[g : g + k] for g in range(0, len(runs), k)]
-        carried = groups.pop() if len(groups[-1]) == 1 else []
-        blocks: list[list[IntArray]] = []
-        for group in groups:
-            # Row b holds the stable k-way cut at diagonal b*tile.
-            cuts = kway_thread_cuts(group, tile)[0].tolist()
-            # Each inner cut reads one global word per search step per run.
-            steps = (len(cuts) - 2) * _kway_search_steps([len(run) for run in group])
-            result.global_stats.global_read_transactions += steps
-            result.global_stats.global_read_requests += steps
-            for prev, cut in zip(cuts, cuts[1:]):
-                blocks.append([run[p:c] for run, p, c in zip(group, prev, cut)])
-                for p, c in zip(prev, cut):
-                    result.global_stats.global_read_transactions += _segments(p, c)
-                result.global_stats.global_write_transactions += tile // 32
-        merged, level_stats = merge(blocks)
-        runs = []
-        first = 0
-        for group in groups:
-            count = sum(len(run) for run in group) // tile
-            runs.append(np.concatenate(merged[first : first + count]))
-            first += count
-        runs += carried
+    run = tile
+    while run < len(keys):
+        rest = len(keys) % (k * run)
+        grouped = len(keys) - rest if rest <= run else len(keys)
+        keys[:grouped], counts, level_stats = merge(keys[:grouped], run)
+        _charge_kway_level(result.global_stats, counts, run, tile)
         result.per_level.append(level_stats)
         result.merge_stats.merge_into(level_stats)
         result.merge_level_count += 1
-
-    result.data = runs[0][:n]
+        run *= k
+    result.data = keys[:n]
     return result
 
 
 def _lockstep_merge(
-    blocks: list[list[IntArray]],
-    E: int,
-    w: int,
-    variant: str,
-    schedule: str,
-    simulate_search: bool,
-) -> tuple[list[IntArray], MergePhaseStats]:
-    """One simulated thread block per merge block."""
+    runs: IntArray, run: int, k: int, E: int, u: int, w: int, variant: str,
+    schedule: str, simulate_search: bool,
+) -> tuple[IntArray, IntArray, MergePhaseStats]:
+    """One simulated thread block per block, cut from its group by the
+    stable k-way merge path."""
+    tile = u * E
     level_stats = MergePhaseStats()
-    merged: list[IntArray] = []
-    for frags in blocks:
-        merged_blk, stats = kway_merge_block(
-            frags, E, w, variant=variant, schedule=schedule,
-            simulate_search=simulate_search,
-        )
-        level_stats.merge_into(stats)
-        merged.append(merged_blk)
-    return merged, level_stats
+    merged = np.empty_like(runs)
+    counts = np.zeros((len(runs) // tile, k), dtype=np.int64)
+    block = 0
+    for start in range(0, len(runs), k * run):
+        group = [runs[p : p + run] for p in range(start, min(start + k * run, len(runs)), run)]
+        cuts = kway_thread_cuts(group, tile)[0]
+        for prev, cut in zip(cuts, cuts[1:]):
+            merged[block * tile : (block + 1) * tile], stats = kway_merge_block(
+                [r[p:c] for r, p, c in zip(group, prev, cut)], E, w,
+                variant=variant, schedule=schedule, simulate_search=simulate_search,
+            )
+            level_stats.merge_into(stats)
+            counts[block, : len(group)] = cut - prev
+            block += 1
+    return merged, counts, level_stats
 
 
-def _batched_merge(
-    blocks: list[list[IntArray]], E: int, w: int
-) -> tuple[list[IntArray], MergePhaseStats]:
-    """One level's blocks in one search pass plus one merge pass per fan-in.
+def _lane_merge(
+    runs: IntArray, run: int, k: int, E: int, u: int, w: int
+) -> tuple[IntArray, IntArray, MergePhaseStats]:
+    """Every full group as a row of one packed-key sort, a short last
+    group as one more, their ``u*E``-word blocks as one lane level.
 
-    Only the trailing group of a level can hold fewer than ``k`` runs,
-    so a level makes at most two passes of each kind.
+    A short group's missing runs are empty fragments, whose gather slots
+    no warp issues.  Compute ops are closed form (:func:`kway_compute_ops`).
     """
-    level_stats = MergePhaseStats()
-    by_fanin: dict[int, list[list[IntArray]]] = {}
-    for frags in blocks:
-        by_fanin.setdefault(len(frags), []).append(frags)
-    for same_k in by_fanin.values():
-        for c in batched_kway_search_profile(same_k, E, w):
-            level_stats.search.merge(c)
-        for c in batched_kway_merge_profile(same_k, E, w):
-            level_stats.merge.merge(c)
-    merged = np.sort(np.stack([np.concatenate(frags) for frags in blocks]), axis=1)
-    return list(merged), level_stats
+    tile = u * E
+    full = len(runs) - len(runs) % (k * run)
+    blocks = []
+    for lo, hi in ((0, full), (full, len(runs))):
+        if hi > lo:
+            rows = runs[lo:hi].reshape(-1, min(k * run, hi - lo))
+            tags = np.arange(rows.shape[1]) // run
+            blocks.append(kway_merge_tags(rows, tags, k).reshape(-1, tile))
+    packed = _joined(blocks)
+    search, merge = BatchCounters(len(packed), u, w), BatchCounters(len(packed), u, w)
+    counts = kway_level_profile(packed, k, E, w, search=search, merge=merge)
+    stats = MergePhaseStats(search.total(), merge.total())
+    per_read, per_block = kway_compute_ops(E, u)
+    stats.search.compute_ops = per_read * stats.search.shared_requests
+    stats.merge.compute_ops = per_block * len(counts)
+    return (packed >> (k - 1).bit_length()).reshape(-1), counts, stats
 
 
 def kway_sort(
@@ -641,11 +636,9 @@ def kway_sort(
     values = _checked_args(data, k, variant, schedule, read_policy)
     return _kway_sort(
         values, SENTINEL, k, E, u, w, variant, schedule,
+        partial(_lockstep_blocksort, E=E, w=w, variant=variant, read_policy=read_policy),
         partial(
-            _lockstep_blocksort, E=E, w=w, variant=variant, read_policy=read_policy
-        ),
-        partial(
-            _lockstep_merge, E=E, w=w, variant=variant, schedule=schedule,
+            _lockstep_merge, k=k, E=E, u=u, w=w, variant=variant, schedule=schedule,
             simulate_search=simulate_search,
         ),
     )
@@ -659,11 +652,10 @@ def batched_kway_sort(
     Every field of the returned :class:`KwaySortResult` equals that of
     :func:`kway_sort` at its defaults (``variant="cf"``, the ``"staged"``
     schedule, ``read_policy="bounded"``, searches simulated).  Every
-    tile is blocksorted in one fused lane pass, and each merge level
-    profiles its blocks in one k-way search pass plus one k-way merge
-    pass.  As in :func:`repro.mergesort.pipeline.batched_mergesort`, the
-    lane runs on the dense ranks of the input.  With ``gcd(w, E) > 1``
-    there is no exact lane profile and :func:`kway_sort` runs instead.
+    tile is blocksorted in one fused lane pass, and each merge level is
+    one lane level (:func:`~repro.engine.batch.kway_level_profile`).
+    The lane runs on the dense ranks of the input.  With ``gcd(w, E) >
+    1`` there is no exact lane profile and :func:`kway_sort` runs instead.
     """
     values = _checked_args(data, k, "cf", "staged", "bounded")
     if not coprime(w, E):
@@ -672,95 +664,7 @@ def batched_kway_sort(
     result = _kway_sort(
         ranks.astype(np.int64, copy=False), len(uniq), k, E, u, w, "cf", "staged",
         partial(_batched_blocksort, E=E, w=w, variant="cf"),
-        partial(_batched_merge, E=E, w=w),
+        partial(_lane_merge, k=k, E=E, u=u, w=w),
     )
     result.data = uniq[result.data]
     return result
-
-
-# ------------------------------------------------- pairwise tournament (old)
-
-
-def merge_two_runs(
-    a: npt.ArrayLike,
-    b: npt.ArrayLike,
-    E: int,
-    u: int,
-    w: int = 32,
-    variant: str = "thrust",
-) -> tuple[IntArray, MergePhaseStats]:
-    """Merge two sorted arrays of arbitrary lengths block by block."""
-    from repro.mergesort.merge_path import merge_path_search
-
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if np.any(np.diff(a) < 0) or np.any(np.diff(b) < 0):
-        raise ParameterError("inputs to merge_two_runs must be sorted")
-    tile = u * E
-    total = len(a) + len(b)
-    n_blocks = (total + tile - 1) // tile
-    stats = MergePhaseStats()
-    out = np.empty(n_blocks * tile, dtype=np.int64)
-
-    kernel = serial_merge_block if variant == "thrust" else cf_merge_block
-    prev = (0, 0)
-    for k in range(1, n_blocks + 1):
-        diag = min(k * tile, total)
-        cut = merge_path_search(a, b, diag) if diag < total else (len(a), len(b))
-        a_blk = a[prev[0] : cut[0]]
-        b_blk = b[prev[1] : cut[1]]
-        # Pad the final (short) block with sentinels on the B side.
-        pad = tile - (len(a_blk) + len(b_blk))
-        b_padded = (
-            np.concatenate([b_blk, np.full(pad, SENTINEL, dtype=np.int64)])
-            if pad
-            else b_blk
-        )
-        merged, block_stats = kernel(a_blk, b_padded, E, w)
-        stats.merge_into(block_stats)
-        out[(k - 1) * tile : k * tile] = merged
-        prev = cut
-    return out[:total], stats
-
-
-def tournament_merge_runs(
-    runs: Sequence[npt.ArrayLike],
-    E: int,
-    u: int,
-    w: int = 32,
-    variant: str = "thrust",
-) -> tuple[IntArray, MergePhaseStats]:
-    """Reduce ``k`` sorted runs with a balanced *pairwise* tournament.
-
-    This is **not** a k-way merge: every level runs the binary block
-    kernels (``serial_merge_block`` / ``cf_merge_block``) on pairs, so
-    it executes ``ceil(log2(k))`` levels and touches every element once
-    per level.  For a single-pass ``log_k`` pipeline use
-    :func:`kway_sort` / :func:`kway_merge_block`.  An odd run out is
-    promoted unchanged.  Returns the merged array and aggregated
-    per-phase counters.
-    """
-    if variant not in ("thrust", "cf"):
-        raise ParameterError(f"unknown variant {variant!r}")
-    arrays = [np.asarray(r, dtype=np.int64) for r in runs]
-    if not arrays:
-        return np.array([], dtype=np.int64), MergePhaseStats()
-    for i, r in enumerate(arrays):
-        if r.ndim != 1:
-            raise ParameterError(f"run {i} is not one-dimensional")
-        if np.any(np.diff(r) < 0):
-            raise ParameterError(f"run {i} is not sorted")
-    stats = MergePhaseStats()
-    while len(arrays) > 1:
-        nxt = []
-        for i in range(0, len(arrays) - 1, 2):
-            merged, s = merge_two_runs(
-                arrays[i], arrays[i + 1], E, u, w, variant
-            )
-            stats.merge_into(s)
-            nxt.append(merged)
-        if len(arrays) % 2:
-            nxt.append(arrays[-1])
-        arrays = nxt
-    return arrays[0], stats
-

@@ -324,11 +324,6 @@ class _Lockstep:
 
 
 # -------------------------------------------------------- batched kernels
-# The lane counts shared-memory traffic only; compute ops follow in closed
-# form from the kernels' instruction streams (``ops`` = compare-exchanges
-# of the E-wide odd-even network, ``L = log2(u)`` blocksort levels).  The
-# baseline runs the default ``"bounded"`` read policy and every search is
-# simulated: the oracle's defaults.
 
 
 def _joined(parts: list[npt.NDArray[Any]]) -> npt.NDArray[Any]:

@@ -123,30 +123,23 @@ def plan_batches(
     executions form identical batches.
     """
     capacity = policy.capacity_elements(params)
+    limit = policy.max_batch_requests
     batches: list[MicroBatch] = []
-    open_batches: dict[str, MicroBatch] = {}
-    next_id = first_batch_id
-
-    def close(backend: str) -> None:
-        open_batches.pop(backend, None)
-
+    #: Each backend's open batch and its running element count, so
+    #: planning reads each request's size once.
+    open_batches: dict[str, tuple[MicroBatch, int]] = {}
     for request in requests:
         backend = request.backend
-        batch = open_batches.get(backend)
-        if batch is not None:
-            would_overflow = (
-                batch.elements + request.elements > capacity
-                or len(batch.requests) + 1 > policy.max_batch_requests
-            )
-            if would_overflow:
-                close(backend)
-                batch = None
-        if batch is None:
-            batch = MicroBatch(batch_id=next_id, backend=backend)
-            next_id += 1
+        size = request.elements
+        batch, elements = open_batches.get(backend, (None, 0))
+        if batch is None or elements + size > capacity or len(batch.requests) >= limit:
+            batch = MicroBatch(batch_id=first_batch_id + len(batches), backend=backend)
             batches.append(batch)
-            open_batches[backend] = batch
+            elements = 0
         batch.requests.append(request)
-        if batch.elements >= capacity or len(batch.requests) >= policy.max_batch_requests:
-            close(backend)
+        elements += size
+        if elements >= capacity or len(batch.requests) >= limit:
+            open_batches.pop(backend, None)
+        else:
+            open_batches[backend] = (batch, elements)
     return batches

@@ -271,6 +271,20 @@ def test_kway_job_runs_the_benchmark_twice_and_diffs_reports(workflow):
     assert "cmp kway-report.json kway-report-again.json" in steps
 
 
+def test_kway_job_checks_paper_geometry_parity(workflow):
+    # E=15, u=512, w=32, k=4 on 9 tiles: a level with a carried run, then
+    # a short group.  The lane must equal the lockstep oracle on every
+    # KwaySortResult field.
+    job = workflow["jobs"]["kway"]
+    step = next(s for s in job["steps"] if "kway_sort(" in str(s.get("run", "")))
+    run = step["run"]
+    assert "9 * 15 * 512" in run
+    assert "got = batched_kway_sort(data, 4, 15, 512, 32)" in run
+    assert "want = kway_sort(data, 4, 15, 512, 32)" in run
+    assert "assert got.as_dict() == want.as_dict()" in run
+    assert step["env"] == {"PYTHONPATH": "src"}
+
+
 def test_kway_job_uploads_its_reports(workflow):
     job = workflow["jobs"]["kway"]
     upload = next(s for s in job["steps"] if "upload-artifact" in str(s.get("uses", "")))

@@ -154,18 +154,6 @@ class TestExecutor:
         with pytest.raises(ParameterError):
             run_plan(_workload(0, 99), plan)
 
-    def test_tournament_merge_mode_sorts_and_counts(self):
-        data = _workload(2, 2 * TILE)
-        with ClusterPool(0) as pool:
-            numpy_merge = cluster_sort(
-                data, TILE, 2, merge="numpy", E=E, u=U, w=W, pool=pool
-            )
-            tournament = cluster_sort(
-                data, TILE, 2, merge="tournament", E=E, u=U, w=W, pool=pool
-            )
-        assert np.array_equal(tournament.data, numpy_merge.data)
-        assert tournament.launches > numpy_merge.launches
-
     def test_process_pool_is_byte_identical_to_inline(self):
         data = _workload(4)
         with ClusterPool(0) as pool:

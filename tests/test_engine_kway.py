@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.engine.batch import (
+    BatchCounters,
     batched_kway_merge_profile,
     batched_kway_search_profile,
     kway_gather_addresses,
@@ -15,6 +16,8 @@ from repro.engine.lane import EngineStats, profile_kway_merges
 from repro.engine.plans import PlanCache, get_plan
 from repro.errors import ParameterError
 from repro.mergesort.kway import kway_merge_block
+from repro.numtheory import gcd
+from repro.sim.counters import Counters
 
 #: Counter fields the batched profile must reproduce bit-for-bit.
 IDENTITY_FIELDS = (
@@ -127,6 +130,22 @@ class TestBatchedKwayIdentity:
             for f in IDENTITY_FIELDS:
                 assert getattr(lc, f) == getattr(bc, f), f
 
+    @pytest.mark.parametrize("E,w,u", [(6, 4, 8), (6, 8, 32), (5, 8, 16)])
+    def test_empty_and_low_last_runs(self, E, w, u):
+        # A last run that is empty, or whose words all sort below another
+        # run's, ends its bisections at the very end of the staged block.
+        total = u * E
+        groups = [
+            [np.arange(10, 10 + total), np.zeros(0, dtype=np.int64)],
+            [np.arange(10, 7 + total), np.arange(3)],
+        ]
+        merge = batched_kway_merge_profile(groups, E, w)
+        search = batched_kway_search_profile(groups, E, w)
+        for g, m, s in zip(groups, merge, search):
+            _, stats = kway_merge_block(g, E, w, variant="cf")
+            assert m.as_dict() == stats.merge.as_dict()
+            assert s.as_dict() == stats.search.as_dict()
+
     def test_lane_groups_by_shape_and_restores_order(self):
         groups = [
             _interleaved(2, 80, seed=1),
@@ -150,8 +169,30 @@ class TestBatchedKwayIdentity:
             )
 
 
+class TestScatterClosedForm:
+    @pytest.mark.parametrize("w", [4, 6, 8, 16, 32])
+    def test_the_scatter_plan_is_conflict_free_at_every_gcd(self, w):
+        # The k-way level charges the scatter as E write rounds per warp,
+        # one cycle each; the plan's own rounds must agree wherever the
+        # rho layout is defined.
+        for E in range(1, 33):
+            for u in (w, 2 * w):
+                if u * E % (w * E // gcd(w, E)):
+                    continue
+                acc = BatchCounters(1, u, w)
+                addr = np.asarray(get_plan("scatter", u * E, E, w)["addr"])
+                acc.round_many(addr[:, None, :], None, "write")
+                rounds = E * (u // w)
+                assert acc.total() == Counters(
+                    shared_write_rounds=rounds, shared_cycles=rounds, shared_requests=E * u
+                ), (w, E, u)
+
+
 class TestKwaySearchProfile:
-    @pytest.mark.parametrize("k,E,w,u", [(2, 5, 8, 32), (4, 5, 8, 16), (3, 7, 4, 8)])
+    @pytest.mark.parametrize(
+        "k,E,w,u",
+        [(2, 5, 8, 32), (4, 5, 8, 16), (3, 7, 4, 8), (2, 6, 4, 8), (3, 6, 8, 32)],
+    )
     def test_matches_the_lockstep_search(self, k, E, w, u):
         rng = np.random.default_rng(k * E + u)
         groups = []

@@ -1,4 +1,4 @@
-"""Tests for k-way run merging and the block-level dual scan."""
+"""Tests for the block-level dual scan."""
 
 from __future__ import annotations
 
@@ -10,57 +10,6 @@ import pytest
 from repro.core import BlockSplit
 from repro.core.dual_scan import conflict_free_dual_scan_block
 from repro.errors import ParameterError
-from repro.mergesort.kway import merge_two_runs, tournament_merge_runs
-
-
-class TestMergeTwoRuns:
-    @pytest.mark.parametrize("variant", ["thrust", "cf"])
-    def test_arbitrary_lengths(self, variant):
-        rng = np.random.default_rng(0)
-        a = np.sort(rng.integers(0, 10**6, 133))
-        b = np.sort(rng.integers(0, 10**6, 61))
-        merged, stats = merge_two_runs(a, b, E=5, u=8, w=8, variant=variant)
-        assert np.array_equal(merged, np.sort(np.concatenate([a, b])))
-        if variant == "cf":
-            assert stats.merge.shared_replays == 0
-
-    def test_one_empty_side(self):
-        a = np.arange(50)
-        merged, _ = merge_two_runs(a, np.array([], dtype=np.int64), E=5, u=8, w=8)
-        assert np.array_equal(merged, a)
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ParameterError):
-            merge_two_runs([3, 1], [2], E=5, u=8, w=8)
-
-
-class TestMergeRuns:
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
-    def test_k_runs(self, k):
-        rng = np.random.default_rng(k)
-        runs = [np.sort(rng.integers(0, 10**6, int(rng.integers(1, 90)))) for _ in range(k)]
-        merged, _ = tournament_merge_runs(runs, E=5, u=8, w=8)
-        assert np.array_equal(merged, np.sort(np.concatenate(runs)))
-
-    def test_cf_variant_conflict_free(self):
-        rng = np.random.default_rng(9)
-        runs = [np.sort(rng.integers(0, 10**6, 80)) for _ in range(4)]
-        merged, stats = tournament_merge_runs(runs, E=5, u=8, w=8, variant="cf")
-        assert np.array_equal(merged, np.sort(np.concatenate(runs)))
-        assert stats.merge.shared_replays == 0
-
-    def test_empty_input(self):
-        merged, stats = tournament_merge_runs([], E=5, u=8, w=8)
-        assert len(merged) == 0
-        assert stats.merge.shared_rounds == 0
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            tournament_merge_runs([[1, 2], [4, 3]], E=5, u=8, w=8)
-        with pytest.raises(ParameterError):
-            tournament_merge_runs([np.zeros((2, 2))], E=5, u=8, w=8)
-        with pytest.raises(ParameterError):
-            tournament_merge_runs([[1]], E=5, u=8, w=8, variant="bogus")
 
 
 class TestBlockDualScan:

@@ -111,6 +111,128 @@ class TestBatchedKwaySort:
             batched_kway_sort(np.zeros((2, 2), dtype=np.int64), 4, 5, 32, 8)
 
 
+#: Tile counts of the level tests: at every fan-in from 2 to 5 they leave
+#: carried runs and short last groups at some level.
+LEVEL_TILES = [2, 3, 5, 6, 9, 17, 31]
+LEVEL_KINDS = ["random", "few-distinct", "section4"]
+
+
+def _level_case(k, n_tiles, partial, index):
+    """A geometry and an input of ``n_tiles`` tiles (the last one short
+    by ``partial`` words), both rotated with ``index``.  The Section 4
+    construction needs an even ``u / w``, so it skips ``(7, 16, 16)``."""
+    kind = LEVEL_KINDS[(index + k) % len(LEVEL_KINDS)]
+    E, u, w = COPRIME[index % len(COPRIME)]
+    if kind == "section4" and u // w % 2:
+        E, u, w = COPRIME[(index + 1) % len(COPRIME)]
+    n = n_tiles * u * E - partial
+    rng = np.random.default_rng(1000 * k + n_tiles)
+    if kind == "random":
+        data = rng.integers(-(10**9), 10**9, n)
+    elif kind == "few-distinct":
+        data = rng.integers(0, 4, n)
+    else:
+        data = worstcase_full_input(1 << (n_tiles - 1).bit_length(), E, u, w)[:n]
+    return data, (E, u, w)
+
+
+class TestLevelKernel:
+    @pytest.mark.parametrize("n_tiles", LEVEL_TILES)
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_every_field_matches_the_oracle(self, k, n_tiles):
+        for partial in (0, 7):
+            index = LEVEL_TILES.index(n_tiles) + partial
+            data, (E, u, w) = _level_case(k, n_tiles, partial, index)
+            assert_kway_matches(data, k, E, u, w)
+
+    @pytest.mark.parametrize("k,n_tiles", [(3, 17), (4, 6), (4, 31), (5, 9)])
+    def test_global_traffic_charges_every_group(self, k, n_tiles):
+        # Every case has a short last group at some level.
+        data = _data("random", n_tiles * 160 - 11, seed=n_tiles)
+        stats = batched_kway_sort(data, k, 5, 32, 8).global_stats
+        got = (
+            stats.global_read_transactions,
+            stats.global_read_requests,
+            stats.global_write_transactions,
+        )
+        assert got == _reference_global(data, k, 5, 32)
+
+    @pytest.mark.parametrize("k,n_tiles", [(2, 9), (3, 17), (4, 31), (5, 6)])
+    def test_one_lane_pass_per_merge_level(self, k, n_tiles, monkeypatch):
+        from repro.engine import batch as batch_module
+        from repro.engine.batch import fusion_stats
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the lane ran a per-block kernel")
+
+        for name in ("kway_merge_block", "kway_thread_cuts"):
+            monkeypatch.setattr(kway_module, name, forbidden)
+        calls = {}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(kway_module, "kway_merge_tags")
+        spy(kway_module, "kway_level_profile")
+        spy(batch_module, "_kway_pass")
+        spy(batch_module, "kway_gather_addresses")
+        data = _data("random", n_tiles * 160 - 3, seed=k)
+        before = fusion_stats()["round_many_calls"]
+        batched_kway_sort(data[:100], k, 5, 32, 8)  # one tile: the blocksort alone
+        blocksort = fusion_stats()["round_many_calls"] - before
+        calls.clear()
+        before = fusion_stats()["round_many_calls"]
+        result = batched_kway_sort(data, k, 5, 32, 8)
+        levels = result.merge_level_count
+        assert levels == kway_module.kway_level_count(n_tiles, k)
+        passes = calls["_kway_pass"]
+        assert calls["kway_level_profile"] == passes == levels
+        assert calls["kway_gather_addresses"] == passes
+        # One sort of the full groups, one more for a short last group.
+        assert levels <= calls["kway_merge_tags"] <= 2 * levels
+        # A merge level adds two round_many calls: its search replay and
+        # its staged gather.  The scatter is closed form.
+        assert fusion_stats()["round_many_calls"] - before == blocksort + 2 * levels
+
+
+def _reference_global(data, k, E, u):
+    """Global traffic charged group by group and block by block.
+
+    Both sorts share the skeleton that charges it, so their parity cannot
+    pin it; this reference cuts every group at every tile diagonal with
+    :func:`~repro.mergesort.kway.kway_merge_path_search`.
+    """
+    tile = u * E
+    n_tiles = -(-len(data) // tile)
+    padded = np.full(n_tiles * tile, SENTINEL, dtype=np.int64)
+    padded[: len(data)] = data
+    runs = list(np.sort(padded.reshape(n_tiles, tile), axis=1))
+    reads = writes = n_tiles * (tile // 32 + 1)
+    requests = 0
+    while len(runs) > 1:
+        groups = [runs[g : g + k] for g in range(0, len(runs), k)]
+        carried = groups.pop() if len(groups[-1]) == 1 else []
+        for group in groups:
+            total = sum(len(run) for run in group)
+            cuts = [
+                kway_module.kway_merge_path_search(group, d) for d in range(0, total + 1, tile)
+            ]
+            steps = (len(cuts) - 2) * sum(len(run).bit_length() for run in group)
+            reads += steps
+            requests += steps
+            for prev, cut in zip(cuts, cuts[1:]):
+                reads += sum((c - 1) // 32 - p // 32 + 1 for p, c in zip(prev, cut) if c > p)
+                writes += tile // 32
+        runs = [np.sort(np.concatenate(group)) for group in groups] + carried
+    return reads, requests, writes
+
+
 class TestBatchedSampleSort:
     @pytest.mark.parametrize("E,u,w", COPRIME)
     def test_every_length_matches_the_simulator(self, E, u, w):

@@ -18,7 +18,6 @@ from repro.mergesort.kway import (
     kway_merge_block,
     kway_merge_path_search,
     kway_sort,
-    tournament_merge_runs,
 )
 from repro.numtheory import gcd
 from repro.sim.trace import AccessTrace
@@ -206,13 +205,6 @@ class TestKwaySort:
 
 
 class TestTournamentCompat:
-    def test_tournament_is_the_old_pairwise_merge(self):
-        rng = np.random.default_rng(6)
-        runs = [np.sort(rng.integers(0, 10**6, 80)) for _ in range(5)]
-        merged, stats = tournament_merge_runs(runs, E=5, u=8, w=8, variant="cf")
-        assert np.array_equal(merged, np.sort(np.concatenate(runs)))
-        assert stats.merge.shared_replays == 0
-
     def test_merge_runs_is_removed_with_a_pointer(self):
         import repro.mergesort.kway as kway_module
 
@@ -226,12 +218,3 @@ class TestTournamentCompat:
 
         with pytest.raises(AttributeError, match="no attribute"):
             kway_module.definitely_not_a_symbol
-
-    def test_tournament_merge_runs_does_not_warn(self):
-        import warnings
-
-        runs = [np.array([1, 3], dtype=np.int64), np.array([2, 4], dtype=np.int64)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            merged, _ = tournament_merge_runs(runs, E=5, u=8, w=8)
-        assert np.array_equal(merged, np.array([1, 2, 3, 4]))

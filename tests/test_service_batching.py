@@ -112,6 +112,65 @@ class TestPlanBatches:
         ]
 
 
+def _reference_plan(requests, policy, params, first_batch_id=0):
+    """The planner as it was before it kept a running count per batch:
+    it re-summed an open batch for every request it considered."""
+    capacity = policy.capacity_elements(params)
+    batches, open_batches = [], {}
+    next_id = first_batch_id
+    for request in requests:
+        batch = open_batches.get(request.backend)
+        if batch is not None and (
+            batch.elements + request.elements > capacity
+            or len(batch.requests) + 1 > policy.max_batch_requests
+        ):
+            open_batches.pop(request.backend, None)
+            batch = None
+        if batch is None:
+            batch = MicroBatch(batch_id=next_id, backend=request.backend)
+            next_id += 1
+            batches.append(batch)
+            open_batches[request.backend] = batch
+        batch.requests.append(request)
+        if batch.elements >= capacity or len(batch.requests) >= policy.max_batch_requests:
+            open_batches.pop(request.backend, None)
+    return batches
+
+
+def _cuts(batches):
+    return [(b.batch_id, b.backend, [r.request_id for r in b.requests]) for b in batches]
+
+
+class TestLinearPlanning:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cuts_equal_the_reference_planner(self, seed):
+        rng = np.random.default_rng(seed)
+        backends = ["cf", "cf-batched", "kway", "numpy"][: 1 + seed % 4]
+        for tiles, max_requests in ((1, 64), (2, 3), (4, 8), (32, 64), (3, 1)):
+            policy = BatchPolicy(max_batch_tiles=tiles, max_batch_requests=max_requests)
+            sizes = rng.integers(0, 3 * PARAMS.tile_elements, 60)
+            requests = [
+                _req(i, int(n), backends[int(rng.integers(len(backends)))])
+                for i, n in enumerate(sizes)
+            ]
+            got = plan_batches(requests, policy, PARAMS, first_batch_id=seed)
+            want = _reference_plan(requests, policy, PARAMS, first_batch_id=seed)
+            assert _cuts(got) == _cuts(want)
+
+    def test_reads_each_request_size_at_most_twice(self, monkeypatch):
+        reads = []
+        size = SortRequest.elements
+
+        def counted(request):
+            reads.append(request.request_id)
+            return size.fget(request)
+
+        requests = [_req(i, 5 + (i * 13) % 60, ["cf", "kway"][i % 2]) for i in range(200)]
+        monkeypatch.setattr(SortRequest, "elements", property(counted))
+        plan_batches(requests, BatchPolicy(max_batch_tiles=4), PARAMS)
+        assert len(reads) <= 2 * len(requests)
+
+
 class TestMicroBatch:
     def test_offsets_and_fill_ratio(self):
         batch = MicroBatch(batch_id=0, backend="cf", requests=[_req(0, 30), _req(1, 30)])
