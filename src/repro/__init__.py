@@ -18,31 +18,37 @@ inventory and experiment index, and ``python -m repro --help`` for the
 experiment runner that regenerates every figure and table of the paper.
 """
 
-from repro.config import RTX_2080_TI, THRUST_DEFAULT, TUNED, DeviceSpec, SortParams
-from repro.core import (
-    BlockSplit,
-    WarpSplit,
-    conflict_free_dual_scan,
-    gather_block,
-    gather_warp,
-    scatter_warp,
-)
-from repro.mergesort import (
-    MergesortResult,
-    blocksort_tile,
-    cf_merge_block,
-    gpu_mergesort,
-    serial_merge_block,
-)
-from repro.perf import occupancy, speedup_summary, throughput_sweep
-from repro.sim import BankModel, Counters, Device, SharedMemory
-from repro.worstcase import (
-    theorem8_combined,
-    worstcase_full_input,
-    worstcase_merge_inputs,
-)
+from typing import TYPE_CHECKING
 
-from repro._version import __version__
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.config import RTX_2080_TI, THRUST_DEFAULT, TUNED, DeviceSpec, SortParams
+    from repro.core import (
+        BlockSplit,
+        WarpSplit,
+        conflict_free_dual_scan,
+        gather_block,
+        gather_warp,
+        scatter_warp,
+    )
+    from repro.mergesort import (
+        MergesortResult,
+        blocksort_tile,
+        cf_merge_block,
+        gpu_mergesort,
+        serial_merge_block,
+    )
+    from repro.perf import occupancy, speedup_summary, throughput_sweep
+    from repro.sim import BankModel, Counters, Device, SharedMemory
+    from repro.worstcase import (
+        theorem8_combined,
+        worstcase_full_input,
+        worstcase_merge_inputs,
+    )
+    from repro._version import __version__
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = [
     "__version__",

@@ -4,7 +4,9 @@ The version lives in exactly one place: ``pyproject.toml``.  Installed
 distributions resolve it through :mod:`importlib.metadata`; source-tree
 checkouts (``PYTHONPATH=src``, no ``pip install``) fall back to parsing
 the adjacent ``pyproject.toml`` directly, so ``repro --version`` agrees
-with the packaging metadata in both layouts.
+with the packaging metadata in both layouts.  ``repro.__version__``
+imports this module on first access (:mod:`repro._lazy`), so importing
+the package alone never loads :mod:`importlib.metadata`.
 """
 
 from __future__ import annotations

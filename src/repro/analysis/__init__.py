@@ -9,21 +9,28 @@ Every public entry point returns a plain string, so the CLI prints it and
 the tests assert on its structure.
 """
 
-from repro.analysis.grid import BankGrid
-from repro.analysis.figures import (
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure7,
-    figure8,
-)
-from repro.analysis.tables import (
-    karsin_table,
-    occupancy_table,
-    theorem8_table,
-    throughput_table,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.grid import BankGrid
+    from repro.analysis.figures import (
+        figure1,
+        figure2,
+        figure3,
+        figure4,
+        figure7,
+        figure8,
+    )
+    from repro.analysis.tables import (
+        karsin_table,
+        occupancy_table,
+        theorem8_table,
+        throughput_table,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = [
     "BankGrid",

@@ -15,12 +15,19 @@ contribution in its neighbours' context:
   the GPU Gems conflict-free padding (measured exactly zero).
 """
 
-from repro.apps.scan import exclusive_scan_naive, exclusive_scan_padded
-from repro.apps.transpose import (
-    transpose_diagonal,
-    transpose_naive,
-    transpose_padded,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.apps.scan import exclusive_scan_naive, exclusive_scan_padded
+    from repro.apps.transpose import (
+        transpose_diagonal,
+        transpose_naive,
+        transpose_padded,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = [
     "transpose_naive",

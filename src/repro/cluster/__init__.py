@@ -14,15 +14,27 @@ in front of the service.  The ``cf-cluster`` service backend
 the same pool, bit-identical to ``cf-batched``.
 """
 
-from repro.cluster.executor import ClusterResult, cluster_sort, run_plan
-from repro.cluster.external import ExternalSortResult, SpillStats, external_sort
-from repro.cluster.fairness import FairFrontEnd, TenantQuota, wfq_order
-from repro.cluster.partition import chunk_bounds, merge_partition_cuts, stable_merge_slices
-from repro.cluster.plan import ClusterPlan, ClusterTask, build_plan, get_plan
-from repro.cluster.pool import ClusterPool, get_default_pool, run_cluster_task, set_default_procs
-from repro.cluster.service import cf_cluster_backend
-from repro.cluster.shm import SharedInt64, attach_int64
-from repro.cluster.stats import cluster_stats, reset_cluster_stats
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cluster.executor import ClusterResult, cluster_sort, run_plan
+    from repro.cluster.external import ExternalSortResult, SpillStats, external_sort
+    from repro.cluster.fairness import FairFrontEnd, TenantQuota, wfq_order
+    from repro.cluster.partition import chunk_bounds, merge_partition_cuts, stable_merge_slices
+    from repro.cluster.plan import ClusterPlan, ClusterTask, build_plan, get_plan
+    from repro.cluster.pool import (
+        ClusterPool,
+        get_default_pool,
+        run_cluster_task,
+        set_default_procs,
+    )
+    from repro.cluster.service import cf_cluster_backend
+    from repro.cluster.shm import SharedInt64, attach_int64
+    from repro.cluster.stats import cluster_stats, reset_cluster_stats
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = [
     "ClusterPlan",

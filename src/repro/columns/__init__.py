@@ -27,30 +27,37 @@ operator — zero merge-phase excess on coprime geometries, the paper's
 guarantee carried all the way up to relational queries.
 """
 
-from repro.columns.column import Column
-from repro.columns.dtypes import DTYPES, NULL_ORDERS, dtype_name, numpy_dtype, order_bits
-from repro.columns.keys import (
-    EncodedKey,
-    KeyLike,
-    KeySortOutcome,
-    KeySpec,
-    combined_codes,
-    encode_keys,
-    sort_permutation,
-)
-from repro.columns.ops import (
-    AGGREGATES,
-    JOIN_KINDS,
-    JoinResult,
-    OpResult,
-    PercentileResult,
-    groupby_aggregate,
-    merge_join,
-    percentile,
-    sort_by,
-    top_k,
-)
-from repro.columns.table import Table
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.columns.column import Column
+    from repro.columns.dtypes import DTYPES, NULL_ORDERS, dtype_name, numpy_dtype, order_bits
+    from repro.columns.keys import (
+        EncodedKey,
+        KeyLike,
+        KeySortOutcome,
+        KeySpec,
+        combined_codes,
+        encode_keys,
+        sort_permutation,
+    )
+    from repro.columns.ops import (
+        AGGREGATES,
+        JOIN_KINDS,
+        JoinResult,
+        OpResult,
+        PercentileResult,
+        groupby_aggregate,
+        merge_join,
+        percentile,
+        sort_by,
+        top_k,
+    )
+    from repro.columns.table import Table
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = [
     "AGGREGATES",

@@ -30,38 +30,45 @@ Module map
     scan over a pair of arrays, made bank conflict free.
 """
 
-from repro.core.layout import (
-    apply_block_layout,
-    apply_warp_layout,
-    block_layout_position,
-    pi,
-    rho,
-    rho_inverse,
-    warp_layout_position,
-)
-from repro.core.splits import BlockSplit, WarpSplit
-from repro.core.schedule import (
-    Access,
-    block_gather_schedule,
-    block_scatter_schedule,
-    naive_gather_schedule,
-    warp_gather_schedule,
-    scatter_schedule,
-)
-from repro.core.gather import (
-    gather_block,
-    gather_reference,
-    gather_warp,
-    items_rotation,
-)
-from repro.core.scatter import scatter_block, scatter_warp, unpermute
-from repro.core.verify import (
-    assert_conflict_free,
-    rounds_are_complete_residue_systems,
-    schedule_conflicts,
-    schedule_is_conflict_free,
-)
-from repro.core.dual_scan import THREAD_FUNCTIONS, conflict_free_dual_scan
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.layout import (
+        apply_block_layout,
+        apply_warp_layout,
+        block_layout_position,
+        pi,
+        rho,
+        rho_inverse,
+        warp_layout_position,
+    )
+    from repro.core.splits import BlockSplit, WarpSplit
+    from repro.core.schedule import (
+        Access,
+        block_gather_schedule,
+        block_scatter_schedule,
+        naive_gather_schedule,
+        warp_gather_schedule,
+        scatter_schedule,
+    )
+    from repro.core.gather import (
+        gather_block,
+        gather_reference,
+        gather_warp,
+        items_rotation,
+    )
+    from repro.core.scatter import scatter_block, scatter_warp, unpermute
+    from repro.core.verify import (
+        assert_conflict_free,
+        rounds_are_complete_residue_systems,
+        schedule_conflicts,
+        schedule_is_conflict_free,
+    )
+    from repro.core.dual_scan import THREAD_FUNCTIONS, conflict_free_dual_scan
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = [
     "pi",

@@ -27,6 +27,13 @@ on the Section 4 adversary:
 * **CF-Merge** (the paper) — exactly zero, deterministically.
 """
 
-from repro.dmm.hashing import HashedBankModel, HashedSharedMemory, UniversalHash
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.dmm.hashing import HashedBankModel, HashedSharedMemory, UniversalHash
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = ["UniversalHash", "HashedBankModel", "HashedSharedMemory"]

@@ -18,36 +18,43 @@ The ``cf-batched`` service backend (:mod:`repro.engine.backend`) and the
 default ``perf.throughput`` sampling executor are built on both.
 """
 
-from repro.engine.batch import (
-    BatchCounters,
-    batched_blocksort_profile,
-    batched_cf_merge_profile,
-    batched_kway_merge_profile,
-    batched_kway_search_profile,
-    batched_search_profile,
-    batched_serial_merge_profile,
-    kway_gather_addresses,
-    kway_thread_cuts,
-    odd_even_sort_rows,
-    pad_and_stack,
-)
-from repro.engine.lane import (
-    EngineStats,
-    profile_blocksorts,
-    profile_cf_merges,
-    profile_kway_merges,
-    profile_searches,
-    profile_serial_merges,
-)
-from repro.engine.plans import (
-    PLAN_CACHE,
-    PLAN_KINDS,
-    Plan,
-    PlanCache,
-    PlanKey,
-    get_plan,
-    plan_cache_stats,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.engine.batch import (
+        BatchCounters,
+        batched_blocksort_profile,
+        batched_cf_merge_profile,
+        batched_kway_merge_profile,
+        batched_kway_search_profile,
+        batched_search_profile,
+        batched_serial_merge_profile,
+        kway_gather_addresses,
+        kway_thread_cuts,
+        odd_even_sort_rows,
+        pad_and_stack,
+    )
+    from repro.engine.lane import (
+        EngineStats,
+        profile_blocksorts,
+        profile_cf_merges,
+        profile_kway_merges,
+        profile_searches,
+        profile_serial_merges,
+    )
+    from repro.engine.plans import (
+        PLAN_CACHE,
+        PLAN_KINDS,
+        Plan,
+        PlanCache,
+        PlanKey,
+        get_plan,
+        plan_cache_stats,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = [
     "BatchCounters",

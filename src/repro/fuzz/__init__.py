@@ -23,33 +23,43 @@ CLI surface: ``python -m repro fuzz run|shrink|replay`` (exit code 6 =
 counterexample found).  See ``docs/FUZZING.md``.
 """
 
-from repro.fuzz.corpus import Corpus, CorpusEntry, Geometry, digest_of, seed_corpus
-from repro.fuzz.engine import (
-    DEFAULT_GEOMETRIES,
-    DEFAULT_SEARCH_CONFIGS,
-    FuzzConfig,
-    render_report,
-    run_campaign,
-    write_report,
-)
-from repro.fuzz.mutators import MUTATORS, mutate
-from repro.fuzz.oracles import (
-    INJECTABLE_BUGS,
-    ORACLE_FAMILIES,
-    baseline_excess_bound,
-    evaluate_case,
-    fuzz_case_tile,
-)
-from repro.fuzz.reproducer import (
-    FORMAT_VERSION,
-    Reproducer,
-    load_reproducer,
-    make_reproducer,
-    replay,
-    save_reproducer,
-)
-from repro.fuzz.search import SearchResult, adversarial_search, mask_to_inputs
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+# ``shrink`` names both a function and a submodule, so it cannot be lazy
+# (repro._lazy): once the submodule loads, the package attribute is the module.
 from repro.fuzz.shrink import shrink
+
+if TYPE_CHECKING:
+    from repro.fuzz.corpus import Corpus, CorpusEntry, Geometry, digest_of, seed_corpus
+    from repro.fuzz.engine import (
+        DEFAULT_GEOMETRIES,
+        DEFAULT_SEARCH_CONFIGS,
+        FuzzConfig,
+        render_report,
+        run_campaign,
+        write_report,
+    )
+    from repro.fuzz.mutators import MUTATORS, mutate
+    from repro.fuzz.oracles import (
+        INJECTABLE_BUGS,
+        ORACLE_FAMILIES,
+        baseline_excess_bound,
+        evaluate_case,
+        fuzz_case_tile,
+    )
+    from repro.fuzz.reproducer import (
+        FORMAT_VERSION,
+        Reproducer,
+        load_reproducer,
+        make_reproducer,
+        replay,
+        save_reproducer,
+    )
+    from repro.fuzz.search import SearchResult, adversarial_search, mask_to_inputs
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = [
     "Geometry",

@@ -34,29 +34,36 @@ pipeline on it with every counter equal to :func:`gpu_mergesort`'s;
 :func:`kway_sort` and :func:`sample_sort`.
 """
 
-from repro.mergesort.merge_path import (
-    block_split_from_merge_path,
-    merge_path_partition,
-    merge_path_search,
-    warp_split_from_merge_path,
-)
-from repro.mergesort.register_merge import (
-    bitonic_merge_rotated,
-    odd_even_transposition_sort,
-)
-from repro.mergesort.serial_merge import serial_merge_block
-from repro.mergesort.cf import cf_merge_block
-from repro.mergesort.blocksort import blocksort_tile
-from repro.mergesort.pipeline import MergesortResult, batched_mergesort, gpu_mergesort
-from repro.mergesort.kway import (
-    KwaySortResult,
-    batched_kway_sort,
-    kway_level_count,
-    kway_merge_block,
-    kway_merge_path_search,
-    kway_sort,
-)
-from repro.mergesort.samplesort import SampleSortResult, batched_sample_sort, sample_sort
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.mergesort.merge_path import (
+        block_split_from_merge_path,
+        merge_path_partition,
+        merge_path_search,
+        warp_split_from_merge_path,
+    )
+    from repro.mergesort.register_merge import (
+        bitonic_merge_rotated,
+        odd_even_transposition_sort,
+    )
+    from repro.mergesort.serial_merge import serial_merge_block
+    from repro.mergesort.cf import cf_merge_block
+    from repro.mergesort.blocksort import blocksort_tile
+    from repro.mergesort.pipeline import MergesortResult, batched_mergesort, gpu_mergesort
+    from repro.mergesort.kway import (
+        KwaySortResult,
+        batched_kway_sort,
+        kway_level_count,
+        kway_merge_block,
+        kway_merge_path_search,
+        kway_sort,
+    )
+    from repro.mergesort.samplesort import SampleSortResult, batched_sample_sort, sample_sort
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = [
     "merge_path_search",

@@ -17,22 +17,29 @@ Everything here is pure, deterministic, and independent of the simulator, so
 it can be unit-tested exhaustively and reused by the schedule verifiers.
 """
 
-from repro.numtheory.core import (
-    coprime,
-    extended_gcd,
-    euclid_division,
-    gcd,
-    lcm,
-    mod_inverse,
-)
-from repro.numtheory.residues import (
-    D_ell,
-    R_j,
-    R_j_ell,
-    R_prime_j,
-    is_complete_residue_system,
-    residues_mod,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.numtheory.core import (
+        coprime,
+        extended_gcd,
+        euclid_division,
+        gcd,
+        lcm,
+        mod_inverse,
+    )
+    from repro.numtheory.residues import (
+        D_ell,
+        R_j,
+        R_j_ell,
+        R_prime_j,
+        is_complete_residue_system,
+        residues_mod,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = [
     "gcd",

@@ -14,10 +14,20 @@ this subpackage converts measurements into *time*:
   the full-scale sort.
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+# ``occupancy`` names both a function and a submodule, so it cannot be lazy
+# (repro._lazy): once the submodule loads, the package attribute is the module.
 from repro.perf.occupancy import OccupancyResult, occupancy
-from repro.perf.cost_model import CostModel, CostBreakdown
-from repro.perf.pram import cf_merge_rounds, cf_pipeline_rounds
-from repro.perf.throughput import ThroughputPoint, throughput_sweep, speedup_summary
+
+if TYPE_CHECKING:
+    from repro.perf.cost_model import CostModel, CostBreakdown
+    from repro.perf.pram import cf_merge_rounds, cf_pipeline_rounds
+    from repro.perf.throughput import ThroughputPoint, throughput_sweep, speedup_summary
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = [
     "occupancy",

@@ -4,9 +4,11 @@ Strategy (DESIGN.md §5): all conflict behaviour is *measured* per block —
 exactly once for the worst case (the §4 construction makes every block of
 every level identical by design) and over a sample for random inputs —
 then composed analytically over the ``n/(uE)`` blocks of each of the
-``log2(n/(uE))`` merge levels, plus blocksort and global traffic.  This is
-exact for the worst case and statistically tight for random inputs, and it
-lets the sweep reach ``n = 2^26 * E`` in seconds.
+``log2(n/(uE))`` merge levels, plus blocksort and global traffic.  This
+reproduces an exact whole sort's shared-memory counters (equal on the
+worst case, within about 1% per level on random inputs) but models 3–8%
+more time than the exact sort (DESIGN.md §1), and it lets the sweep reach
+``n = 2^26 * E`` in seconds.
 
 Workloads and variants mirror Section 5:
 

@@ -26,34 +26,41 @@ CLI surface: ``python -m repro replay record|run|chaos`` (exit code 7 =
 chaos campaign failed).  See ``docs/REPLAY.md``.
 """
 
-from repro.replay.campaign import raise_on_failure, run_campaign
-from repro.replay.chaos import FAULT_KINDS, FaultInjector, FaultSpec, default_fault_plan
-from repro.replay.log import (
-    EVENT_WORKLOADS,
-    FORMAT_VERSION,
-    TrafficEvent,
-    TrafficLog,
-    load_log,
-    log_digest,
-    make_log,
-    materialize,
-    save_log,
-)
-from repro.replay.models import (
-    LOAD_MODELS,
-    adversarial_mix,
-    build_load,
-    bursty_tenants,
-    diurnal_wave,
-)
-from repro.replay.recorder import TICKS_PER_SECOND, TrafficRecorder
-from repro.replay.replayer import (
-    DEFAULT_ORACLES,
-    ReplayConfig,
-    replay_log,
-    response_checks,
-)
-from repro.replay.stats import replay_stats, reset_replay_stats
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.replay.campaign import raise_on_failure, run_campaign
+    from repro.replay.chaos import FAULT_KINDS, FaultInjector, FaultSpec, default_fault_plan
+    from repro.replay.log import (
+        EVENT_WORKLOADS,
+        FORMAT_VERSION,
+        TrafficEvent,
+        TrafficLog,
+        load_log,
+        log_digest,
+        make_log,
+        materialize,
+        save_log,
+    )
+    from repro.replay.models import (
+        LOAD_MODELS,
+        adversarial_mix,
+        build_load,
+        bursty_tenants,
+        diurnal_wave,
+    )
+    from repro.replay.recorder import TICKS_PER_SECOND, TrafficRecorder
+    from repro.replay.replayer import (
+        DEFAULT_ORACLES,
+        ReplayConfig,
+        replay_log,
+        response_checks,
+    )
+    from repro.replay.stats import replay_stats, reset_replay_stats
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = [
     "FORMAT_VERSION",

@@ -21,27 +21,34 @@ both facts:
 See ``docs/RUNNER.md`` for the architecture and the cache-key design.
 """
 
-from repro.runner.bench import build_bench_report, run_bench_gate
-from repro.runner.cache import ResultCache, code_version, default_cache_dir
-from repro.runner.executor import ExecutionStats, execute
-from repro.runner.measure import counters_from, run_tile_job, throughput_points
-from repro.runner.report import Regression, RunReport, compare_reports
-from repro.runner.spec import SweepSpec, TileJob, derive_seed, make_job
-from repro.runner.specs import (
-    DEFENSES,
-    PARAM_SETS,
-    SWEEP_MODES,
-    THEOREM8_GRID,
-    bench_suite,
-    defenses_spec,
-    engine_spec,
-    fig5_spec,
-    fig6_spec,
-    service_throughput_spec,
-    sweep_args,
-    theorem8_spec,
-    throughput_spec,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.runner.bench import build_bench_report, run_bench_gate
+    from repro.runner.cache import ResultCache, code_version, default_cache_dir
+    from repro.runner.executor import ExecutionStats, execute
+    from repro.runner.measure import counters_from, run_tile_job, throughput_points
+    from repro.runner.report import Regression, RunReport, compare_reports
+    from repro.runner.spec import SweepSpec, TileJob, derive_seed, make_job
+    from repro.runner.specs import (
+        DEFENSES,
+        PARAM_SETS,
+        SWEEP_MODES,
+        THEOREM8_GRID,
+        bench_suite,
+        defenses_spec,
+        engine_spec,
+        fig5_spec,
+        fig6_spec,
+        service_throughput_spec,
+        sweep_args,
+        theorem8_spec,
+        throughput_spec,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = [
     "SweepSpec",

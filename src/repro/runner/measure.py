@@ -9,19 +9,16 @@ in any order on any number of processes.
 
 from __future__ import annotations
 
-from typing import Any, cast
+from typing import TYPE_CHECKING, Any, cast
 
 from repro.config import RTX_2080_TI, DeviceSpec, SortParams
 from repro.errors import ParameterError
 from repro.perf.calibration import DEFAULT_CONSTANTS, CycleConstants
-from repro.perf.throughput import (
-    ThroughputPoint,
-    compose_points,
-    measure_block_costs,
-    measure_blocksort_cost,
-)
 from repro.runner.spec import TileJob
 from repro.sim.counters import Counters
+
+if TYPE_CHECKING:
+    from repro.perf.throughput import ThroughputPoint
 
 __all__ = ["run_tile_job", "throughput_points", "counters_from"]
 
@@ -50,6 +47,8 @@ def counters_from(payload: dict[str, int]) -> Counters:
 
 def _throughput_tile(params: dict[str, Any]) -> dict[str, Any]:
     """Measure one (E, u, variant, workload) block's counters."""
+    from repro.perf.throughput import measure_block_costs, measure_blocksort_cost
+
     sort_params = SortParams(_as_int(params["E"], "E"), _as_int(params["u"], "u"))
     w = _as_int(params["w"], "w")
     variant = _as_str(params["variant"], "variant")
@@ -474,6 +473,8 @@ def throughput_points(
     Equivalent to :func:`repro.perf.throughput.throughput_sweep` with the
     measurement half replaced by the job's (possibly cached) counters.
     """
+    from repro.perf.throughput import compose_points
+
     if job.kind != "throughput":
         raise ParameterError(f"expected a throughput job, got kind {job.kind!r}")
     params = job.params_dict

@@ -19,26 +19,33 @@ Entry points: :class:`Client` / :class:`SortService` in Python, and the
 ``repro serve`` / ``repro submit`` CLI verbs.
 """
 
-from repro.service.backends import (
-    DEFAULT_BACKENDS,
-    BatchOutcome,
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from repro.service.batching import BatchPolicy, MicroBatch, plan_batches
-from repro.service.jobs import batch_job, run_batch
-from repro.service.metrics import METRICS_SCHEMA, BatchRecord, ServiceMetrics
-from repro.service.request import KEY_LIMIT, SortRequest, SortResult
-from repro.service.scheduler import BatchScheduler, PendingRequest
-from repro.service.service import (
-    DEFAULT_PARAMS,
-    DEFAULT_W,
-    Client,
-    ResultTicket,
-    SortService,
-)
-from repro.service.synthetic import run_synchronous, synth_payloads, synth_requests
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.service.backends import (
+        DEFAULT_BACKENDS,
+        BatchOutcome,
+        available_backends,
+        get_backend,
+        register_backend,
+    )
+    from repro.service.batching import BatchPolicy, MicroBatch, plan_batches
+    from repro.service.jobs import batch_job, run_batch
+    from repro.service.metrics import METRICS_SCHEMA, BatchRecord, ServiceMetrics
+    from repro.service.request import KEY_LIMIT, SortRequest, SortResult
+    from repro.service.scheduler import BatchScheduler, PendingRequest
+    from repro.service.service import (
+        DEFAULT_PARAMS,
+        DEFAULT_W,
+        Client,
+        ResultTicket,
+        SortService,
+    )
+    from repro.service.synthetic import run_synchronous, synth_payloads, synth_requests
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = [
     "KEY_LIMIT",

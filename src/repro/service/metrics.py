@@ -15,17 +15,21 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
+from repro.cluster.stats import CLUSTER, cluster_stats
 from repro.config import RTX_2080_TI, DeviceSpec, SortParams
+from repro.engine.arena import BufferArena, arena_stats
+from repro.engine.batch import FUSION, fusion_stats
 from repro.engine.plans import PlanCache, plan_cache_stats
 from repro.perf.cost_model import CostModel
-from repro.runner.cache import code_version
-from repro.runner.executor import ExecutionStats
-from repro.runner.report import RunReport
+from repro.replay.stats import REPLAY, replay_stats
 from repro.service.request import SortResult
 from repro.sim.counters import Counters
 from repro.telemetry.stats import flatten_numeric, percentile
+
+if TYPE_CHECKING:
+    from repro.runner.report import RunReport
 
 __all__ = ["BatchRecord", "ServiceMetrics", "METRICS_SCHEMA", "counter_paths"]
 
@@ -39,26 +43,16 @@ METRICS_SCHEMA = 6
 #: view that reads it, and which of its keys are counters.
 _StatsSection = tuple[str, Callable[[], Mapping[str, float]], tuple[str, ...]]
 
-
-def _stats_sections() -> tuple[_StatsSection, ...]:
-    """The snapshot's process-wide stats sections, in snapshot order.
-
-    Imported here, not at module level: repro.cluster's fairness layer
-    imports the service, so a module-level import would be a cycle (and
-    repro.replay replays *through* the service).
-    """
-    from repro.cluster.stats import CLUSTER, cluster_stats
-    from repro.engine.arena import BufferArena, arena_stats
-    from repro.engine.batch import FUSION, fusion_stats
-    from repro.replay.stats import REPLAY, replay_stats
-
-    return (
-        ("engine.plan_cache", plan_cache_stats, PlanCache.COUNTERS),
-        ("engine.arena", arena_stats, BufferArena.COUNTERS),
-        ("engine.fusion", fusion_stats, FUSION.counters),
-        ("cluster", cluster_stats, CLUSTER.counters),
-        ("replay", replay_stats, REPLAY.counters),
-    )
+#: The snapshot's process-wide stats sections, in snapshot order.  The
+#: cluster and replay stats modules import only ``repro.telemetry.stats``,
+#: so importing them here loads neither layer (both import the service).
+_STATS_SECTIONS: tuple[_StatsSection, ...] = (
+    ("engine.plan_cache", plan_cache_stats, PlanCache.COUNTERS),
+    ("engine.arena", arena_stats, BufferArena.COUNTERS),
+    ("engine.fusion", fusion_stats, FUSION.counters),
+    ("cluster", cluster_stats, CLUSTER.counters),
+    ("replay", replay_stats, REPLAY.counters),
+)
 
 
 def counter_paths() -> frozenset[str]:
@@ -70,7 +64,7 @@ def counter_paths() -> frozenset[str]:
     """
     paths = set(ServiceMetrics.COUNTERS)
     paths.update(f"counters.{name}" for name in Counters().as_dict())
-    for section, _, counters in _stats_sections():
+    for section, _, counters in _STATS_SECTIONS:
         paths.update(f"{section}.{name}" for name in counters)
     return frozenset(paths)
 
@@ -201,7 +195,7 @@ class ServiceMetrics:
     def snapshot(self) -> dict[str, Any]:
         """The full metrics state as one JSON-serializable dictionary."""
         stats: dict[str, Any] = {}
-        for path, view, _ in _stats_sections():
+        for path, view, _ in _STATS_SECTIONS:
             *parents, leaf = path.split(".")
             node = stats
             for parent in parents:
@@ -286,6 +280,11 @@ class ServiceMetrics:
         artifact loads with :meth:`repro.runner.report.RunReport.read`
         and renders with the same tooling as the experiment sweeps.
         """
+        # The runner's report stack loads only when a report is exported.
+        from repro.runner.cache import code_version
+        from repro.runner.executor import ExecutionStats
+        from repro.runner.report import RunReport
+
         snap = self.snapshot()
         derived: dict[str, float] = {}
         flatten_numeric("", snap, derived)

@@ -25,7 +25,6 @@ import numpy.typing as npt
 
 from repro.config import SortParams
 from repro.errors import QueueFullError, ServiceError
-from repro.runner.cache import ResultCache
 from repro.service.batching import BatchPolicy, MicroBatch
 from repro.service.jobs import run_batch
 from repro.service.metrics import BatchRecord, ServiceMetrics
@@ -35,6 +34,7 @@ from repro.telemetry.spans import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:
     from repro.replay.recorder import TrafficRecorder
+    from repro.runner.cache import ResultCache
 
 __all__ = ["ResultTicket", "SortService", "Client"]
 

@@ -29,23 +29,30 @@ shared-memory round's conflict cost is measured from the actual addresses —
 never assumed.
 """
 
-from repro.sim.banks import BankModel
-from repro.sim.block import ThreadBlock
-from repro.sim.counters import Counters
-from repro.sim.device import Device
-from repro.sim.instructions import (
-    Compute,
-    GlobalRead,
-    GlobalWrite,
-    SharedRead,
-    SharedWrite,
-    Shuffle,
-    Sync,
-)
-from repro.sim.memory import GlobalMemory, SharedMemory
-from repro.sim.registers import RegisterFile
-from repro.sim.trace import AccessEvent, AccessTrace
-from repro.sim.warp import Warp
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sim.banks import BankModel
+    from repro.sim.block import ThreadBlock
+    from repro.sim.counters import Counters
+    from repro.sim.device import Device
+    from repro.sim.instructions import (
+        Compute,
+        GlobalRead,
+        GlobalWrite,
+        SharedRead,
+        SharedWrite,
+        Shuffle,
+        Sync,
+    )
+    from repro.sim.memory import GlobalMemory, SharedMemory
+    from repro.sim.registers import RegisterFile
+    from repro.sim.trace import AccessEvent, AccessTrace
+    from repro.sim.warp import Warp
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = [
     "BankModel",

@@ -22,28 +22,35 @@ so instrumented hot paths run at seed-level performance unless a caller
 passes a live :class:`Tracer`.
 """
 
-from repro.telemetry.chrome import (
-    access_trace_events,
-    chrome_trace_payload,
-    span_trace_events,
-    write_chrome_trace,
-)
-from repro.telemetry.profiler import (
-    PROFILE_TARGETS,
-    ConflictProfile,
-    ProfiledRun,
-    profile_cf,
-    profile_random,
-    profile_worstcase,
-)
-from repro.telemetry.prometheus import (
-    SnapshotWriter,
-    render_exposition,
-    sanitize_metric_name,
-    service_exposition,
-)
-from repro.telemetry.spans import NULL_TRACER, Span, Tracer
-from repro.telemetry.stats import flatten_numeric, percentile, summarize
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.telemetry.chrome import (
+        access_trace_events,
+        chrome_trace_payload,
+        span_trace_events,
+        write_chrome_trace,
+    )
+    from repro.telemetry.profiler import (
+        PROFILE_TARGETS,
+        ConflictProfile,
+        ProfiledRun,
+        profile_cf,
+        profile_random,
+        profile_worstcase,
+    )
+    from repro.telemetry.prometheus import (
+        SnapshotWriter,
+        render_exposition,
+        sanitize_metric_name,
+        service_exposition,
+    )
+    from repro.telemetry.spans import NULL_TRACER, Span, Tracer
+    from repro.telemetry.stats import flatten_numeric, percentile, summarize
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = [
     "Span",

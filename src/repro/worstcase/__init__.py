@@ -17,20 +17,27 @@ generator for the full sort), and :mod:`repro.worstcase.theory`
 (Theorem 8's closed-form conflict counts).
 """
 
-from repro.worstcase.sequence import S_sequence, s_values, x_values, y_values
-from repro.worstcase.tuples import (
-    block_tuples,
-    subproblem_tuples,
-    warp_tuples,
-)
-from repro.worstcase.generator import (
-    worstcase_full_input,
-    worstcase_merge_inputs,
-)
-from repro.worstcase.theory import (
-    theorem8_combined,
-    theorem8_subproblem,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.worstcase.sequence import S_sequence, s_values, x_values, y_values
+    from repro.worstcase.tuples import (
+        block_tuples,
+        subproblem_tuples,
+        warp_tuples,
+    )
+    from repro.worstcase.generator import (
+        worstcase_full_input,
+        worstcase_merge_inputs,
+    )
+    from repro.worstcase.theory import (
+        theorem8_combined,
+        theorem8_subproblem,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(globals())
 
 __all__ = [
     "s_values",

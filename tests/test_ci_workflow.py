@@ -110,6 +110,11 @@ def test_lint_job_gates_ruff_and_strict_mypy(workflow):
     assert "src/repro/replay" in steps
     assert "src/repro/mergesort/kway.py" in steps
     assert "src/repro/mergesort/samplesort.py" in steps
+    # The root package and the lazy-export helper every __init__ uses:
+    # follow_imports = "silent" would hide their errors otherwise.
+    assert "src/repro/__init__.py" in steps
+    assert "src/repro/_version.py" in steps
+    assert "src/repro/_lazy.py" in steps
 
 
 def test_smoke_job_runs_quick_suite_and_perf_gate(workflow):
