@@ -26,7 +26,8 @@ convergence contribute nothing, because every count is masked per lane.
 The accounting is lane-major.  NumPy runs a reduction or scan along a
 short trailing axis as one short inner loop per row, so the ``w``-wide
 warp axis is never the axis a loop runs along: each warp row's keys are
-sorted along the row, then transposed once to ``(w, rows)``, and every
+sorted along the row (narrow warp rows in groups of 32 lanes, as NumPy's
+sort pays per row too), then transposed once to ``(w, rows)``, and every
 statistic — distinct addresses, occupied banks, the largest per-bank
 count (the round's cycles in the DMM model) — is ``w`` slab passes
 that each span every row of every stacked round.  The same holds for
@@ -43,8 +44,9 @@ fewer blocks than tiles is padded with rows that are dead in both the
 search and the pointer rounds.  Every queued level's bisections replay
 in one loop accounted in one :meth:`BatchCounters.round_many` call, and
 for ``thrust`` every level's pointer-merge rounds in one more; each pass
-folds its per-round sums into per-level totals (for the pipeline) and
-per-row totals (for :func:`batched_blocksort_profile`).  A pass holds
+folds its per-round sums into per-level totals (all the pipeline reads)
+and, where the caller reads them, per-row totals (for
+:func:`batched_blocksort_profile`).  A pass holds
 whole levels of at most :data:`STACK_LANES` thread lanes (rows times
 ``u``), so large batches keep one pass per level and bounded scratch.
 The blocksort's staging rounds are one closed-form update.
@@ -147,9 +149,10 @@ class BatchCounters:
     charges every active warp what
     :meth:`repro.sim.banks.BankModel.round_cost` charges it (duplicate
     addresses broadcast, a round costs its largest bank multiplicity),
-    applied per tile."""
+    applied per tile (not with ``per_tile=False``, for a caller that reads
+    only the per-round sums :meth:`round_many` returns)."""
 
-    def __init__(self, tiles: int, u: int, w: int) -> None:
+    def __init__(self, tiles: int, u: int, w: int, *, per_tile: bool = True) -> None:
         if tiles < 1:
             raise ParameterError(f"batch needs >= 1 tile, got {tiles}")
         if u < 1 or w < 1:
@@ -157,6 +160,7 @@ class BatchCounters:
         self.tiles = tiles
         self.u = u
         self.w = w
+        self.per_tile = per_tile
         #: Warp slots per tile — ceil so a partial trailing warp (u % w
         #: != 0, possible in search profiles) still gets its own slot and
         #: never aliases the next tile's first warp.
@@ -246,6 +250,10 @@ class BatchCounters:
         are distinct addresses, and a sorted row groups each bank — or
         the bare bank id when ``distinct``.  Inactive and padding lanes
         get a key ``>= w << shift``, so they sort last in their row.
+
+        NumPy's sort pays per row, so warp rows narrower than 32 lanes
+        sort in groups (:func:`_sort_rows`), whatever their round or tile;
+        rows that only fill the last group are inactive and never read.
         """
         R = int(addresses.shape[0])
         T, u, w, S = self.tiles, self.u, self.w, self._slots
@@ -259,14 +267,18 @@ class BatchCounters:
         # Two addresses of the span differ in their low ``shift`` bits.
         shift = 0 if distinct else max(int(addr.max()) - int(addr.min()), 1).bit_length()
         limit = w << shift
-        if limit < (1 << 31):
-            dtype: type = np.int32
-        elif limit < (1 << 63):
-            dtype = np.int64
-        else:  # pragma: no cover - pathological address span
+        bits = limit.bit_length()  # every key, inactive or not, is below 2**bits
+        if bits > 63:  # pragma: no cover - pathological address span
             raise ParameterError("round_many address span too wide to key")
+        # log2 of the warp rows sorted as one: 32 // w rounded down to a
+        # power of two, fewer where an int64 cannot hold the prefix.
+        group = min(max((32 // w).bit_length() - 1, 0), 63 - bits)
+        dtype: type = np.int32 if bits + group < 32 else np.int64
         n = R * T * S
-        with ENGINE_ARENA.lease((n, w), dtype) as keys:
+        g = 1 << group
+        with ENGINE_ARENA.lease((-(-n // g) * g, w), dtype) as padded:
+            keys = padded[:n]
+            padded[n:] = limit
             rows = keys.reshape(R, T, S * w)
             key = rows[..., :u]
             rows[..., u:] = limit
@@ -274,7 +286,7 @@ class BatchCounters:
                 _bank_ids(addr, w, out=key)
                 if act is not None:
                     _push_inactive(key, act, limit, np.empty_like(key))
-                keys.sort(axis=1)
+                _sort_rows(padded, group, bits)
                 # Bank ids and the inactive marks below 2w fit a byte.
                 lanes = np.empty((w, n), dtype=_count_dtype(2 * w))
                 _transpose_into(lanes, keys)
@@ -291,7 +303,7 @@ class BatchCounters:
                     key |= scratch
                     if act is not None:
                         _push_inactive(key, act, limit, scratch)
-                    keys.sort(axis=1)
+                    _sort_rows(padded, group, bits)
                     lanes = np.empty((w, n), dtype=dtype)
                     _transpose_into(lanes, keys)
                     np.right_shift(lanes, shift, out=banks)
@@ -299,26 +311,35 @@ class BatchCounters:
         # Rows run (round, tile, slot): per tile, sum the rounds, then the
         # slots; per round, sum each round's contiguous rows.
         by_round = totals.reshape(5, R, T * S)
-        per_slot = np.add.reduce(
-            by_round, axis=1, dtype=_count_dtype(R * w + 1)
-        ).reshape(5, T, S)
-        per_tile = per_slot[..., 0].astype(np.int64)
-        for s in range(1, S):
-            per_tile += per_slot[..., s]
-        _charge(self._counts, per_tile, kind)
-        return np.add.reduce(by_round, axis=2, dtype=np.int64)
+        if self.per_tile:
+            per_slot = np.add.reduce(
+                by_round, axis=1, dtype=_count_dtype(R * w + 1)
+            ).reshape(5, T, S)
+            per_tile = per_slot[..., 0].astype(np.int64)
+            for s in range(1, S):
+                per_tile += per_slot[..., s]
+            _charge(self._counts, per_tile, kind)
+        # A warp's statistics are at most w each: a round's sums fit T*S*w.
+        per_round = np.add.reduce(by_round, axis=2, dtype=_count_dtype(T * S * w + 1))
+        return per_round.astype(np.int64)
 
     def total(self, rows: slice = slice(None)) -> Counters:
         """The counters of the tiles in ``rows`` (all by default), summed."""
+        self._check_per_tile()
         sums = self._counts[:, rows].sum(axis=1).tolist()
         return Counters(**dict(zip(_SHARED_FIELDS, sums)))
 
     def to_counters(self) -> list[Counters]:
         """Materialize one :class:`Counters` per tile."""
+        self._check_per_tile()
         return [
             Counters(**dict(zip(_SHARED_FIELDS, tile)))
             for tile in self._counts.T.tolist()
         ]
+
+    def _check_per_tile(self) -> None:
+        if not self.per_tile:
+            raise ParameterError("this accumulator keeps no per-tile counters")
 
 
 #: The :class:`Counters` fields a :class:`BatchCounters` accumulates, in
@@ -394,6 +415,20 @@ def _push_inactive(
     """
     np.multiply(np.logical_not(act), key.dtype.type(limit), out=scratch)
     key |= scratch
+
+
+def _sort_rows(keys: AnyIntArray, group: int, bits: int) -> None:
+    """Sort each row of the ``(rows, w)`` keys, all below ``2**bits``, as
+    ``2**group`` rows per sort row (``rows`` a multiple of it): a prefix of
+    each row's index in its group keeps them apart and is cleared after."""
+    if not group:
+        keys.sort(axis=1)
+        return
+    g, w = 1 << group, keys.shape[1]
+    grouped = keys.reshape(-1, g * w)
+    grouped |= np.repeat(np.arange(g, dtype=keys.dtype) << bits, w)
+    grouped.sort(axis=1)
+    keys &= (1 << bits) - 1
 
 
 def _transpose_into(lanes: npt.NDArray[Any], keys: npt.NDArray[Any]) -> None:
@@ -1040,7 +1075,9 @@ class LevelStack:
     lanes (a level wider than that runs alone), so small sorts fold
     every level into one pass and large ones keep one pass per level.
     Each pass folds its per-round sums into per-level totals
-    (:attr:`search`, :attr:`merge`) and per-row totals (:attr:`per_row`).
+    (:attr:`search`, :attr:`merge`, read in one pass by :meth:`totals`)
+    and, unless built with ``per_row=False`` (a caller that reads only
+    those totals, as the pipeline does), per-row totals (:attr:`per_row`).
     """
 
     def __init__(
@@ -1053,6 +1090,7 @@ class LevelStack:
         levels: int,
         *,
         read_policy: str = "bounded",
+        per_row: bool = True,
     ) -> None:
         if variant not in ("thrust", "cf"):
             raise ParameterError(f"unknown variant {variant!r}")
@@ -1061,7 +1099,7 @@ class LevelStack:
         self.rows, self.u, self.E, self.w = rows, u, E, w
         self.variant, self.read_policy = variant, read_policy
         #: Every level's counters, per row (a tile of a blocksort level).
-        self.per_row = BatchCounters(rows, u, w)
+        self.per_row = BatchCounters(rows, u, w, per_tile=per_row)
         if u % w or u & (u - 1):
             raise ParameterError(f"thread count {u} must be a power-of-two multiple of w")
         #: The blocksort's staging counters, summed over the rows.
@@ -1197,12 +1235,19 @@ class LevelStack:
         self._done += G
         self._queued = 0
 
-    def total(self, phase: str, levels: slice = slice(None)) -> Counters:
-        """The ``"search"`` or ``"merge"`` counters of ``levels``, summed,
-        or the blocksort's ``"stage"`` counters."""
-        rows = {"stage": self.stage[:, None], "search": self.search, "merge": self.merge}
-        sums = rows[phase][:, levels].sum(axis=1).tolist()
-        return Counters(**dict(zip(_SHARED_FIELDS, sums)))
+    def totals(self, first: int) -> list[Counters]:
+        """Every phase's counters in one read: the staging, the search and
+        merge of the levels before ``first`` summed, then each later
+        level's search and merge in turn."""
+        late = self.search.shape[1] - first
+        cols = np.empty((len(_SHARED_FIELDS), 3 + 2 * late), dtype=np.int64)
+        cols[:, 0] = self.stage
+        np.add.reduce(self.search[:, :first], axis=1, out=cols[:, 1])
+        np.add.reduce(self.merge[:, :first], axis=1, out=cols[:, 2])
+        cols[:, 3::2] = self.search[:, first:]
+        cols[:, 4::2] = self.merge[:, first:]
+        # The fields lead Counters' own, in order.
+        return [Counters(*col) for col in cols.T.tolist()]
 
 
 def batched_blocksort_profile(

@@ -355,7 +355,9 @@ class _Lane:
     def blocksort(self, tiles: IntArray) -> IntArray:
         # The blocksort's levels, then one merge level per doubling of the runs.
         levels = self.u.bit_length() - 1 + (len(tiles) - 1).bit_length()
-        self.stack = LevelStack(len(tiles), self.u, self.E, self.w, self.variant, levels)
+        self.stack = LevelStack(
+            len(tiles), self.u, self.E, self.w, self.variant, levels, per_row=False
+        )
         return self.stack.blocksort(tiles)
 
     def merge(self, runs: IntArray, run: int) -> tuple[IntArray, IntArray]:
@@ -389,9 +391,7 @@ class _Lane:
         levels = u.bit_length() - 1
         ops = compare_exchange_count_odd_even(E)
         blocksort = BlocksortStats()
-        blocksort.stage = stack.total("stage")
-        blocksort.search = stack.total("search", slice(0, levels))
-        blocksort.merge = stack.total("merge", slice(0, levels))
+        blocksort.stage, blocksort.search, blocksort.merge, *late = stack.totals(levels)
         # One Compute per staged word: the load, one stage per level, the final stage.
         blocksort.stage.compute_ops = stack.rows * u * E * (levels + 2)
         # Three ops per bisection step (two reads per step).
@@ -406,9 +406,8 @@ class _Lane:
         per_step = 4 if cf else 2
         per_block = 2 * u * E + ops * u if cf else u * E
         merged = []
-        for level, blocks in enumerate(self.blocks, levels):
-            rows = slice(level, level + 1)
-            stats = MergePhaseStats(stack.total("search", rows), stack.total("merge", rows))
+        for blocks, search, merge in zip(self.blocks, late[::2], late[1::2]):
+            stats = MergePhaseStats(search, merge)
             stats.search.compute_ops = per_step * stats.search.shared_requests // 2
             stats.merge.compute_ops = blocks * per_block
             merged.append(stats)

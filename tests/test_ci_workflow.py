@@ -97,6 +97,14 @@ def test_tier1_job_runs_pytest_across_supported_pythons(workflow):
     assert pytest_step["env"]["PYTHONPATH"] == "src"
 
 
+def test_tier1_job_runs_the_wall_clock_benchmark_helper_tests(workflow):
+    # No tier-1 run collects wallbench/tests (pytest's testpaths is tests/).
+    job = workflow["jobs"]["test"]
+    step = next(s for s in job["steps"] if "wallbench/tests" in str(s.get("run", "")))
+    assert step["run"].strip() == "python -m pytest wallbench/tests -q"
+    assert step["env"]["PYTHONPATH"] == "src"
+
+
 def test_lint_job_gates_ruff_and_strict_mypy(workflow):
     steps = _steps_text(workflow["jobs"]["lint"])
     assert "ruff check" in steps

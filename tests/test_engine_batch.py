@@ -46,8 +46,13 @@ def _shared(c: Counters) -> dict[str, int]:
     return {f: getattr(c, f) for f in SHARED_FIELDS}
 
 
-def _bank_model_round(addr, act, w, counters: Counters) -> None:
-    """Charge one tile's read round warp by warp through ``BankModel``."""
+def _bank_model_round(addr, act, w, counters: Counters, sums=None) -> None:
+    """Charge one tile's read round warp by warp through ``BankModel``.
+
+    ``sums``, if given, gets the round's five statistics added, in the
+    order ``round_many`` returns them: warps issued, requests, distinct
+    addresses, occupied banks, cycles.
+    """
     bm = BankModel(w)
     for s in range(0, len(addr), w):
         cost = bm.round_cost(addr[s : s + w][act[s : s + w]])
@@ -58,6 +63,9 @@ def _bank_model_round(addr, act, w, counters: Counters) -> None:
             counters.shared_replays += cost.replays
             counters.shared_excess += cost.excess
             counters.broadcast_reads += cost.broadcasts
+            if sums is not None:
+                distinct = cost.requests - cost.broadcasts
+                sums += [1, cost.requests, distinct, distinct - cost.excess, cost.cycles]
 
 
 def _tile_pairs(tile_len, seed, n_pairs=4):
@@ -546,11 +554,16 @@ class TestRoundManyAgainstBankModel:
 
     The oracle shares nothing with the lane: it slices each tile's round
     into w-wide warps and prices each through the simulator's bank model.
+    Both the per-tile counters and the per-round sums (all a pipeline
+    sort reads) are checked.  The widths draw every group of warp rows
+    the accounting sorts as one row (32 // w rounded down to a power of
+    two: 32 at w = 1, then 16 down to 1), and rounds * tiles * slots
+    rows mostly leave the last group part empty.
     """
 
     @settings(max_examples=150, deadline=None)
     @given(
-        w=st.sampled_from([1, 3, 4, 8, 12, 32, 128]),
+        w=st.sampled_from([1, 2, 3, 4, 8, 12, 16, 32, 128]),
         slots=st.integers(1, 3),
         pad=st.integers(0, 127),
         tiles=st.integers(1, 3),
@@ -586,14 +599,18 @@ class TestRoundManyAgainstBankModel:
             if mask == "some rounds idle":
                 active[rng.random(rounds) < 0.5] = False
         got = BatchCounters(tiles, u, w)
-        got.round_many(addr, active, assume_distinct=distinct)
+        per_round = got.round_many(addr, active, assume_distinct=distinct)
         act = np.ones(shape, dtype=bool) if active is None else active
         want = [Counters() for _ in range(tiles)]
+        want_sums = np.zeros((rounds, 5), dtype=np.int64)
         for r in range(rounds):
             for t in range(tiles):
-                _bank_model_round(addr[r, t], act[r, t], w, want[t])
+                _bank_model_round(addr[r, t], act[r, t], w, want[t], want_sums[r])
         for t, (g, expect) in enumerate(zip(got.to_counters(), want)):
             assert g.as_dict() == expect.as_dict(), f"tile {t}"
+        assert per_round.dtype == np.int64
+        for r in range(rounds):
+            assert per_round[:, r].tolist() == want_sums[r].tolist(), f"round {r}"
 
 
 class TestReplaySearches:

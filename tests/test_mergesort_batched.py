@@ -508,6 +508,32 @@ class TestBackends:
         # Each long segment, then the packed batch of the short ones.
         assert calls == [400, 700, 180]
 
+    def test_pipeline_sorts_fold_no_per_tile_counters(self, monkeypatch):
+        # batched_mergesort reads only per-level totals, so none of its
+        # accounting passes adds to an accumulator's per-tile rows: in
+        # either variant, nor in a cf-batched call on long segments.  The
+        # per-tile blocksort profile cf-batched runs on its packed short
+        # segments still folds.
+        folded = []
+        real = batch.BatchCounters._account
+
+        def spy(acc, *args, **kwargs):
+            before = acc._counts.copy()
+            try:
+                return real(acc, *args, **kwargs)
+            finally:
+                folded.append(not np.array_equal(acc._counts, before))
+
+        monkeypatch.setattr(batch.BatchCounters, "_account", spy)
+        data = np.random.default_rng(7).integers(0, 1000, 5 * 160 + 3)
+        for variant in ("thrust", "cf"):
+            batched_mergesort(data, PARAMS.E, PARAMS.u, W, variant)
+        payload, offsets = _payload([400, 700], seed=5)
+        cf_batched_backend(payload, offsets, PARAMS, W)
+        assert folded and not any(folded)
+        cf_batched_backend(*_payload([30, 90], seed=5), PARAMS, W)
+        assert folded[-1]
+
     @pytest.mark.parametrize("backend,variant", [("cf", "cf"), ("baseline", "thrust")])
     def test_simulated_backends_equal_the_lockstep_composition(self, backend, variant):
         data, offsets = _payload([400, 30, 0, 150, 700, 90], seed=3)
