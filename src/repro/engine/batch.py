@@ -26,11 +26,12 @@ convergence contribute nothing, because every count is masked per lane.
 The accounting is lane-major.  NumPy runs a reduction or scan along a
 short trailing axis as one short inner loop per row, so the ``w``-wide
 warp axis is never the axis a loop runs along: each warp row's keys are
-sorted along the row (narrow warp rows in groups of 32 lanes, as NumPy's
-sort pays per row too), then transposed once to ``(w, rows)``, and every
-statistic — distinct addresses, occupied banks, the largest per-bank
-count (the round's cycles in the DMM model) — is ``w`` slab passes
-that each span every row of every stacked round.  The same holds for
+sorted along the row (narrow warp rows in groups, as NumPy's sort pays
+per row too: 32 lanes, or up to 128 for int16 keys), then transposed
+once to ``(w, rows)``, and every statistic — distinct addresses,
+occupied banks, the largest per-bank count (the round's cycles in the
+DMM model) — is ``w`` slab passes that each span every row of every
+stacked round.  The same holds for
 the ``E``-wide per-thread merge tags, which are kept step-major.
 
 Fixed cost per call is what the small sorts pay, so a lane sort is one
@@ -57,6 +58,8 @@ on one level whose rows are the pairs.  Values past the ``2*v + tag``
 packing range are replaced by their dense ranks first (same
 comparisons, same counters), and a merge or search pair whose halves
 are not two sorted runs raises :class:`~repro.errors.ParameterError`.
+Scratch is plain per-call ``np.empty``, every buffer written before it
+is read.
 A k-way merge level (:func:`kway_level_profile`) is one packed ``(value,
 run)`` sort per group shape with its blocks as rows; its search shares
 the bisection (:func:`_bisect`) but places reads by ordinal, since one
@@ -70,7 +73,6 @@ from typing import Any, Callable, Sequence
 import numpy as np
 import numpy.typing as npt
 
-from repro.engine.arena import ENGINE_ARENA
 from repro.engine.plans import get_plan
 from repro.errors import ParameterError
 from repro.numtheory import coprime
@@ -251,9 +253,11 @@ class BatchCounters:
         the bare bank id when ``distinct``.  Inactive and padding lanes
         get a key ``>= w << shift``, so they sort last in their row.
 
-        NumPy's sort pays per row, so warp rows narrower than 32 lanes
-        sort in groups (:func:`_sort_rows`), whatever their round or tile;
-        rows that only fill the last group are inactive and never read.
+        NumPy's sort pays per row, so narrow warp rows sort in groups
+        (:func:`_sort_rows`), whatever their round or tile, as keys of the
+        narrowest dtype that holds them with their group prefix, int16
+        first; rows that only fill the last group are inactive and never
+        read.
         """
         R = int(addresses.shape[0])
         T, u, w, S = self.tiles, self.u, self.w, self._slots
@@ -271,43 +275,48 @@ class BatchCounters:
         if bits > 63:  # pragma: no cover - pathological address span
             raise ParameterError("round_many address span too wide to key")
         # log2 of the warp rows sorted as one: 32 // w rounded down to a
-        # power of two, fewer where an int64 cannot hold the prefix.
-        group = min(max((32 // w).bit_length() - 1, 0), 63 - bits)
-        dtype: type = np.int32 if bits + group < 32 else np.int64
+        # power of two.  Keys that fit int16 with that prefix widen it up to
+        # _INT16_ROW_LANES lanes while they fit; int64 keys shrink it.
+        group = max((32 // w).bit_length() - 1, 0)
+        dtype: type = np.int16
+        if bits + group < 16:
+            group = min(max((_INT16_ROW_LANES // w).bit_length() - 1, 0), 15 - bits)
+        else:
+            dtype = np.int32 if bits + group < 32 else np.int64
+            group = min(group, 63 - bits)
         n = R * T * S
         g = 1 << group
-        with ENGINE_ARENA.lease((-(-n // g) * g, w), dtype) as padded:
-            keys = padded[:n]
-            padded[n:] = limit
-            rows = keys.reshape(R, T, S * w)
-            key = rows[..., :u]
-            rows[..., u:] = limit
-            if distinct:
-                _bank_ids(addr, w, out=key)
-                if act is not None:
-                    _push_inactive(key, act, limit, np.empty_like(key))
-                _sort_rows(padded, group, bits)
-                # Bank ids and the inactive marks below 2w fit a byte.
-                lanes = np.empty((w, n), dtype=_count_dtype(2 * w))
-                _transpose_into(lanes, keys)
-                totals = _warp_row_totals(lanes, lanes, limit, True)
-            else:
-                with ENGINE_ARENA.lease((n, w), dtype) as spare:
-                    banks = spare.reshape(w, n)
-                    scratch = spare.reshape(-1)[: R * T * u].reshape(shape)
-                    np.bitwise_and(
-                        addr, (1 << shift) - 1, out=key, dtype=dtype, casting="unsafe"
-                    )
-                    _bank_ids(addr, w, out=scratch)
-                    np.left_shift(scratch, shift, out=scratch)
-                    key |= scratch
-                    if act is not None:
-                        _push_inactive(key, act, limit, scratch)
-                    _sort_rows(padded, group, bits)
-                    lanes = np.empty((w, n), dtype=dtype)
-                    _transpose_into(lanes, keys)
-                    np.right_shift(lanes, shift, out=banks)
-                    totals = _warp_row_totals(lanes, banks, limit, False)
+        # Every lane below is written before it is read.
+        padded = np.empty((-(-n // g) * g, w), dtype)
+        keys = padded[:n]
+        padded[n:] = limit
+        rows = keys.reshape(R, T, S * w)
+        key = rows[..., :u]
+        rows[..., u:] = limit
+        if distinct:
+            _bank_ids(addr, w, out=key)
+            if act is not None:
+                _push_inactive(key, act, limit, np.empty_like(key))
+            _sort_rows(padded, group, bits)
+            # Bank ids and the inactive marks below 2w fit a byte.
+            lanes = np.empty((w, n), dtype=_count_dtype(2 * w))
+            _transpose_into(lanes, keys)
+            totals = _warp_row_totals(lanes, lanes, limit, True)
+        else:
+            spare = np.empty((n, w), dtype)
+            banks = spare.reshape(w, n)
+            scratch = spare.reshape(-1)[: R * T * u].reshape(shape)
+            np.bitwise_and(addr, (1 << shift) - 1, out=key, dtype=dtype, casting="unsafe")
+            _bank_ids(addr, w, out=scratch)
+            np.left_shift(scratch, shift, out=scratch)
+            key |= scratch
+            if act is not None:
+                _push_inactive(key, act, limit, scratch)
+            _sort_rows(padded, group, bits)
+            lanes = np.empty((w, n), dtype=dtype)
+            _transpose_into(lanes, keys)
+            np.right_shift(lanes, shift, out=banks)
+            totals = _warp_row_totals(lanes, banks, limit, False)
         # Rows run (round, tile, slot): per tile, sum the rounds, then the
         # slots; per round, sum each round's contiguous rows.
         by_round = totals.reshape(5, R, T * S)
@@ -384,6 +393,11 @@ def _charge(counts: IntArray, stats: npt.NDArray[np.integer], kind: str) -> None
 #: large ``(rows, w)`` matrix thrashes the cache, blocks of this many
 #: lanes stay in it.
 _TRANSPOSE_LANES = 1 << 14
+
+#: Lanes per sort row of int16 accounting keys.  NumPy sorts int16 rows
+#: fastest from 128 lanes on, int32 rows gain little past 32
+#: (docs/PERFORMANCE.md, "Narrow, unpooled scratch").
+_INT16_ROW_LANES = 128
 
 
 def _full(array: npt.NDArray[Any], shape: tuple[int, ...]) -> npt.NDArray[Any]:
@@ -579,7 +593,11 @@ def _pack_dtype(backing: IntArray, bits: int = 1) -> type | None:
     """Narrowest dtype holding ``v << bits | tag``, or ``None`` past int64."""
     if backing.size == 0:
         return np.int32
-    lo, hi = int(backing.min()), int(backing.max())
+    return span_dtype(int(backing.min()), int(backing.max()), bits)
+
+
+def span_dtype(lo: int, hi: int, bits: int = 1) -> type | None:
+    """:func:`_pack_dtype` of values in ``[lo, hi]``."""
     for dtype, width in ((np.int32, 31), (np.int64, 63)):
         if -(1 << (width - bits)) <= lo and hi < (1 << (width - bits)):
             return dtype
@@ -639,50 +657,37 @@ def _fused_pointer_merge_rounds(
     np.subtract(np.arange(1, E + 1, dtype=dt)[:, None, None, None], csum, out=csum)
     pb = csum
     pb += b_ptr_n[None]
-    with ENGINE_ARENA.lease((E + 2, G, T, u), dt) as rounds, ENGINE_ARENA.lease(
-        (E + 2, G, T, u), np.bool_
-    ) as lives:
-        rounds[0] = a_ptr_n
-        rounds[1] = b_ptr_n
-        np.copyto(lives[0], a_ptr_n < a_end_n)
-        np.copyto(lives[1], b_ptr_n < b_end_n)
-        if read_policy == "always":
-            np.copyto(rounds[2:], pb)
-            np.copyto(rounds[2:], pa, where=take_a)
-            np.less(pb, b_end_n[None], out=lives[2:])
-            in_a_range = pa < a_end_n[None]
-            np.copyto(lives[2:], in_a_range, where=take_a)
-            np.copyto(
-                rounds[2:],
-                np.maximum(b_end_n - 1, 0)[None],
-                where=~(lives[2:] | take_a),
-            )
-            np.copyto(
-                rounds[2:],
-                np.maximum(a_end_n - 1, 0)[None],
-                where=take_a & ~in_a_range,
-            )
-            lives[2:] = True
-            per_round = acc.round_many(
-                rounds.reshape(-1, T, u), lives.reshape(-1, T, u), kind="read"
-            )
-        else:
-            # Select per-lane pointer and liveness with arithmetic
-            # blends (masked copyto is far slower than full passes).
-            in_a = pa < a_end_n[None]
-            in_b = pb < b_end_n[None]
-            np.logical_xor(in_a, in_b, out=in_a)
-            np.logical_and(in_a, take_a, out=in_a)
-            np.logical_xor(in_b, in_a, out=lives[2:])
-            np.subtract(pa, pb, out=pa)
-            np.multiply(pa, take_a, out=pa)
-            np.add(pb, pa, out=rounds[2:])
-            per_round = acc.round_many(
-                rounds.reshape(-1, T, u),
-                lives.reshape(-1, T, u),
-                kind="read",
-                assume_distinct=True,
-            )
+    # Every round and mask below is written before it is read.
+    rounds = np.empty((E + 2, G, T, u), dtype=dt)
+    lives = np.empty((E + 2, G, T, u), dtype=bool)
+    rounds[0] = a_ptr_n
+    rounds[1] = b_ptr_n
+    np.copyto(lives[0], a_ptr_n < a_end_n)
+    np.copyto(lives[1], b_ptr_n < b_end_n)
+    if read_policy == "always":
+        np.copyto(rounds[2:], pb)
+        np.copyto(rounds[2:], pa, where=take_a)
+        np.less(pb, b_end_n[None], out=lives[2:])
+        in_a_range = pa < a_end_n[None]
+        np.copyto(lives[2:], in_a_range, where=take_a)
+        np.copyto(rounds[2:], np.maximum(b_end_n - 1, 0)[None], where=~(lives[2:] | take_a))
+        np.copyto(rounds[2:], np.maximum(a_end_n - 1, 0)[None], where=take_a & ~in_a_range)
+        lives[2:] = True
+        per_round = acc.round_many(rounds.reshape(-1, T, u), lives.reshape(-1, T, u), kind="read")
+    else:
+        # Select per-lane pointer and liveness with arithmetic
+        # blends (masked copyto is far slower than full passes).
+        in_a = pa < a_end_n[None]
+        in_b = pb < b_end_n[None]
+        np.logical_xor(in_a, in_b, out=in_a)
+        np.logical_and(in_a, take_a, out=in_a)
+        np.logical_xor(in_b, in_a, out=lives[2:])
+        np.subtract(pa, pb, out=pa)
+        np.multiply(pa, take_a, out=pa)
+        np.add(pb, pa, out=rounds[2:])
+        per_round = acc.round_many(
+            rounds.reshape(-1, T, u), lives.reshape(-1, T, u), kind="read", assume_distinct=True
+        )
     # Rounds run (round, level): sum each level's rounds.
     return per_round.reshape(5, E + 2, G).sum(axis=1)
 

@@ -75,6 +75,7 @@ from repro.mergesort.pipeline import (
     _charge_tiles,
     _checked_input,
     _joined,
+    _lane_input,
     _lockstep_blocksort,
 )
 from repro.mergesort.serial_merge import SENTINEL
@@ -654,17 +655,19 @@ def batched_kway_sort(
     schedule, ``read_policy="bounded"``, searches simulated).  Every
     tile is blocksorted in one fused lane pass, and each merge level is
     one lane level (:func:`~repro.engine.batch.kway_level_profile`).
-    The lane runs on the dense ranks of the input.  With ``gcd(w, E) >
+    The lane runs on the input's own values, or on their dense ranks
+    where those pack narrower beside the run tags
+    (:func:`~repro.mergesort.pipeline._lane_input`).  With ``gcd(w, E) >
     1`` there is no exact lane profile and :func:`kway_sort` runs instead.
     """
     values = _checked_args(data, k, "cf", "staged", "bounded")
     if not coprime(w, E):
         return kway_sort(values, k, E, u, w)
-    uniq, ranks = np.unique(values, return_inverse=True)
+    keys, pad, restore = _lane_input(values, (k - 1).bit_length())
     result = _kway_sort(
-        ranks.astype(np.int64, copy=False), len(uniq), k, E, u, w, "cf", "staged",
+        keys, pad, k, E, u, w, "cf", "staged",
         partial(_batched_blocksort, E=E, w=w, variant="cf"),
         partial(_lane_merge, k=k, E=E, u=u, w=w),
     )
-    result.data = uniq[result.data]
+    result.data = restore(result.data)
     return result

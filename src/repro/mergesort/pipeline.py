@@ -49,7 +49,7 @@ from typing import Any, Callable, Protocol, Sequence
 import numpy as np
 import numpy.typing as npt
 
-from repro.engine.batch import LevelStack, merge_tags
+from repro.engine.batch import LevelStack, merge_tags, span_dtype
 from repro.errors import ParameterError
 from repro.mergesort.blocksort import BlocksortStats, blocksort_tile
 from repro.mergesort.cf import cf_merge_block
@@ -200,6 +200,23 @@ def _checked_input(data, variant: str) -> IntArray:
     if np.any(data >= SENTINEL):
         raise ParameterError("input values must be < 2^63 - 1 (padding sentinel)")
     return data
+
+
+def _lane_input(
+    data: IntArray, bits: int = 1
+) -> tuple[IntArray, int, Callable[[IntArray], IntArray]]:
+    """``(keys, pad, restore)``: a lane sorts ``data`` itself, padded with
+    ``max + 1``, unless its dense ranks (never past ``len(data)``) pack
+    ``v << bits | tag`` narrower; then it sorts the ranks, padded with
+    their count, and ``restore`` maps sorted keys back to values.  Both
+    keep every comparison, hence every counter."""
+    lo, pad = (int(data.min()), int(data.max()) + 1) if len(data) else (0, 0)
+    kept = span_dtype(lo, pad, bits)
+    # A signed dtype casts safely to another exactly when it is no wider.
+    if kept is not None and np.can_cast(kept, span_dtype(0, len(data), bits)):
+        return data, pad, lambda keys: keys
+    values, ranks = np.unique(data, return_inverse=True)
+    return ranks.astype(np.int64, copy=False), len(values), lambda keys: values[keys]
 
 
 def _mergesort(
@@ -428,29 +445,29 @@ def blocksort_segments(
 ) -> tuple[list[IntArray], Counters]:
     """Sort inputs of at most one tile each in one CF lane blocksort pass.
 
-    Each segment fills its own tile with its own dense ranks, padded with
-    the rank past its largest, as a one-tile :func:`batched_mergesort`,
-    ``batched_kway_sort`` or ``batched_sample_sort`` call pads it.  So
-    the returned counters (blocksort phases plus one coalesced load and
-    store per tile) equal the sum of those calls' ``total_counters``
-    with ``variant="cf"``.  Returns the sorted segments and the counters;
-    needs at least one segment and coprime ``(w, E)``.
+    Each non-empty segment fills its own tile, padded past every key of
+    the batch, as a one-tile :func:`batched_mergesort`,
+    ``batched_kway_sort`` or ``batched_sample_sort`` call pads it; an
+    empty one takes no tile, as those calls charge an empty input
+    nothing.  So the returned counters (blocksort phases plus one
+    coalesced load and store per tile) equal the sum of those calls'
+    ``total_counters`` with ``variant="cf"``.  The batch is ranked at
+    most once (:func:`_lane_input`).  Returns the sorted segments and
+    the counters; needs coprime ``(w, E)``.
     """
     tile = u * E
-    uniques = []
-    rows = np.empty((len(segments), tile), dtype=np.int64)
-    for row, segment in zip(rows, segments):
-        values, ranks = np.unique(segment, return_inverse=True)
-        row[: len(segment)] = ranks
-        row[len(segment) :] = len(values)
-        uniques.append(values)
-    runs, stats = _batched_blocksort(rows, E, w, "cf")
-    counters = stats.total
-    _charge_tiles(counters, len(rows), tile)
-    return [
-        values[run[: len(segment)]]
-        for values, run, segment in zip(uniques, runs, segments)
-    ], counters
+    lengths = np.array([len(segment) for segment in segments], dtype=np.int64)
+    keys, pad, restore = _lane_input(np.concatenate([np.zeros(0, np.int64), *segments]))
+    # Row-major, each non-empty segment's keys lead its own tile.
+    words = np.arange(tile) < lengths[lengths > 0, None]
+    runs = np.full(words.shape, pad, dtype=np.int64)
+    runs[words] = keys
+    counters = Counters()
+    if len(runs):
+        runs, stats = _batched_blocksort(runs, E, w, "cf")
+        counters = stats.total
+        _charge_tiles(counters, len(runs), tile)
+    return np.split(restore(runs[words]), np.cumsum(lengths))[:-1], counters
 
 
 def gpu_mergesort(
@@ -503,18 +520,16 @@ def batched_mergesort(
     Same positional arguments and contract; every field of the returned
     :class:`MergesortResult` equals that of :func:`gpu_mergesort` at its
     defaults (``read_policy="bounded"``, searches simulated).  The lane
-    runs on the dense ranks of the input (they keep every comparison,
-    hence every counter, and fit the lane's key packing); the output maps
-    them back.  ``variant="cf"`` with ``gcd(w, E) > 1`` has no exact lane
-    profile and runs :func:`gpu_mergesort` itself.
+    runs on the input's own values, or on their dense ranks where those
+    pack narrower (:func:`_lane_input`; both keep every comparison, hence
+    every counter), and the output maps ranks back.  ``variant="cf"``
+    with ``gcd(w, E) > 1`` has no exact lane profile and runs
+    :func:`gpu_mergesort` itself.
     """
     data = _checked_input(data, variant)
     if variant == "cf" and not coprime(w, E):
         return gpu_mergesort(data, E, u, w, variant)
-    values, ranks = np.unique(data, return_inverse=True)
-    result = _mergesort(
-        ranks.astype(np.int64, copy=False), len(values), E, u, w, variant,
-        _Lane(E, u, w, variant),
-    )
-    result.data = values[result.data]
+    keys, pad, restore = _lane_input(data)
+    result = _mergesort(keys, pad, E, u, w, variant, _Lane(E, u, w, variant))
+    result.data = restore(result.data)
     return result

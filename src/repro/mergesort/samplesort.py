@@ -52,6 +52,7 @@ from repro.mergesort.pipeline import (
     _batched_blocksort,
     _charge_tiles,
     _checked_input,
+    _lane_input,
     _lockstep_blocksort,
 )
 from repro.mergesort.serial_merge import SENTINEL
@@ -325,17 +326,19 @@ def batched_sample_sort(
     oversampling).  All tiles are blocksorted in one fused lane pass,
     and so are all buckets of at most one tile; oversized buckets take
     :func:`repro.mergesort.kway.batched_kway_sort`.  The lane runs on
-    the dense ranks of the input.  With ``gcd(w, E) > 1`` there is no
-    exact lane profile and :func:`sample_sort` runs instead.
+    the input's own values, or on their dense ranks where those pack
+    narrower (:func:`~repro.mergesort.pipeline._lane_input`).  With
+    ``gcd(w, E) > 1`` there is no exact lane profile and
+    :func:`sample_sort` runs instead.
     """
     values = _checked_args(data, "cf", None, u * E)
     if not coprime(w, E):
         return sample_sort(values, E, u, w)
-    uniq, ranks = np.unique(values, return_inverse=True)
+    keys, pad, restore = _lane_input(values)
     result = _sample_sort(
-        ranks.astype(np.int64, copy=False), len(uniq), E, u, w, "cf", None,
+        keys, pad, E, u, w, "cf", None,
         partial(_batched_blocksort, E=E, w=w, variant="cf"),
         partial(batched_kway_sort, k=OVERFLOW_FANIN, E=E, u=u, w=w),
     )
-    result.data = uniq[result.data]
+    result.data = restore(result.data)
     return result

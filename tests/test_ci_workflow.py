@@ -105,6 +105,22 @@ def test_tier1_job_runs_the_wall_clock_benchmark_helper_tests(workflow):
     assert step["env"]["PYTHONPATH"] == "src"
 
 
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_tier1_job_runs_sort_long_end_to_end(workflow, trace):
+    # wallbench reads the engine's arena and fusion statistics, which the
+    # program may change under it: one short run per mode must stay
+    # correct, with no failed operation, on its last output line.
+    job = workflow["jobs"]["test"]
+    command = (
+        "python3 wallbench/run.py --workload sort-long --seed 1 --seconds 2"
+        f" --trace {trace} | tail -n 1 > sort-long-{trace}.json"
+    )
+    step = next(s for s in job["steps"] if command in str(s.get("run", "")))
+    check = step["run"].strip().splitlines()[-1]
+    assert "r['correct'] is True and r['failed'] == 0" in check
+    assert check.endswith(f"sort-long-{trace}.json")
+
+
 def test_lint_job_gates_ruff_and_strict_mypy(workflow):
     steps = _steps_text(workflow["jobs"]["lint"])
     assert "ruff check" in steps

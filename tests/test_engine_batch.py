@@ -12,12 +12,15 @@ odd-even row sort).
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.engine.batch as batch
+from repro.engine.arena import arena_stats
 from repro.engine.batch import (
     STACK_LANES,
     BatchCounters,
@@ -30,8 +33,15 @@ from repro.engine.batch import (
 )
 from repro.engine.lane import EngineStats, profile_blocksorts, profile_searches
 from repro.errors import ParameterError
-from repro.mergesort import blocksort_tile, cf_merge_block, serial_merge_block
+from repro.mergesort import (
+    batched_mergesort,
+    blocksort_tile,
+    cf_merge_block,
+    serial_merge_block,
+)
+from repro.mergesort.kway import batched_kway_sort
 from repro.mergesort.pipeline import _batched_blocksort
+from repro.mergesort.samplesort import batched_sample_sort
 from repro.sim import BankModel
 from repro.sim.counters import Counters
 from repro.workloads.generators import WORKLOADS, adversarial
@@ -555,20 +565,25 @@ class TestRoundManyAgainstBankModel:
     The oracle shares nothing with the lane: it slices each tile's round
     into w-wide warps and prices each through the simulator's bank model.
     Both the per-tile counters and the per-round sums (all a pipeline
-    sort reads) are checked.  The widths draw every group of warp rows
-    the accounting sorts as one row (32 // w rounded down to a power of
-    two: 32 at w = 1, then 16 down to 1), and rounds * tiles * slots
-    rows mostly leave the last group part empty.
+    sort reads) are checked.  The accounting sorts a group of warp rows
+    as one row: 32 // w rounded down to a power of two (32 at w = 1,
+    then 16 down to 1), widened up to 128 lanes for keys that fit int16
+    with their group prefix.  The widths draw every such group, the
+    spans land the prefixed key width on both sides of the int16 and
+    the int32 limits, and rounds * tiles * slots rows mostly leave the
+    last group part empty.
     """
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         w=st.sampled_from([1, 2, 3, 4, 8, 12, 16, 32, 128]),
         slots=st.integers(1, 3),
         pad=st.integers(0, 127),
         tiles=st.integers(1, 3),
         rounds=st.integers(1, 4),
-        spread=st.sampled_from(["duplicates", "narrow", "wide", "negative"]),
+        spread=st.sampled_from(
+            ["duplicates", "narrow", "wide", "negative", "int16 edge", "int32 edge"]
+        ),
         mask=st.sampled_from(["none", "random", "some rounds idle", "all idle"]),
         distinct=st.booleans(),
         seed=st.integers(0, 1 << 16),
@@ -585,6 +600,16 @@ class TestRoundManyAgainstBankModel:
             addr = rng.integers(0, 3, shape) * rng.integers(1, 2 * w + 1)
         elif spread == "narrow":
             addr = rng.integers(0, 4 * w, shape)
+        elif spread.endswith("edge"):
+            # A key is ``bank << shift | low bits``, below 2 ** (bits of w +
+            # shift), with shift the address span's bit length; 32-lane
+            # groups prefix log2(32 // w) more bits.
+            width = (15 if spread == "int16 edge" else 31) + int(rng.integers(0, 2))
+            group = max((32 // w).bit_length() - 1, 0)
+            shift = width - group - w.bit_length()
+            span = int(rng.integers(1 << (shift - 1), 1 << shift))
+            addr = rng.integers(-span, 1, shape) + int(rng.integers(0, 1 << 20))
+            addr.flat[0], addr.flat[-1] = addr.min(), addr.min() + span
         else:
             # Spans past 2^31 force int64 keys; keep w << span < 2^63.
             bits = int(rng.integers(31, 62 - w.bit_length()))
@@ -599,7 +624,15 @@ class TestRoundManyAgainstBankModel:
             if mask == "some rounds idle":
                 active[rng.random(rounds) < 0.5] = False
         got = BatchCounters(tiles, u, w)
-        per_round = got.round_many(addr, active, assume_distinct=distinct)
+        with mock.patch.object(batch, "_sort_rows", wraps=batch._sort_rows) as sort_rows:
+            per_round = got.round_many(addr, active, assume_distinct=distinct)
+        if sort_rows.called:
+            # The narrowest dtype that holds the keys with a 32-lane prefix.
+            span = 0 if distinct else int(addr.max() - addr.min())
+            width = w.bit_length() + max(span, 1).bit_length() * (not distinct)
+            width += max((32 // w).bit_length() - 1, 0)
+            want = np.int16 if width <= 15 else np.int32 if width <= 31 else np.int64
+            assert sort_rows.call_args.args[0].dtype == want, width
         act = np.ones(shape, dtype=bool) if active is None else active
         want = [Counters() for _ in range(tiles)]
         want_sums = np.zeros((rounds, 5), dtype=np.int64)
@@ -682,6 +715,8 @@ class TestReplaySearches:
 
 class TestLaneFusionArenaStats:
     def test_blocksort_pass_reports_fusion_and_arena_deltas(self):
+        # The lane allocates its scratch per call: no lane sort leases from
+        # the engine arena, so every arena delta it reports is zero.
         rng = np.random.default_rng(3)
         E, u, w = 5, 32, 8
         tiles = [rng.integers(0, 1 << 20, u * E) for _ in range(4)]
@@ -689,8 +724,16 @@ class TestLaneFusionArenaStats:
         profile_blocksorts(tiles, E, w, "thrust", stats=stats)
         assert stats.items == 4 and stats.passes == 1
         assert stats.rounds_folded > 0, "fused pass folded no rounds"
-        assert stats.arena_checkouts > 0, "fused pass leased no scratch"
-        assert stats.arena_peak_bytes > 0
+        assert stats.arena_checkouts == stats.arena_reuse_hits == 0
+        before = arena_stats()["checkouts"]
+        for variant in ("thrust", "cf"):
+            batched_blocksort_profile(np.stack(tiles), E, w, variant)
+        for data in (rng.integers(0, 1 << 40, 5 * u * E), adversarial(4, E, u, w)):
+            for variant in ("thrust", "cf"):
+                batched_mergesort(data, E, u, w, variant)
+            batched_kway_sort(data, 4, E, u, w)
+            batched_sample_sort(data, E, u, w)
+        assert arena_stats()["checkouts"] == before, "a lane sort leased arena scratch"
         d = stats.as_dict()
         assert d["rounds_folded"] == stats.rounds_folded
         assert set(d) == {

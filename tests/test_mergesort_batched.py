@@ -29,7 +29,10 @@ from repro.engine.plans import get_plan
 from repro.errors import ParameterError
 from repro.mergesort import batched_mergesort, blocksort_tile, gpu_mergesort
 from repro.mergesort.blocksort import BlocksortStats
+from repro.mergesort.kway import batched_kway_sort, kway_sort
 from repro.mergesort.merge_path import merge_path_search
+from repro.mergesort.pipeline import blocksort_segments
+from repro.mergesort.samplesort import batched_sample_sort, sample_sort
 from repro.mergesort.segmented import KEY_BITS, KEY_LIMIT
 from repro.mergesort.serial_merge import SENTINEL
 from repro.service.backends import get_backend
@@ -534,6 +537,25 @@ class TestBackends:
         cf_batched_backend(*_payload([30, 90], seed=5), PARAMS, W)
         assert folded[-1]
 
+    def test_pipeline_sorts_int16_keys_in_rows_past_32_lanes(self, monkeypatch):
+        # At the service geometry every accounting key fits int16, so the
+        # row sorts run on int16 keys in rows of 64 (search) or 128
+        # (pointer merge) lanes; a silent fallback to int32 would show.
+        rows = []
+        real = batch._sort_rows
+
+        def spy(keys, group, bits):
+            rows.append((keys.dtype, keys.shape[1] << group))
+            return real(keys, group, bits)
+
+        monkeypatch.setattr(batch, "_sort_rows", spy)
+        data = np.random.default_rng(8).integers(0, 1 << 31, 4 * 160 + 9)
+        for variant, widths in (("thrust", {64, 128}), ("cf", {64})):
+            rows.clear()
+            batched_mergesort(data, PARAMS.E, PARAMS.u, W, variant)
+            assert {dtype for dtype, _ in rows} == {np.dtype(np.int16)}, variant
+            assert {lanes for _, lanes in rows} == widths, variant
+
     @pytest.mark.parametrize("backend,variant", [("cf", "cf"), ("baseline", "thrust")])
     def test_simulated_backends_equal_the_lockstep_composition(self, backend, variant):
         data, offsets = _payload([400, 30, 0, 150, 700, 90], seed=3)
@@ -541,3 +563,117 @@ class TestBackends:
         want_data, want_counters = _lockstep_composition(data, offsets, variant)
         assert np.array_equal(outcome.data, want_data)
         assert outcome.counters.as_dict() == want_counters.as_dict()
+
+
+def _with_max(top):
+    """350 random keys below ``top``, ``top`` itself among them."""
+    def make(rng):
+        data = rng.integers(0, top, 350)
+        data[rng.integers(350)] = top
+        return data
+    return make
+
+
+#: Inputs at the lane's packing edges: already dense (the Section 4
+#: adversary), negative, maxima at int16's ``v << 1 | tag`` limit (2^14)
+#: and on both sides of int32's (2^30, or 2^29 with k = 4's two tag
+#: bits), with the pad at ``max + 1``, and 2^40-wide values that must
+#: still rank.
+EDGES = {
+    "adversary": lambda rng: worstcase_full_input(2, PARAMS.E, PARAMS.u, W),
+    "negative": lambda rng: rng.integers(-(1 << 14), 1 << 12, 350),
+    **{
+        f"max {name}": _with_max(top)
+        for name, top in [
+            ("2^14 - 1", (1 << 14) - 1), ("2^14", 1 << 14), ("2^29 - 1", (1 << 29) - 1),
+            ("2^30 - 2", (1 << 30) - 2), ("2^30 - 1", (1 << 30) - 1), ("2^30", 1 << 30),
+        ]
+    },
+    "2^40 wide": lambda rng: rng.integers(-(1 << 40), 1 << 40, 350),
+}
+
+
+class TestLaneInput:
+    """The lane keeps an input's own values unless its dense ranks pack
+    narrower (``pipeline._lane_input``); every entry point equals its
+    oracle either way, since counters depend on comparisons alone."""
+
+    @pytest.mark.parametrize("edge", list(EDGES))
+    def test_entry_points_equal_their_oracles(self, edge):
+        data = EDGES[edge](np.random.default_rng(len(edge)))
+        E, u = PARAMS.E, PARAMS.u
+        for variant in VARIANTS:
+            got = batched_mergesort(data, E, u, W, variant)
+            assert got.as_dict() == gpu_mergesort(data, E, u, W, variant).as_dict(), variant
+        got_kway = batched_kway_sort(data, 4, E, u, W)
+        assert got_kway.as_dict() == kway_sort(data, 4, E, u, W).as_dict()
+        got_sample = batched_sample_sort(data, E, u, W)
+        assert got_sample.as_dict() == sample_sort(data, E, u, W).as_dict()
+        # blocksort_segments equals the sum of its one-tile sorts.
+        segments = [data[:100], data[:0], data[100:260], data[260:]]
+        sorted_segments, counters = blocksort_segments(segments, E, u, W)
+        want = Counters()
+        for segment, out in zip(segments, sorted_segments):
+            one = gpu_mergesort(segment, E, u, W, "cf")
+            assert np.array_equal(out, one.data)
+            want.merge(one.total_counters)
+        assert counters.as_dict() == want.as_dict()
+
+    @pytest.mark.parametrize(
+        "data,bits,ranked",
+        [
+            (np.arange(2560), 1, False),  # already dense
+            (np.array([-(1 << 30), 5, (1 << 30) - 2]), 1, False),  # int32 either way
+            (np.array([0, (1 << 30) - 1]), 1, True),  # the pad 2^30 needs int64
+            (np.array([0, (1 << 29) - 2]), 2, False),  # k = 4's two tag bits
+            (np.array([0, (1 << 29) - 1]), 2, True),
+            (np.array([3, 1 << 40, 3]), 1, True),
+        ],
+    )
+    def test_ranks_only_where_they_narrow_the_packing(self, data, bits, ranked):
+        data = data.astype(np.int64)
+        keys, pad, restore = pipeline._lane_input(data, bits)
+        assert (keys is not data) == ranked
+        assert np.array_equal(restore(keys), data)
+        assert pad == (len(np.unique(data)) if ranked else data.max() + 1)
+
+    def test_dense_input_runs_no_unique(self, monkeypatch):
+        ranked = []
+        real = np.unique
+
+        def spy(*args, **kwargs):
+            ranked.append(kwargs.get("return_inverse", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        E, u = PARAMS.E, PARAMS.u
+        data = worstcase_full_input(4, E, u, W)
+        for variant in VARIANTS:
+            batched_mergesort(data, E, u, W, variant)
+        batched_kway_sort(data, 4, E, u, W)
+        batched_sample_sort(data, E, u, W)
+        blocksort_segments(np.split(data, 4), E, u, W)
+        assert ranked and not any(ranked)
+        batched_mergesort(data << 40, E, u, W)  # the spy sees a ranking
+        assert ranked[-1]
+
+
+class TestBlocksortSegments:
+    def test_empty_segments_take_no_tile(self):
+        # Mixed in with others, an empty segment is sorted to an empty
+        # output and charged nothing, as a one-tile sort of it is.
+        E, u = PARAMS.E, PARAMS.u
+        rng = np.random.default_rng(12)
+        segments = [
+            np.array([], dtype=np.int64), np.array([3, 1, 2]), np.array([], dtype=np.int64),
+            rng.integers(0, 1 << 40, 160), np.array([], dtype=np.int64),
+        ]
+        got, counters = blocksort_segments(segments, E, u, W)
+        want = Counters()
+        for segment, out in zip(segments, got):
+            assert np.array_equal(out, np.sort(segment))
+            want.merge(batched_mergesort(segment, E, u, W, "cf").total_counters)
+        assert counters.as_dict() == want.as_dict()
+        assert counters.global_read_transactions == 2 * (160 // 32 + 1)
+        _, nothing = blocksort_segments(segments[:1] * 3, E, u, W)
+        assert nothing.as_dict() == Counters().as_dict()
