@@ -42,14 +42,19 @@ threads per tile-sized row, each bisecting for its cut and then merging
 tiles, u)`` stack with per-row geometry (A base, ``|A|``, ``|B|``, each
 thread's diagonal, a last-thread-of-pair mask).  A merge level with
 fewer blocks than tiles is padded with rows that are dead in both the
-search and the pointer rounds.  Every queued level's bisections replay
-in one loop accounted in one :meth:`BatchCounters.round_many` call, and
-for ``thrust`` every level's pointer-merge rounds in one more; each pass
-folds its per-round sums into per-level totals (all the pipeline reads)
-and, where the caller reads them, per-row totals (for
-:func:`batched_blocksort_profile`).  A pass holds
-whole levels of at most :data:`STACK_LANES` thread lanes (rows times
-``u``), so large batches keep one pass per level and bounded scratch.
+search and the pointer rounds.  The stack owns the sort's keys: the
+blocksort packs them once as ``v << 1`` words, every level (blocksort
+and merge alike) tags its B words, sorts its pairs in place and reads
+its merge decisions from the tag bits, and the keys are unpacked once
+after the last level.  Every queued level's bisections replay at once,
+their probes read from a cached table (:func:`_bisect`), accounted in
+one :meth:`BatchCounters.round_many` call, and for ``thrust`` every
+level's pointer-merge rounds in one more; each pass folds its per-round
+sums into per-level totals (all the pipeline reads) and, where the
+caller reads them, per-row totals (for
+:func:`batched_blocksort_profile`).  A pass holds whole levels of at
+most :data:`STACK_LANES` thread lanes (rows times ``u``), so large
+batches keep one pass per level and bounded scratch.
 The blocksort's staging rounds are one closed-form update.
 
 There is one bisection replay (:func:`_search_pass`) and one
@@ -692,29 +697,67 @@ def _fused_pointer_merge_rounds(
     return per_round.reshape(5, E + 2, G).sum(axis=1)
 
 
-def _bisect(
-    lo: AnyIntArray, hi: AnyIntArray, cuts: AnyIntArray, steps: int
-) -> tuple[AnyIntArray, BoolArray]:
-    """``steps`` bisection steps of every lane, replayed from its cut.
+#: Spans below this finish their bisection from the cached ``bisect``
+#: plan: 7 bits hold every pairwise span at ``u*E = 160`` (up to 80) in
+#: 128 KiB (docs/PERFORMANCE.md, "Table-driven bisection and packed merge
+#: levels").
+_BISECT_SPAN = 1 << 7
 
-    Along the real probe path the branch at ``mid`` is ``cut > mid``, so
-    no data is read.  A converged lane (``lo == hi == cut``) stays put,
-    so a lane's live steps are a prefix.  Returns the probes and live
-    masks, ``(steps, *cuts.shape)``, in ``lo``'s dtype (it holds ``lo + hi``).
+
+def _bisect(
+    lo: AnyIntArray, hi: AnyIntArray, cuts: AnyIntArray
+) -> tuple[AnyIntArray, BoolArray]:
+    """Every lane's bisection steps, replayed from its cut.
+
+    Along the real probe path the branch at ``mid = (lo + hi) >> 1`` is
+    ``cut > mid``, so no data is read; a converged lane (``lo == hi ==
+    cut``) stays put, so its live steps are a prefix.  Its probes from a
+    step on depend only on ``hi - lo`` and ``cut - lo`` there, so plain
+    steps run only while some span is :data:`_BISECT_SPAN` or more, and
+    the rest are read from the ``bisect`` plan.  A dead row (``lo > hi``)
+    never steps.  Returns the probes and live masks, ``(steps,
+    *cuts.shape)`` for the widest span's bit length, in ``lo``'s dtype
+    (it holds ``lo + hi``).
     """
-    mids = np.empty((steps,) + cuts.shape, dtype=lo.dtype)
-    live = np.empty((steps,) + cuts.shape, dtype=bool)
-    lo = _full(lo, cuts.shape)
-    hi = _full(hi, cuts.shape)
-    for step in range(steps):
-        mid = mids[step]
-        np.less(lo, hi, out=live[step])
+    shape = cuts.shape
+    lo, hi = _full(lo, shape), _full(hi, shape)
+    span = np.subtract(hi, lo)
+    steps = int(span.max(initial=0)).bit_length()
+    mids = np.empty((steps,) + shape, dtype=lo.dtype)
+    live = np.empty((steps,) + shape, dtype=bool)
+    if not steps:
+        return mids, live
+    plain = max(steps - (_BISECT_SPAN - 1).bit_length(), 0)
+    if plain:
+        lo, hi = _bisect_steps(lo, hi, cuts, mids[:plain], live[:plain])
+        np.subtract(hi, lo, out=span)
+    # Entry span * _BISECT_SPAN + (cut - lo).  A dead lane's span clamps
+    # to 0, whose every entry reads probe 0 and no live step.
+    np.maximum(span, 0, out=span)
+    entry = np.subtract(cuts, lo, dtype=span.dtype)
+    entry &= _BISECT_SPAN - 1
+    span *= _BISECT_SPAN
+    entry += span
+    plan = get_plan("bisect", _BISECT_SPAN, 0, 1)
+    np.add(np.take(plan["probe"][: steps - plain], entry, axis=1), lo, out=mids[plain:])
+    step = np.arange(steps - plain, dtype=np.uint8).reshape((-1,) + (1,) * len(shape))
+    np.less(step, np.take(plan["live"], entry), out=live[plain:])
+    return mids, live
+
+
+def _bisect_steps(
+    lo: AnyIntArray, hi: AnyIntArray, cuts: AnyIntArray, mids: AnyIntArray, live: BoolArray
+) -> tuple[AnyIntArray, AnyIntArray]:
+    """Plain bisection steps into each slab of ``mids`` and ``live``;
+    returns every lane's interval after them."""
+    for mid, now in zip(mids, live):
+        np.less(lo, hi, out=now)
         np.add(lo, hi, out=mid)
         mid >>= 1
         right = cuts > mid
         lo = np.where(right, mid + 1, lo)
         hi = np.where(right, hi, mid)
-    return mids, live
+    return lo, hi
 
 
 #: Computes a replay's probe addresses in place: ``probe(out, levels)``
@@ -747,13 +790,9 @@ def _replay_searches(
     """
     G, T, u = cuts.shape
     per_level = np.zeros((5, G), dtype=np.int64)
-    # A bisection over an interval of s candidates ends within
-    # s.bit_length() steps of two reads each.
-    steps = int((hi - lo).max(initial=0)).bit_length()
-    if not steps:
-        return per_level
     dt = lo.dtype
-    mids, live = _bisect(lo, hi, cuts, steps)
+    mids, live = _bisect(lo, hi, cuts)
+    steps = len(mids)
     kept = np.flatnonzero(live.reshape(steps * G, T * u).any(axis=1))
     K = len(kept)
     if not K:
@@ -892,24 +931,18 @@ def _block_geometry(u: int, E: int) -> tuple[AnyIntArray, AnyIntArray, BoolArray
     return np.zeros_like(tid), tid * E, tid == u - 1
 
 
-def merge_tags(backing: IntArray, n_a: IntArray) -> tuple[BoolArray, IntArray]:
+def merge_tags(backing: IntArray, n_a: IntArray) -> BoolArray:
     """Stable ties-to-A merge of each row's sorted A and B halves.
 
     ``backing`` is ``(rows, total)``, row ``t`` holding A in its first
     ``n_a[t]`` words and B after: the two-run case of
     :func:`kway_merge_tags`, run 1 on every B position (``|v| < 2^62``).
-    The low bit of the sorted keys says which half each merged output
-    came from, and an arithmetic shift recovers the sorted values exactly
-    (``2v + tag`` is monotone in ``v``; ``>> 1`` floors back for
-    negatives too).  Returns ``(from_a, merged)``: the tags the search
-    and merge rounds replay from (:meth:`LevelStack.push_merge`), and
-    the merged rows.
+    Returns the merge's tags, whether each merged output came from A
+    (the sorted keys' low bit clear), which the pair profiles' search and
+    merge rounds replay from.
     """
     in_b = np.arange(backing.shape[1])[None, :] >= np.asarray(n_a)[:, None]
-    packed = kway_merge_tags(backing, in_b, 2)
-    from_a = (packed & 1) == 0
-    packed >>= 1
-    return from_a, packed.astype(np.int64, copy=False)
+    return (kway_merge_tags(backing, in_b, 2) & 1) == 0
 
 
 def _pair_tags(
@@ -923,8 +956,7 @@ def _pair_tags(
     """
     backing, lens, _ = _stack_runs(pairs, E, profile)
     n_a = lens[:, 0]
-    from_a, _ = merge_tags(backing, n_a)
-    take_a = _step_major(from_a, E)
+    take_a = _step_major(merge_tags(backing, n_a), E)
     n_a_col = n_a.astype(np.int32)[None, :, None]
     return take_a[:, None], _thread_cuts(take_a)[None], n_a_col, backing.shape[1] - n_a_col
 
@@ -1065,9 +1097,11 @@ class LevelStack:
     blocksort level (:meth:`blocksort`), or the ``u*E``-word blocks of a
     merge level (:meth:`push_merge`; a level with fewer blocks than
     rows — an odd run waiting — is padded with rows of ``|A| = |B| =
-    0``, dead in the search and in the pointer rounds).  A queued level
-    keeps its step-major merge tags and its per-row geometry: the A
-    base, ``|A|``, ``|B|``, each thread's diagonal and the
+    0``, dead in the search and in the pointer rounds).  The stack owns
+    the sort's keys from the blocksort to :meth:`unpack`: one packed
+    array (:attr:`packed`) that every level advances in place.  A queued
+    level keeps its step-major merge tags and its per-row geometry: the
+    A base, ``|A|``, ``|B|``, each thread's diagonal and the
     last-thread-of-pair mask (the thread geometry is a row of one cached
     table, so a level stores only its row index and its sizes).
 
@@ -1127,31 +1161,41 @@ class LevelStack:
             self._table = np.array([0, 0, 1], dtype=np.int32).reshape(1, 3, 1, 1)
         self._queued = 0
         self._done = 0
-
-    def make_room(self) -> None:
-        """Profile the queued levels if the pass has no slot left."""
-        if self._queued == len(self._kind):
-            self.flush()
+        #: The sort's keys, ``(rows, u*E)`` words ``v << 1`` with the tag
+        #: bit clear between levels, and the values the blocksort's rank
+        #: fallback maps them back to (``None`` where it kept the input's).
+        self.packed: AnyIntArray | None = None
+        self._values: IntArray | None = None
 
     def _slot(self, kind: int) -> int:
-        self.make_room()
+        """A slot for a level of thread-geometry row ``kind``, profiling
+        the queued levels first if the pass has none left."""
+        if self._queued == len(self._kind):
+            self.flush()
         j = self._queued
         self._kind[j] = kind
         self._queued += 1
         return j
 
-    def blocksort(self, tiles: IntArray) -> IntArray:
+    def _untag(self, keys: AnyIntArray, take: BoolArray) -> AnyIntArray:
+        """Read the sorted ``keys``' merge tags into the step-major
+        ``take`` (A outputs), clear them, and return them (B outputs)."""
+        tags = keys & 1
+        np.equal(tags.reshape(-1, self.u, self.E).transpose(2, 0, 1), 0, out=take)
+        keys -= tags
+        return tags
+
+    def blocksort(self, tiles: IntArray) -> None:
         """Queue every blocksort level of the ``(rows, u*E)`` tiles.
 
         Each level is one packed-key sort: it advances the data, and its
         low bits (stable, ties to A) are every merge decision, from which
-        the pass takes every thread's cut.  The packed keys persist
-        across levels: each level adds its own B tags to the
-        (tag-cleared) keys, sorts pair regions in place, and clears the
-        tag bit again.  Returns the sorted tiles, the last level's keys
-        shifted back.  Staging is one closed-form update.
+        the pass takes every thread's cut.  Each level adds its own B tags
+        to the (tag-cleared) :attr:`packed` keys, sorts pair regions in
+        place, and clears the tag bits again.  Staging is one closed-form
+        update.
         """
-        tiles, pack_dtype, values = _blocksort_input(
+        tiles, pack_dtype, self._values = _blocksort_input(
             tiles, self.E, self.w, self.variant, self.read_policy
         )
         T, L = tiles.shape
@@ -1177,32 +1221,39 @@ class LevelStack:
             region = 2 * (E << level)
             packed += self._tag[level]
             packed.reshape(T, L // region, region).sort(axis=2)
-            np.equal(packed.reshape(T, u, E).transpose(2, 0, 1) & 1, 0, out=self._take_a[:, j])
-            np.bitwise_and(packed, -2, out=packed)
+            self._untag(packed, self._take_a[:, j])
             self._sizes[j] = E << level  # |A| = |B| = half a pair
-        packed >>= 1
-        return packed.astype(np.int64, copy=False) if values is None else values[packed]
+        self.packed = packed
 
-    def push_merge(self, from_a: BoolArray) -> IntArray:
-        """Queue one merge level; return each block's A-count.
+    def push_merge(self, run: int, paired: int) -> IntArray:
+        """Queue one merge level of the :attr:`packed` keys; return each
+        ``u*E``-word block's A-count.
 
-        ``from_a`` holds one ``u*E``-word row of merge tags per block
-        (:func:`merge_tags`), at most :attr:`rows` of them; the rest of
-        the level is padding.  Call :meth:`make_room` before the level's
-        sort to profile a full pass while the sort's data is not yet
-        alive.
+        The level merges each pair of consecutive ``run``-word runs of the
+        keys' first ``paired`` words in place (the last pair's B may be
+        shorter; a run waiting past ``paired`` stays put): it tags every B
+        word, sorts each pair (one sort per pair shape), reads every
+        block's merge tags and ``|A|``, and clears the tags.  A level with
+        fewer blocks than :attr:`rows` is padded with dead rows.
         """
         if self.read_policy != "bounded":
             raise ParameterError("merge levels run bounded reads")
-        blocks = len(from_a)
+        assert self.packed is not None, "blocksort runs first"
         u, E = self.u, self.E
+        blocks = paired // (u * E)
         j = self._slot(len(self._table) - 1)
+        keys = self.packed.reshape(-1)[:paired]
+        equal = paired - paired % (2 * run)
+        keys[:equal].reshape(-1, 2, run)[:, 1] += 1
+        keys[:equal].reshape(-1, 2 * run).sort(axis=1)
+        if paired > equal:  # a shorter last pair
+            keys[equal + run :] += 1
+            keys[equal:].sort()
         take = self._take_a[:, j]
-        take[:, :blocks] = from_a.reshape(blocks, u, E).transpose(2, 0, 1)
-        n_a = np.count_nonzero(from_a, axis=1)
+        tags = self._untag(keys, take[:, :blocks])
         sizes = self._sizes[j, :, :, 0]
-        sizes[0, :blocks] = n_a
-        np.subtract(u * E, n_a, out=sizes[1, :blocks], casting="unsafe")
+        np.add.reduce(tags.reshape(blocks, u * E), axis=1, out=sizes[1, :blocks])
+        np.subtract(u * E, sizes[1, :blocks], out=sizes[0, :blocks])
         if blocks < self.rows:
             take[:, blocks:] = False
             sizes[:, blocks:] = 0
@@ -1210,7 +1261,16 @@ class LevelStack:
             both = _cf_rounds(E, u, self.w, scatter=True)
             self.merge[:, self._done + j] += blocks * both
             self.per_row._counts[:, :blocks] += both[:, None]
-        return n_a
+        return sizes[0, :blocks].astype(np.int64)
+
+    def unpack(self) -> IntArray:
+        """The sorted keys, flat: shifted back once, and mapped back through
+        the blocksort's rank fallback where it ranked.  The stack keeps
+        no keys after."""
+        assert self.packed is not None, "blocksort runs first"
+        packed, self.packed = self.packed.reshape(-1), None
+        packed >>= 1
+        return packed.astype(np.int64, copy=False) if self._values is None else self._values[packed]
 
     def flush(self) -> None:
         """Profile every queued level in one pass (see the class docstring)."""
@@ -1525,8 +1585,8 @@ def _kway_pass(
         # j-th read is lockstep round j.  Live steps are a prefix, so step s
         # of run r is read (reads of runs < r) + s; dead steps go to a spare
         # round past the last.
-        steps = int(lens.max()).bit_length()
-        mids, live = _bisect(np.zeros_like(lower), lens[:, :, None], lower, steps)
+        mids, live = _bisect(np.zeros_like(lower), lens[:, :, None], lower)
+        steps = len(mids)
         reads = np.add.reduce(live, axis=0, dtype=dt)
         done = np.cumsum(reads, axis=0, dtype=dt)
         R = int(done[-1].max())

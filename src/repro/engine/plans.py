@@ -38,6 +38,11 @@ execution *is* applying a precomputed permutation):
   thread geometry of one thread count (plus a merge block's), so the
   lane's level stack reads any mix of levels by row index.
 
+The ``bisect`` kind tabulates every bisection over a span below ``n``:
+each probe's offset from the interval's start and the live step count,
+keyed by span and cut offset, so the lane reads a merge-path search's
+probes instead of stepping it.
+
 Plans are immutable by contract: every array is stored with its NumPy
 write flag cleared, so an accidental in-place mutation raises instead of
 silently corrupting every future user of the cached plan.
@@ -67,8 +72,12 @@ __all__ = [
 ]
 
 #: Cached plan arrays are index/mask vectors: int64, int32 (the stacked
-#: blocksort geometry the lane computes in) or boolean masks.
-PlanArray = npt.NDArray[np.int64] | npt.NDArray[np.int32] | npt.NDArray[np.bool_]
+#: blocksort geometry the lane computes in), boolean masks, or the
+#: ``bisect`` table's narrow offsets and step counts.
+PlanArray = (
+    npt.NDArray[np.int64] | npt.NDArray[np.int32] | npt.NDArray[np.bool_]
+    | npt.NDArray[np.uint8]
+)
 
 
 @dataclass(frozen=True)
@@ -76,7 +85,8 @@ class PlanKey:
     """The content key of one plan: geometry + plan kind.
 
     ``n`` is the layout/problem size the plan spans (thread count for
-    ``tids``/``stage``/``oddeven``, element count for ``rho``/``scatter``),
+    ``tids``/``stage``/``oddeven``, element count for ``rho``/``scatter``,
+    the span bound for ``bisect``),
     ``d = GCD(w, E)`` rides along explicitly so keys self-describe the
     residue structure the arrays encode.  ``k`` is the merge width for
     k-way plans (``kway_rounds``/``sample_splitters``) and ``|A|`` for
@@ -398,6 +408,40 @@ def _build_fused_levels(
     }
 
 
+def _build_bisect(n: int, E: int, w: int, k: int, level: int) -> dict[str, PlanArray]:
+    """Every bisection over a span below ``n`` (a power of two), probe by probe.
+
+    A lane bisecting ``[lo, hi]`` for its cut probes ``mid = (lo + hi) >>
+    1`` and goes right exactly when ``cut > mid``, so its probes' offsets
+    from ``lo`` depend only on the span ``s = hi - lo`` and on ``c = cut -
+    lo``.  Entry ``s * n + c`` holds them: ``probe[j]`` is step ``j``'s
+    probe less ``lo`` (a converged lane stays at its cut) and ``live`` the
+    lane's steps before it converges (``lo == hi``).  An entry with ``c >
+    s`` is no lane's: its probes and live steps are 0.
+    """
+    if n < 2 or n & (n - 1):
+        raise ParameterError(f"bisect needs a power-of-two span bound >= 2, got n={n}")
+    # The narrowest dtype that holds lo + hi keeps every temporary small.
+    positions = np.arange(n, dtype=np.min_scalar_type(2 * (n - 1)))
+    span, cut = np.repeat(positions, n), np.tile(positions, n)
+    lo, hi = np.zeros_like(span), np.where(cut <= span, span, 0)
+    cut = np.minimum(cut, hi)
+    steps = (n - 1).bit_length()
+    # One allocation: at n = 128 its 128 KiB reach malloc's mapping
+    # threshold, so the table lives apart from the heap.  As two smaller
+    # arrays it pinned the heap's top for the life of the process, which
+    # raised a served mix's peak RSS by about 1 MB.
+    table = np.zeros((steps + 1, n * n), dtype=np.min_scalar_type(n - 1))
+    probe, live = table[:steps], table[steps]
+    for step in range(steps):
+        live += lo < hi
+        mid = (lo + hi) >> 1
+        probe[step] = mid
+        right = cut > mid
+        lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
+    return {"probe": _frozen(probe), "live": _frozen(live)}
+
+
 #: kind -> builder.  Builders are pure functions of the key.
 _BUILDERS: dict[str, Callable[[int, int, int, int], dict[str, PlanArray]]] = {
     "tids": _build_tids,
@@ -413,6 +457,7 @@ _BUILDERS: dict[str, Callable[[int, int, int, int], dict[str, PlanArray]]] = {
     "fused_stage": _build_fused_stage,
     "fused_level": _build_fused_level,
     "fused_levels": _build_fused_levels,
+    "bisect": _build_bisect,
 }
 
 #: The plan kinds the cache can build.

@@ -74,7 +74,6 @@ from repro.mergesort.pipeline import (
     _batched_blocksort,
     _charge_tiles,
     _checked_input,
-    _joined,
     _lane_input,
     _lockstep_blocksort,
 )
@@ -291,7 +290,8 @@ def kway_merge_block(
     for i, run in enumerate(arrays):
         if run.ndim != 1:
             raise ParameterError(f"run {i} is not one-dimensional")
-        if np.any(np.diff(run) < 0):
+        # Neighbours, not np.diff: a difference of 2^63 or more wraps.
+        if np.any(run[1:] < run[:-1]):
             raise ParameterError(f"run {i} is not sorted")
     total = sum(len(a) for a in arrays)
     if total == 0:
@@ -602,7 +602,7 @@ def _lane_merge(
             rows = runs[lo:hi].reshape(-1, min(k * run, hi - lo))
             tags = np.arange(rows.shape[1]) // run
             blocks.append(kway_merge_tags(rows, tags, k).reshape(-1, tile))
-    packed = _joined(blocks)
+    packed = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     search, merge = BatchCounters(len(packed), u, w), BatchCounters(len(packed), u, w)
     counts = kway_level_profile(packed, k, E, w, search=search, merge=merge)
     stats = MergePhaseStats(search.total(), merge.total())

@@ -2,11 +2,11 @@
 
 Orchestrates blocksort over tiles of ``u*E`` elements followed by pairwise
 merge levels, each output tile produced by one simulated thread block.
-A level is cut and merged at once: the merge kernel takes the level's
-run pairs and returns the merged runs plus each ``u*E``-word output
-block's A-count.  The blocks of one stable merge of a run pair are
-exactly the blocks its merge-path cuts delimit (Green et al., *Merge
-Path*), so those counts are the cuts.  Global-memory traffic — the
+A level is cut and merged at once: the kernels own the keys, and the
+merge kernel merges the level's run pairs in place and returns each
+``u*E``-word output block's A-count.  The blocks of one stable merge of
+a run pair are exactly the blocks its merge-path cuts delimit (Green et
+al., *Merge Path*), so those counts are the cuts.  Global-memory traffic — the
 coalesced tile loads and stores, the per-block merge-path searches in
 global memory, and each block's coalesced reads on both sides of its
 cuts — follows in closed form from them.  Two entry points share that
@@ -20,14 +20,15 @@ traffic:
 * :func:`batched_mergesort` runs on the batched engine lane
   (:mod:`repro.engine.batch`) as one stack of levels
   (:class:`~repro.engine.batch.LevelStack`): the blocksort levels and
-  every merge level are ``(tiles, u)`` slabs of one stack.  A merge
-  level is one packed-key sort of all its equal-length run pairs, plus
-  one for a shorter last pair; their merge tags, reshaped into one row
-  per block (padded with dead rows while an odd run waits), are queued
-  behind the blocksort's.  Every queued level's searches replay in one
-  pass and, for Thrust, every level's pointer merges in one more (a
-  pass holds at most ``STACK_LANES`` thread lanes, so large sorts keep
-  one pass per level).  Per-level counters are the stack's per-level
+  every merge level are ``(tiles, u)`` slabs of one stack, and advance
+  one packed key array, packed once and unpacked once.  A merge level
+  tags its pairs' B words and sorts all its equal-length run pairs in
+  place with one sort, and a shorter last pair with one more; its merge
+  tags, one row per block (padded with dead rows while an odd run
+  waits), are queued behind the blocksort's.  Every queued level's
+  searches replay in one pass and, for Thrust, every level's pointer
+  merges in one more (a pass holds at most ``STACK_LANES`` thread lanes,
+  so large sorts keep one pass per level).  Per-level counters are the stack's per-level
   totals; compute ops follow in closed form.  Its result equals
   :func:`gpu_mergesort`'s on every field; CF at non-coprime ``(w, E)``
   (no exact lane profile there) is delegated to :func:`gpu_mergesort`.
@@ -49,7 +50,7 @@ from typing import Any, Callable, Protocol, Sequence
 import numpy as np
 import numpy.typing as npt
 
-from repro.engine.batch import LevelStack, merge_tags, span_dtype
+from repro.engine.batch import LevelStack, span_dtype
 from repro.errors import ParameterError
 from repro.mergesort.blocksort import BlocksortStats, blocksort_tile
 from repro.mergesort.cf import cf_merge_block
@@ -68,22 +69,24 @@ BlocksortKernel = Callable[[IntArray], tuple[IntArray, BlocksortStats]]
 
 
 class SortKernels(Protocol):
-    """A sort's blocksort and merge kernels, called in level order."""
+    """A sort's blocksort and merge kernels, called in level order; they
+    own the keys from the blocksort to :meth:`finish`."""
 
-    def blocksort(self, tiles: IntArray) -> IntArray:
-        """Sort every row of the ``(tiles, u*E)`` matrix."""
+    def blocksort(self, tiles: IntArray) -> None:
+        """Sort every row of the ``(tiles, u*E)`` matrix into the keys."""
 
-    def merge(self, runs: IntArray, run: int) -> tuple[IntArray, IntArray]:
-        """Merge each pair of consecutive ``run``-word runs of ``runs``.
+    def merge(self, run: int, paired: int) -> IntArray:
+        """Merge each pair of consecutive ``run``-word runs of the keys'
+        first ``paired`` words, in place.
 
         Every run is ``run`` words long but the last, which may be
-        shorter; every length is a whole number of tiles.  Returns the
-        merged pairs, back to back, and each ``u*E``-word output block's
-        A-count, in order.
+        shorter; every length is a whole number of tiles.  Returns each
+        ``u*E``-word output block's A-count, in order.
         """
 
-    def finish(self) -> tuple[BlocksortStats, list[MergePhaseStats]]:
-        """The blocksort's counters and every merged level's, in level order."""
+    def finish(self) -> tuple[IntArray, BlocksortStats, list[MergePhaseStats]]:
+        """The sorted keys, the blocksort's counters and every merged
+        level's, in level order."""
 
 
 def _charge_tiles(counters: Counters, n_tiles: int, tile: int) -> None:
@@ -231,10 +234,10 @@ def _mergesort(
     """The skeleton: pad, blocksort, then merge pairwise level by level.
 
     ``pad`` fills the last tile; it must sort after every value of
-    ``data``.  Each level hands every pair of runs to one
-    ``kernels.merge`` call (an odd last run waits for the next level)
-    and charges the level's global traffic from the returned A-counts;
-    the counters come from ``kernels.finish()``.
+    ``data``.  Each level has one ``kernels.merge`` call merge every
+    pair of runs (an odd last run waits for the next level) and charges
+    the level's global traffic from the returned A-counts; the sorted
+    keys and the counters come from ``kernels.finish()``.
     """
     n = len(data)
     result = MergesortResult(
@@ -245,24 +248,24 @@ def _mergesort(
 
     tile = u * E
     n_tiles = (n + tile - 1) // tile
-    padded = np.full(n_tiles * tile, pad, dtype=np.int64)
+    total = n_tiles * tile
+    padded = np.full(total, pad, dtype=np.int64)
     padded[:n] = data
-
-    keys = kernels.blocksort(padded.reshape(n_tiles, tile)).reshape(-1)
+    kernels.blocksort(padded.reshape(n_tiles, tile))
+    del padded  # the kernels hold the keys from here
     _charge_tiles(result.global_stats, n_tiles, tile)
 
     run = tile
-    while run < len(keys):
+    while run < total:
         # An odd run count leaves a last run of at most ``run`` words.
-        rest = len(keys) % (2 * run)
-        paired = len(keys) - rest if rest <= run else len(keys)
-        # The merged pairs are copied back in place; no copy outlives the level.
-        keys[:paired], a_counts = kernels.merge(keys[:paired], run)
+        rest = total % (2 * run)
+        paired = total - rest if rest <= run else total
+        a_counts = kernels.merge(run, paired)
         _charge_level(result.global_stats, a_counts, run, paired, tile)
         result.merge_level_count += 1
         run *= 2
 
-    result.blocksort_stats, result.per_level = kernels.finish()
+    keys, result.blocksort_stats, result.per_level = kernels.finish()
     for level_stats in result.per_level:
         result.merge_stats.merge_into(level_stats)
     result.data = keys[:n]
@@ -299,19 +302,21 @@ class _Lockstep:
         self.read_policy, self.simulate_search = read_policy, simulate_search
         self.blocksort_stats = BlocksortStats()
         self.per_level: list[MergePhaseStats] = []
+        self.keys = np.zeros(0, dtype=np.int64)
 
-    def blocksort(self, tiles: IntArray) -> IntArray:
+    def blocksort(self, tiles: IntArray) -> None:
         runs, self.blocksort_stats = _lockstep_blocksort(
             tiles, self.E, self.w, self.variant, self.read_policy
         )
-        return runs
+        self.keys = runs.reshape(-1)
 
-    def merge(self, runs: IntArray, run: int) -> tuple[IntArray, IntArray]:
+    def merge(self, run: int, paired: int) -> IntArray:
         tile = self.u * self.E
+        runs = self.keys[:paired]
         level_stats = MergePhaseStats()
         merged = np.empty_like(runs)
         a_counts = []
-        for start in range(0, len(runs), 2 * run):
+        for start in range(0, paired, 2 * run):
             a_run = runs[start : start + run]
             b_run = runs[start + run : start + 2 * run]
             prev_a = prev_b = 0
@@ -334,33 +339,29 @@ class _Lockstep:
                 a_counts.append(cut_a - prev_a)
                 prev_a, prev_b = cut_a, cut_b
         self.per_level.append(level_stats)
-        return merged, np.array(a_counts, dtype=np.int64)
+        runs[:] = merged
+        return np.array(a_counts, dtype=np.int64)
 
-    def finish(self) -> tuple[BlocksortStats, list[MergePhaseStats]]:
-        return self.blocksort_stats, self.per_level
+    def finish(self) -> tuple[IntArray, BlocksortStats, list[MergePhaseStats]]:
+        return self.keys, self.blocksort_stats, self.per_level
 
 
 # -------------------------------------------------------- batched kernels
-
-
-def _joined(parts: list[npt.NDArray[Any]]) -> npt.NDArray[Any]:
-    """``parts`` end to end; a single part (no shorter last pair) is not copied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class _Lane:
     """A lane sort: its blocksort and merge levels on one level stack.
 
     :meth:`blocksort` queues the tiles' levels on a
-    :class:`~repro.engine.batch.LevelStack`.  :meth:`merge` merges all
-    equal-length run pairs of a level with one packed-key sort
-    (:func:`~repro.engine.batch.merge_tags`) and a shorter last pair
-    with one more, and queues the merge tags, reshaped into one
-    ``u*E``-word row per block; a block's A-count is its row's sum.  The
-    stack profiles a full pass before the next level's sort, so no
-    level's sort data is alive during a pass, and the rest at
-    :meth:`finish`, which reads each level's counters from the stack and
-    adds the compute ops in closed form.
+    :class:`~repro.engine.batch.LevelStack`, which keeps their packed
+    keys.  :meth:`merge` has the stack merge a level on those keys
+    (:meth:`~repro.engine.batch.LevelStack.push_merge`): all equal-length
+    run pairs with one in-place sort, a shorter last pair with one more,
+    their merge tags queued as one ``u*E``-word row per block.  The stack
+    profiles a full pass when the next level finds no slot, and the
+    rest at :meth:`finish`, which unpacks the keys once, reads each
+    level's counters from the stack and adds the compute ops in closed
+    form.
     """
 
     def __init__(self, E: int, u: int, w: int, variant: str) -> None:
@@ -369,32 +370,21 @@ class _Lane:
         #: Blocks per merge level, in level order.
         self.blocks: list[int] = []
 
-    def blocksort(self, tiles: IntArray) -> IntArray:
+    def blocksort(self, tiles: IntArray) -> None:
         # The blocksort's levels, then one merge level per doubling of the runs.
         levels = self.u.bit_length() - 1 + (len(tiles) - 1).bit_length()
         self.stack = LevelStack(
             len(tiles), self.u, self.E, self.w, self.variant, levels, per_row=False
         )
-        return self.stack.blocksort(tiles)
+        self.stack.blocksort(tiles)
 
-    def merge(self, runs: IntArray, run: int) -> tuple[IntArray, IntArray]:
+    def merge(self, run: int, paired: int) -> IntArray:
         assert self.stack is not None, "blocksort runs first"
-        self.stack.make_room()
-        tile = self.u * self.E
-        equal = len(runs) - len(runs) % (2 * run)
-        tags, merged = [], []
-        for lo, hi in ((0, equal), (equal, len(runs))):
-            if hi > lo:
-                pairs = runs[lo:hi].reshape(-1, min(2 * run, hi - lo))
-                # Every pair's A is a whole run.
-                from_a, merged_pairs = merge_tags(pairs, np.array([run]))
-                tags.append(from_a.reshape(-1, tile))
-                merged.append(merged_pairs.reshape(-1))
-        n_a = self.stack.push_merge(_joined(tags))
+        n_a = self.stack.push_merge(run, paired)
         self.blocks.append(len(n_a))
-        return _joined(merged), n_a
+        return n_a
 
-    def finish(self) -> tuple[BlocksortStats, list[MergePhaseStats]]:
+    def finish(self) -> tuple[IntArray, BlocksortStats, list[MergePhaseStats]]:
         # The lane counts shared-memory traffic only; compute ops follow
         # in closed form from the kernels' instruction streams (``ops`` =
         # compare-exchanges of the E-wide odd-even network, ``L =
@@ -428,7 +418,7 @@ class _Lane:
             stats.search.compute_ops = per_step * stats.search.shared_requests // 2
             stats.merge.compute_ops = blocks * per_block
             merged.append(stats)
-        return blocksort, merged
+        return stack.unpack(), blocksort, merged
 
 
 def _batched_blocksort(
@@ -436,8 +426,9 @@ def _batched_blocksort(
 ) -> tuple[IntArray, BlocksortStats]:
     """Every tile on one lane level stack, counters split by phase."""
     lane = _Lane(E, tiles.shape[1] // E, w, variant)
-    runs = lane.blocksort(tiles)
-    return runs, lane.finish()[0]
+    lane.blocksort(tiles)
+    keys, stats, _ = lane.finish()
+    return keys.reshape(tiles.shape), stats
 
 
 def blocksort_segments(

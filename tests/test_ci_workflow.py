@@ -121,6 +121,20 @@ def test_tier1_job_runs_sort_long_end_to_end(workflow, trace):
     assert check.endswith(f"sort-long-{trace}.json")
 
 
+def test_tier1_job_pins_sort_long_simulated_counters(workflow):
+    # The untraced run's simulated counters at seed 1 are fixed by the
+    # workload: a lane change that moves one fails CI first.
+    job = workflow["jobs"]["test"]
+    step = next(s for s in job["steps"] if "--trace 0 | tail -n 1" in str(s.get("run", "")))
+    check = next(line for line in step["run"].splitlines() if "sim_replays_per_key" in line)
+    assert "m['sim_replays_per_key']['value'] == 2.554833984375" in check
+    assert (
+        "math.isclose(m['sim_modeled_us_per_key']['value'], 0.0028266571309256503,"
+        " rel_tol=1e-9)" in check
+    )
+    assert check.endswith("sort-long-0.json")
+
+
 def test_lint_job_gates_ruff_and_strict_mypy(workflow):
     steps = _steps_text(workflow["jobs"]["lint"])
     assert "ruff check" in steps

@@ -713,6 +713,78 @@ class TestReplaySearches:
             assert dict(zip(batch._SHARED_FIELDS, rows[:, g].tolist())) == _shared(expect)
 
 
+class TestTableBisection:
+    """``_bisect`` reads its last steps from the cached ``bisect`` table;
+    the plain step loop is the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        widest=st.sampled_from([0, 1, 5, 80, 127, 128, 129, 500, 3840, 40_000]),
+        broadcast=st.booleans(),
+    )
+    def test_matches_the_plain_step_loop(self, seed, widest, broadcast):
+        rng = np.random.default_rng(seed)
+        # int16 holds lo + hi below 2^14; wider spans replay in int32.
+        dtype, base = (np.int16, 0) if widest < 8000 else (np.int32, 1 << 20)
+        G, T, u = 3, 4, 8
+        lo = base + rng.integers(0, 64, (G, T, u))
+        span = rng.integers(0, widest + 1, (G, T, 1) if broadcast else (G, T, u))
+        span[0, 0] = widest  # the widest span, on both sides of the table
+        span[1, 0] = 0  # lanes that never step
+        hi = lo + span
+        cuts = lo + (rng.random((G, T, u)) * (hi - lo + 1)).astype(np.int64)
+        # Dead rows (lo > hi), as a padded merge level's: any cut.
+        hi[2, 1:3] = lo[2, 1:3] - rng.integers(1, 50, (2, u))
+        cuts[2, 1:3] = rng.integers(0, base + 128, (2, u))
+        lo, hi, cuts = (x.astype(dtype) for x in (lo, hi, cuts))
+
+        with mock.patch.object(batch, "_bisect_steps", wraps=batch._bisect_steps) as plain:
+            mids, live = batch._bisect(lo, hi, cuts)
+        steps = widest.bit_length()
+        assert plain.called == (steps > 7)
+        want_mids = np.empty((steps, G, T, u), dtype=dtype)
+        want_live = np.empty((steps, G, T, u), dtype=bool)
+        low, high = np.broadcast_arrays(lo, hi)
+        for step in range(steps):
+            want_live[step] = low < high
+            want_mids[step] = mid = (low + high) >> 1
+            right = cuts > mid
+            low, high = np.where(right, mid + 1, low), np.where(right, high, mid)
+        assert mids.dtype == dtype and mids.shape == want_mids.shape
+        assert np.array_equal(live, want_live)
+        assert np.array_equal(mids[live], want_mids[live])
+        # So the replay keeps the same (step, level) slabs.
+        assert np.array_equal(live.any(axis=(2, 3)), want_live.any(axis=(2, 3)))
+        assert not live[:, 2, 1:3].any()
+
+    @pytest.mark.parametrize("variant", ["cf", "thrust"])
+    def test_a_service_geometry_sort_steps_no_bisection_and_merges_no_tags(
+        self, variant, monkeypatch
+    ):
+        # At E=5, u=32 every span is at most 80: the whole bisection is
+        # read from the table, and the merge levels sort the blocksort's
+        # packed keys, with no merge_tags sort of their own.
+        calls = []
+
+        def spy(name):
+            real = getattr(batch, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(batch, name, wrapped)
+
+        for name in ("_bisect", "_bisect_steps", "merge_tags", "kway_merge_tags"):
+            spy(name)
+        for data in (adversarial(16, 5, 32, 8), np.random.default_rng(7).integers(0, 999, 7 * 160)):
+            calls.clear()
+            result = batched_mergesort(data, 5, 32, 8, variant)
+            assert np.array_equal(result.data, np.sort(data))
+            assert calls == ["_bisect"], calls
+
+
 class TestLaneFusionArenaStats:
     def test_blocksort_pass_reports_fusion_and_arena_deltas(self):
         # The lane allocates its scratch per call: no lane sort leases from

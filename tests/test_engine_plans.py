@@ -169,7 +169,7 @@ class TestPlanCacheBehavior:
             "tids", "stage", "rho", "scatter", "oddeven",
             "kway_rounds", "sample_splitters",
             "key_pack", "payload_gather",
-            "fused_take", "fused_stage", "fused_level", "fused_levels",
+            "fused_take", "fused_stage", "fused_level", "fused_levels", "bisect",
         }
 
 
@@ -257,6 +257,42 @@ class TestFusedPlans:
             get_plan("fused_levels", 24, 5, 8)
 
 
+class TestBisectPlan:
+    @pytest.mark.parametrize("n", [2, 16, 128])
+    def test_every_entry_is_the_literal_bisection(self, n):
+        plan = get_plan("bisect", n, 0, 1)
+        steps = (n - 1).bit_length()
+        assert plan["probe"].shape == (steps, n * n)
+        for span in range(n):
+            for cut in range(n):
+                entry = span * n + cut
+                probes = plan["probe"][:, entry].tolist()
+                if cut > span:  # no lane has this entry
+                    assert probes == [0] * steps and plan["live"][entry] == 0
+                    continue
+                lo, hi, want = 0, span, []
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    want.append(mid)
+                    lo, hi = (mid + 1, hi) if cut > mid else (lo, mid)
+                assert lo == cut
+                assert plan["live"][entry] == len(want)
+                # A converged lane keeps probing its cut.
+                assert probes == want + [cut] * (steps - len(want)), (span, cut)
+
+    def test_bounds_key_distinct_tables(self):
+        small, large = get_plan("bisect", 16, 0, 1), get_plan("bisect", 128, 0, 1)
+        assert small is not large
+        assert (small.key.n, large.key.n) == (16, 128)
+        # Offsets below 128 fit a byte: the service table takes 128 KiB.
+        assert large.nbytes == 7 * 128 * 128 + 128 * 128
+
+    @pytest.mark.parametrize("n", [0, 1, 24])
+    def test_validates_the_bound(self, n):
+        with pytest.raises(ParameterError):
+            get_plan("bisect", n, 0, 1)
+
+
 class TestImmutability:
     @pytest.mark.parametrize("kind,n,E,w", [
         ("tids", 8, 0, 1),
@@ -268,6 +304,7 @@ class TestImmutability:
         ("fused_stage", 8, 5, 8),
         ("fused_level", 8, 5, 8),
         ("fused_levels", 8, 5, 8),
+        ("bisect", 8, 0, 1),
     ])
     def test_every_plan_array_is_write_protected(self, kind, n, E, w):
         plan = get_plan(kind, n, E, w)

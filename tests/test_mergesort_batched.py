@@ -50,18 +50,19 @@ def _lengths(tile: int) -> list[int]:
 
 
 class _MergeLevelsOnly(pipeline._Lane):
-    """The lane's merge levels on a level stack of their own (NumPy sorts
-    the tiles), so a test can count the passes the merge levels take."""
+    """The lane's merge levels on a level stack of their own, whose packed
+    keys are the tiles sorted by NumPy, so a test can count the passes
+    the merge levels take, or merge its own runs of whole tiles."""
 
     def blocksort(self, tiles):
         self.stack = batch.LevelStack(
             len(tiles), self.u, self.E, self.w, self.variant, (len(tiles) - 1).bit_length()
         )
-        return np.sort(tiles, axis=1)
+        self.stack.packed = np.sort(tiles, axis=1) << 1
 
     def finish(self):
         self.stack.flush()
-        return BlocksortStats(), []
+        return self.stack.unpack(), BlocksortStats(), []
 
 
 def assert_matches_the_simulator(data, E, u, w, variant):
@@ -384,10 +385,13 @@ class TestLevelTraffic:
         pipeline._charge_level(got, np.array(a_counts), run, paired, tile)
         assert got.as_dict() == want.as_dict()
         # The lane's one stable merge per level yields the same A-counts.
-        lane = pipeline._Lane(E, u, 8, "thrust")
-        lane.blocksort(np.zeros((paired // tile, tile), dtype=np.int64))
-        merged, lane_counts = lane.merge(np.concatenate(runs)[:paired], run)
+        # Each run is whole tiles, so its tiles come out of the NumPy
+        # blocksort as they went in.
+        lane = _MergeLevelsOnly(E, u, 8, "thrust")
+        lane.blocksort(np.concatenate(runs)[:paired].reshape(-1, tile))
+        lane_counts = lane.merge(run, paired)
         assert lane_counts.tolist() == a_counts
+        merged = lane.finish()[0]
         assert np.array_equal(
             merged, np.concatenate([np.sort(np.concatenate(p), kind="stable") for p in pairs])
         )

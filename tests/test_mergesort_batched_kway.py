@@ -260,6 +260,29 @@ class TestBatchedSampleSort:
         assert_samplesort_matches(data, 6, 16, 4)
 
 
+class TestInt64Extremes:
+    """Sorted runs whose neighbours differ by 2^63 or more, where a
+    sortedness check by differences would wrap."""
+
+    KWAY = np.array([2**62, -(2**63), 0, 5] * 90)
+    SAMPLE = np.array([2**63 - 2, -(2**63), 0, 5, -(2**63), 2**63 - 2] * 60)
+
+    def test_kway_sort_takes_them(self):
+        assert np.array_equal(assert_kway_matches(self.KWAY, 4, 5, 32, 8).data, np.sort(self.KWAY))
+
+    def test_sample_sort_takes_them(self):
+        got = assert_samplesort_matches(self.SAMPLE, 5, 32, 8)
+        assert np.array_equal(got.data, np.sort(self.SAMPLE))
+
+    def test_the_kway_backend_takes_them_at_a_non_coprime_geometry(self):
+        # At E=4, w=8 the backend runs kway_sort itself.
+        data = self.KWAY[:320]
+        outcome = get_backend("kway")(data, [0], SortParams(4, 32), 8)
+        want = kway_sort(data, KWAY_BACKEND_FANIN, 4, 32, 8)
+        assert np.array_equal(outcome.data, np.sort(data))
+        assert outcome.counters.as_dict() == want.total_counters.as_dict()
+
+
 class TestValidationOnEmptyInput:
     def test_kway_sort_rejects_unknown_read_policy(self):
         with pytest.raises(ParameterError, match="read_policy"):
